@@ -252,10 +252,7 @@ func appendSparseChunk(dst []byte, idx []uint32, vals []float64, prev *int) []by
 		dst = binary.AppendUvarint(dst, gap)
 		*prev = int(i)
 	}
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return tensor.AppendVector(dst, vals)
 }
 
 // decodeSparseChunk scatters one packed sparse chunk into dst, enforcing
@@ -402,10 +399,7 @@ func decodeQuantChunk(dst tensor.Vector, off int, wantBits int, payload []byte) 
 // appendRangeChunk encodes one dense block starting at start.
 func appendRangeChunk(dst []byte, start int, vals []float64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(start))
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return tensor.AppendVector(dst, vals)
 }
 
 // decodeRangeChunk writes one dense block into dst, enforcing
@@ -422,9 +416,8 @@ func decodeRangeChunk(dst tensor.Vector, payload []byte, next *int) (int, error)
 	if start+n > len(dst) {
 		return 0, fmt.Errorf("comm: range chunk [%d,%d) out of range for %d-element message", start, start+n, len(dst))
 	}
-	body := payload[rangeChunkOverhead:]
-	for i := 0; i < n; i++ {
-		dst[start+i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
+	if err := tensor.DecodeVector(dst[start:start+n], payload[rangeChunkOverhead:]); err != nil {
+		return 0, err
 	}
 	*next = start + n
 	return n, nil
@@ -493,8 +486,9 @@ func sendCompressedEP(ep Endpoint, to, worker int, m *compactMsg, scratch []byte
 
 // recvCompressedEP reassembles one compressed message from a peer into
 // dst — dense, with untransmitted positions zeroed — validating frame
-// type, worker tag, sequence and every payload. The dense (CodecNone)
-// case is handled by the caller via recvTensorEP.
+// type, worker tag, sequence and every payload, and handing each chunk
+// frame back to its transport once decoded. The dense (CodecNone) case is
+// handled by the caller via recvTensorEP.
 func recvCompressedEP(rx recver, from, worker int, p profile, dst tensor.Vector) error {
 	dst.Zero()
 	want := p.msgType()
@@ -530,7 +524,9 @@ func recvCompressedEP(rx recver, from, worker int, p profile, dst tensor.Vector)
 				return err
 			}
 		}
-		if f.Flags&FlagLast != 0 {
+		done := f.Flags&FlagLast != 0
+		f.release()
+		if done {
 			if p.kind == CodecQuant && off != len(dst) {
 				return fmt.Errorf("comm: quant stream ended at %d of %d elements", off, len(dst))
 			}

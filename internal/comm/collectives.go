@@ -11,14 +11,21 @@ import (
 // these are the building blocks for tools, tests and topologies that don't
 // need the worker mapping.
 
-// sendTensorEP streams v to a peer in chunked frames, reusing scratch for
-// encoding. It returns the (possibly grown) scratch.
+// sendTensorEP streams v to a peer in chunked frames. Where the host's
+// memory layout is the wire layout each payload is the chunk's own memory
+// (Send is done with it on return); elsewhere chunks are encoded into
+// scratch. It returns the (possibly grown) scratch.
 func sendTensorEP(ep Endpoint, to, worker int, v tensor.Vector, scratch []byte) ([]byte, error) {
-	seq := uint32(0)
+	// One frame for the whole stream: it escapes through Send, so a frame
+	// per chunk would be a heap allocation per chunk.
+	f := Frame{Type: MsgTensorChunk, Worker: int32(worker)}
 	for lo := 0; ; lo += ChunkElems {
 		hi := min(lo+ChunkElems, len(v))
-		scratch = tensor.AppendVector(scratch[:0], v[lo:hi])
-		f := Frame{Type: MsgTensorChunk, Worker: int32(worker), Seq: seq, Payload: scratch}
+		var ok bool
+		if f.Payload, ok = tensor.WireView(v[lo:hi]); !ok {
+			scratch = tensor.AppendVector(scratch[:0], v[lo:hi])
+			f.Payload = scratch
+		}
 		if hi == len(v) {
 			f.Flags |= FlagLast
 		}
@@ -28,7 +35,7 @@ func sendTensorEP(ep Endpoint, to, worker int, v tensor.Vector, scratch []byte) 
 		if hi == len(v) {
 			return scratch, nil
 		}
-		seq++
+		f.Seq++
 	}
 }
 
@@ -40,7 +47,7 @@ type recver interface {
 
 // recvTensorEP reassembles one chunked tensor from a peer into dst,
 // validating the worker tag (when non-negative), chunk sequence and total
-// size.
+// size. Each chunk frame is handed back to its transport once decoded.
 func recvTensorEP(ep recver, from, worker int, dst tensor.Vector) error {
 	off := 0
 	for seq := uint32(0); ; seq++ {
@@ -65,7 +72,9 @@ func recvTensorEP(ep recver, from, worker int, dst tensor.Vector) error {
 			return err
 		}
 		off += n
-		if f.Flags&FlagLast != 0 {
+		last := f.Flags&FlagLast != 0
+		f.release()
+		if last {
 			if off != len(dst) {
 				return fmt.Errorf("comm: tensor stream ended at %d of %d elements", off, len(dst))
 			}

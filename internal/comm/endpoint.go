@@ -9,11 +9,14 @@ import (
 )
 
 // Endpoint is one rank's port into a frame transport: ordered, reliable
-// point-to-point delivery of frames between ranks. Send must not retain
-// f.Payload after returning (callers reuse encode scratch). Recv(from)
+// point-to-point delivery of frames between ranks. Send must not retain f
+// or f.Payload after returning: callers reuse encode scratch, and dense
+// tensor chunks are sent straight out of the tensor's own memory. Recv(from)
 // returns the next frame that peer sent, blocking until one arrives; frames
 // from one peer are delivered in send order, frames from different peers
-// are independent.
+// are independent. The returned frame and its payload belong to the caller
+// (see Frame for the full ownership rule); a decorator must pass it along
+// unchanged and must not keep a reference to it.
 type Endpoint interface {
 	Rank() int
 	Procs() int
@@ -122,6 +125,9 @@ type chanEndpoint struct {
 	closed chan struct{}
 	once   sync.Once
 	net    netCounters
+	// pool recycles the tensor-chunk frames delivered to this endpoint;
+	// senders draw their deep copies from the receiver's pool.
+	pool framePool
 	// heard[from] is the unix-nano arrival time of the last frame from
 	// that peer (heartbeats included) — the HeartbeatSource surface.
 	heard []atomic.Int64
@@ -176,14 +182,15 @@ func (e *chanEndpoint) Send(to int, f *Frame) error {
 		return nil
 	}
 	// Deep-copy the frame: the caller owns (and will reuse) f.Payload.
-	g := &Frame{Type: f.Type, Flags: f.Flags, Worker: f.Worker, Seq: f.Seq}
-	if len(f.Payload) > 0 {
-		g.Payload = append([]byte(nil), f.Payload...)
-	}
+	g := peer.pool.recvFrame(f.Type, len(f.Payload))
+	copy(g.Payload, f.Payload)
+	g.Flags, g.Worker, g.Seq = f.Flags, f.Worker, f.Seq
 	select {
 	case <-e.closed:
+		g.release()
 		return ErrClosed
 	case <-peer.closed:
+		g.release()
 		return fmt.Errorf("comm: send to rank %d: %w", to, ErrPeerDown)
 	case peer.inbox[e.rank] <- g:
 		e.net.countSend(f)

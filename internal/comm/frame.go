@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Wire format (version 1). Every message on every transport is one frame:
@@ -95,6 +96,18 @@ const (
 
 func (t MsgType) valid() bool { return t >= MsgHello && t <= MsgServeEvent }
 
+// streamChunk reports whether t is a chunk of a tensor stream, dense or
+// codec-encoded. Those are the frames the stream reassemblers
+// (recvTensorEP, recvCompressedEP) consume and hand back, so they are the
+// ones transports draw from their framePool.
+func (t MsgType) streamChunk() bool {
+	switch t {
+	case MsgTensorChunk, MsgSparseChunk, MsgQuantChunk, MsgRangeChunk:
+		return true
+	}
+	return false
+}
+
 // FlagLast marks the final chunk of a tensor stream.
 const FlagLast uint16 = 1
 
@@ -122,12 +135,89 @@ const (
 )
 
 // Frame is one decoded wire message.
+//
+// Ownership of Payload: a frame passed to Endpoint.Send stays the caller's,
+// and the transport is done with Payload when Send returns (it may be the
+// memory of a live tensor). A frame returned by Endpoint.Recv belongs to
+// the receiver, Payload included, until the receiver drops it or — inside
+// this package — hands it back with release, after which neither the frame
+// nor its payload may be touched: the transport reuses both for a later
+// receive.
 type Frame struct {
 	Type    MsgType
 	Flags   uint16
 	Worker  int32
 	Seq     uint32
 	Payload []byte
+
+	// home is the pool a received stream-chunk frame was drawn from, nil
+	// for every other frame. It travels with the frame, so recycling works
+	// the same through any Endpoint decorator that passes frames along.
+	home *framePool
+}
+
+// framePool recycles the frames, and with them the payload buffers, of
+// received tensor-stream chunks: in steady state a transport's receive path
+// allocates nothing. One pool per receiving endpoint; frames a receiver
+// never releases are simply garbage collected.
+type framePool struct {
+	mu   sync.Mutex
+	free []*Frame // LIFO: the buffer released last is the one still in cache
+}
+
+// framePoolCap bounds the frames a pool keeps: 64 full chunks are 16 MiB,
+// two ranks' worth of a 1M-parameter tensor in flight. Beyond that,
+// released frames go to the garbage collector as they did before pooling.
+const framePoolCap = 64
+
+// get returns a frame with an n-byte payload of unspecified content.
+func (p *framePool) get(n int) *Frame {
+	var f *Frame
+	p.mu.Lock()
+	if k := len(p.free); k > 0 {
+		f, p.free = p.free[k-1], p.free[:k-1]
+	}
+	p.mu.Unlock()
+	if f == nil || cap(f.Payload) < n {
+		// A buffer that is too small (the short last chunk of an earlier
+		// stream) is dropped, so the pool converges on full-size buffers.
+		f = &Frame{Payload: make([]byte, n)}
+	}
+	f.Payload = f.Payload[:n]
+	f.home = p
+	return f
+}
+
+// recvFrame returns the frame a transport delivers a type-t message with an
+// n-byte payload in: pooled for stream chunks, freshly allocated otherwise.
+// The caller fills Payload and the remaining header fields.
+func (p *framePool) recvFrame(t MsgType, n int) *Frame {
+	var f *Frame
+	if t.streamChunk() {
+		f = p.get(n)
+	} else {
+		f = new(Frame)
+		if n > 0 {
+			f.Payload = make([]byte, n)
+		}
+	}
+	f.Type = t
+	return f
+}
+
+// release hands a received frame back to the pool it came from; a no-op for
+// unpooled frames. The caller must be done with f and f.Payload.
+func (f *Frame) release() {
+	p := f.home
+	if p == nil {
+		return
+	}
+	f.home = nil
+	p.mu.Lock()
+	if len(p.free) < framePoolCap {
+		p.free = append(p.free, f)
+	}
+	p.mu.Unlock()
 }
 
 // AppendFrame appends f's wire encoding to dst and returns the extended

@@ -129,6 +129,8 @@ type TCPEndpoint struct {
 	done  chan struct{}
 	once  sync.Once
 	net   netCounters
+	// pool recycles the tensor-chunk frames the readLoops deliver.
+	pool framePool
 	// heard[from] is the unix-nano arrival time of the last frame read
 	// from that peer — heartbeats included, which never reach the inbox.
 	heard []atomic.Int64
@@ -143,8 +145,12 @@ type TCPEndpoint struct {
 type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn
-	w   *bufio.Writer
 	gen int
+	// writeFrame's header scratch and write vector, kept here (under mu)
+	// instead of on its stack so that a send allocates nothing.
+	hdr [HeaderSize]byte
+	iov [2][]byte
+	vec net.Buffers
 }
 
 func (tc *tcpConn) replace(c net.Conn) int {
@@ -154,7 +160,6 @@ func (tc *tcpConn) replace(c net.Conn) int {
 		tc.c.Close()
 	}
 	tc.c = c
-	tc.w = bufio.NewWriter(c)
 	tc.gen++
 	return tc.gen
 }
@@ -280,7 +285,7 @@ func DialTCPWithListenerOpts(rank int, peers []string, ln net.Listener, opts TCP
 				return
 			}
 			e.tuneConn(c)
-			e.conns[from] = &tcpConn{c: c, w: bufio.NewWriter(c)}
+			e.conns[from] = &tcpConn{c: c}
 		}
 		acceptErr <- nil
 		e.acceptReplacements()
@@ -294,7 +299,7 @@ func DialTCPWithListenerOpts(rank int, peers []string, ln net.Listener, opts TCP
 			return nil, fmt.Errorf("comm: rank %d cannot reach rank %d at %s: %w", rank, to, peers[to], err)
 		}
 		e.tuneConn(c)
-		tc := &tcpConn{c: c, w: bufio.NewWriter(c)}
+		tc := &tcpConn{c: c}
 		e.conns[to] = tc
 		hello := &Frame{Type: MsgHello, Worker: int32(rank)}
 		if err := e.writeFrame(tc, hello); err != nil {
@@ -393,7 +398,7 @@ func RejoinTCP(rank int, peers []string, opts TCPOptions) (*TCPEndpoint, error) 
 			return nil, fmt.Errorf("comm: rejoining rank %d cannot reach rank %d at %s: %w", rank, to, peers[to], err)
 		}
 		e.tuneConn(c)
-		tc := &tcpConn{c: c, w: bufio.NewWriter(c)}
+		tc := &tcpConn{c: c}
 		hello := &Frame{Type: MsgHello, Worker: int32(rank)}
 		if err := e.writeFrame(tc, hello); err != nil {
 			e.teardown()
@@ -496,37 +501,43 @@ func readFrame(r io.Reader) (*Frame, error) {
 
 // readFrameStall is readFrame with the per-op read deadline: the header
 // wait is unbounded (idle links are normal), the payload read — already
-// promised by the header — must complete within stall.
-func readFrameStall(br *bufio.Reader, c net.Conn, stall time.Duration) (*Frame, error) {
+// promised by the header — must complete within stall. Tensor-stream chunks
+// are read into frames drawn from pool.
+func readFrameStall(br *bufio.Reader, c net.Conn, stall time.Duration, pool *framePool) (*Frame, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
 	}
-	f, n, err := parseHeader(hdr[:])
+	h, n, err := parseHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
+	f := pool.recvFrame(h.Type, n)
+	f.Flags, f.Worker, f.Seq = h.Flags, h.Worker, h.Seq
 	if n > 0 {
 		if stall > 0 {
 			c.SetReadDeadline(time.Now().Add(stall))
 		}
-		f.Payload = make([]byte, n)
 		_, err := io.ReadFull(br, f.Payload)
 		if stall > 0 {
 			c.SetReadDeadline(time.Time{})
 		}
 		if err != nil {
+			f.release()
 			return nil, fmt.Errorf("comm: truncated payload: %w", err)
 		}
 	}
-	return &f, nil
+	return f, nil
 }
 
 func (e *TCPEndpoint) readLoop(from int, c net.Conn, gen int) {
-	br := bufio.NewReaderSize(c, 1<<16)
+	// A default-sized (4 KiB) buffer: enough to take a small frame's header
+	// and payload in one read, and all of a chunk payload beyond it is read
+	// straight into the frame's buffer instead of being copied through here.
+	br := bufio.NewReader(c)
 	p := e.in[from]
 	for {
-		f, err := readFrameStall(br, c, e.opts.ReadStallTimeout)
+		f, err := readFrameStall(br, c, e.opts.ReadStallTimeout, &e.pool)
 		if err != nil {
 			select {
 			case <-e.done:
@@ -671,7 +682,7 @@ func (e *TCPEndpoint) redial(to int, f *Frame, cause error) error {
 			continue
 		}
 		e.tuneConn(c)
-		tc := &tcpConn{c: c, w: bufio.NewWriter(c)}
+		tc := &tcpConn{c: c}
 		hello := &Frame{Type: MsgHello, Worker: int32(e.rank)}
 		if err := e.writeFrame(tc, hello); err != nil {
 			c.Close()
@@ -688,9 +699,9 @@ func (e *TCPEndpoint) redial(to int, f *Frame, cause error) error {
 	return lastErr
 }
 
+// writeFrame sends header and payload in one vectored write: the payload
+// goes from the caller's memory to the socket without a staging copy.
 func (e *TCPEndpoint) writeFrame(tc *tcpConn, f *Frame) error {
-	var hdr [HeaderSize]byte
-	putHeader(hdr[:], f, len(f.Payload))
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.c == nil {
@@ -702,15 +713,15 @@ func (e *TCPEndpoint) writeFrame(tc *tcpConn, f *Frame) error {
 		tc.c.SetWriteDeadline(time.Now().Add(e.opts.WriteTimeout))
 		defer tc.c.SetWriteDeadline(time.Time{})
 	}
-	if _, err := tc.w.Write(hdr[:]); err != nil {
-		return err
+	putHeader(tc.hdr[:], f, len(f.Payload))
+	tc.iov[0], tc.iov[1] = tc.hdr[:], f.Payload
+	tc.vec = tc.iov[:]
+	if len(f.Payload) == 0 {
+		tc.vec = tc.iov[:1]
 	}
-	if len(f.Payload) > 0 {
-		if _, err := tc.w.Write(f.Payload); err != nil {
-			return err
-		}
-	}
-	return tc.w.Flush()
+	_, err := tc.vec.WriteTo(tc.c)
+	tc.iov[1] = nil // do not keep the caller's payload reachable
+	return err
 }
 
 // Recv implements Endpoint.

@@ -52,3 +52,18 @@ func BenchmarkAverage16Workers(b *testing.B) {
 		Average(dst, vs)
 	}
 }
+
+// BenchmarkMatMulATBAccDense128 is the weight-gradient GEMM of a width-128
+// Dense layer at batch 16, the most frequent ATB shape of the c100 step;
+// at 262k multiply-adds it runs inline at any GOMAXPROCS.
+func BenchmarkMatMulATBAccDense128(b *testing.B) {
+	rng := NewRNG(4)
+	x, dy, dw := NewMatrix(16, 128), NewMatrix(16, 128), NewMatrix(128, 128)
+	rng.NormVector(x.Data, 0, 1)
+	rng.NormVector(dy.Data, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulATBAcc(dw, x, dy)
+	}
+}

@@ -296,10 +296,11 @@ func ReluMask(y, mask, x Vector) {
 // Average overwrites dst with the element-wise mean of the given vectors.
 // It panics if vs is empty or the lengths are inconsistent. This is the
 // reduction kernel used by the parameter server for both gradient and
-// parameter aggregation. The flat dimension is chunked across GOMAXPROCS
-// goroutines (each owns a disjoint slice of dst, so no synchronization is
-// needed) and the iteration order over vs inside a chunk is fixed, so the
-// floating-point result is deterministic.
+// parameter aggregation. The flat dimension is walked in combineBlock-sized
+// blocks, shared with idle helper goroutines when the vector is large (see
+// fanTask); each dst element is folded over vs in index order by exactly one
+// goroutine, so the floating-point result is the same bit for bit at any
+// GOMAXPROCS. It does not allocate.
 func Average(dst Vector, vs []Vector) {
 	weightedCombine(dst, vs, nil, 1/float64(len(vs)))
 }
@@ -322,41 +323,42 @@ func WeightedAverage(dst Vector, vs []Vector, w []float64) {
 }
 
 // CopyAll copies src into every destination vector — the parameter-server
-// broadcast kernel. Like Average it is chunked across the flat dimension,
-// so one src chunk is fanned out to all destinations while still hot in
-// cache. Destinations must not alias src. It panics on length mismatch.
+// broadcast kernel. Like Average it walks the flat dimension in
+// combineBlock-sized blocks, so one L1-sized src block is fanned out to all
+// destinations while still hot in cache instead of streaming the full src
+// from L2 once per destination. Destinations must not alias src. It panics
+// on length mismatch.
 func CopyAll(dsts []Vector, src Vector) {
 	for _, d := range dsts {
 		assertSameLen(len(d), len(src), "CopyAll")
 	}
-	if len(dsts) == 0 || maxProcsFor(len(src)*len(dsts)) == 1 {
-		// Serial path: fan each L1-sized src block out to every
-		// destination while it is hot, instead of streaming the full src
-		// from L2 once per destination.
-		for lo := 0; lo < len(src); lo += combineBlock {
-			hi := lo + combineBlock
-			if hi > len(src) {
-				hi = len(src)
-			}
-			s := src[lo:hi]
-			for _, d := range dsts {
-				copy(d[lo:hi], s)
-			}
-		}
+	if t := fanFor(len(src)/combineBlock, streamCost*len(src)*len(dsts)); t != nil {
+		t.kern, t.vs, t.vec = kernCopyAll, dsts, src
+		t.fan(len(src), t.blockGrain(len(src)))
 		return
 	}
-	parallelRows(len(src), 1, func(lo, hi int) {
-		s := src[lo:hi]
+	copyAllRange(dsts, src, 0, len(src))
+}
+
+// copyAllRange copies src[lo:hi] into every destination, one combineBlock
+// at a time.
+func copyAllRange(dsts []Vector, src Vector, lo, hi int) {
+	for ; lo < hi; lo += combineBlock {
+		end := min(lo+combineBlock, hi)
+		s := src[lo:end]
 		for _, d := range dsts {
-			copy(d[lo:hi], s)
+			copy(d[lo:end], s)
 		}
-	})
+	}
 }
 
 // weightedCombine computes dst = scale * sum_i coef_i * vs[i], with coef_i
-// taken from w (nil means all ones). Work is split into contiguous chunks
-// of the flat dimension; within a chunk, sources are folded four at a time
-// through axpy4 so each pass over the destination carries four inputs.
+// taken from w (nil means all ones). The flat dimension is walked in
+// L1-sized blocks so the destination block stays in cache across the zero /
+// fold / scale passes combineRange makes (a whole-vector pass would stream
+// a multi-MB dst through L2 four times); within a block, sources are folded
+// four at a time through axpy4 so each pass over the destination carries
+// four inputs.
 func weightedCombine(dst Vector, vs []Vector, w []float64, scale float64) {
 	if len(vs) == 0 {
 		panic("tensor: Average of no vectors")
@@ -364,30 +366,29 @@ func weightedCombine(dst Vector, vs []Vector, w []float64, scale float64) {
 	for _, v := range vs {
 		assertSameLen(len(dst), len(v), "Average")
 	}
-	if maxProcsFor(len(dst)) == 1 {
-		// Serial path: walk the flat dimension in L1-sized blocks so the
-		// destination block stays in cache across the zero / fold / scale
-		// passes combineRange makes (a whole-vector pass would stream a
-		// multi-MB dst through L2 four times).
-		for lo := 0; lo < len(dst); lo += combineBlock {
-			hi := lo + combineBlock
-			if hi > len(dst) {
-				hi = len(dst)
-			}
-			combineRange(dst, vs, w, scale, lo, hi)
-		}
+	if t := fanFor(len(dst)/combineBlock, streamCost*len(dst)*len(vs)); t != nil {
+		t.kern, t.vec, t.vs, t.w, t.scale = kernCombine, dst, vs, w, scale
+		t.fan(len(dst), t.blockGrain(len(dst)))
 		return
 	}
-	parallelRows(len(dst), 1, func(lo, hi int) { combineRange(dst, vs, w, scale, lo, hi) })
+	combineRange(dst, vs, w, scale, 0, len(dst))
 }
 
-// combineBlock is the element count of one serial reduction block: 2048
+// combineBlock is the element count of one reduction block: 2048
 // float64s = 16 KiB, small enough that a dst block plus streaming source
 // reads coexist in a 32 KiB L1d.
 const combineBlock = 2048
 
-// combineRange applies the weighted combination to dst[lo:hi].
+// combineRange applies the weighted combination to dst[lo:hi], one
+// combineBlock at a time.
 func combineRange(dst Vector, vs []Vector, w []float64, scale float64, lo, hi int) {
+	for ; lo < hi; lo += combineBlock {
+		combineOne(dst, vs, w, scale, lo, min(lo+combineBlock, hi))
+	}
+}
+
+// combineOne applies the weighted combination to the block dst[lo:hi].
+func combineOne(dst Vector, vs []Vector, w []float64, scale float64, lo, hi int) {
 	coef := func(i int) float64 {
 		if w == nil {
 			return 1

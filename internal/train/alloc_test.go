@@ -4,6 +4,7 @@ package train
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"selsync/internal/cluster"
@@ -37,6 +38,52 @@ func TestEngineStepDoesNotAllocate(t *testing.T) {
 				t.Fatalf("engine step allocated %.1f times per op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestEngineStepDoesNotAllocateMultiCore is the same pin on the path that
+// runs on a multi-core machine. testing.AllocsPerRun forces GOMAXPROCS to 1,
+// under which no tensor kernel ever fans out, so this test raises GOMAXPROCS
+// and counts mallocs itself (process-wide, so helper goroutines count too).
+// c100 is the benchmark's task shape, whose step stays inline whatever
+// GOMAXPROCS is; wide has GEMMs and a parameter vector large enough for
+// MatMul*, Average and CopyAll to fan out.
+func TestEngineStepDoesNotAllocateMultiCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, shape := range []struct {
+		name string
+		cfg  func(seed uint64) Config
+	}{
+		{"c100", c100Config},
+		{"wide", wideConfig},
+	} {
+		for _, tc := range []struct {
+			name   string
+			policy SyncPolicy
+		}{
+			{"bsp", BSPPolicy{}},
+			{"selsync", SelSyncPolicy{Delta: 0.05, Mode: cluster.ParamAgg}},
+			{"local", LocalSGDPolicy{}},
+		} {
+			t.Run(shape.name+"/"+tc.name, func(t *testing.T) {
+				r, e := benchEngineFor(shape.cfg(1), tc.policy)
+				defer r.cl.Close()
+				step := 0
+				for ; step < 10; step++ { // warm buffers, tracker windows, kernel helpers
+					e.step(step)
+				}
+				const steps = 40
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for end := step + steps; step < end; step++ {
+					e.step(step)
+				}
+				runtime.ReadMemStats(&after)
+				if allocs := (after.Mallocs - before.Mallocs) / steps; allocs > 0 {
+					t.Fatalf("engine step allocated %d times per op at GOMAXPROCS=4, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

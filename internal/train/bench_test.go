@@ -10,7 +10,10 @@ import (
 // fires, so the benchmark measures the pure step path: batch draw, gradient
 // compute, policy decision, synchronization, clock accounting.
 func benchEngine(policy SyncPolicy) (*runner, *engine) {
-	cfg := smallConfig(1)
+	return benchEngineFor(smallConfig(1), policy)
+}
+
+func benchEngineFor(cfg Config, policy SyncPolicy) (*runner, *engine) {
 	cfg.MaxSteps = 1 << 30
 	cfg.EvalEvery = 1 << 30
 	r := newRunner(cfg, "bench")
