@@ -27,6 +27,7 @@ import (
 	"selsync"
 	"selsync/internal/cluster"
 	"selsync/internal/comm"
+	"selsync/internal/experiments"
 	"selsync/internal/nn"
 	"selsync/internal/opt"
 	"selsync/internal/serve"
@@ -114,9 +115,10 @@ type stepBenchReport struct {
 }
 
 // runStepBenchmarks measures one training step (ComputeGradients) for each
-// zoo model, one aggregation round per mode, and one whole-model optimizer
-// step per optimizer family, via testing.Benchmark, and writes the results
-// as JSON.
+// zoo model, one aggregation round per mode, one whole-model optimizer
+// step per optimizer family, the per-step price of observers, one job
+// build and one job resume per zoo model, and the serve daemon's control
+// plane, via testing.Benchmark, and writes the results as JSON.
 func runStepBenchmarks(outPath string) error {
 	benchName := map[string]string{
 		"resnet":      "BenchmarkResNetLiteStep",
@@ -154,6 +156,55 @@ func runStepBenchmarks(outPath string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				net.ComputeGradients(x, labels)
+			}
+		}))
+	}
+
+	// Job-construction benches: what a job segment costs around its steps,
+	// per zoo model on its paper-matched 4-worker workload (datasets built
+	// once, outside the timed loops). JobBuild is a fresh job run under an
+	// already-cancelled context — cluster, eval net and engine are built
+	// and Run returns at the first step boundary. JobResume is the same
+	// under WithResume, cancelled at the RecoveryEvent that follows the
+	// restore: what every preempted or restarted segment pays again. They
+	// run before the long-lived benchmark clusters below exist, so the
+	// allocator cost they report is a job's own.
+	lifeP := experiments.Params{Workers: 4, TrainN: 512, TestN: 128, MaxSteps: 8, EvalEvery: 8}
+	cancelled, cancelNow := context.WithCancel(context.Background())
+	cancelNow()
+	for _, short := range nn.ZooNames() {
+		wl := experiments.SetupWorkload(short, lifeP, 11)
+		lifeCfg := experiments.BaseConfig(wl, lifeP, 11)
+		record("BenchmarkJobBuild/"+short, wl.Factory.Spec.Name, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				train.NewJob(lifeCfg, train.BSPPolicy{}).Run(cancelled)
+			}
+		}))
+		src := train.NewJob(lifeCfg, train.BSPPolicy{})
+		if _, err := src.Run(context.Background()); err != nil {
+			return fmt.Errorf("selsync-bench: %s job for the resume bench: %w", short, err)
+		}
+		ck, err := src.Checkpoint(context.Background())
+		if err != nil {
+			return fmt.Errorf("selsync-bench: %s checkpoint for the resume bench: %w", short, err)
+		}
+		record("BenchmarkJobResume/"+short, wl.Factory.Spec.Name, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx, stop := context.WithCancel(context.Background())
+				restored := false
+				train.NewJob(lifeCfg, train.BSPPolicy{}, train.WithResume(ck),
+					train.WithObserver(train.ObserverFunc(func(e train.Event) {
+						if _, ok := e.(train.RecoveryEvent); ok {
+							restored = true
+							stop()
+						}
+					}))).Run(ctx)
+				stop()
+				if !restored {
+					b.Fatal("resumed job never restored its checkpoint")
+				}
 			}
 		}))
 	}

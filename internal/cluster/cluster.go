@@ -90,6 +90,10 @@ func (t Topology) String() string {
 type Config struct {
 	Workers int
 	Model   nn.Factory
+	// Restore is set by a caller that overwrites every hosted replica's
+	// parameters and layer streams, and the PS state, right after New (a
+	// checkpoint resume): no replica draws initial weights.
+	Restore bool
 	Opt     OptBuilder
 	Network *simnet.Network
 	// Device builds the accelerator for worker id; nil means identical
@@ -141,8 +145,9 @@ type Worker struct {
 	LocalSteps int
 	SyncSteps  int
 
-	arena *nn.Arena     // contiguous parameter/gradient storage (nil = copy path)
-	flat  tensor.Vector // flatten scratch, allocated only without an arena
+	net   *nn.FeedForwardNet // Model's concrete type: every replica comes from an nn.Factory
+	arena *nn.Arena          // contiguous parameter/gradient storage (nil = copy path)
+	flat  tensor.Vector      // flatten scratch, allocated only without an arena
 }
 
 // FlatParams returns the worker's parameters as one flat vector. For
@@ -186,6 +191,16 @@ func (w *Worker) SetGrads(v tensor.Vector) {
 	}
 	nn.SetGrads(w.Model.Params(), v)
 }
+
+// LayerRNG returns the states of the RNG streams the replica's layers own
+// (Dropout masks), nil when it has none. Together with FlatParams it is the
+// replica's whole model state: initial-state copies, elastic
+// re-materialization and checkpoints carry both.
+func (w *Worker) LayerRNG() []uint64 { return w.net.LayerRNG() }
+
+// SetLayerRNG overwrites the replica's layer streams with states captured
+// by LayerRNG on a replica of the same model.
+func (w *Worker) SetLayerRNG(states []uint64) error { return w.net.SetLayerRNG(states) }
 
 // LSSR returns the worker's local-to-synchronous step ratio (paper Eqn. 4).
 func (w *Worker) LSSR() float64 {
@@ -260,12 +275,14 @@ type Cluster struct {
 	closeOnce sync.Once
 }
 
-// New builds the cluster: every worker constructs the model with the same
-// seed (replicas start bit-identical, the pullFromPS of Alg. 1 line 3) and
-// the PS snapshots that state as the initial global model. On a multi-
-// process fabric only the locally hosted workers materialize; per-worker
-// RNG streams are split for every global id so hosted workers draw the
-// same streams on every rank layout.
+// New builds the cluster: the first hosted worker draws the model's initial
+// state from the seed, every other hosted worker is built without drawing
+// and copies it — arena and layer streams — so replicas start bit-identical
+// (the pullFromPS of Alg. 1 line 3), and the PS snapshots that state as the
+// initial global model. Under cfg.Restore nobody draws. On a multi-process
+// fabric only the locally hosted workers materialize (one draw per rank);
+// per-worker RNG streams are split for every global id so hosted workers
+// draw the same streams on every rank layout.
 func New(cfg Config) *Cluster {
 	if cfg.Workers <= 0 {
 		panic("cluster: need at least one worker")
@@ -307,10 +324,16 @@ func New(cfg Config) *Cluster {
 		if !fabric.Hosts(id) {
 			continue
 		}
-		model := cfg.Model.New(cfg.Seed) // same seed: identical init
+		var model *nn.FeedForwardNet
+		if len(c.Workers) == 0 && !cfg.Restore {
+			model = cfg.Model.New(cfg.Seed) // the one draw; the rest copy it below
+		} else {
+			model = cfg.Model.Build(nil)
+		}
 		w := &Worker{
 			ID:        id,
 			Model:     model,
+			net:       model,
 			Optimizer: cfg.Opt(model.Params()),
 			Device:    deviceFor(id),
 			Tracker:   gradstat.NewConfiguredTracker(cfg.TrackerAlpha, cfg.TrackerWindow, cfg.Workers),
@@ -341,6 +364,9 @@ func New(cfg Config) *Cluster {
 			c.paramSlots[i] = w.arena.Data
 		}
 	}
+	if !cfg.Restore {
+		c.copyInitialState()
+	}
 	c.PS = &ParameterServer{Global: c.Workers[0].FlatParams().Clone(), stats: fabric.Stats()}
 	if cfg.Overlap || !cfg.Codec.Nop() {
 		cf, ok := fabric.(comm.CodecFabric)
@@ -358,6 +384,20 @@ func New(cfg Config) *Cluster {
 	}
 	c.startPool()
 	return c
+}
+
+// copyInitialState fills every hosted replica past the first with the
+// first's drawn state: one CopyAll of its arena (every replica is an
+// arena-backed nn.FeedForwardNet, so the fan-out slots exist), then its
+// layer streams.
+func (c *Cluster) copyInitialState() {
+	tensor.CopyAll(c.paramSlots[1:], c.paramSlots[0])
+	streams := c.Workers[0].LayerRNG()
+	for _, w := range c.Workers[1:] {
+		if err := w.SetLayerRNG(streams); err != nil {
+			panic(err) // replicas of one factory own the same streams
+		}
+	}
 }
 
 // Codec returns the active payload codec (the identity codec when none was
@@ -523,17 +563,19 @@ func rejoinRNG(seed uint64, id int, epoch uint64) *tensor.RNG {
 }
 
 // rebuildWorker constructs a fresh replica for a global worker id under
-// the deterministic reconstruction recipe: parameters from the PS global
-// state (the last synchronized model — the only rank-invariant snapshot),
-// fresh optimizer and tracker state, the same device the id always gets,
-// an epoch-keyed RNG stream, and step counters copied from worker 0 (the
-// first hosted worker on rank 0 and loopback, the only places this runs).
-// Clock starts at zero; the caller's post-transition barrier aligns it.
+// the deterministic reconstruction recipe: a network built without drawing,
+// parameters from the PS global state (the last synchronized model — the
+// only rank-invariant snapshot), fresh optimizer and tracker state, the
+// same device the id always gets, an epoch-keyed RNG stream, and layer
+// streams and step counters copied from worker 0 (the first hosted worker
+// on rank 0 and loopback, the only places this runs). Clock starts at
+// zero; the caller's post-transition barrier aligns it.
 func (c *Cluster) rebuildWorker(id int, epoch uint64) *Worker {
-	model := c.cfg.Model.New(c.cfg.Seed)
+	model := c.cfg.Model.Build(nil)
 	w := &Worker{
 		ID:        id,
 		Model:     model,
+		net:       model,
 		Optimizer: c.cfg.Opt(model.Params()),
 		Device:    c.deviceFor(id),
 		Tracker:   gradstat.NewConfiguredTracker(c.cfg.TrackerAlpha, c.cfg.TrackerWindow, c.N()),
@@ -546,6 +588,9 @@ func (c *Cluster) rebuildWorker(id int, epoch uint64) *Worker {
 	}
 	w.SetParams(c.PS.Global)
 	ref := c.Workers[0]
+	if err := w.SetLayerRNG(ref.LayerRNG()); err != nil {
+		panic(err) // replicas of one factory own the same streams
+	}
 	w.Steps, w.LocalSteps, w.SyncSteps = ref.Steps, ref.LocalSteps, ref.SyncSteps
 	return w
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -272,6 +273,15 @@ func TestEachReusesPersistentPool(t *testing.T) {
 // endpoints, so multi-process aggregation runs inside one test binary.
 func meshClusters(t *testing.T, workers, procs int, seed uint64) ([]*Cluster, func()) {
 	t.Helper()
+	cfg := testConfig(workers)
+	cfg.Seed = seed
+	return meshClustersOf(t, procs, cfg)
+}
+
+// meshClustersOf is meshClusters over an arbitrary base config.
+func meshClustersOf(t *testing.T, procs int, base Config) ([]*Cluster, func()) {
+	t.Helper()
+	workers := base.Workers
 	eps := comm.NewLoopbackEndpoints(procs)
 	cls := make([]*Cluster, procs)
 	var wg sync.WaitGroup
@@ -284,8 +294,7 @@ func meshClusters(t *testing.T, workers, procs int, seed uint64) ([]*Cluster, fu
 				t.Error(err)
 				return
 			}
-			cfg := testConfig(workers)
-			cfg.Seed = seed
+			cfg := base
 			cfg.Fabric = m
 			cls[r] = New(cfg)
 		}(r)
@@ -396,4 +405,74 @@ func TestMeshClusterFlagsAndBarrier(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReplicasCopyTheFirstReplicasInitialState: on a model with a
+// layer-owned stream, every hosted replica — on loopback and on each mesh
+// rank — starts with exactly the state a standalone seeded draw produces,
+// parameters and Dropout stream alike, although only the first one drew.
+func TestReplicasCopyTheFirstReplicasInitialState(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Model = nn.AlexNetLite(4)
+	want := cfg.Model.New(cfg.Seed)
+	check := func(c *Cluster) {
+		for _, w := range c.Workers {
+			if !reflect.DeepEqual(w.FlatParams(), want.Arena().Data) {
+				t.Errorf("rank %d worker %d: initial parameters differ from the seeded draw", c.Rank(), w.ID)
+			}
+			if got := w.LayerRNG(); len(got) != 1 || !reflect.DeepEqual(got, want.LayerRNG()) {
+				t.Errorf("rank %d worker %d: layer streams %v, want %v", c.Rank(), w.ID, got, want.LayerRNG())
+			}
+		}
+		if !reflect.DeepEqual(c.PS.Global, want.Arena().Data) {
+			t.Errorf("rank %d: PS global differs from the seeded draw", c.Rank())
+		}
+	}
+	lb := New(cfg)
+	defer lb.Close()
+	check(lb)
+	cls, cleanup := meshClustersOf(t, 2, cfg)
+	defer cleanup()
+	for _, c := range cls {
+		check(c)
+	}
+}
+
+// TestAdoptedReplicaCarriesReferenceLayerStreams: a replica materialized
+// mid-run by AdoptWorkers is built without drawing and takes worker 0's
+// layer streams as they stand — not the initial ones — next to the PS
+// global parameters and worker 0's step counters.
+func TestAdoptedReplicaCarriesReferenceLayerStreams(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Model = nn.AlexNetLite(4)
+	cls, cleanup := meshClustersOf(t, 2, cfg)
+	defer cleanup()
+	c := cls[0]
+	initial := c.Workers[0].LayerRNG()
+	c.Each(func(w *Worker) {
+		x, labels := randBatch(300, 8, 4)
+		w.Model.ComputeGradients(x, labels) // a training forward advances the Dropout stream
+		w.Steps++
+	})
+	ref := c.Workers[0]
+	if reflect.DeepEqual(ref.LayerRNG(), initial) {
+		t.Fatal("test needs worker 0's Dropout stream to have advanced")
+	}
+
+	c.AdoptWorkers([]int{2, 3}, 1)
+	for _, id := range []int{2, 3} {
+		w := c.workerByID(id)
+		if w == nil {
+			t.Fatalf("worker %d was not adopted", id)
+		}
+		if !reflect.DeepEqual(w.LayerRNG(), ref.LayerRNG()) {
+			t.Fatalf("adopted worker %d layer streams %v, want worker 0's %v", id, w.LayerRNG(), ref.LayerRNG())
+		}
+		if !reflect.DeepEqual(w.FlatParams(), c.PS.Global) {
+			t.Fatalf("adopted worker %d parameters differ from the PS global state", id)
+		}
+		if w.Steps != ref.Steps {
+			t.Fatalf("adopted worker %d steps %d, want %d", id, w.Steps, ref.Steps)
+		}
+	}
 }

@@ -82,7 +82,7 @@ func TestSetupWorkloadsComplete(t *testing.T) {
 	p := ParamsFor(Tiny)
 	for _, name := range AllWorkloads() {
 		wl := SetupWorkload(name, p, 1)
-		if wl.Factory.New == nil || wl.Opt == nil || wl.Schedule == nil {
+		if wl.Factory.Build == nil || wl.Opt == nil || wl.Schedule == nil {
 			t.Fatalf("%s: incomplete workload", name)
 		}
 		if wl.Data.Train.N() != p.TrainN || wl.Data.Test.N() != p.TestN {

@@ -43,7 +43,8 @@ type MultiHeadAttention struct {
 }
 
 // NewMultiHeadAttention builds the layer with Xavier-initialized
-// projections. dim must be divisible by heads.
+// projections; a nil rng draws nothing (see Factory.Build). dim must be
+// divisible by heads.
 func NewMultiHeadAttention(name string, seqLen, dim, heads int, causal bool, rng *tensor.RNG) *MultiHeadAttention {
 	if dim%heads != 0 {
 		panic("nn: attention dim must divide evenly into heads")
@@ -55,9 +56,11 @@ func NewMultiHeadAttention(name string, seqLen, dim, heads int, causal bool, rng
 		Wv: NewParam(name+".Wv", dim*dim),
 		Wo: NewParam(name+".Wo", dim*dim),
 	}
-	std := math.Sqrt(1 / float64(dim))
-	for _, p := range []*Param{a.Wq, a.Wk, a.Wv, a.Wo} {
-		rng.NormVector(p.Data, 0, std)
+	if rng != nil {
+		std := math.Sqrt(1 / float64(dim))
+		for _, p := range []*Param{a.Wq, a.Wk, a.Wv, a.Wo} {
+			rng.NormVector(p.Data, 0, std)
+		}
 	}
 	return a
 }

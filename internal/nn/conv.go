@@ -45,7 +45,8 @@ func (c *Conv2D) OutH() int { return c.H + 2*c.Pad - c.K + 1 }
 // OutW returns the output width.
 func (c *Conv2D) OutW() int { return c.W + 2*c.Pad - c.K + 1 }
 
-// NewConv2D builds a Conv2D with He initialization.
+// NewConv2D builds a Conv2D with He initialization; a nil rng draws nothing
+// (see Factory.Build).
 func NewConv2D(name string, channels, height, width, filters, kernel, pad int, rng *tensor.RNG) *Conv2D {
 	c := &Conv2D{
 		C: channels, H: height, W: width,
@@ -56,8 +57,10 @@ func NewConv2D(name string, channels, height, width, filters, kernel, pad int, r
 	if c.OutH() <= 0 || c.OutW() <= 0 {
 		panic("nn: Conv2D output would be empty")
 	}
-	fanIn := float64(channels * kernel * kernel)
-	rng.NormVector(c.Wt.Data, 0, math.Sqrt(2/fanIn))
+	if rng != nil {
+		fanIn := float64(channels * kernel * kernel)
+		rng.NormVector(c.Wt.Data, 0, math.Sqrt(2/fanIn))
+	}
 	return c
 }
 

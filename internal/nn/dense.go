@@ -21,7 +21,8 @@ type Dense struct {
 }
 
 // NewDense builds a Dense layer with He-initialized weights (suited to the
-// ReLU family used throughout the zoo) and zero bias.
+// ReLU family used throughout the zoo) and zero bias. A nil rng draws
+// nothing (see Factory.Build): the weights stay zero for the caller to fill.
 func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
 	d := &Dense{
 		In:  in,
@@ -29,8 +30,9 @@ func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
 		W:   NewParam(name+".W", in*out),
 		B:   NewParam(name+".b", out),
 	}
-	std := math.Sqrt(2.0 / float64(in))
-	rng.NormVector(d.W.Data, 0, std)
+	if rng != nil {
+		rng.NormVector(d.W.Data, 0, math.Sqrt(2.0/float64(in)))
+	}
 	return d
 }
 

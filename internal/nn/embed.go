@@ -19,13 +19,16 @@ type Embedding struct {
 	y, dx *tensor.Matrix
 }
 
-// NewEmbedding builds an embedding table with N(0, 1/√D) initialization.
+// NewEmbedding builds an embedding table with N(0, 1/√D) initialization; a
+// nil rng draws nothing (see Factory.Build).
 func NewEmbedding(name string, vocab, seqLen, dim int, rng *tensor.RNG) *Embedding {
 	e := &Embedding{
 		Vocab: vocab, T: seqLen, D: dim,
 		Table: NewParam(name+".table", vocab*dim),
 	}
-	rng.NormVector(e.Table.Data, 0, 1/math.Sqrt(float64(dim)))
+	if rng != nil {
+		rng.NormVector(e.Table.Data, 0, 1/math.Sqrt(float64(dim)))
+	}
 	return e
 }
 

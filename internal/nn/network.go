@@ -1,6 +1,10 @@
 package nn
 
-import "selsync/internal/tensor"
+import (
+	"fmt"
+
+	"selsync/internal/tensor"
+)
 
 // ModelSpec describes a zoo model for the rest of the system: the metric it
 // reports, and the paper-scale cost constants the cluster simulator uses to
@@ -77,6 +81,10 @@ type FeedForwardNet struct {
 	arena   *Arena
 	gradBuf *tensor.Matrix // reused loss-gradient buffer
 
+	// streams are the RNG streams layers own (Dropout masks), in layer
+	// order — replica state that lives outside the arena.
+	streams []*tensor.RNG
+
 	// layerOffs[i] is the arena offset of layer i's first parameter;
 	// gradHook, when set, fires after each layer's backward with the
 	// layer's offset (see GradScheduler).
@@ -91,6 +99,7 @@ type FeedForwardNet struct {
 func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 	params := seq.Params()
 	f := &FeedForwardNet{Seq: seq, spec: spec, params: params, arena: BindArena(params)}
+	f.streams = layerStreams(seq, nil)
 	f.layerOffs = make([]int, len(seq.Layers))
 	off := 0
 	for i, l := range seq.Layers {
@@ -98,6 +107,51 @@ func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 		off += ParamCount(l.Params())
 	}
 	return f
+}
+
+// layerStreams appends the RNG streams owned by l and the layers nested in
+// it, in layer order.
+func layerStreams(l Layer, out []*tensor.RNG) []*tensor.RNG {
+	switch l := l.(type) {
+	case *Dropout:
+		out = append(out, l.rng)
+	case *Sequential:
+		for _, inner := range l.Layers {
+			out = layerStreams(inner, out)
+		}
+	case *Residual:
+		out = layerStreams(l.Inner, out)
+	case *Positionwise:
+		out = layerStreams(l.Inner, out)
+	}
+	return out
+}
+
+// LayerRNG returns the state words of the RNG streams the layers own, in
+// layer order (nil for a model without stateful layers). With the arena it
+// is the whole of a replica's state: copying both makes a bit-identical
+// replica, and a checkpoint must carry both to resume bit-identically.
+func (f *FeedForwardNet) LayerRNG() []uint64 {
+	if len(f.streams) == 0 {
+		return nil
+	}
+	states := make([]uint64, len(f.streams))
+	for i, r := range f.streams {
+		states[i] = r.State()
+	}
+	return states
+}
+
+// SetLayerRNG overwrites the layer-owned streams with states captured by
+// LayerRNG on an identically built network.
+func (f *FeedForwardNet) SetLayerRNG(states []uint64) error {
+	if len(states) != len(f.streams) {
+		return fmt.Errorf("nn: %s owns %d layer RNG streams, got %d states", f.spec.Name, len(f.streams), len(states))
+	}
+	for i, r := range f.streams {
+		r.SetState(states[i])
+	}
+	return nil
 }
 
 // SetGradHook implements GradScheduler. A nil hook restores the plain

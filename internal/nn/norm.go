@@ -95,8 +95,10 @@ func (l *LayerNorm) Params() []*Param { return []*Param{l.G, l.B} }
 
 // Dropout zeroes a random fraction P of activations during training and
 // scales the survivors by 1/(1−P) (inverted dropout), so evaluation needs
-// no rescaling. Each Dropout owns a deterministic RNG: replicas seeded
-// identically drop identically, preserving run reproducibility.
+// no rescaling. Each Dropout owns a deterministic RNG stream: replica state
+// outside the arena, read and written through FeedForwardNet.LayerRNG /
+// SetLayerRNG so replicas copied from one another drop identically and a
+// checkpointed run resumes its mask sequence where it stopped.
 type Dropout struct {
 	P   float64
 	rng *tensor.RNG

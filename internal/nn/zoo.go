@@ -21,13 +21,33 @@ const (
 	LMHeads  = 2
 )
 
-// Factory builds fresh, identically-initialized replicas of one zoo model.
-// Every worker in a simulated cluster calls New with the same seed so that
-// replicas start bit-identical, exactly like workers pulling the same
-// initial state from the parameter server.
+// Factory builds replicas of one zoo model. Initial state is drawn once and
+// copied, exactly like workers pulling the same initial state from the
+// parameter server: a cluster draws its first hosted replica with
+// New(seed), builds the others with Build(nil) and fills them from the
+// first (arena copy plus SetLayerRNG). Networks whose state is about to be
+// overwritten anyway — the evaluation replica, a resumed or re-materialized
+// worker — are Build(nil) too and never draw.
 type Factory struct {
 	Spec ModelSpec
-	New  func(seed uint64) *FeedForwardNet
+	// Build constructs the network. With a non-nil rng it draws the initial
+	// weights from it and splits the layer-owned streams (Dropout) off it, in
+	// a fixed order. With a nil rng it draws nothing: weights are zero and
+	// layer streams blank, for the caller to fill by copy or restore.
+	Build func(rng *tensor.RNG) *FeedForwardNet
+}
+
+// New builds a replica with the initial state drawn from seed; two calls
+// with the same seed return bit-identical networks.
+func (f Factory) New(seed uint64) *FeedForwardNet { return f.Build(tensor.NewRNG(seed)) }
+
+// layerStream splits a layer-owned stream off the init stream; a
+// non-drawing build (nil rng) gets a blank one.
+func layerStream(rng *tensor.RNG) *tensor.RNG {
+	if rng == nil {
+		return tensor.NewRNG(0)
+	}
+	return rng.Split()
 }
 
 // ResNetLite is the deep residual analogue of ResNet101: a convolutional
@@ -43,8 +63,7 @@ func ResNetLite(classes, blocks int) Factory {
 		FlopsPerSample: 7.8e9,
 		MemBytesBase:   1.5e9, MemBytesPerEx: 9.5e6,
 	}
-	return Factory{Spec: spec, New: func(seed uint64) *FeedForwardNet {
-		rng := tensor.NewRNG(seed)
+	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
 		const width = 128 // 8 filters × 4×4 after pooling
 		layers := []Layer{
 			NewConv2D("stem", ImgChannels, ImgSize, ImgSize, 8, 3, 1, rng),
@@ -81,8 +100,7 @@ func VGGLite(classes int) Factory {
 		FlopsPerSample: 4.6e9,
 		MemBytesBase:   2.0e9, MemBytesPerEx: 7.5e6,
 	}
-	return Factory{Spec: spec, New: func(seed uint64) *FeedForwardNet {
-		rng := tensor.NewRNG(seed)
+	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
 		// A single pooling stage keeps 16×4×4 = 256 features: the
 		// 100-class task needs the width (two pools squeeze it to 64
 		// dims, which cannot separate 100 classes).
@@ -113,15 +131,14 @@ func AlexNetLite(classes int) Factory {
 		FlopsPerSample: 2.1e9,
 		MemBytesBase:   1.2e9, MemBytesPerEx: 6.0e6,
 	}
-	return Factory{Spec: spec, New: func(seed uint64) *FeedForwardNet {
-		rng := tensor.NewRNG(seed)
+	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
 		seq := NewSequential(
 			NewConv2D("conv1", ImgChannels, ImgSize, ImgSize, 12, 5, 2, rng),
 			NewReLU(),
 			NewMaxPool2D(12, ImgSize, ImgSize), // → 12×4×4 = 192
 			NewDense("fc1", 192, 128, rng),
 			NewReLU(),
-			NewDropout(0.2, rng.Split()),
+			NewDropout(0.2, layerStream(rng)),
 			NewDense("fc2", 128, classes, rng),
 		)
 		return NewFeedForwardNet(seq, spec)
@@ -141,8 +158,7 @@ func TransformerLite() Factory {
 		FlopsPerSample: 3.4e9,
 		MemBytesBase:   2.6e9, MemBytesPerEx: 160e6,
 	}
-	return Factory{Spec: spec, New: func(seed uint64) *FeedForwardNet {
-		rng := tensor.NewRNG(seed)
+	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
 		layers := []Layer{
 			NewEmbedding("embed", LMVocab, LMSeqLen, LMDim, rng),
 			NewPositionalEncoding(LMSeqLen, LMDim),
@@ -160,7 +176,7 @@ func TransformerLite() Factory {
 					NewGELU(),
 					NewPositionwise(LMSeqLen, NewDense(name+".ff2", 2*LMDim, LMDim, rng)),
 				)),
-				NewDropout(0.2, rng.Split()),
+				NewDropout(0.2, layerStream(rng)),
 			)
 		}
 		layers = append(layers,

@@ -35,7 +35,9 @@ func startServer(t *testing.T, opts serve.Options, lis interface {
 // preempted mid-run (parked through a checkpoint, resumed after the
 // higher-priority job finishes) produces the exact Result digest of an
 // uninterrupted run of the same spec. Verified over both fabrics a
-// client can reach the daemon through: the in-process pipe and real TCP.
+// client can reach the daemon through — the in-process pipe and real TCP —
+// and on a model whose layers own an RNG stream (AlexNetLite's Dropout),
+// which the parked checkpoint must carry.
 func TestServePreemptResumeDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains jobs; skipped with -short")
@@ -44,7 +46,13 @@ func TestServePreemptResumeDigest(t *testing.T) {
 		t.Parallel()
 		lis := serve.NewPipeListener()
 		srv, dial := startServer(t, serve.Options{Slots: 1}, lis, func() (net.Conn, error) { return lis.Dial() })
-		preemptResumeDigest(t, srv, dial)
+		preemptResumeDigest(t, srv, dial, "resnet")
+	})
+	t.Run("pipe-alexnet", func(t *testing.T) {
+		t.Parallel()
+		lis := serve.NewPipeListener()
+		srv, dial := startServer(t, serve.Options{Slots: 1}, lis, func() (net.Conn, error) { return lis.Dial() })
+		preemptResumeDigest(t, srv, dial, "alexnet")
 	})
 	t.Run("tcp", func(t *testing.T) {
 		t.Parallel()
@@ -54,15 +62,15 @@ func TestServePreemptResumeDigest(t *testing.T) {
 		}
 		addr := lis.Addr().String()
 		srv, dial := startServer(t, serve.Options{Slots: 1}, lis, func() (net.Conn, error) { return net.Dial("tcp", addr) })
-		preemptResumeDigest(t, srv, dial)
+		preemptResumeDigest(t, srv, dial, "resnet")
 	})
 }
 
-func preemptResumeDigest(t *testing.T, srv *serve.Server, dial func() *serve.Client) {
+func preemptResumeDigest(t *testing.T, srv *serve.Server, dial func() *serve.Client, model string) {
 	// Long enough that the victim is still mid-run when the preempter
 	// lands (steps run in single-digit milliseconds; this is seconds).
 	victim := serve.JobSpec{
-		Tenant: "slow", Model: "resnet", Method: "selsync",
+		Tenant: "slow", Model: model, Method: "selsync",
 		Workers: 2, TrainN: 64, TestN: 32, MaxSteps: 1200, Seed: 5,
 	}
 	cl := dial()

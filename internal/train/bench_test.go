@@ -16,7 +16,7 @@ func benchEngine(policy SyncPolicy) (*runner, *engine) {
 func benchEngineFor(cfg Config, policy SyncPolicy) (*runner, *engine) {
 	cfg.MaxSteps = 1 << 30
 	cfg.EvalEvery = 1 << 30
-	r := newRunner(cfg, "bench")
+	r := newRunner(cfg, "bench", false)
 	return r, newEngine(r, policy)
 }
 

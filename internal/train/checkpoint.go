@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"selsync/internal/cluster"
 	"selsync/internal/comm"
 	"selsync/internal/gradstat"
 	"selsync/internal/opt"
@@ -15,11 +16,12 @@ import (
 
 // Checkpoint is a complete snapshot of a training run at a step boundary:
 // everything the next step reads — replica parameters, optimizer state,
-// Δ(g_i) trackers, sampler cursors, virtual clocks, RNG streams, the
-// metric history and early-stopping state, and the policy's own mutable
-// state. A run resumed from a checkpoint continues bit-identically to one
-// that was never interrupted: the same batches, the same jitter draws, the
-// same votes, the same float bits in the Result.
+// Δ(g_i) trackers, sampler cursors, virtual clocks, every RNG stream (each
+// worker's device-jitter, worker and layer-owned Dropout streams, the
+// injection pool's), the metric history and early-stopping state, and the
+// policy's own mutable state. A run resumed from a checkpoint continues
+// bit-identically to one that was never interrupted: the same batches, the
+// same jitter draws, the same votes, the same float bits in the Result.
 //
 // A checkpoint is rank-local: on a multi-process fabric every rank
 // captures its own hosted workers and must be resumed on a fabric with the
@@ -127,6 +129,11 @@ type WorkerCheckpoint struct {
 	WorkerRNG  uint64
 	SamplerPos int
 	SamplerEp  int
+	// LayerRNG holds the replica's layer-owned RNG streams (Dropout masks),
+	// in layer order; nil for a model without stateful layers. (A new gob
+	// field: absent in old checkpoints, decoding as nil — which still
+	// resumes a model without such layers and is refused for one with.)
+	LayerRNG []uint64
 }
 
 // PolicyState is a serializable snapshot of a SyncPolicy's mutable per-run
@@ -204,25 +211,11 @@ func captureCheckpoint(r *runner, policy SyncPolicy, step int) (*Checkpoint, err
 		Partial:    cloneResult(r.res),
 	}
 	for _, w := range r.cl.Workers {
-		co, ok := w.Optimizer.(opt.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("train: worker %d's optimizer (%T) does not implement opt.Checkpointable", w.ID, w.Optimizer)
+		wc, err := captureWorker(r, w)
+		if err != nil {
+			return nil, err
 		}
-		pos, ep := r.samplers[w.ID].Cursor()
-		ck.Hosted = append(ck.Hosted, WorkerCheckpoint{
-			ID:         w.ID,
-			Params:     append([]float64(nil), w.FlatParams()...),
-			Opt:        co.State(),
-			Tracker:    w.Tracker.State(),
-			Clock:      w.Clock,
-			Steps:      w.Steps,
-			LocalSteps: w.LocalSteps,
-			SyncSteps:  w.SyncSteps,
-			DeviceRNG:  w.Device.RNGState(),
-			WorkerRNG:  w.RNG.State(),
-			SamplerPos: pos,
-			SamplerEp:  ep,
-		})
+		ck.Hosted = append(ck.Hosted, wc)
 	}
 	if r.inj != nil {
 		ck.InjCursors = append([]int(nil), r.injCursors...)
@@ -237,6 +230,30 @@ func captureCheckpoint(r *runner, policy SyncPolicy, step int) (*Checkpoint, err
 	}
 	ck.Codec = r.cl.CodecSnapshot()
 	return ck, nil
+}
+
+// captureWorker freezes one hosted replica and its batch-stream cursor.
+func captureWorker(r *runner, w *cluster.Worker) (WorkerCheckpoint, error) {
+	co, ok := w.Optimizer.(opt.Checkpointable)
+	if !ok {
+		return WorkerCheckpoint{}, fmt.Errorf("train: worker %d's optimizer (%T) does not implement opt.Checkpointable", w.ID, w.Optimizer)
+	}
+	pos, ep := r.samplers[w.ID].Cursor()
+	return WorkerCheckpoint{
+		ID:         w.ID,
+		Params:     append([]float64(nil), w.FlatParams()...),
+		Opt:        co.State(),
+		Tracker:    w.Tracker.State(),
+		Clock:      w.Clock,
+		Steps:      w.Steps,
+		LocalSteps: w.LocalSteps,
+		SyncSteps:  w.SyncSteps,
+		DeviceRNG:  w.Device.RNGState(),
+		WorkerRNG:  w.RNG.State(),
+		SamplerPos: pos,
+		SamplerEp:  ep,
+		LayerRNG:   w.LayerRNG(),
+	}, nil
 }
 
 // captureSamplerCursors snapshots every global worker's batch-stream
@@ -282,25 +299,11 @@ func captureRejoinCheckpoint(r *runner, policy SyncPolicy, step, rank int, ids [
 		if w == nil {
 			return nil, fmt.Errorf("train: rejoin transfer: worker %d is not hosted on this rank", id)
 		}
-		co, ok := w.Optimizer.(opt.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("train: worker %d's optimizer (%T) does not implement opt.Checkpointable", w.ID, w.Optimizer)
+		wc, err := captureWorker(r, w)
+		if err != nil {
+			return nil, err
 		}
-		pos, ep := r.samplers[id].Cursor()
-		ck.Hosted = append(ck.Hosted, WorkerCheckpoint{
-			ID:         id,
-			Params:     append([]float64(nil), w.FlatParams()...),
-			Opt:        co.State(),
-			Tracker:    w.Tracker.State(),
-			Clock:      w.Clock,
-			Steps:      w.Steps,
-			LocalSteps: w.LocalSteps,
-			SyncSteps:  w.SyncSteps,
-			DeviceRNG:  w.Device.RNGState(),
-			WorkerRNG:  w.RNG.State(),
-			SamplerPos: pos,
-			SamplerEp:  ep,
-		})
+		ck.Hosted = append(ck.Hosted, wc)
 	}
 	if r.inj != nil {
 		ck.InjCursors = append([]int(nil), r.injCursors...)
@@ -349,6 +352,9 @@ func restoreCheckpoint(r *runner, policy SyncPolicy, ck *Checkpoint) (int, error
 		}
 		if len(wc.Params) != r.cl.Dim() {
 			return 0, fmt.Errorf("train: worker %d checkpoint has %d parameters, want %d", wc.ID, len(wc.Params), r.cl.Dim())
+		}
+		if err := w.SetLayerRNG(wc.LayerRNG); err != nil {
+			return 0, fmt.Errorf("train: worker %d checkpoint's WorkerCheckpoint.LayerRNG (absent from files written before the field existed, which cannot resume a model with stateful layers): %w", wc.ID, err)
 		}
 		co, ok := w.Optimizer.(opt.Checkpointable)
 		if !ok {

@@ -67,8 +67,9 @@ func resumeCase(t *testing.T, mkCfg func() Config, mkPolicy func() SyncPolicy, i
 
 // TestCheckpointResumeBitIdentical covers every step-based policy family,
 // including optimizer state (SGD momentum), tracker state (SelSync votes),
-// RNG streams (FedAvg participant picks, device jitter), composite-policy
-// state and the delta/snapshot series.
+// RNG streams (FedAvg participant picks, device jitter, the Dropout streams
+// AlexNetLite and the Transformer own), composite-policy state and the
+// delta/snapshot series.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	base := func(seed uint64) func() Config {
 		return func() Config {
@@ -151,6 +152,28 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		resumeCase(t, mkCfg, func() SyncPolicy {
 			return SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}
 		}, 10)
+	})
+	// Models whose layers own an RNG stream: without
+	// WorkerCheckpoint.LayerRNG the resumed run replays its Dropout masks
+	// from the initial stream state and diverges.
+	t.Run("alexnet", func(t *testing.T) {
+		resumeCase(t, func() Config { return alexConfig(144) }, func() SyncPolicy { return BSPPolicy{} }, 16)
+	})
+	t.Run("transformer", func(t *testing.T) {
+		g := data.NewTextGen(nn.LMVocab, 6, 1e2, 146)
+		trainSet := g.Dataset("train", 256, nn.LMSeqLen)
+		testSet := g.Dataset("test", 64, nn.LMSeqLen)
+		mkCfg := func() Config {
+			cfg := smallConfig(146)
+			cfg.Model = nn.TransformerLite()
+			cfg.Train, cfg.Test = trainSet, testSet
+			cfg.Workers, cfg.Batch = 2, 8
+			cfg.MaxSteps, cfg.EvalEvery = 12, 4
+			return cfg
+		}
+		resumeCase(t, mkCfg, func() SyncPolicy {
+			return SelSyncPolicy{Delta: 0.05, Mode: cluster.ParamAgg}
+		}, 8)
 	})
 }
 
@@ -249,39 +272,49 @@ func TestMidRunCheckpoint(t *testing.T) {
 // ranks: each rank checkpoints its shortened run and resumes it, and every
 // resumed rank Result must equal the uninterrupted loopback run.
 func TestCheckpointResumeTCP(t *testing.T) {
-	mkCfg := func() Config {
-		cfg := smallConfig(92)
-		cfg.MaxSteps = 24
-		cfg.EvalEvery = 8
-		return cfg
-	}
-	mkPolicy := func() SyncPolicy { return SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg} }
-	want, err := NewJob(mkCfg(), mkPolicy()).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for name, mkCfg := range map[string]func() Config{
+		"vgg": func() Config {
+			cfg := smallConfig(92)
+			cfg.MaxSteps = 24
+			cfg.EvalEvery = 8
+			return cfg
+		},
+		"alexnet": func() Config { // every rank restores its own Dropout streams
+			cfg := alexConfig(145)
+			cfg.MaxSteps = 24
+			return cfg
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mkPolicy := func() SyncPolicy { return SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg} }
+			want, err := NewJob(mkCfg(), mkPolicy()).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	results, _ := runTCPRanks(t, 2, 4, mkCfg, func(cfg Config) *Result {
-		shortCfg := cfg
-		shortCfg.MaxSteps = 16
-		shortJob := NewJob(shortCfg, mkPolicy())
-		if _, err := shortJob.Run(context.Background()); err != nil {
-			panic(err)
-		}
-		ck, err := shortJob.Checkpoint(context.Background())
-		if err != nil {
-			panic(err)
-		}
-		res, err := NewJob(cfg, mkPolicy(), WithResume(ck)).Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
-		return res
-	})
-	for rank, got := range results {
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rank %d resumed Result diverged from loopback:\n tcp: %+v\n  lb: %+v", rank, got, want)
-		}
+			results, _ := runTCPRanks(t, 2, 4, mkCfg, func(cfg Config) *Result {
+				shortCfg := cfg
+				shortCfg.MaxSteps = 16
+				shortJob := NewJob(shortCfg, mkPolicy())
+				if _, err := shortJob.Run(context.Background()); err != nil {
+					panic(err)
+				}
+				ck, err := shortJob.Checkpoint(context.Background())
+				if err != nil {
+					panic(err)
+				}
+				res, err := NewJob(cfg, mkPolicy(), WithResume(ck)).Run(context.Background())
+				if err != nil {
+					panic(err)
+				}
+				return res
+			})
+			for rank, got := range results {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("rank %d resumed Result diverged from loopback:\n tcp: %+v\n  lb: %+v", rank, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -24,8 +24,7 @@ func wideMLP(classes int) nn.Factory {
 		WireBytes: 6e6, FlopsPerSample: 1.5e6,
 		MemBytesBase: 1e7, MemBytesPerEx: 1e4,
 	}
-	return nn.Factory{Spec: spec, New: func(seed uint64) *nn.FeedForwardNet {
-		rng := tensor.NewRNG(seed)
+	return nn.Factory{Spec: spec, Build: func(rng *tensor.RNG) *nn.FeedForwardNet {
 		const width = 768
 		return nn.NewFeedForwardNet(nn.NewSequential(
 			nn.NewDense("fc1", nn.ImgFeatures, width, rng),

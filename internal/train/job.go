@@ -176,7 +176,7 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	var e *engine
 	ev, eventLoop := j.policy.(eventLoopPolicy)
 	err := capturePanic(func() {
-		r = newRunner(j.cfg, j.policy.Name())
+		r = newRunner(j.cfg, j.policy.Name(), j.resume != nil || j.lateJoin)
 		r.obs = j.obs
 		r.done = ctx.Done()
 		defer func() {

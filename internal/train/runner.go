@@ -108,7 +108,11 @@ func (r *runner) setBroken(err error) {
 	}
 }
 
-func newRunner(cfg Config, method string) *runner {
+// newRunner builds the cluster and the run's bookkeeping. restore is set
+// when the caller overwrites every replica's state before the first step (a
+// checkpoint resume, a late join's state transfer): the cluster then builds
+// its replicas without drawing initial weights.
+func newRunner(cfg Config, method string, restore bool) *runner {
 	cfg = cfg.withDefaults()
 	if cfg.Train == nil || cfg.Test == nil {
 		panic("train: Config.Train and Config.Test are required")
@@ -127,6 +131,7 @@ func newRunner(cfg Config, method string) *runner {
 	cl := cluster.New(cluster.Config{
 		Workers:       cfg.Workers,
 		Model:         cfg.Model,
+		Restore:       restore,
 		Opt:           cfg.Opt,
 		Network:       cfg.Network,
 		Device:        cfg.Device,
@@ -149,7 +154,9 @@ func newRunner(cfg Config, method string) *runner {
 			LSSR:       0,
 			Snapshots:  map[int]Snapshot{},
 		},
-		evalNet:  cfg.Model.New(cfg.Seed),
+		// Never drawn: evalParams overwrites its parameters before every
+		// read, and evaluation-mode forwards touch no layer stream.
+		evalNet:  cfg.Model.Build(nil),
 		evalFlat: tensor.NewVector(cl.Dim()),
 		gradFlat: tensor.NewVector(cl.Dim()),
 		losses:   make([]float64, cfg.Workers),

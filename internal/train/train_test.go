@@ -122,7 +122,7 @@ func TestSelSyncGAvsPAConsistency(t *testing.T) {
 // invariant checks: it drives the engine directly and skips finish (which
 // would release the cluster).
 func runSelSyncReturningCluster(cfg Config, opts SelSyncOptions) *cluster.Cluster {
-	r := newRunner(cfg, "probe")
+	r := newRunner(cfg, "probe", false)
 	newEngine(r, SelSyncPolicy{Delta: opts.Delta, Mode: opts.Mode}).run(0, nil)
 	return r.cl
 }
@@ -131,7 +131,7 @@ func TestSelSyncGADivergesReplicasUnderLocalPhases(t *testing.T) {
 	cfg := smallConfig(7)
 	cfg.MaxSteps = 40
 	// A δ that produces mostly local steps with occasional syncs.
-	r := newRunner(cfg, "probe")
+	r := newRunner(cfg, "probe", false)
 	newEngine(r, SelSyncPolicy{Delta: 0.02, Mode: cluster.GradAgg}).run(0, nil)
 	if r.res.LocalSteps == 0 {
 		t.Skip("no local phases materialized; divergence unobservable")
@@ -203,7 +203,7 @@ func TestSSPStalenessBoundsWorkerSpread(t *testing.T) {
 	// Heterogeneous cluster: worker 0 is 4× slower, forcing the gate.
 	cfg.Device = deviceWithStraggler(cfg.Seed, 0, 4)
 	const staleness = 3
-	r := newRunner(cfg, "probe")
+	r := newRunner(cfg, "probe", false)
 	runSSPLoop(r, SSPOptions{Staleness: staleness})
 	minSteps, maxSteps := math.MaxInt, 0
 	for _, w := range r.cl.Workers {

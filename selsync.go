@@ -113,7 +113,8 @@ type (
 	Dataset = data.Dataset
 	// Workload couples a train and test dataset.
 	Workload = data.Workload
-	// Factory builds identically-initialized model replicas.
+	// Factory builds replicas of one zoo model: New(seed) draws the initial
+	// state, Build(nil) builds a blank replica to be filled by copy or restore.
 	Factory = nn.Factory
 	// ModelSpec describes a zoo model and its simulated cost constants.
 	ModelSpec = nn.ModelSpec
