@@ -319,8 +319,8 @@ func main() {
 // unconditionally once any redial/timeout fired.
 func printNetStats(fabric comm.Fabric, rank int, always bool) {
 	m, ok := fabric.(*comm.Mesh)
-	if !ok {
-		return
+	if !ok || m.Procs() == 1 {
+		return // a single process has no transport to report on
 	}
 	ns := m.Endpoint().NetStats()
 	if !always && ns.Redials == 0 && ns.Timeouts == 0 {

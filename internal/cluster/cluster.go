@@ -9,14 +9,14 @@
 //
 // Every synchronization primitive — broadcast, parameter/gradient
 // aggregation, the SelSync flags allgather, the clock barrier — executes
-// through an internal/comm Fabric. With the default loopback fabric the
-// whole cluster lives in one process and the rounds are direct
-// shared-memory kernels, byte-identical to the historical in-process path
-// and allocation-free in steady state. With a comm.Mesh fabric (TCP), each
-// OS process hosts a contiguous block of the workers and the same rounds
-// become real wire exchanges; rank 0 plays the parameter server. Because
-// the mesh reduces in worker-id order with the same kernels, a multi-
-// process run reproduces the single-process results bit for bit.
+// through an internal/comm Fabric, which is always a comm.Mesh. With the
+// default one-rank mesh (comm.NewLoopback) the whole cluster lives in one
+// process and the rounds are direct shared-memory kernels, allocation-free
+// in steady state. Over TCP each OS process hosts a contiguous block of the
+// workers and the same rounds become real wire exchanges; rank 0 plays the
+// parameter server. Because the mesh reduces in worker-id order with the
+// same kernels whatever the rank count, a multi-process run reproduces the
+// single-process results bit for bit.
 package cluster
 
 import (
@@ -115,17 +115,11 @@ type Config struct {
 	Fabric comm.Fabric
 	// Codec selects the wire payload codec for synchronization rounds
 	// (top-k sparsification, linear quantization, partial-parameter
-	// sharing). The zero value is the identity codec: rounds run the
-	// historical dense path, bit-identical to every prior release. A
-	// non-identity codec (or Overlap) routes aggregation through the
-	// fabric's compressed collectives with per-worker error feedback.
+	// sharing), installed on the fabric at construction. The zero value is
+	// the identity codec: rounds are dense, bit-identical to every prior
+	// release. A lossy codec compresses every aggregation message with
+	// per-worker error feedback.
 	Codec comm.Codec
-	// Overlap enables the bucketed aggregation entry point
-	// (AggregateGradsOverlapped) even under the identity codec, so
-	// comm/compute overlap can stream buckets as the backward pass
-	// produces them. Identity-codec buckets average each bucket densely —
-	// element-wise identical to the unbucketed round.
-	Overlap bool
 }
 
 // Worker is one training replica hosted by this process.
@@ -145,52 +139,26 @@ type Worker struct {
 	LocalSteps int
 	SyncSteps  int
 
-	net   *nn.FeedForwardNet // Model's concrete type: every replica comes from an nn.Factory
-	arena *nn.Arena          // contiguous parameter/gradient storage (nil = copy path)
-	flat  tensor.Vector      // flatten scratch, allocated only without an arena
+	// net is Model's concrete type — every replica comes from an nn.Factory
+	// — and arena its contiguous parameter/gradient storage.
+	net   *nn.FeedForwardNet
+	arena *nn.Arena
 }
 
-// FlatParams returns the worker's parameters as one flat vector. For
-// arena-backed models (every zoo model) this is a zero-copy view of the
-// replica's live storage: callers must treat it as read-only and
-// invalidated by the worker's next training step. Models without an arena
-// pay a flatten copy into the worker's scratch vector.
-func (w *Worker) FlatParams() tensor.Vector {
-	if w.arena != nil {
-		return w.arena.Data
-	}
-	nn.FlattenParams(w.Model.Params(), w.flat)
-	return w.flat
-}
+// FlatParams returns the worker's parameters as one flat vector: a
+// zero-copy view of the replica's live arena storage. Callers must treat it
+// as read-only and invalidated by the worker's next training step.
+func (w *Worker) FlatParams() tensor.Vector { return w.arena.Data }
 
 // FlatGrads returns the worker's gradients as one flat vector, with the
 // same zero-copy view semantics as FlatParams.
-func (w *Worker) FlatGrads() tensor.Vector {
-	if w.arena != nil {
-		return w.arena.Grad
-	}
-	nn.FlattenGrads(w.Model.Params(), w.flat)
-	return w.flat
-}
+func (w *Worker) FlatGrads() tensor.Vector { return w.arena.Grad }
 
-// SetParams overwrites the replica's parameters — a single SIMD copy on
-// the arena path.
-func (w *Worker) SetParams(v tensor.Vector) {
-	if w.arena != nil {
-		w.arena.Data.CopyFrom(v)
-		return
-	}
-	nn.SetParams(w.Model.Params(), v)
-}
+// SetParams overwrites the replica's parameters — a single SIMD copy.
+func (w *Worker) SetParams(v tensor.Vector) { w.arena.Data.CopyFrom(v) }
 
 // SetGrads overwrites the replica's gradient accumulators.
-func (w *Worker) SetGrads(v tensor.Vector) {
-	if w.arena != nil {
-		w.arena.Grad.CopyFrom(v)
-		return
-	}
-	nn.SetGrads(w.Model.Params(), v)
-}
+func (w *Worker) SetGrads(v tensor.Vector) { w.arena.Grad.CopyFrom(v) }
 
 // LayerRNG returns the states of the RNG streams the replica's layers own
 // (Dropout masks), nil when it has none. Together with FlatParams it is the
@@ -232,8 +200,8 @@ func (ps *ParameterServer) BytesRecv() int64 { return ps.stats.Bytes.Recv }
 func (ps *ParameterServer) BytesSent() int64 { return ps.stats.Bytes.Sent }
 
 // Cluster is the assembled system. Workers holds the replicas hosted by
-// this process — all N of them on the loopback fabric, a contiguous block
-// on a multi-process fabric.
+// this process — all N of them on a one-rank fabric, a contiguous block
+// on a multi-process one.
 type Cluster struct {
 	Workers  []*Worker
 	PS       *ParameterServer
@@ -247,12 +215,10 @@ type Cluster struct {
 	dim       int
 	scratch   tensor.Vector
 	allIDs    []int
-	// cfabric is non-nil when a payload codec (or overlap) is active:
-	// aggregation then runs through the compressed collectives, with
-	// refBuf holding the pre-round global state the parameter path
-	// encodes deltas against.
-	cfabric comm.CodecFabric
-	refBuf  tensor.Vector
+	// refBuf holds the pre-round global state a lossy codec's parameter
+	// path encodes deltas against; nil under the identity codec, which
+	// carries values.
+	refBuf tensor.Vector
 	// cfg and deviceFor are retained so elastic membership can re-derive
 	// replicas deterministically (AdoptWorkers / ResetWorkers).
 	cfg       Config
@@ -267,7 +233,6 @@ type Cluster struct {
 	paramView  func(id int) tensor.Vector
 	gradView   func(id int) tensor.Vector
 	paramSlots []tensor.Vector
-	allArena   bool
 
 	// Persistent per-worker goroutine pool behind Each.
 	eachCh    []chan func(*Worker)
@@ -316,9 +281,10 @@ func New(cfg Config) *Cluster {
 		fabric:    fabric,
 		ownFabric: ownFabric,
 		firstID:   fabric.LocalWorkers()[0],
+		cfg:       cfg,
+		deviceFor: deviceFor,
 	}
 	seedRNG := tensor.NewRNG(cfg.Seed)
-	c.allArena = true
 	for id := 0; id < cfg.Workers; id++ {
 		rng := seedRNG.Split() // advance the stream for every global id
 		if !fabric.Hosts(id) {
@@ -330,27 +296,10 @@ func New(cfg Config) *Cluster {
 		} else {
 			model = cfg.Model.Build(nil)
 		}
-		w := &Worker{
-			ID:        id,
-			Model:     model,
-			net:       model,
-			Optimizer: cfg.Opt(model.Params()),
-			Device:    deviceFor(id),
-			Tracker:   gradstat.NewConfiguredTracker(cfg.TrackerAlpha, cfg.TrackerWindow, cfg.Workers),
-			RNG:       rng,
-		}
-		if ab, ok := w.Model.(nn.ArenaBacked); ok {
-			w.arena = ab.Arena()
-		} else {
-			w.flat = tensor.NewVector(nn.ParamCount(model.Params()))
-			c.allArena = false
-		}
-		c.Workers = append(c.Workers, w)
+		c.Workers = append(c.Workers, c.newWorker(id, model, rng))
 	}
-	c.cfg = cfg
-	c.deviceFor = deviceFor
 	c.nbase = len(c.Workers)
-	c.dim = nn.ParamCount(c.Workers[0].Model.Params())
+	c.dim = len(c.Workers[0].FlatParams())
 	c.scratch = tensor.NewVector(c.dim)
 	c.allIDs = make([]int, cfg.Workers)
 	for i := range c.allIDs {
@@ -358,38 +307,42 @@ func New(cfg Config) *Cluster {
 	}
 	c.paramView = func(id int) tensor.Vector { return c.workerByID(id).FlatParams() }
 	c.gradView = func(id int) tensor.Vector { return c.workerByID(id).FlatGrads() }
-	if c.allArena {
-		c.paramSlots = make([]tensor.Vector, len(c.Workers))
-		for i, w := range c.Workers {
-			c.paramSlots[i] = w.arena.Data
-		}
-	}
+	c.refreshSlots()
 	if !cfg.Restore {
 		c.copyInitialState()
 	}
 	c.PS = &ParameterServer{Global: c.Workers[0].FlatParams().Clone(), stats: fabric.Stats()}
-	if cfg.Overlap || !cfg.Codec.Nop() {
-		cf, ok := fabric.(comm.CodecFabric)
-		if !ok {
-			panic(fmt.Sprintf("cluster: codec %q needs a CodecFabric, fabric %T is not one", cfg.Codec, fabric))
-		}
+	if !cfg.Codec.Nop() {
 		// Negotiation failures (mismatched codecs across ranks, elastic
 		// membership) are configuration bugs of the same class as the
 		// worker-count mismatch above.
-		if err := cf.SetCodec(cfg.Codec); err != nil {
+		if err := fabric.SetCodec(cfg.Codec); err != nil {
 			panic(fmt.Sprintf("cluster: %v", err))
 		}
-		c.cfabric = cf
 		c.refBuf = tensor.NewVector(c.dim)
 	}
 	c.startPool()
 	return c
 }
 
+// newWorker wraps a built replica for global worker id with the per-worker
+// machinery every replica gets — optimizer, the id's device, a fresh
+// tracker — and the given RNG stream.
+func (c *Cluster) newWorker(id int, model *nn.FeedForwardNet, rng *tensor.RNG) *Worker {
+	return &Worker{
+		ID:        id,
+		Model:     model,
+		net:       model,
+		arena:     model.Arena(),
+		Optimizer: c.cfg.Opt(model.Params()),
+		Device:    c.deviceFor(id),
+		Tracker:   gradstat.NewConfiguredTracker(c.cfg.TrackerAlpha, c.cfg.TrackerWindow, c.cfg.Workers),
+		RNG:       rng,
+	}
+}
+
 // copyInitialState fills every hosted replica past the first with the
-// first's drawn state: one CopyAll of its arena (every replica is an
-// arena-backed nn.FeedForwardNet, so the fan-out slots exist), then its
-// layer streams.
+// first's drawn state: one CopyAll of its arena, then its layer streams.
 func (c *Cluster) copyInitialState() {
 	tensor.CopyAll(c.paramSlots[1:], c.paramSlots[0])
 	streams := c.Workers[0].LayerRNG()
@@ -404,31 +357,19 @@ func (c *Cluster) copyInitialState() {
 // configured).
 func (c *Cluster) Codec() comm.Codec { return c.cfg.Codec }
 
-// CodecActive reports whether synchronization rounds run through the
-// compressed collectives (a non-identity codec or overlap was configured).
-func (c *Cluster) CodecActive() bool { return c.cfabric != nil }
-
 // CodecSnapshot captures the codec's error-feedback state for this rank's
-// hosted workers (nil when no codec path is active) so a checkpoint resume
-// can continue bit-identically.
-func (c *Cluster) CodecSnapshot() *comm.CodecSnapshot {
-	if c.cfabric == nil {
-		return nil
-	}
-	return c.cfabric.CodecSnapshot()
-}
+// hosted workers (nil under the identity codec, which has none) so a
+// checkpoint resume can continue bit-identically.
+func (c *Cluster) CodecSnapshot() *comm.CodecSnapshot { return c.fabric.CodecSnapshot() }
 
 // RestoreCodecSnapshot reinstates error-feedback state captured by
 // CodecSnapshot. A nil snapshot is a no-op (checkpoints from runs without a
-// codec).
+// lossy codec); one captured under a different codec is refused.
 func (c *Cluster) RestoreCodecSnapshot(s *comm.CodecSnapshot) error {
 	if s == nil {
 		return nil
 	}
-	if c.cfabric == nil {
-		return fmt.Errorf("cluster: checkpoint carries codec state %q but no codec is configured", s.Spec)
-	}
-	if err := c.cfabric.RestoreCodecSnapshot(s); err != nil {
+	if err := c.fabric.RestoreCodecSnapshot(s); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
@@ -458,10 +399,10 @@ func (c *Cluster) N() int { return c.fabric.Workers() }
 // LocalN returns how many workers this process hosts.
 func (c *Cluster) LocalN() int { return len(c.Workers) }
 
-// Rank returns this process's rank on the fabric (0 on loopback).
+// Rank returns this process's rank on the fabric (0 in a single process).
 func (c *Cluster) Rank() int { return c.fabric.Rank() }
 
-// Procs returns the fabric's process count (1 on loopback).
+// Procs returns the fabric's process count (1 in a single process).
 func (c *Cluster) Procs() int { return c.fabric.Procs() }
 
 // Fabric returns the communication backend.
@@ -534,20 +475,9 @@ func (c *Cluster) stopPool() {
 	c.eachCh = nil
 }
 
-// refreshSlots rebuilds the fan-out arena slots (and the all-arena flag)
-// after the hosted worker set changed.
+// refreshSlots rebuilds the fan-out arena slots over the current hosted
+// worker set.
 func (c *Cluster) refreshSlots() {
-	c.allArena = true
-	for _, w := range c.Workers {
-		if w.arena == nil {
-			c.allArena = false
-			break
-		}
-	}
-	if !c.allArena {
-		c.paramSlots = nil
-		return
-	}
 	c.paramSlots = c.paramSlots[:0]
 	for _, w := range c.Workers {
 		c.paramSlots = append(c.paramSlots, w.arena.Data)
@@ -571,21 +501,7 @@ func rejoinRNG(seed uint64, id int, epoch uint64) *tensor.RNG {
 // on rank 0 and loopback, the only places this runs). Clock starts at
 // zero; the caller's post-transition barrier aligns it.
 func (c *Cluster) rebuildWorker(id int, epoch uint64) *Worker {
-	model := c.cfg.Model.Build(nil)
-	w := &Worker{
-		ID:        id,
-		Model:     model,
-		net:       model,
-		Optimizer: c.cfg.Opt(model.Params()),
-		Device:    c.deviceFor(id),
-		Tracker:   gradstat.NewConfiguredTracker(c.cfg.TrackerAlpha, c.cfg.TrackerWindow, c.N()),
-		RNG:       rejoinRNG(c.cfg.Seed, id, epoch),
-	}
-	if ab, ok := w.Model.(nn.ArenaBacked); ok {
-		w.arena = ab.Arena()
-	} else {
-		w.flat = tensor.NewVector(nn.ParamCount(w.Model.Params()))
-	}
+	w := c.newWorker(id, c.cfg.Model.Build(nil), rejoinRNG(c.cfg.Seed, id, epoch))
 	w.SetParams(c.PS.Global)
 	ref := c.Workers[0]
 	if err := w.SetLayerRNG(ref.LayerRNG()); err != nil {
@@ -661,21 +577,22 @@ func (c *Cluster) ResetWorkers(ids []int, epoch uint64) {
 	c.startPool()
 }
 
-// Broadcast overwrites every replica's parameters with the PS global state
-// and counts one pull per worker. On the all-arena path this is the
-// fabric's fan-out (one chunk-parallel copy straight into the replicas'
-// live storage on loopback). Under a codec the pull was already accounted
-// codec-exactly by the compressed reduce's down path, so only the local
-// copy happens here.
+// Broadcast overwrites every replica's parameters with the PS global state:
+// the fabric's fan-out, one chunk-parallel copy straight into the replicas'
+// live storage. The pulls are on the ledger already — the reduce round that
+// produced the global state accounts one per worker.
 func (c *Cluster) Broadcast() {
-	if c.allArena {
-		c.fabric.FanOut(c.paramSlots, c.PS.Global)
-	} else {
-		c.Each(func(w *Worker) { w.SetParams(c.PS.Global) })
+	c.fabric.FanOut(c.paramSlots, c.PS.Global)
+}
+
+// paramRef returns the reference a parameter round's messages are deltas
+// against — a copy of the pre-round global state — under a lossy codec, nil
+// under the identity codec.
+func (c *Cluster) paramRef() tensor.Vector {
+	if c.refBuf != nil {
+		c.refBuf.CopyFrom(c.PS.Global)
 	}
-	if c.cfabric == nil {
-		c.fabric.AccountPull(c.N(), c.dim)
-	}
+	return c.refBuf
 }
 
 // AggregateParams averages the replicas' parameters into the PS global
@@ -684,23 +601,14 @@ func (c *Cluster) Broadcast() {
 // the fabric's typed error (comm.ErrPeerDown / comm.ErrTimeout wrapped in
 // a *comm.PeerError), leaving the fabric broken.
 //
-// Under a codec the round is the compressed collective on parameter deltas
-// against the pre-round global state: selective sharing and error feedback
-// operate on what changed since the last synchronization, and coordinates
-// the codec leaves out stay exactly at the old global value.
+// Under a lossy codec the round carries parameter deltas against the
+// pre-round global state: selective sharing and error feedback operate on
+// what changed since the last synchronization, and coordinates the codec
+// leaves out stay exactly at the old global value.
 func (c *Cluster) AggregateParams() error {
-	if c.cfabric != nil {
-		c.refBuf.CopyFrom(c.PS.Global)
-		if err := c.cfabric.ReduceMeanCodec(c.PS.Global, c.refBuf, c.allIDs, c.paramView); err != nil {
-			return fmt.Errorf("cluster: aggregate params: %w", err)
-		}
-		c.Broadcast()
-		return nil
-	}
-	if err := c.fabric.ReduceMean(c.PS.Global, c.allIDs, c.paramView); err != nil {
+	if err := c.fabric.ReduceMeanCodec(c.PS.Global, c.paramRef(), c.allIDs, c.paramView); err != nil {
 		return fmt.Errorf("cluster: aggregate params: %w", err)
 	}
-	c.fabric.AccountPush(c.N(), c.dim)
 	c.Broadcast()
 	return nil
 }
@@ -708,21 +616,13 @@ func (c *Cluster) AggregateParams() error {
 // AggregateGrads averages the replicas' gradients into dst (one
 // gradient-aggregation round: push gradients, pull the mean; the mean is
 // left on every rank by the fabric). Callers apply dst through each
-// worker's optimizer. Under a codec the gradients themselves are
-// compressed (no reference vector — gradients are already deltas) and the
-// ledger records the codec-exact wire bytes.
+// worker's optimizer. A lossy codec compresses the gradients themselves (no
+// reference vector — gradients are already deltas); the ledger records the
+// codec-exact wire bytes either way.
 func (c *Cluster) AggregateGrads(dst tensor.Vector) error {
-	if c.cfabric != nil {
-		if err := c.cfabric.ReduceMeanCodec(dst, nil, c.allIDs, c.gradView); err != nil {
-			return fmt.Errorf("cluster: aggregate grads: %w", err)
-		}
-		return nil
-	}
-	if err := c.fabric.ReduceMean(dst, c.allIDs, c.gradView); err != nil {
+	if err := c.fabric.ReduceMeanCodec(dst, nil, c.allIDs, c.gradView); err != nil {
 		return fmt.Errorf("cluster: aggregate grads: %w", err)
 	}
-	c.fabric.AccountPush(c.N(), c.dim)
-	c.fabric.AccountPull(c.N(), c.dim)
 	return nil
 }
 
@@ -731,35 +631,23 @@ func (c *Cluster) AggregateGrads(dst tensor.Vector) error {
 // must tile [0, Dim) and wait(b) blocks until every hosted worker's
 // gradient for bucket b is fully written. Buckets are processed in
 // descending index order — the order backward passes produce layer
-// gradients. Requires the codec path (any codec including the identity;
-// see Config.Overlap).
+// gradients — train.Config.Overlap's entry point. Works under any codec;
+// refused once the fabric is elastic (wait cannot cover adopted replicas).
 func (c *Cluster) AggregateGradsOverlapped(dst tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
-	if c.cfabric == nil {
-		return fmt.Errorf("cluster: overlapped aggregation needs the codec path (Config.Overlap)")
-	}
-	if err := c.cfabric.ReduceMeanCodecBuckets(dst, nil, c.allIDs, c.gradView, buckets, wait); err != nil {
+	if err := c.fabric.ReduceMeanCodecBuckets(dst, nil, c.allIDs, c.gradView, buckets, wait); err != nil {
 		return fmt.Errorf("cluster: aggregate grads overlapped: %w", err)
 	}
 	return nil
 }
 
 // ReduceParamsSubset averages the parameters of the given workers into the
-// PS global state (FedAvg's partial participation: only ids push). The
-// codec path compresses the subset's deltas and, because the compressed
-// reduce's down path delivers (and accounts) the new global to every rank,
-// also records the pulls the dense path defers to Broadcast.
+// PS global state (FedAvg's partial participation: only ids push, and the
+// round delivers — and accounts — the new global to every worker; Broadcast
+// then copies it into the replicas).
 func (c *Cluster) ReduceParamsSubset(ids []int) error {
-	if c.cfabric != nil {
-		c.refBuf.CopyFrom(c.PS.Global)
-		if err := c.cfabric.ReduceMeanCodec(c.PS.Global, c.refBuf, ids, c.paramView); err != nil {
-			return fmt.Errorf("cluster: reduce params subset: %w", err)
-		}
-		return nil
-	}
-	if err := c.fabric.ReduceMean(c.PS.Global, ids, c.paramView); err != nil {
+	if err := c.fabric.ReduceMeanCodec(c.PS.Global, c.paramRef(), ids, c.paramView); err != nil {
 		return fmt.Errorf("cluster: reduce params subset: %w", err)
 	}
-	c.fabric.AccountPush(len(ids), c.dim)
 	return nil
 }
 

@@ -6,8 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"selsync/internal/tensor"
 )
 
 // Payload codecs: the negotiated compression a fabric applies to the
@@ -195,8 +193,8 @@ func (p profile) window(n int, round uint64) (int, int) {
 // output bit for bit (asserted by TestCodecWireBytesExactAndRoundTrip);
 // for top-k it charges the canonical 12-byte index+value entries, a pure
 // function of codec and dimension, while the packed encoding's actual
-// (data-dependent) bytes are tracked separately on the loopback fabric
-// (CodecPackedWire) and in NetStats on TCP.
+// (data-dependent) bytes are tracked separately (Mesh.CodecPackedWire, and
+// NetStats on TCP).
 func (p profile) wireBytes(n int, round uint64) int64 {
 	chunksFor := func(elems, per int) int64 {
 		if elems <= 0 {
@@ -226,50 +224,6 @@ func (c Codec) UpWireBytes(n int, round uint64) int64 { return c.up().wireBytes(
 
 // DownWireBytes is UpWireBytes for the downlink direction.
 func (c Codec) DownWireBytes(n int, round uint64) int64 { return c.down().wireBytes(n, round) }
-
-// CodecFabric is the optional Fabric extension compressed synchronization
-// runs through. Both backends implement it; a codec-configured cluster
-// requires it.
-//
-// Unlike ReduceMean, the codec collectives DO write the logical ledger:
-// a compressed round is always PS traffic (diagnostic reads stay on the
-// uncompressed ReduceMean), and only the fabric knows the codec-exact
-// byte sizes — len(ids) pushes of UpWireBytes and Workers() pulls of
-// DownWireBytes per message, summed over buckets.
-type CodecFabric interface {
-	Fabric
-	// SetCodec installs (and on multi-process backends negotiates) the
-	// payload codec. Must be called before the first codec collective,
-	// with an identical codec on every rank; elastic membership and
-	// payload codecs are mutually exclusive.
-	SetCodec(c Codec) error
-	// Codec returns the installed codec (zero value if none).
-	Codec() Codec
-	// ReduceMeanCodec is ReduceMean through the codec, with error
-	// feedback and down-delivery: each contribution is compressed,
-	// decoded, averaged in ids order, and the mean is compressed again
-	// for the downlink. When ref is non-nil the messages are deltas
-	// against it and dst = ref + decoded-mean-delta (the parameter path);
-	// when ref is nil messages are the raw vectors (the gradient path).
-	// ref must not alias dst or any view.
-	ReduceMeanCodec(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector) error
-	// ReduceMeanCodecBuckets is ReduceMeanCodec over layer-aligned
-	// buckets, processed in descending bucket order on every rank (the
-	// order a backward pass produces them). wait, when non-nil, is called
-	// with each bucket index before that bucket is touched and must block
-	// until the local contribution for it is fully written — the hook
-	// comm/compute overlap rides on. buckets must tile [0, dim) and be
-	// identical on every rank.
-	ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error
-	// CodecSnapshot captures this rank's error-feedback state (hosted
-	// uplink residuals, the downlink residual on rank 0, and the shared
-	// round counter) for bit-identical checkpoint/resume. Returns nil
-	// when no codec is installed.
-	CodecSnapshot() *CodecSnapshot
-	// RestoreCodecSnapshot reinstates a captured state. The snapshot's
-	// spec must match the installed codec.
-	RestoreCodecSnapshot(s *CodecSnapshot) error
-}
 
 // CodecSnapshot is the error-feedback state of one rank, as captured into
 // checkpoints: resuming a lossy-codec run replays the exact residuals, so

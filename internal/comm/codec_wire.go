@@ -22,7 +22,7 @@ const (
 	// gaps are data-dependent, and the ledger must stay a pure, rank- and
 	// backend-invariant function of codec, dimension and round. The actual
 	// packed bytes are tracked separately (PackedSparseWireBytes,
-	// Loopback.CodecPackedWire).
+	// Mesh.CodecPackedWire).
 	sparseNominalEntryBytes = 12
 )
 
@@ -47,7 +47,7 @@ type compactMsg struct {
 // codecState is the per-fabric compression engine: the negotiated codec,
 // the shared round counter, and the error-feedback residuals (one
 // full-dimension accumulator per hosted worker for the uplink, one for
-// the downlink on the averaging rank). Both backends embed one.
+// the downlink on the averaging rank). Every Mesh embeds one.
 type codecState struct {
 	codec Codec
 	round uint64
@@ -59,10 +59,10 @@ type codecState struct {
 	selBuf    []float64
 	msg       compactMsg
 	// packedRecv / packedSent track the actual encoded bytes of the codec
-	// collectives in ledger orientation (uplink messages → Recv, downlink
-	// fan-out → Sent). Maintained by the loopback fabric, which encodes
-	// every message of every round; diagnostic only — the logical ledger
-	// stays the pure wireBytes formula.
+	// messages this rank produced under a lossy codec, in ledger orientation
+	// (uplink messages → Recv, downlink fan-out → Sent). Complete on a
+	// one-rank fabric, which encodes every message of every round;
+	// diagnostic only — the logical ledger stays the pure wireBytes formula.
 	packedRecv, packedSent int64
 	// restored holds a snapshot installed before the model dimension is
 	// known; it is applied lazily at the first collective.

@@ -4,28 +4,34 @@
 //
 // It is layered:
 //
-//   - Frame / wire codec (frame.go): versioned length-prefixed binary
-//     frames with chunked tensor streaming.
-//   - Endpoint (endpoint.go): point-to-point send/recv of frames between
-//     ranks, with two backends — an in-process channel loopback and a TCP
-//     full mesh with persistent, reused connections.
-//   - Collectives (mesh.go): PS-style push/pull averaging, broadcast, ring
-//     all-reduce and the SelSync one-bit flags allgather, layered on any
-//     Endpoint.
+//   - Frame / wire codec (frame.go, codec_wire.go): versioned
+//     length-prefixed binary frames with chunked tensor streaming, dense
+//     and compressed.
+//   - Endpoint (endpoint.go, tcp.go): point-to-point send/recv of frames
+//     between ranks, with two backends — in-process channels and a TCP full
+//     mesh with persistent, reused connections. collectives.go holds the
+//     two tensor-stream helpers every collective is built from.
+//   - Mesh (mesh.go, reduce.go): the one Fabric. Rank 0 plays the parameter
+//     server: the reduce round gathers contributions, averages them in
+//     worker-id order and delivers the mean; the SelSync one-bit flags
+//     allgather, the clock maximum and broadcast-by-fan-out complete the
+//     set. Payload codecs and bucketed (overlapped) rounds are parameters
+//     of that same round, not separate collectives.
 //   - Fabric (this file): the interface internal/cluster drives its
-//     synchronization rounds through. NewLoopback is the single-process
-//     backend (direct shared-memory kernels, zero-copy, zero allocations in
-//     steady state — byte-identical to the pre-comm aggregation path);
-//     Mesh runs the same rounds over real endpoints so the four training
-//     algorithms execute across OS processes.
+//     synchronization rounds through. NewLoopback is a Mesh with one rank —
+//     every worker is hosted by rank 0, so each round runs its rank-0
+//     branch alone: direct shared-memory kernels, no frames, no wire
+//     buffers, zero allocations in steady state. NewMesh over TCP endpoints
+//     runs the identical rounds across OS processes.
 //
 // Traffic accounting: a Fabric counts the *logical* parameter-server
 // protocol — one push per contributing worker, one pull per receiving
-// worker, with byte sizes computed from the wire codec (TensorWireBytes) —
-// identically on every backend and every rank. That is what the experiment
-// reports need (it is the traffic the modeled PS tier absorbs), and it is
-// what makes loopback and TCP runs comparable. The bytes that actually
-// crossed sockets are tracked separately per Endpoint (NetStats).
+// worker, with byte sizes computed from the wire codec (TensorWireBytes, or
+// the payload codec's exact sizes) — identically on every rank and for
+// every rank count. That is what the experiment reports need (it is the
+// traffic the modeled PS tier absorbs), and it is what makes loopback and
+// TCP runs comparable. The bytes that actually crossed sockets are tracked
+// separately per Endpoint (NetStats).
 package comm
 
 import (
@@ -34,7 +40,7 @@ import (
 
 // Stats is a fabric's logical traffic ledger, from the parameter server's
 // perspective: pushes arrive (BytesRecv), pulls depart (BytesSent).
-// Identical on every rank of a run, and across backends for identical
+// Identical on every rank of a run, and across rank counts for identical
 // collective sequences.
 type Stats struct {
 	Pushes int // worker→PS messages
@@ -46,12 +52,12 @@ type Stats struct {
 }
 
 // Fabric is the backend internal/cluster executes synchronization rounds
-// through. Implementations: *Loopback (single process) and *Mesh (over an
-// Endpoint, e.g. TCP).
+// through. *Mesh is the implementation: one rank in a single process
+// (NewLoopback), several over an Endpoint such as TCP (NewMesh).
 //
-// Collective calls (ReduceMean, FanOut, AllGatherFlags, MaxFloat) must be
-// made by every rank of the fabric with matching arguments, in the same
-// order — the SPMD contract of every collective library.
+// Collective calls (the Reduce* family, SetCodec, AllGatherFlags, MaxFloat)
+// must be made by every rank of the fabric with matching arguments, in the
+// same order — the SPMD contract of every collective library.
 //
 // Collectives report transport failures as typed errors (wrapping
 // ErrPeerDown / ErrTimeout / ErrCrashed, with peer context in *PeerError)
@@ -73,16 +79,38 @@ type Fabric interface {
 	// views for the ids it hosts via view — into dst, leaving the
 	// bit-identical mean on every rank. The reduction always folds in ids
 	// order with the shared tensor.Average kernel, so the result does not
-	// depend on the backend or the process count. No ledger entry: the
-	// caller decides whether the round was PS traffic (AccountPush) or a
-	// diagnostic read (evaluation means), keeping the logical ledger
-	// identical across backends either way.
+	// depend on the process count. It is the diagnostic read (evaluation
+	// means, snapshots): always dense, whatever codec is installed, and it
+	// leaves the ledger untouched.
 	ReduceMean(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error
+	// ReduceMeanCodec is the same round as parameter-server traffic: it
+	// runs through the installed payload codec and writes the ledger —
+	// len(ids) pushes of the codec's uplink bytes and Workers() pulls of
+	// its downlink bytes. Under the identity codec (the default) the
+	// values, the wire bytes and the ledger are exactly the dense round's.
+	// Under a lossy codec each contribution is compressed with per-worker
+	// error feedback, decoded, averaged in ids order, and the mean is
+	// compressed again for the downlink; a non-nil ref then makes the
+	// messages deltas against it and dst = ref + decoded-mean-delta (the
+	// parameter path), while a nil ref sends the raw vectors (the gradient
+	// path). ref must not alias dst or any view; the identity codec never
+	// reads it.
+	ReduceMeanCodec(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector) error
+	// ReduceMeanCodecBuckets is ReduceMeanCodec over layer-aligned
+	// buckets, processed in descending bucket order on every rank (the
+	// order a backward pass produces them). wait, when non-nil, is called
+	// with each bucket index before that bucket is touched and must block
+	// until the local contribution for it is fully written — the hook
+	// comm/compute overlap rides on. buckets must tile [0, dim) and be
+	// identical on every rank; the ledger charges each bucket's framing.
+	// Refused on an elastic mesh under any codec: wait covers the workers
+	// hosted when the caller built it, not ones adopted since.
+	ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error
 	// FanOut copies src into every locally hosted destination (the PS
 	// pull). src must already be rank-identical — in the cluster protocol
-	// it always is, because it is either the initial snapshot or a
-	// ReduceMean result. No ledger entry (see ReduceMean). Purely local on
-	// both backends, hence no error.
+	// it always is, because it is either the initial snapshot or a reduce
+	// result. No ledger entry (the reduce that produced src accounted the
+	// pulls). Purely local, hence no error.
 	FanOut(dsts []tensor.Vector, src tensor.Vector)
 	// AllGatherFlags exchanges the one-bit significance votes: on entry
 	// each rank has filled flags[id] for its hosted ids; on return flags
@@ -92,109 +120,47 @@ type Fabric interface {
 	// reduction).
 	MaxFloat(x float64) (float64, error)
 
+	// SetCodec installs (and across ranks negotiates) the payload codec
+	// ReduceMeanCodec runs through. Must be called before the first
+	// collective that uses it, with an identical codec on every rank;
+	// elastic membership and payload codecs are mutually exclusive.
+	SetCodec(c Codec) error
+	// Codec returns the installed codec (the identity codec if none).
+	Codec() Codec
+	// CodecSnapshot captures this rank's error-feedback state (hosted
+	// uplink residuals, the downlink residual on rank 0, and the shared
+	// round counter) for bit-identical checkpoint/resume. Returns nil
+	// under the identity codec, which has none.
+	CodecSnapshot() *CodecSnapshot
+	// RestoreCodecSnapshot reinstates a captured state. The snapshot's
+	// spec must match the installed codec.
+	RestoreCodecSnapshot(s *CodecSnapshot) error
+
 	// AccountPush / AccountPull record n point-to-point PS messages of dim
 	// elements that bypassed the collective entry points (SSP's push/pull
-	// pairs, non-arena broadcast paths).
+	// pairs).
 	AccountPush(n, dim int)
 	AccountPull(n, dim int)
 	Stats() *Stats
 
-	// Close releases transport resources. On multi-process backends it
-	// runs a drain barrier first, so no rank tears sockets down under a
-	// peer still reading.
+	// Close releases transport resources. Across processes it runs a
+	// drain barrier first, so no rank tears sockets down under a peer
+	// still reading.
 	Close() error
 }
 
-// Loopback is the single-process Fabric: all workers share this address
-// space, so collectives are direct shared-memory kernels (the chunk-parallel
-// tensor.Average / tensor.CopyAll paths) with zero copies beyond the
-// reduction itself and zero steady-state allocations. Only the ledger
-// models the wire.
-type Loopback struct {
-	workers int
-	locals  []int
-	stats   Stats
-	slots   []tensor.Vector
+// CodecFabric is the historical name of the codec half of Fabric, from
+// when the codec collectives were an optional extension discovered by type
+// assertion. Every Fabric carries them now.
+type CodecFabric = Fabric
 
-	// Codec path (codec_fabric.go): the compression engine plus the dense
-	// decode/mean buffers the compressed rounds need. Nothing here is
-	// touched — or allocated — unless a codec collective runs, so the
-	// zero-alloc dense path is unchanged.
-	cs       codecState
-	decBufs  map[int]tensor.Vector
-	meanBuf  tensor.Vector
-	downDec  tensor.Vector
-	deltaBuf tensor.Vector
-}
-
-// NewLoopback builds the in-process fabric over n workers.
-func NewLoopback(n int) *Loopback {
-	if n <= 0 {
+// NewLoopback builds the single-process fabric over n workers: a Mesh with
+// one rank. Nothing ever crosses its endpoint, so it owns no inbox and no
+// wire scratch — building one per job segment costs a few small structs.
+func NewLoopback(n int) *Mesh {
+	m, err := NewMesh(NewLoopbackEndpoints(1)[0], n)
+	if err != nil {
 		panic("comm: loopback fabric needs at least one worker")
 	}
-	locals := make([]int, n)
-	for i := range locals {
-		locals[i] = i
-	}
-	return &Loopback{workers: n, locals: locals, slots: make([]tensor.Vector, 0, n)}
+	return m
 }
-
-// Rank implements Fabric.
-func (l *Loopback) Rank() int { return 0 }
-
-// Procs implements Fabric.
-func (l *Loopback) Procs() int { return 1 }
-
-// Workers implements Fabric.
-func (l *Loopback) Workers() int { return l.workers }
-
-// Hosts implements Fabric.
-func (l *Loopback) Hosts(worker int) bool { return worker >= 0 && worker < l.workers }
-
-// LocalWorkers implements Fabric.
-func (l *Loopback) LocalWorkers() []int { return l.locals }
-
-// ReduceMean implements Fabric. In one process the reduction is a direct
-// shared-memory fold; it cannot fail.
-func (l *Loopback) ReduceMean(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
-	l.slots = l.slots[:0]
-	for _, id := range ids {
-		l.slots = append(l.slots, view(id))
-	}
-	tensor.Average(dst, l.slots)
-	return nil
-}
-
-// FanOut implements Fabric.
-func (l *Loopback) FanOut(dsts []tensor.Vector, src tensor.Vector) {
-	tensor.CopyAll(dsts, src)
-}
-
-// AllGatherFlags implements Fabric: in one process the votes are already
-// all present; only the ledger moves.
-func (l *Loopback) AllGatherFlags(flags []bool) error {
-	l.stats.FlagRounds++
-	l.stats.FlagBytes += FlagsWireBytes(l.workers)
-	return nil
-}
-
-// MaxFloat implements Fabric.
-func (l *Loopback) MaxFloat(x float64) (float64, error) { return x, nil }
-
-// AccountPush implements Fabric.
-func (l *Loopback) AccountPush(n, dim int) {
-	l.stats.Pushes += n
-	l.stats.Bytes.Recv += int64(n) * TensorWireBytes(dim)
-}
-
-// AccountPull implements Fabric.
-func (l *Loopback) AccountPull(n, dim int) {
-	l.stats.Pulls += n
-	l.stats.Bytes.Sent += int64(n) * TensorWireBytes(dim)
-}
-
-// Stats implements Fabric.
-func (l *Loopback) Stats() *Stats { return &l.stats }
-
-// Close implements Fabric.
-func (l *Loopback) Close() error { return nil }

@@ -48,7 +48,7 @@ func tcpEndpoints(t *testing.T, procs int) []Endpoint {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep, err := DialTCPWithListener(r, peers, lns[r])
+			ep, err := DialTCPWithListenerOpts(r, peers, lns[r], DefaultTCPOptions())
 			eps[r], errs[r] = ep, err
 		}(r)
 	}
@@ -167,93 +167,6 @@ func TestEndpointNetStatsCountWire(t *testing.T) {
 	}
 }
 
-func TestBroadcastTensor(t *testing.T) {
-	withEndpoints(t, 4, func(t *testing.T, eps []Endpoint) {
-		dim := 2*ChunkElems + 33
-		want := tensor.NewVector(dim)
-		tensor.NewRNG(11).NormVector(want, 0, 1)
-		parallelRanks(t, eps, func(ep Endpoint) error {
-			v := tensor.NewVector(dim)
-			if ep.Rank() == 1 {
-				v.CopyFrom(want)
-			}
-			if err := BroadcastTensor(ep, 1, v); err != nil {
-				return err
-			}
-			for i := range v {
-				if v[i] != want[i] {
-					return fmt.Errorf("rank %d: element %d diverged", ep.Rank(), i)
-				}
-			}
-			return nil
-		})
-	})
-}
-
-func TestPushPullMeanMatchesFlatAverage(t *testing.T) {
-	withEndpoints(t, 4, func(t *testing.T, eps []Endpoint) {
-		dim := 1000
-		contribs := make([]tensor.Vector, len(eps))
-		rng := tensor.NewRNG(13)
-		for r := range contribs {
-			contribs[r] = tensor.NewVector(dim)
-			rng.NormVector(contribs[r], 0, 1)
-		}
-		want := tensor.NewVector(dim)
-		tensor.Average(want, contribs)
-
-		parallelRanks(t, eps, func(ep Endpoint) error {
-			dst := tensor.NewVector(dim)
-			if err := PushPullMean(ep, 0, dst, contribs[ep.Rank()]); err != nil {
-				return err
-			}
-			for i := range dst {
-				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-					return fmt.Errorf("rank %d: element %d not bit-identical to flat average", ep.Rank(), i)
-				}
-			}
-			return nil
-		})
-	})
-}
-
-func TestRingAllReduceMean(t *testing.T) {
-	withEndpoints(t, 4, func(t *testing.T, eps []Endpoint) {
-		dim := 517 // deliberately not divisible by the ring size
-		contribs := make([]tensor.Vector, len(eps))
-		rng := tensor.NewRNG(17)
-		for r := range contribs {
-			contribs[r] = tensor.NewVector(dim)
-			rng.NormVector(contribs[r], 0, 1)
-		}
-		want := tensor.NewVector(dim)
-		tensor.Average(want, contribs)
-
-		results := make([]tensor.Vector, len(eps))
-		parallelRanks(t, eps, func(ep Endpoint) error {
-			v := contribs[ep.Rank()].Clone()
-			if err := RingAllReduceMean(ep, v); err != nil {
-				return err
-			}
-			results[ep.Rank()] = v
-			return nil
-		})
-		for r, v := range results {
-			for i := range v {
-				if math.Abs(v[i]-want[i]) > 1e-12 {
-					t.Fatalf("rank %d element %d: ring %v vs flat %v", r, i, v[i], want[i])
-				}
-			}
-			// All ranks agree bitwise with each other.
-			for i := range v {
-				if math.Float64bits(v[i]) != math.Float64bits(results[0][i]) {
-					t.Fatalf("rank %d element %d differs from rank 0", r, i)
-				}
-			}
-		}
-	})
-}
-
 // meshes builds a Mesh per endpoint.
 func meshes(t *testing.T, eps []Endpoint, workers int) []*Mesh {
 	t.Helper()
@@ -366,7 +279,7 @@ func TestMeshFlagsAndClock(t *testing.T) {
 	})
 }
 
-func TestMeshPeerLinkControlAndTensors(t *testing.T) {
+func TestMeshControlAndTensors(t *testing.T) {
 	withEndpoints(t, 2, func(t *testing.T, eps []Endpoint) {
 		ms := meshes(t, eps, 2)
 		payload := tensor.Vector{1, 2, 3, 4.5}

@@ -142,9 +142,13 @@ func NewLoopbackEndpoints(n int) []Endpoint {
 	eps := make([]*chanEndpoint, n)
 	for r := range eps {
 		ep := &chanEndpoint{rank: r, procs: n, closed: make(chan struct{})}
+		// No inbox for the self slot: Send and Recv refuse self-traffic, so a
+		// single-rank transport (the loopback fabric's) owns no channel at all.
 		ep.inbox = make([]chan *Frame, n)
 		for from := range ep.inbox {
-			ep.inbox[from] = make(chan *Frame, inboxSize)
+			if from != r {
+				ep.inbox[from] = make(chan *Frame, inboxSize)
+			}
 		}
 		ep.heard = make([]atomic.Int64, n)
 		ep.net.initPeers(n)

@@ -8,11 +8,11 @@ import (
 	"selsync/internal/tensor"
 )
 
-// Satellite contract: every collective — the bare-endpoint building blocks
-// and the mesh ops — must surface a dead peer as a *PeerError carrying the
-// peer's rank, unwrapping to the typed taxonomy via errors.Is, on both
-// transports. Callers (the engine's fault path, the supervisor's exit-code
-// mapping) branch on exactly these round-trips.
+// Satellite contract: every mesh collective must surface a dead peer as a
+// *PeerError carrying the peer's rank and the op, unwrapping to the typed
+// taxonomy via errors.Is, on both transports. Callers (the engine's fault
+// path, the supervisor's exit-code mapping) branch on exactly these
+// round-trips.
 
 // checkPeerError asserts the errors.As/errors.Is round-trip.
 func checkPeerError(t *testing.T, err error, wantRank int, wantIs error) {
@@ -35,51 +35,42 @@ func checkPeerError(t *testing.T, err error, wantRank int, wantIs error) {
 	}
 }
 
-// roundTripCollectives runs every collective on the surviving endpoint of
-// a 2-rank pair whose peer is gone, asserting the typed round-trip. The
-// survivor acts as non-root/ring-member so each op hits a deterministic
-// receive failure (a send into a dead socket can land in an OS buffer; a
-// receive cannot succeed).
+// roundTripCollectives runs every collective on the surviving endpoint of a
+// 2-rank pair whose peer is gone, asserting the typed round-trip, one fresh
+// mesh per op (the first failure latches a mesh broken). Each op hits a
+// deterministic receive failure — rank 0's gather, a worker rank's pull — (a
+// send into a dead socket can land in an OS buffer; a receive cannot
+// succeed). The last mesh closes ep: broken, so it skips the bye barrier.
 func roundTripCollectives(t *testing.T, ep Endpoint, deadRank int) {
 	t.Helper()
-	dim := 8
-	v := tensor.NewVector(dim)
-
-	err := BroadcastTensor(ep, deadRank, v)
-	checkPeerError(t, err, deadRank, ErrPeerDown)
-
-	dst := tensor.NewVector(dim)
-	err = PushPullMean(ep, deadRank, dst, v)
-	checkPeerError(t, err, deadRank, ErrPeerDown)
-
-	err = RingAllReduceMean(ep, v)
-	checkPeerError(t, err, deadRank, ErrPeerDown)
-
-	m, merr := NewMesh(ep, ep.Procs())
-	if merr != nil {
-		t.Fatal(merr)
+	const dim = 8
+	view := func(int) tensor.Vector { return tensor.NewVector(dim) }
+	var m *Mesh
+	for _, op := range []func() error{
+		func() error { return m.ReduceMean(tensor.NewVector(dim), []int{0, 1}, view) },
+		func() error { return m.AllGatherFlags(make([]bool, 2)) },
+		func() error { _, err := m.MaxFloat(1); return err },
+	} {
+		var err error
+		if m, err = NewMesh(ep, 2); err != nil {
+			t.Fatal(err)
+		}
+		checkPeerError(t, op(), deadRank, ErrPeerDown)
 	}
-	flags := make([]bool, ep.Procs())
-	err = m.AllGatherFlags(flags)
-	checkPeerError(t, err, deadRank, ErrPeerDown)
-	m.Close() // broken mesh: skips the bye barrier, closes ep
+	m.Close()
 }
 
 func TestPeerErrorRoundTripLoopback(t *testing.T) {
 	eps := NewLoopbackEndpoints(2)
 	eps[0].Close()
-	roundTripCollectives(t, eps[1], 0)
+	roundTripCollectives(t, eps[1], 0) // worker side: the pull fails
 
-	// Root side: the gather receive in the PS round fails the same way.
+	// (Send-side ops are not asserted: a send to a dead peer may land in the
+	// transport buffer before the closure is observed, on loopback and TCP
+	// alike. The receive side is where death is deterministic.)
 	eps = NewLoopbackEndpoints(2)
 	eps[1].Close()
-	dim := 8
-	// (Send-side ops are not asserted here: a send to a dead peer may land
-	// in the transport buffer before the closure is observed, on loopback
-	// and TCP alike. The receive side is where death is deterministic.)
-	err := PushPullMean(eps[0], 0, tensor.NewVector(dim), tensor.NewVector(dim))
-	checkPeerError(t, err, 1, ErrPeerDown)
-	eps[0].Close()
+	roundTripCollectives(t, eps[0], 1) // root side: the gather fails
 }
 
 func TestPeerErrorRoundTripTCP(t *testing.T) {

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"bytes"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -207,33 +206,34 @@ func TestSendRecvBlob(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPushPullMeanOver: the member-restricted PS round must average exactly
-// the live contributions, bit-identically to the flat fold over survivors.
-func TestPushPullMeanOver(t *testing.T) {
+// TestReduceMeanOverSurvivors: with a rank marked dead and not adopted, the
+// reduce round must average exactly the live workers' contributions,
+// bit-identically to the flat fold over the survivors, on every survivor.
+func TestReduceMeanOverSurvivors(t *testing.T) {
 	const procs, dim = 4, 7
-	members := []bool{true, true, true, false} // rank 3 is dead
 	eps := NewLoopbackEndpoints(procs)
-	contrib := func(r int) tensor.Vector {
+	defer closeAll(eps)
+	ms := meshes(t, eps, procs)
+	contrib := func(id int) tensor.Vector {
 		v := tensor.NewVector(dim)
 		for i := range v {
-			v[i] = float64(r*100+i) + 0.25
+			v[i] = float64(id*100+i) + 0.25
 		}
 		return v
 	}
 	want := tensor.NewVector(dim)
 	tensor.Average(want, []tensor.Vector{contrib(0), contrib(1), contrib(2)})
 
+	ids := []int{0, 1, 2, 3}
 	results := make([]tensor.Vector, procs)
 	var wg sync.WaitGroup
-	for r := 0; r < procs; r++ {
-		if !members[r] {
-			continue
-		}
+	for r := 0; r < procs-1; r++ { // rank 3 is dead and does not call
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			ms[r].MarkDead(3)
 			dst := tensor.NewVector(dim)
-			if err := PushPullMeanOver(eps[r], 0, members, dst, contrib(r)); err != nil {
+			if err := ms[r].ReduceMean(dst, ids, contrib); err != nil {
 				t.Errorf("rank %d: %v", r, err)
 				return
 			}
@@ -247,59 +247,6 @@ func TestPushPullMeanOver(t *testing.T) {
 				t.Fatalf("rank %d elem %d = %v, want %v (bit-identical)", r, i, results[r][i], want[i])
 			}
 		}
-	}
-	// Guard rails: mismatched member slice and non-member root fail fast.
-	if err := PushPullMeanOver(eps[0], 0, []bool{true}, tensor.NewVector(dim), contrib(0)); err == nil {
-		t.Fatal("short members slice must fail")
-	}
-	if err := PushPullMeanOver(eps[0], 3, members, tensor.NewVector(dim), contrib(0)); err == nil {
-		t.Fatal("dead root must fail")
-	}
-}
-
-// TestRingAllReduceMeanOver: the re-stitched ring over a member subset must
-// average exactly the survivors' vectors.
-func TestRingAllReduceMeanOver(t *testing.T) {
-	const procs, dim = 4, 10
-	members := []bool{true, false, true, true} // rank 1 spliced out
-	eps := NewLoopbackEndpoints(procs)
-	mk := func(r int) tensor.Vector {
-		v := tensor.NewVector(dim)
-		for i := range v {
-			v[i] = float64(r+1) * float64(i+1)
-		}
-		return v
-	}
-	want := tensor.NewVector(dim)
-	tensor.Average(want, []tensor.Vector{mk(0), mk(2), mk(3)})
-
-	results := make([]tensor.Vector, procs)
-	var wg sync.WaitGroup
-	for r := 0; r < procs; r++ {
-		if !members[r] {
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			v := mk(r)
-			if err := RingAllReduceMeanOver(eps[r], members, v); err != nil {
-				t.Errorf("rank %d: %v", r, err)
-				return
-			}
-			results[r] = v
-		}(r)
-	}
-	wg.Wait()
-	for _, r := range []int{0, 2, 3} {
-		for i := range want {
-			if math.Abs(results[r][i]-want[i]) > 1e-12 {
-				t.Fatalf("rank %d elem %d = %v, want %v", r, i, results[r][i], want[i])
-			}
-		}
-	}
-	if err := RingAllReduceMeanOver(eps[1], members, mk(1)); err == nil {
-		t.Fatal("non-member caller must fail")
 	}
 }
 

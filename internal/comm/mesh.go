@@ -9,12 +9,14 @@ import (
 	"selsync/internal/tensor"
 )
 
-// Mesh is the multi-process Fabric: the cluster's synchronization rounds
-// executed as real frame exchanges over an Endpoint. Rank 0 plays the
-// parameter server for the collectives (gather, reduce in worker-id order
-// with the same tensor.Average kernel the loopback fabric uses, broadcast
-// the result), which keeps every reduction bit-identical to a
-// single-process run regardless of the process count.
+// Mesh is the Fabric: the cluster's synchronization rounds executed over an
+// Endpoint. Rank 0 plays the parameter server for the collectives (gather,
+// reduce in worker-id order with tensor.Average, deliver the result), which
+// keeps every reduction bit-identical regardless of the process count. With
+// one rank (NewLoopback) every contribution is a rank-0 local read, so the
+// rounds are direct shared-memory kernels and nothing is ever framed; with
+// more, the same code's remaining contributions and the result cross the
+// endpoint as frame exchanges.
 //
 // Global workers are block-distributed: with W workers over P processes
 // (P must divide W), rank r hosts workers [r·W/P, (r+1)·W/P).
@@ -24,25 +26,28 @@ type Mesh struct {
 	// timeout, a deadline-applying wrapper with one (SetOpTimeout). Sends
 	// always go straight to ep — write-side deadlines belong to the
 	// transport (TCPOptions.WriteTimeout).
-	rx      Endpoint
-	workers int
-	nlocal  int
-	locals  []int
-	stats   Stats
+	rx          Endpoint
+	rank, procs int
+	workers     int
+	nlocal      int
+	locals      []int
+	stats       Stats
 
+	// Reduce-round state (reduce.go). slots and recvBufs serve every round;
+	// whole is the single bucket of an unbucketed one. The codec engine and
+	// its dense staging vectors are sized on the first lossy round and
+	// untouched under the identity codec.
 	slots    []tensor.Vector
 	recvBufs map[int]tensor.Vector
-	scratch  []byte
-	ctl      []byte
-
-	// Codec path (codec_fabric.go): compression engine + dense buffers for
-	// the compressed collectives. Untouched unless a codec run installs
-	// them.
+	whole    [1][2]int
 	cs       codecState
-	meanBuf  tensor.Vector
 	downDec  tensor.Vector
 	deltaBuf tensor.Vector
-	encDec   tensor.Vector
+	stageBuf tensor.Vector
+
+	// scratch is the frame-encode buffer, ctl the control-payload one.
+	scratch []byte
+	ctl     []byte
 
 	// broken latches after the first transport failure: the SPMD ranks are
 	// misaligned, so Close skips the drain barrier (which would block on
@@ -107,7 +112,7 @@ func (m *Mesh) SetOpTimeout(d time.Duration) bool {
 }
 
 // NewMesh layers the fabric over an endpoint for the given global worker
-// count.
+// count. Only a mesh with peers gets wire buffers.
 func NewMesh(ep Endpoint, workers int) (*Mesh, error) {
 	procs := ep.Procs()
 	if workers <= 0 || procs <= 0 || workers%procs != 0 {
@@ -115,21 +120,26 @@ func NewMesh(ep Endpoint, workers int) (*Mesh, error) {
 	}
 	nlocal := workers / procs
 	m := &Mesh{
-		ep: ep, rx: ep, workers: workers, nlocal: nlocal,
+		ep: ep, rx: ep, rank: ep.Rank(), procs: procs,
+		workers: workers, nlocal: nlocal,
+		slots:    make([]tensor.Vector, 0, workers),
 		recvBufs: make(map[int]tensor.Vector),
-		scratch:  make([]byte, 0, ChunkElems*8),
-		ctl:      make([]byte, 0, 17),
 	}
-	for id := ep.Rank() * nlocal; id < (ep.Rank()+1)*nlocal; id++ {
+	if procs > 1 {
+		m.scratch = make([]byte, 0, ChunkElems*8)
+		m.ctl = make([]byte, 0, 17)
+	}
+	for id := m.rank * nlocal; id < (m.rank+1)*nlocal; id++ {
 		m.locals = append(m.locals, id)
 	}
 	return m, nil
 }
 
-// DialTCPMesh builds the TCP endpoint for rank over peers and layers the
-// worker fabric on it — the one-call backend constructor the CLIs use.
+// DialTCPMesh builds the TCP endpoint for rank over peers, with default
+// options, and layers the worker fabric on it — the one-call backend
+// constructor the CLIs use.
 func DialTCPMesh(rank int, peers []string, workers int) (*Mesh, error) {
-	ep, err := DialTCP(rank, peers)
+	ep, err := DialTCPOpts(rank, peers, DefaultTCPOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +155,10 @@ func DialTCPMesh(rank int, peers []string, workers int) (*Mesh, error) {
 func (m *Mesh) Endpoint() Endpoint { return m.ep }
 
 // Rank implements Fabric.
-func (m *Mesh) Rank() int { return m.ep.Rank() }
+func (m *Mesh) Rank() int { return m.rank }
 
 // Procs implements Fabric.
-func (m *Mesh) Procs() int { return m.ep.Procs() }
+func (m *Mesh) Procs() int { return m.procs }
 
 // Workers implements Fabric.
 func (m *Mesh) Workers() int { return m.workers }
@@ -421,77 +431,9 @@ func (m *Mesh) pushView() {
 	}
 }
 
-// ReduceMean implements Fabric. Contributions flow to rank 0, which
-// reduces them in ids order and broadcasts the mean; every rank returns
-// with bit-identical dst. Transport failures surface as typed *PeerError
-// values naming the peer and phase of the round.
-func (m *Mesh) ReduceMean(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
-	if m.Rank() == 0 {
-		m.slots = m.slots[:0]
-		for _, id := range ids {
-			owner := m.OwnerOf(id)
-			if owner == 0 {
-				m.slots = append(m.slots, view(id))
-				continue
-			}
-			if owner < 0 {
-				// Dead rank's worker, not yet adopted: the mean re-forms over
-				// the survivors' contributions.
-				continue
-			}
-			buf := m.recvBuf(id, len(dst))
-			if err := recvTensorEP(meshRx{m}, owner, id, buf); err != nil {
-				if m.elasticSkip(owner, err) {
-					continue
-				}
-				return m.fault("reduce gather", owner, err)
-			}
-			m.slots = append(m.slots, buf)
-		}
-		tensor.Average(dst, m.slots)
-		m.pushView()
-		for r := 1; r < m.Procs(); r++ {
-			if !m.RankAlive(r) {
-				continue
-			}
-			scratch, err := sendTensorEP(m.ep, r, -1, dst, m.scratch)
-			m.scratch = scratch
-			if err != nil {
-				if m.elasticSkip(r, err) {
-					continue
-				}
-				return m.fault("reduce broadcast", r, err)
-			}
-		}
-		return nil
-	}
-	for _, id := range ids {
-		if m.Hosts(id) {
-			scratch, err := sendTensorEP(m.ep, 0, id, view(id), m.scratch)
-			m.scratch = scratch
-			if err != nil {
-				return m.fault("reduce push", 0, err)
-			}
-		}
-	}
-	if err := recvTensorEP(meshRx{m}, 0, -1, dst); err != nil {
-		return m.fault("reduce pull", 0, err)
-	}
-	return nil
-}
-
-func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
-	if buf, ok := m.recvBufs[worker]; ok && len(buf) == dim {
-		return buf
-	}
-	buf := tensor.NewVector(dim)
-	m.recvBufs[worker] = buf
-	return buf
-}
-
 // FanOut implements Fabric: src is rank-identical by the fabric contract
-// (initial snapshot or ReduceMean result), so the pull round is a local
-// fan-out copy.
+// (initial snapshot or reduce result), so the pull round is a local fan-out
+// copy.
 func (m *Mesh) FanOut(dsts []tensor.Vector, src tensor.Vector) {
 	tensor.CopyAll(dsts, src)
 }
@@ -526,12 +468,12 @@ func (m *Mesh) AllGatherFlags(flags []bool) error {
 			}
 		}
 		m.pushView()
-		payload := packBits(m.scratch[:0], flags)
+		m.scratch = packBits(m.scratch[:0], flags)
 		for r := 1; r < m.Procs(); r++ {
 			if !m.RankAlive(r) {
 				continue
 			}
-			if err := m.ep.Send(r, &Frame{Type: MsgFlags, Worker: -1, Payload: payload}); err != nil {
+			if err := m.ep.Send(r, &Frame{Type: MsgFlags, Worker: -1, Payload: m.scratch}); err != nil {
 				if m.elasticSkip(r, err) {
 					continue
 				}
@@ -719,8 +661,11 @@ func (m *Mesh) RecvBlob(from int) ([]byte, error) {
 	}
 }
 
-// SendTensor implements PeerLink: chunked streaming of v tagged with a
-// worker id (-1 for untagged), reusing the mesh's encode scratch buffer.
+// SendTensor streams v to a peer in chunks, tagged with a worker id (-1 for
+// untagged), reusing the mesh's encode scratch buffer. With RecvTensorInto,
+// SendControl and RecvControl it is the point-to-point surface the SSP
+// coordinator drives (rank 0 runs the event loop, worker ranks serve
+// compute requests).
 func (m *Mesh) SendTensor(to, worker int, v tensor.Vector) error {
 	scratch, err := sendTensorEP(m.ep, to, worker, v, m.scratch)
 	m.scratch = scratch
@@ -730,9 +675,9 @@ func (m *Mesh) SendTensor(to, worker int, v tensor.Vector) error {
 	return nil
 }
 
-// RecvTensorInto implements PeerLink: reassembles a chunked tensor stream
-// from one peer into dst, validating worker tag (when non-negative),
-// chunk sequence and total size.
+// RecvTensorInto reassembles a chunked tensor stream from one peer into
+// dst, validating worker tag (when non-negative), chunk sequence and total
+// size.
 func (m *Mesh) RecvTensorInto(from, worker int, dst tensor.Vector) error {
 	if err := recvTensorEP(m.rx, from, worker, dst); err != nil {
 		return m.fault("recv tensor", from, err)
@@ -747,18 +692,7 @@ type CtlMsg struct {
 	A, B   float64
 }
 
-// PeerLink is the point-to-point surface of a multi-process fabric. The
-// SSP coordinator (rank 0 drives the event loop, worker ranks serve
-// compute requests) type-asserts a Fabric to it.
-type PeerLink interface {
-	OwnerOf(worker int) int
-	SendTensor(to, worker int, v tensor.Vector) error
-	RecvTensorInto(from, worker int, dst tensor.Vector) error
-	SendControl(to int, op uint8, worker int, a, b float64) error
-	RecvControl(from int) (CtlMsg, error)
-}
-
-// SendControl implements PeerLink.
+// SendControl sends one control message to a peer.
 func (m *Mesh) SendControl(to int, op uint8, worker int, a, b float64) error {
 	payload := append(m.ctl[:0], op)
 	payload = putScalar(payload, a)
@@ -769,7 +703,7 @@ func (m *Mesh) SendControl(to int, op uint8, worker int, a, b float64) error {
 	return nil
 }
 
-// RecvControl implements PeerLink.
+// RecvControl receives and decodes one control message from a peer.
 func (m *Mesh) RecvControl(from int) (CtlMsg, error) {
 	f, err := m.recvTyped(from, MsgControl)
 	if err != nil {
@@ -790,5 +724,3 @@ func (m *Mesh) RecvControl(from int) (CtlMsg, error) {
 }
 
 var _ Fabric = (*Mesh)(nil)
-var _ Fabric = (*Loopback)(nil)
-var _ PeerLink = (*Mesh)(nil)

@@ -1,0 +1,381 @@
+package comm
+
+import (
+	"fmt"
+
+	"selsync/internal/tensor"
+)
+
+// The reduce round — the one aggregation op a synchronizing step calls.
+// Every entry point (ReduceMean, ReduceMeanCodec, ReduceMeanCodecBuckets)
+// is the same gather → average → deliver loop: per id in ids order the
+// owning rank's contribution reaches rank 0, rank 0 folds them with
+// tensor.Average and sends the mean back. What varies is data, not code:
+//
+//   - the codec. Under the identity codec contributions go to the wire
+//     straight from the caller's view, the mean is written into dst and dst
+//     itself is broadcast — no staging copy anywhere. Under a lossy codec
+//     every message runs through the codec's encode→decode round trip on
+//     its producing rank, so the values averaged and the values applied are
+//     exactly the values the wire carried (or would carry, with one rank).
+//     That single invariant is what makes the round bit-identical across
+//     rank counts: one rank executes the identical float64 arithmetic
+//     without the sockets.
+//   - the buckets. They tile [0, dim) and are processed in descending index
+//     order on every rank — the order a backward pass produces layer
+//     gradients — and the optional wait hook blocks until the local
+//     contribution for a bucket is written. That is the comm/compute
+//     overlap entry point: while rank 0 still computes bucket b, its peers'
+//     frames for b queue in the endpoint inboxes, and while peers compute
+//     lower buckets, rank 0 reduces and re-broadcasts the ones already in
+//     flight. Descending order on every rank keeps the per-link frame
+//     sequences aligned without per-bucket headers. One bucket over the
+//     whole vector is the plain round.
+//   - the ledger. Parameter-server rounds write it, diagnostic reads do not.
+
+// validateReduceArgs checks the bucket tiling and ref/dst aliasing rules.
+func validateReduceArgs(dst, ref tensor.Vector, buckets [][2]int) error {
+	if ref != nil && len(ref) != len(dst) {
+		return fmt.Errorf("comm: codec reduce ref has %d elements, dst %d", len(ref), len(dst))
+	}
+	if ref != nil && &ref[0] == &dst[0] {
+		return fmt.Errorf("comm: codec reduce ref must not alias dst")
+	}
+	next := 0
+	for _, b := range buckets {
+		if b[0] != next || b[1] <= b[0] {
+			return fmt.Errorf("comm: codec buckets %v do not tile [0,%d)", buckets, len(dst))
+		}
+		next = b[1]
+	}
+	if next != len(dst) {
+		return fmt.Errorf("comm: codec buckets %v do not tile [0,%d)", buckets, len(dst))
+	}
+	return nil
+}
+
+// codecMsgSrc returns the message for one contribution window: the raw
+// values (gradient path) or the delta against ref written into delta
+// (parameter path).
+func codecMsgSrc(src, ref, delta tensor.Vector, lo, hi int) tensor.Vector {
+	s := src[lo:hi]
+	if ref == nil {
+		return s
+	}
+	d := delta[lo:hi]
+	for i := range d {
+		d[i] = s[i] - ref[lo+i]
+	}
+	return d
+}
+
+// applyCodecDown applies the decoded downlink window: dst = ref + delta
+// (parameter path — positions the codec left out stay exactly at ref) or
+// dst = decoded mean (gradient path).
+func applyCodecDown(dst, ref, dec tensor.Vector, lo, hi int) {
+	d := dst[lo:hi]
+	if ref == nil {
+		d.CopyFrom(dec[lo:hi])
+		return
+	}
+	for i := range d {
+		d[i] = ref[lo+i] + dec[lo+i]
+	}
+}
+
+// accountCodec writes the logical ledger for one parameter-server round:
+// pushes pushes of the summed uplink bucket bytes, one pull per global
+// worker of the downlink bytes. Rank-invariant by construction (pure
+// function of codec, buckets and round), so every rank's ledger matches;
+// under the identity codec with one bucket the sizes are TensorWireBytes.
+func (cs *codecState) accountCodec(st *Stats, pushes, workers int, buckets [][2]int, round uint64) {
+	var upB, downB int64
+	up, down := cs.codec.up(), cs.codec.down()
+	for _, b := range buckets {
+		n := b[1] - b[0]
+		upB += up.wireBytes(n, round)
+		downB += down.wireBytes(n, round)
+	}
+	st.Pushes += pushes
+	st.Bytes.Recv += int64(pushes) * upB
+	st.Pulls += workers
+	st.Bytes.Sent += int64(workers) * downB
+}
+
+// SetCodec implements Fabric: installs the codec and verifies every rank
+// negotiated the same one (fingerprints through rank 0; with one rank there
+// is nobody to ask). This is where elastic membership and payload codecs
+// exclude each other — error-feedback residuals cannot survive adoption
+// handoffs.
+func (m *Mesh) SetCodec(c Codec) error {
+	if m.Elastic() {
+		return fmt.Errorf("comm: payload codec %q requires static membership (elastic mesh)", c)
+	}
+	m.cs.codec = c
+	if m.procs == 1 {
+		return nil
+	}
+	fp := float64(c.Fingerprint())
+	if m.rank == 0 {
+		// Gather every rank's fingerprint, then always ack with rank 0's own
+		// before reporting a mismatch — a silent error here would leave the
+		// peers blocked in their ack wait.
+		var mismatch error
+		for r := 1; r < m.procs; r++ {
+			cm, err := m.RecvControl(r)
+			if err != nil {
+				return err
+			}
+			if cm.Op != ctlCodec {
+				return fmt.Errorf("comm: codec negotiation: unexpected control op %d from rank %d", cm.Op, r)
+			}
+			if cm.A != fp && mismatch == nil {
+				mismatch = fmt.Errorf("comm: codec mismatch: rank %d negotiates fingerprint %.0f, rank 0 runs %q", r, cm.A, c)
+			}
+		}
+		for r := 1; r < m.procs; r++ {
+			if err := m.SendControl(r, ctlCodecAck, -1, fp, 0); err != nil {
+				return err
+			}
+		}
+		return mismatch
+	}
+	if err := m.SendControl(0, ctlCodec, -1, fp, 0); err != nil {
+		return err
+	}
+	cm, err := m.RecvControl(0)
+	if err != nil {
+		return err
+	}
+	if cm.Op != ctlCodecAck || cm.A != fp {
+		return fmt.Errorf("comm: codec mismatch: rank 0 acked fingerprint %.0f, rank %d runs %q", cm.A, m.rank, c)
+	}
+	return nil
+}
+
+// Codec implements Fabric.
+func (m *Mesh) Codec() Codec { return m.cs.codec }
+
+// CodecSnapshot implements Fabric.
+func (m *Mesh) CodecSnapshot() *CodecSnapshot { return m.cs.snapshot() }
+
+// RestoreCodecSnapshot implements Fabric.
+func (m *Mesh) RestoreCodecSnapshot(s *CodecSnapshot) error { return m.cs.restore(s) }
+
+// CodecPackedWire returns the actual encoded bytes of the lossy-codec
+// messages this rank has produced, in ledger orientation (uplink → recv,
+// downlink fan-out → sent). For the bit-packed top-k stream this is the
+// data-dependent packed footprint; for every other lossy codec it equals
+// the logical ledger. Complete on a one-rank fabric, which encodes every
+// message of every round itself; across ranks the per-socket truth lives
+// in NetStats.
+func (m *Mesh) CodecPackedWire() (recv, sent int64) {
+	return m.cs.packedRecv, m.cs.packedSent
+}
+
+// ReduceMean implements Fabric.
+func (m *Mesh) ReduceMean(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
+	return m.reduce(dst, nil, ids, view, nil, nil, false)
+}
+
+// ReduceMeanCodec implements Fabric.
+func (m *Mesh) ReduceMeanCodec(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
+	return m.reduce(dst, ref, ids, view, nil, nil, true)
+}
+
+// ReduceMeanCodecBuckets implements Fabric.
+func (m *Mesh) ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
+	return m.reduce(dst, ref, ids, view, buckets, wait, true)
+}
+
+// ensureCodecBufs sizes the dense staging a lossy codec needs: the decoded
+// downlink, the delta scratch, and stageBuf — the pre-compression mean on
+// rank 0, the local reconstruction of an outgoing message elsewhere.
+func (m *Mesh) ensureCodecBufs(dim int) {
+	if len(m.downDec) == dim {
+		return
+	}
+	m.downDec = tensor.NewVector(dim)
+	m.deltaBuf = tensor.NewVector(dim)
+	m.stageBuf = tensor.NewVector(dim)
+}
+
+// recvBuf returns rank 0's dim-element staging vector for worker's
+// contribution: the receive target of a remote worker, the decode target
+// of a hosted one under a lossy codec.
+func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
+	if buf, ok := m.recvBufs[worker]; ok && len(buf) == dim {
+		return buf
+	}
+	buf := tensor.NewVector(dim)
+	m.recvBufs[worker] = buf
+	return buf
+}
+
+// encode runs one window of a hosted worker's contribution through the
+// uplink profile: dec receives exactly what the wire carries, m.cs.msg its
+// compact form for sendMsg.
+func (m *Mesh) encode(up profile, id int, src, ref tensor.Vector, lo, hi int, dec tensor.Vector, round uint64) {
+	msg := codecMsgSrc(src, ref, m.deltaBuf, lo, hi)
+	m.cs.roundTrip(up, msg, m.cs.residFor(id, len(src))[lo:hi], dec, round, &m.cs.msg)
+	m.cs.packedRecv += encodedWireBytes(&m.cs.msg)
+}
+
+// sendMsg streams one message to a peer: v itself under the identity
+// profile (zero-copy where the memory layout is the wire layout), else the
+// compact message the last roundTrip produced.
+func (m *Mesh) sendMsg(to, worker int, p profile, v tensor.Vector) error {
+	var err error
+	if p.kind == CodecNone {
+		m.scratch, err = sendTensorEP(m.ep, to, worker, v, m.scratch)
+	} else {
+		m.scratch, err = sendCompressedEP(m.ep, to, worker, &m.cs.msg, m.scratch)
+	}
+	return err
+}
+
+// recvMsg reassembles one message from a peer into dst (dense).
+func (m *Mesh) recvMsg(from, worker int, p profile, dst tensor.Vector) error {
+	if p.kind == CodecNone {
+		return recvTensorEP(meshRx{m}, from, worker, dst)
+	}
+	return recvCompressedEP(meshRx{m}, from, worker, p, dst)
+}
+
+// reduce is the round itself (see the comment at the top of the file).
+// buckets nil means one bucket over the whole vector; ps marks
+// parameter-server traffic, which runs through the installed codec and
+// writes the ledger, while a diagnostic read (ps false) is always dense and
+// leaves no trace. Transport failures surface as typed *PeerError values
+// naming the peer and phase of the round; on an elastic mesh a failed peer
+// is instead promoted to dead and the mean re-forms over the survivors.
+func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int), ps bool) error {
+	var codec Codec
+	if ps {
+		codec = m.cs.codec
+	}
+	dense := codec.Nop()
+	// SetCodec refuses an elastic mesh; this catches the mesh that turned
+	// elastic afterwards, and the bucketed round under any codec: its caller
+	// sized wait over the workers it hosted at the start, so an adopted
+	// replica's gradients would be read while still being written.
+	if m.Elastic() && (!dense || buckets != nil) {
+		return fmt.Errorf("comm: payload codecs and bucketed rounds require static membership (elastic mesh, codec %q)", codec)
+	}
+	if buckets == nil {
+		m.whole[0] = [2]int{0, len(dst)}
+		buckets = m.whole[:]
+	}
+	if err := validateReduceArgs(dst, ref, buckets); err != nil {
+		return err
+	}
+	dim := len(dst)
+	if !dense {
+		if err := m.cs.applyRestored(dim); err != nil {
+			return err
+		}
+		m.ensureCodecBufs(dim)
+	}
+	up, down := codec.up(), codec.down()
+	round := m.cs.round
+
+	if m.rank == 0 {
+		for b := len(buckets) - 1; b >= 0; b-- {
+			if wait != nil {
+				wait(b)
+			}
+			lo, hi := buckets[b][0], buckets[b][1]
+			m.slots = m.slots[:0]
+			for _, id := range ids {
+				owner := m.OwnerOf(id)
+				if owner < 0 {
+					// Dead rank's worker, not yet adopted: the mean re-forms
+					// over the survivors' contributions.
+					continue
+				}
+				var slot tensor.Vector
+				switch {
+				case owner == 0 && dense:
+					slot = view(id)[lo:hi]
+				case owner == 0:
+					slot = m.recvBuf(id, dim)[lo:hi]
+					m.encode(up, id, view(id), ref, lo, hi, slot, round)
+				default:
+					slot = m.recvBuf(id, dim)[lo:hi]
+					if err := m.recvMsg(owner, id, up, slot); err != nil {
+						if m.elasticSkip(owner, err) {
+							continue
+						}
+						return m.fault("reduce gather", owner, err)
+					}
+				}
+				m.slots = append(m.slots, slot)
+			}
+			// Identity: the mean lands in dst and dst is what goes out. Lossy:
+			// the mean is compressed with the downlink error feedback and
+			// every rank, this one included, applies its reconstruction.
+			out := dst[lo:hi]
+			if !dense {
+				out = m.stageBuf[lo:hi]
+			}
+			tensor.Average(out, m.slots)
+			if !dense {
+				m.cs.roundTrip(down, out, m.cs.downResid(dim)[lo:hi], m.downDec[lo:hi], round, &m.cs.msg)
+				m.cs.packedSent += int64(m.workers) * encodedWireBytes(&m.cs.msg)
+			}
+			m.pushView()
+			for r := 1; r < m.procs; r++ {
+				if !m.RankAlive(r) {
+					continue
+				}
+				if err := m.sendMsg(r, -1, down, out); err != nil {
+					if m.elasticSkip(r, err) {
+						continue
+					}
+					return m.fault("reduce broadcast", r, err)
+				}
+			}
+			if !dense {
+				applyCodecDown(dst, ref, m.downDec, lo, hi)
+			}
+		}
+	} else {
+		for b := len(buckets) - 1; b >= 0; b-- {
+			if wait != nil {
+				wait(b)
+			}
+			lo, hi := buckets[b][0], buckets[b][1]
+			for _, id := range ids {
+				if !m.Hosts(id) {
+					continue
+				}
+				out := view(id)[lo:hi]
+				if !dense {
+					out = m.stageBuf[lo:hi]
+					m.encode(up, id, view(id), ref, lo, hi, out, round)
+				}
+				if err := m.sendMsg(0, id, up, out); err != nil {
+					return m.fault("reduce push", 0, err)
+				}
+			}
+		}
+		for b := len(buckets) - 1; b >= 0; b-- {
+			lo, hi := buckets[b][0], buckets[b][1]
+			in := dst[lo:hi]
+			if !dense {
+				in = m.downDec[lo:hi]
+			}
+			if err := m.recvMsg(0, -1, down, in); err != nil {
+				return m.fault("reduce pull", 0, err)
+			}
+			if !dense {
+				applyCodecDown(dst, ref, m.downDec, lo, hi)
+			}
+		}
+	}
+	if ps {
+		m.cs.round++
+		m.cs.accountCodec(&m.stats, len(ids), m.workers, buckets, round)
+	}
+	return nil
+}

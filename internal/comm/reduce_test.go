@@ -1,0 +1,147 @@
+package comm
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"selsync/internal/tensor"
+)
+
+// TestReduceEntryPointsAgreeUnderIdentity: one pipeline, three doors. Over
+// 1, 2 and 4 ranks the three Reduce* entry points under the identity codec
+// leave identical dst bits on every rank — the plain tensor.Average fold —
+// and the two ledger-writing ones leave exactly the AccountPush/AccountPull
+// numbers the dense round leaves. The three buckets are cut at chunk
+// boundaries, so their framing sums to the whole vector's.
+func TestReduceEntryPointsAgreeUnderIdentity(t *testing.T) {
+	const workers, dim = 4, 3 * ChunkElems
+	fx := newReduceFixture(workers, dim, 23)
+	want := tensor.NewVector(dim)
+	tensor.Average(want, fx.vecs)
+	buckets := [][2]int{{0, ChunkElems}, {ChunkElems, 2 * ChunkElems}, {2 * ChunkElems, dim}}
+
+	ledger := NewLoopback(workers)
+	ledger.AccountPush(workers, dim)
+	ledger.AccountPull(workers, dim)
+
+	for _, tc := range []struct {
+		name   string
+		ledger Stats
+		run    func(m *Mesh, dst tensor.Vector) error
+	}{
+		{"ReduceMean", Stats{}, func(m *Mesh, dst tensor.Vector) error {
+			return m.ReduceMean(dst, fx.ids, fx.view)
+		}},
+		{"ReduceMeanCodec", *ledger.Stats(), func(m *Mesh, dst tensor.Vector) error {
+			return m.ReduceMeanCodec(dst, nil, fx.ids, fx.view)
+		}},
+		{"ReduceMeanCodecBuckets", *ledger.Stats(), func(m *Mesh, dst tensor.Vector) error {
+			return m.ReduceMeanCodecBuckets(dst, nil, fx.ids, fx.view, buckets, nil)
+		}},
+	} {
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				eps := NewLoopbackEndpoints(procs)
+				defer closeAll(eps)
+				ms := meshes(t, eps, workers)
+				results := make([]tensor.Vector, procs)
+				parallelRanks(t, eps, func(ep Endpoint) error {
+					results[ep.Rank()] = tensor.NewVector(dim)
+					return tc.run(ms[ep.Rank()], results[ep.Rank()])
+				})
+				for r, got := range results {
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("rank %d: element %d = %v, flat average %v", r, i, got[i], want[i])
+						}
+					}
+					if *ms[r].Stats() != tc.ledger {
+						t.Fatalf("rank %d ledger %+v, want %+v", r, *ms[r].Stats(), tc.ledger)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBucketedRoundRefusesElasticMesh: a mesh that turned elastic after
+// SetCodec — identity codec, so SetCodec had nothing to refuse — still runs
+// the plain parameter-server round over whoever is alive, but refuses the
+// bucketed one on every rank before a frame moves, one bucket or many, with
+// or without a wait hook.
+func TestBucketedRoundRefusesElasticMesh(t *testing.T) {
+	const workers, procs, dim = 4, 2, 2 * ChunkElems
+	fx := newReduceFixture(workers, dim, 31)
+	eps := NewLoopbackEndpoints(procs)
+	defer closeAll(eps)
+	ms := meshes(t, eps, workers)
+	parallelRanks(t, eps, func(ep Endpoint) error {
+		m := ms[ep.Rank()]
+		if err := m.SetCodec(Codec{}); err != nil {
+			return err
+		}
+		m.EnableElastic(0)
+		dst := tensor.NewVector(dim)
+		if err := m.ReduceMeanCodec(dst, nil, fx.ids, fx.view); err != nil {
+			return fmt.Errorf("plain identity round on an elastic mesh: %w", err)
+		}
+		for _, buckets := range [][][2]int{{{0, dim}}, {{0, ChunkElems}, {ChunkElems, dim}}} {
+			for _, wait := range []func(int){nil, func(int) {}} {
+				if err := m.ReduceMeanCodecBuckets(dst, nil, fx.ids, fx.view, buckets, wait); err == nil {
+					return fmt.Errorf("%d-bucket round (wait %v) ran on an elastic mesh", len(buckets), wait != nil)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// TestLoopbackIsAOneRankMesh pins what NewLoopback hands out: a mesh that
+// runs a whole sync round without framing anything, owns no wire buffers,
+// and still polices its arguments like any mesh.
+func TestLoopbackIsAOneRankMesh(t *testing.T) {
+	const workers, dim = 4, ChunkElems + 100
+	fx := newReduceFixture(workers, dim, 29)
+	var lb Fabric = NewLoopback(workers)
+	defer lb.Close()
+	if lb.Rank() != 0 || lb.Procs() != 1 || len(lb.LocalWorkers()) != workers || !lb.Hosts(workers-1) || lb.Hosts(workers) {
+		t.Fatalf("one-rank layout wrong: rank %d of %d hosting %v", lb.Rank(), lb.Procs(), lb.LocalWorkers())
+	}
+
+	flags := make([]bool, workers)
+	flags[2] = true
+	dst := tensor.NewVector(dim)
+	if err := lb.AllGatherFlags(flags); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.ReduceMeanCodec(dst, nil, fx.ids, fx.view); err != nil {
+		t.Fatal(err)
+	}
+	lb.FanOut([]tensor.Vector{tensor.NewVector(dim)}, dst)
+	if x, err := lb.MaxFloat(2.5); err != nil || x != 2.5 {
+		t.Fatalf("MaxFloat = %v, %v", x, err)
+	}
+	if !flags[2] || flags[0] {
+		t.Fatalf("flags disturbed: %v", flags)
+	}
+
+	m := lb.(*Mesh)
+	ns := m.Endpoint().NetStats()
+	if ns.FramesSent != 0 || ns.FramesRecv != 0 || ns.BytesSent != 0 || ns.BytesRecv != 0 || ns.Redials != 0 || ns.Timeouts != 0 {
+		t.Fatalf("a one-rank sync round touched the transport: %+v", ns)
+	}
+	if cap(m.scratch) >= ChunkElems*8 {
+		t.Fatalf("one-rank mesh holds a %d-byte wire scratch", cap(m.scratch))
+	}
+	if ch := m.ep.(*chanEndpoint).inbox[0]; ch != nil {
+		t.Fatalf("one-rank endpoint holds a %d-slot self inbox", cap(ch))
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a mis-sized flags slice must panic on a one-rank mesh too")
+		}
+	}()
+	lb.AllGatherFlags(make([]bool, workers+1))
+}

@@ -58,10 +58,6 @@ type TCPOptions struct {
 	// own redial — before reporting ErrPeerDown.
 	ReconnectWait time.Duration
 
-	// OpTimeout is forwarded to Mesh.SetOpTimeout by DialTCPMeshOpts: the
-	// per-collective-receive deadline. 0 leaves collective waits unbounded.
-	OpTimeout time.Duration
-
 	// Seed drives the retry-jitter stream (deterministic per rank when
 	// set; rank-derived otherwise).
 	Seed uint64
@@ -221,14 +217,9 @@ func (p *peerIn) state() (failed, rearmed chan struct{}, err error) {
 	return p.failed, p.rearmed, p.err
 }
 
-// DialTCP builds the full-mesh endpoint for rank over the peer addresses
-// (peers[rank] is this rank's listen address) with default options. It
-// blocks until every pair connection is established.
-func DialTCP(rank int, peers []string) (*TCPEndpoint, error) {
-	return DialTCPOpts(rank, peers, DefaultTCPOptions())
-}
-
-// DialTCPOpts is DialTCP under explicit options. Binding retries for the
+// DialTCPOpts builds the full-mesh endpoint for rank over the peer
+// addresses (peers[rank] is this rank's listen address). It blocks until
+// every pair connection is established. Binding retries for the
 // BindRetry window: launchers that reserve ports by bind-and-release
 // (selsync-node -launch) hand the address over with a small window in
 // which the old socket may still be draining.
@@ -253,14 +244,9 @@ func DialTCPOpts(rank int, peers []string, opts TCPOptions) (*TCPEndpoint, error
 	return DialTCPWithListenerOpts(rank, peers, ln, opts)
 }
 
-// DialTCPWithListener is DialTCP over a caller-provided listener — tests
-// reserve ports race-free by listening on 127.0.0.1:0 first and building
-// the peers list from the bound addresses.
-func DialTCPWithListener(rank int, peers []string, ln net.Listener) (*TCPEndpoint, error) {
-	return DialTCPWithListenerOpts(rank, peers, ln, DefaultTCPOptions())
-}
-
-// DialTCPWithListenerOpts is DialTCPWithListener under explicit options.
+// DialTCPWithListenerOpts is DialTCPOpts over a caller-provided listener —
+// tests and the benchmark reserve ports race-free by listening on
+// 127.0.0.1:0 first and building the peers list from the bound addresses.
 func DialTCPWithListenerOpts(rank int, peers []string, ln net.Listener, opts TCPOptions) (*TCPEndpoint, error) {
 	opts = opts.normalize()
 	procs := len(peers)

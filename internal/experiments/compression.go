@@ -20,11 +20,12 @@ import (
 // the dense fast path: the last column checks its digest (and the
 // overlapped run's) against the plain BSP run.
 //
-// The packed(MB) column reports the bytes the codec frames actually
-// occupy on the wire (Loopback.CodecPackedWire): for top-k the sorted
-// index stream is delta+varint bit-packed, so the packed bytes undercut
-// the ledger's canonical 12-bytes-per-entry charge — "extra" is that
-// additional reduction. For the other codecs packed equals the ledger.
+// The packed(MB) column reports the bytes the lossy codecs' frames actually
+// occupy on the wire (Mesh.CodecPackedWire, complete on the one-rank
+// fabric): for top-k the sorted index stream is delta+varint bit-packed, so
+// the packed bytes undercut the ledger's canonical 12-bytes-per-entry
+// charge — "extra" is that additional reduction. For the other lossy codecs
+// packed equals the ledger; the identity rows encode nothing.
 func Compression(scale Scale, w io.Writer) *Table {
 	p := ParamsFor(scale)
 	t := &Table{

@@ -21,13 +21,6 @@ func (a *Arena) Dim() int { return len(a.Data) }
 // ZeroGrad clears every gradient accumulator in one pass.
 func (a *Arena) ZeroGrad() { a.Grad.Zero() }
 
-// ArenaBacked is implemented by networks whose parameters live in one
-// contiguous Arena. The cluster and optimizer fast paths type-assert for
-// it and fall back to the per-Param copy loops when absent.
-type ArenaBacked interface {
-	Arena() *Arena
-}
-
 // BindArena re-homes every parameter and gradient in ps into two freshly
 // allocated contiguous buffers, preserving current values, and returns the
 // arena. Each Param's Data/Grad is re-sliced to a window of the arena, so

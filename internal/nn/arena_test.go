@@ -65,8 +65,7 @@ func TestArenaViewRejectsReordered(t *testing.T) {
 func TestFeedForwardNetIsArenaBacked(t *testing.T) {
 	for _, name := range ZooNames() {
 		net := Zoo()[name].New(1)
-		var ab ArenaBacked = net
-		a := ab.Arena()
+		a := net.Arena()
 		if a == nil || a.Dim() != ParamCount(net.Params()) {
 			t.Fatalf("%s: bad arena", name)
 		}

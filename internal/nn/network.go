@@ -164,7 +164,8 @@ func (f *FeedForwardNet) LayerSpans() []int { return f.layerOffs }
 // Params returns the cached parameter list.
 func (f *FeedForwardNet) Params() []*Param { return f.params }
 
-// Arena returns the contiguous parameter/gradient arena (ArenaBacked).
+// Arena returns the contiguous parameter/gradient arena every network
+// built by this package keeps its parameters in.
 func (f *FeedForwardNet) Arena() *Arena { return f.arena }
 
 // Spec returns the model descriptor.

@@ -407,7 +407,7 @@ func restoreCheckpoint(r *runner, policy SyncPolicy, ck *Checkpoint) (int, error
 		if err := r.cl.RestoreCodecSnapshot(ck.Codec); err != nil {
 			return 0, err
 		}
-	} else if r.cl.CodecActive() && !r.cl.Codec().Nop() {
+	} else if !r.cl.Codec().Nop() {
 		return 0, fmt.Errorf("train: config uses codec %q but the checkpoint carries no codec state", r.cl.Codec())
 	}
 	if ck.Partial == nil {

@@ -9,6 +9,7 @@ import (
 
 	"selsync/internal/cluster"
 	"selsync/internal/comm"
+	"selsync/internal/comm/commtest"
 )
 
 // codecCfg is smallConfig shortened for codec runs, with the payload codec
@@ -24,31 +25,51 @@ func codecCfg(seed uint64, codec string, overlap bool) func() Config {
 	}
 }
 
-// TestCodecNoneBitIdenticalToDense: "-codec none" must never change a run.
-// The codec path is not even constructed (the config stays on the dense
-// fast path), so the Result digests match bit for bit — with and without
-// comm/compute overlap, whose bucketed collective averages the same spans
-// in the same order.
+// TestCodecNoneBitIdenticalToDense: "-codec none" and "-overlap" alone must
+// never change a run, on the gradient path and on the parameter path. There
+// is one reduce pipeline: under the identity codec it averages the values
+// themselves — whole, or bucket by bucket, which is the same spans in the
+// same order — whether or not the ranks negotiated a codec first, so the
+// Result digests match bit for bit for every policy.
 func TestCodecNoneBitIdenticalToDense(t *testing.T) {
-	dense := RunBSP(codecCfg(31, "", false)())
-	for _, tc := range []struct {
-		name    string
-		codec   string
-		overlap bool
+	for _, pol := range []struct {
+		name string
+		run  func(Config) *Result
 	}{
-		{"explicit-none", "none", false},
-		{"overlap", "", true},
-		{"none-overlap", "none", true},
+		{"bsp", RunBSP},
+		{"selsync-paramagg", func(cfg Config) *Result {
+			return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+		}},
+		{"selsync-gradagg", func(cfg Config) *Result {
+			return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.GradAgg})
+		}},
+		{"fedavg", func(cfg Config) *Result {
+			return RunFedAvg(cfg, FedAvgOptions{C: 0.5, E: 0.25})
+		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := RunBSP(codecCfg(31, tc.codec, tc.overlap)())
-			if !reflect.DeepEqual(got, dense) {
-				t.Fatalf("Result diverged from dense run:\n got: %+v\nwant: %+v", got, dense)
-			}
-			if got.Digest() != dense.Digest() {
-				t.Fatal("digests disagree despite DeepEqual — digest bug")
-			}
-		})
+		dense := pol.run(codecCfg(31, "", false)())
+		if dense.SyncSteps == 0 {
+			t.Fatalf("%s: the dense run never synchronized — nothing to compare", pol.name)
+		}
+		for _, tc := range []struct {
+			name    string
+			codec   string
+			overlap bool
+		}{
+			{"explicit-none", "none", false},
+			{"overlap", "", true},
+			{"none-overlap", "none", true},
+		} {
+			t.Run(pol.name+"/"+tc.name, func(t *testing.T) {
+				got := pol.run(codecCfg(31, tc.codec, tc.overlap)())
+				if !reflect.DeepEqual(got, dense) {
+					t.Fatalf("Result diverged from dense run:\n got: %+v\nwant: %+v", got, dense)
+				}
+				if got.Digest() != dense.Digest() {
+					t.Fatal("digests disagree despite DeepEqual — digest bug")
+				}
+			})
+		}
 	}
 }
 
@@ -227,6 +248,40 @@ func TestCodecConfigValidation(t *testing.T) {
 	overlapMemb.Membership = "leave=1@8;join=1@16"
 	if err := overlapMemb.Validate(); err == nil {
 		t.Fatal("Validate accepted overlap + elastic membership")
+	}
+}
+
+// TestQuorumElasticRejectsCodecAndOverlap: Config.Quorum makes a multi-rank
+// run elastic without a membership plan, after the codec was negotiated.
+// Every rank must refuse at construction — also for a policy that never
+// reaches a bucketed round — instead of training into an adoption the
+// overlap watermarks and error-feedback residuals cannot follow.
+func TestQuorumElasticRejectsCodecAndOverlap(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		codec   string
+		overlap bool
+		policy  SyncPolicy
+	}{
+		{"overlap-bsp", "", true, BSPPolicy{}},
+		{"overlap-selsync", "", true, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}},
+		{"codec", "q8", false, BSPPolicy{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs, _ := commtest.RunRanksOpts(t, 2, 4, commtest.Options{Loopback: true},
+				func(rank int, fabric comm.Fabric) error {
+					cfg := codecCfg(41, tc.codec, tc.overlap)()
+					cfg.Quorum = 2
+					cfg.Fabric = fabric
+					_, err := NewJob(cfg, tc.policy).Run(context.Background())
+					return err
+				})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "static membership") {
+					t.Fatalf("rank %d: error = %v, want the static-membership refusal", r, err)
+				}
+			}
+		})
 	}
 }
 

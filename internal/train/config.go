@@ -52,10 +52,11 @@ type Config struct {
 	// cluster.Ring, the paper's §III-E allreduce swap.
 	Topology cluster.Topology
 	// Fabric is the communication backend synchronization executes
-	// through. Nil selects the in-process loopback (all workers in this
-	// process). A comm.Mesh fabric runs the same algorithm across OS
-	// processes: every rank executes the run over its hosted worker block,
-	// exchanging parameters, gradients and SelSync flags over the wire.
+	// through. Nil selects the in-process loopback (a one-rank comm.Mesh:
+	// all workers in this process). A mesh with more ranks runs the same
+	// algorithm across OS processes: every rank executes the run over its
+	// hosted worker block, exchanging parameters, gradients and SelSync
+	// flags over the wire.
 	// The fabric's global worker count must equal Workers, and every rank
 	// must use identical Config values — determinism then makes the ranks'
 	// Results bit-identical to a loopback run, with two exceptions: the
@@ -65,13 +66,13 @@ type Config struct {
 	Fabric comm.Fabric
 
 	// Codec selects the wire payload codec for synchronization rounds,
-	// in the comm.ParseCodec grammar: "none" (default — the dense path,
+	// in the comm.ParseCodec grammar: "none" (default — dense rounds,
 	// bit-identical to every prior release), "topk:<frac>" (top-k
 	// sparsification with error feedback), "q8" / "q16" (linear
 	// quantization with error feedback), "partial:<up>[,<down>]"
 	// (selective partial-parameter sharing). Mutually exclusive with
-	// Membership: error-feedback residuals cannot survive adoption
-	// handoffs.
+	// elastic membership (Membership, or Quorum on a multi-rank fabric):
+	// error-feedback residuals cannot survive adoption handoffs.
 	Codec string
 	// Overlap buckets the flat gradient into layer-aligned chunks and
 	// launches each bucket's collective as the backward pass finishes
@@ -79,7 +80,8 @@ type Config struct {
 	// policy pre-commits to gradient aggregation (Preschedulable — BSP);
 	// other steps fall back to the sequential path. Arithmetic is
 	// bit-identical to the unoverlapped run. Mutually exclusive with
-	// Membership.
+	// elastic membership, like Codec: the per-worker watermarks are laid
+	// out once, over the replicas hosted at the start.
 	Overlap bool
 
 	// Membership scripts planned elastic-membership transitions (the

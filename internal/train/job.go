@@ -218,7 +218,7 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 			j.finish(r, 0, nil)
 			return nil, fmt.Errorf("train: %s replaces the step loop and cannot run under elastic membership", j.policy.Name())
 		}
-		if j.cfg.Overlap || r.cl.CodecActive() {
+		if j.cfg.Overlap || !r.cl.Codec().Nop() {
 			r.cl.Close()
 			j.finish(r, 0, nil)
 			return nil, fmt.Errorf("train: %s replaces the step loop and supports neither payload codecs nor comm/compute overlap", j.policy.Name())

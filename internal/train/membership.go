@@ -149,7 +149,7 @@ func ParseMembershipPlan(s string) (*MembershipPlan, error) {
 // membership — every hot path is gated on that nil.
 type membState struct {
 	plan   *MembershipPlan
-	mesh   *comm.Mesh // nil on loopback
+	mesh   *comm.Mesh // nil in a single process, which simulates the ranks
 	procs  int
 	nlocal int
 	quorum int
@@ -166,9 +166,11 @@ func newMembState(cfg Config, cl *cluster.Cluster) *membState {
 	if err != nil {
 		panic(err)
 	}
+	// A one-rank fabric is a mesh too, but it has no peers to lose: the
+	// single-process run mirrors the plan's rank layout arithmetically.
 	var mesh *comm.Mesh
-	if cfg.Fabric != nil {
-		mesh, _ = cfg.Fabric.(*comm.Mesh)
+	if cl.Procs() > 1 {
+		mesh, _ = cl.Fabric().(*comm.Mesh)
 	}
 	planned := plan != nil && len(plan.Events) > 0
 	if mesh == nil {
@@ -214,6 +216,11 @@ func newMembState(cfg Config, cl *cluster.Cluster) *membState {
 		m.alive[i] = true
 	}
 	if mesh != nil {
+		// Validate refuses a plan next to a codec or overlap; Config.Quorum
+		// or an already-elastic fabric makes a run elastic without one.
+		if cfg.Overlap || !cl.Codec().Nop() {
+			panic("train: payload codecs and overlap require static membership (the run is elastic: Config.Quorum or an elastic fabric)")
+		}
 		mesh.EnableElastic(quorum)
 		m.quorum = mesh.Quorum()
 	}

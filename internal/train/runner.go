@@ -1,7 +1,6 @@
 package train
 
 import (
-	"fmt"
 	"math"
 
 	"selsync/internal/cluster"
@@ -43,10 +42,9 @@ type runner struct {
 	injCursors []int
 	injRNG     *tensor.RNG
 
-	evalNet   nn.Network
-	evalArena *nn.Arena // evalNet's arena when arena-backed (every zoo model)
-	evalFlat  tensor.Vector
-	gradFlat  tensor.Vector
+	evalNet  *nn.FeedForwardNet
+	evalFlat tensor.Vector
+	gradFlat tensor.Vector
 	// Per-worker batch buffers reused across steps (workers touch only
 	// their own slot, so computeGrads stays race-free). batches holds the
 	// per-step dataset indices, backed by batchIdx's per-worker buffers;
@@ -117,16 +115,9 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 	if cfg.Train == nil || cfg.Test == nil {
 		panic("train: Config.Train and Config.Test are required")
 	}
-	if cfg.Fabric != nil && cfg.Fabric.Workers() != cfg.Workers {
-		panic(fmt.Sprintf("train: Config.Workers=%d but the fabric carries %d workers",
-			cfg.Workers, cfg.Fabric.Workers()))
-	}
 	codec, err := comm.ParseCodec(cfg.Codec)
 	if err != nil {
 		panic(err)
-	}
-	if cfg.Membership != "" && (!codec.Nop() || cfg.Overlap) {
-		panic("train: payload codecs and overlap require static membership")
 	}
 	cl := cluster.New(cluster.Config{
 		Workers:       cfg.Workers,
@@ -141,8 +132,15 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		Topology:      cfg.Topology,
 		Fabric:        cfg.Fabric,
 		Codec:         codec,
-		Overlap:       cfg.Overlap,
 	})
+	// The structural refusals below (injection, membership) must not leak
+	// the cluster's worker pool.
+	defer func() {
+		if p := recover(); p != nil {
+			cl.Close()
+			panic(p)
+		}
+	}()
 	r := &runner{
 		cfg:  cfg,
 		cl:   cl,
@@ -162,9 +160,6 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		losses:   make([]float64, cfg.Workers),
 	}
 	r.clock = r.defaultClock
-	if ab, ok := r.evalNet.(nn.ArenaBacked); ok {
-		r.evalArena = ab.Arena()
-	}
 	if cfg.TrackDeltas && r.cl.LocalWorker(0) != nil {
 		// Same smoothing as the workers' voting trackers, but a private
 		// instance — see the field comment.
@@ -299,8 +294,8 @@ func (r *runner) defaultClock() float64 {
 
 // meanParams writes the across-replica mean parameter vector into
 // r.evalFlat and returns it. The reduction runs through the cluster's
-// fabric (a zero-copy pointer walk plus tensor.Average on loopback, a
-// gather on a mesh) and is bit-identical across backends.
+// fabric (a zero-copy pointer walk plus tensor.Average in one process, a
+// gather across ranks) and is bit-identical for every rank count.
 func (r *runner) meanParams() (tensor.Vector, error) {
 	if err := r.cl.AverageParamsInto(r.evalFlat); err != nil {
 		return nil, err
@@ -339,11 +334,7 @@ func (r *runner) maybeSnapshot(step int) error {
 // evalParams evaluates an arbitrary flat parameter vector on the test set,
 // returning mean loss and the model's metric (accuracy % or perplexity).
 func (r *runner) evalParams(v tensor.Vector) (loss, metric float64) {
-	if r.evalArena != nil {
-		r.evalArena.Data.CopyFrom(v)
-	} else {
-		nn.SetParams(r.evalNet.Params(), v)
-	}
+	r.evalNet.Arena().Data.CopyFrom(v)
 	return EvaluateDataset(r.evalNet, r.cfg.Test, r.cfg.EvalChunk)
 }
 

@@ -29,7 +29,7 @@ import (
 // protocol of ssp_dist.go: SSP's PS is genuinely central, so rank 0 runs
 // the event loop and the other ranks serve compute requests.
 func runSSPLoop(r *runner, opts SSPOptions) {
-	if link, ok := r.cl.Fabric().(comm.PeerLink); ok && r.cl.Procs() > 1 {
+	if link, ok := r.cl.Fabric().(*comm.Mesh); ok && r.cl.Procs() > 1 {
 		runSSPMesh(r, opts, link)
 		return
 	}

@@ -21,7 +21,7 @@ import (
 // streams advance in the same per-worker order as in a single-process run,
 // the coordinator reproduces the loopback SSP trajectory bit for bit;
 // rank 0's Result is the authoritative one.
-func runSSPMesh(r *runner, opts SSPOptions, link comm.PeerLink) {
+func runSSPMesh(r *runner, opts SSPOptions, link *comm.Mesh) {
 	if r.cl.Rank() == 0 {
 		runSSPCoordinator(r, opts, link)
 	} else {
@@ -29,7 +29,7 @@ func runSSPMesh(r *runner, opts SSPOptions, link comm.PeerLink) {
 	}
 }
 
-func runSSPCoordinator(r *runner, opts SSPOptions, link comm.PeerLink) {
+func runSSPCoordinator(r *runner, opts SSPOptions, link *comm.Mesh) {
 	n := r.cl.N()
 	procs := r.cl.Procs()
 	global := r.cl.PS.Global
@@ -211,7 +211,7 @@ func runSSPCoordinator(r *runner, opts SSPOptions, link comm.PeerLink) {
 
 // runSSPServe is the worker-rank side of distributed SSP: answer compute
 // requests for hosted workers until Stop.
-func runSSPServe(r *runner, link comm.PeerLink) {
+func runSSPServe(r *runner, link *comm.Mesh) {
 	buf := tensor.NewVector(r.cl.Dim())
 	zero := 0
 	r.sspSteps = &zero                    // rank 0 holds the authoritative counts

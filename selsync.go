@@ -283,8 +283,9 @@ var (
 // WorkloadSpec selects a synthetic dataset kind and size.
 type WorkloadSpec = data.WorkloadSpec
 
-// Fabric is a communication backend for Config.Fabric: the loopback
-// (single process) or a TCP mesh (one process per rank).
+// Fabric is the communication backend for Config.Fabric: a mesh of one
+// rank (the single-process loopback) or of one TCP-connected process per
+// rank.
 type Fabric = comm.Fabric
 
 // NewLoopbackFabric builds the in-process communication backend over n
