@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -125,7 +126,7 @@ func TestCodecWireBytesExactAndRoundTrip(t *testing.T) {
 			dec := tensor.NewVector(dim)
 			for round := uint64(0); round < 6; round++ {
 				p := codec.up()
-				cs.roundTrip(p, src, resid, dec, round, &cs.msg)
+				roundTrip(p, src, resid, dec, round, &cs.msg)
 				ep := &captureEP{}
 				if _, err := sendCompressedEP(ep, 1, 7, &cs.msg, nil); err != nil {
 					t.Fatalf("%s dim=%d round=%d: send: %v", spec, dim, round, err)
@@ -133,13 +134,13 @@ func TestCodecWireBytesExactAndRoundTrip(t *testing.T) {
 				want := p.wireBytes(dim, round)
 				if p.kind == CodecTopK {
 					want = PackedSparseWireBytes(cs.msg.idx)
-					if want != encodedWireBytes(&cs.msg) {
+					if want != cs.msg.wire {
 						t.Fatalf("%s dim=%d round=%d: encodedWireBytes %d disagrees with PackedSparseWireBytes %d",
-							spec, dim, round, encodedWireBytes(&cs.msg), want)
+							spec, dim, round, cs.msg.wire, want)
 					}
-				} else if want != encodedWireBytes(&cs.msg) {
+				} else if want != cs.msg.wire {
 					t.Fatalf("%s dim=%d round=%d: encodedWireBytes %d disagrees with ledger formula %d",
-						spec, dim, round, encodedWireBytes(&cs.msg), want)
+						spec, dim, round, cs.msg.wire, want)
 				}
 				if ep.bytes != want {
 					t.Fatalf("%s dim=%d round=%d: wire bytes %d, expected %d", spec, dim, round, ep.bytes, want)
@@ -175,7 +176,7 @@ func TestCodecErrorFeedbackConservation(t *testing.T) {
 		sum := tensor.NewVector(dim)
 		const rounds = 12
 		for r := uint64(0); r < rounds; r++ {
-			cs.roundTrip(codec.up(), src, resid, dec, r, &cs.msg)
+			roundTrip(codec.up(), src, resid, dec, r, &cs.msg)
 			sum.Add(dec)
 		}
 		for i := range src {
@@ -354,5 +355,107 @@ func TestCodecFingerprintDistinguishes(t *testing.T) {
 			t.Fatalf("fingerprint collision: %q and %q", prev, s)
 		}
 		seen[fp] = s
+	}
+}
+
+// c100Dim is the parameter count of the end-to-end benchmark's model
+// (nn.ResNetLite(100, 6)): the message size tcp-bsp-topk compresses three
+// times a step on rank 0.
+const c100Dim = 213060
+
+// codecStream is a steady-state error-feedback stream for one profile: a
+// few gradient-like messages fed round-robin through the same residual.
+type codecStream struct {
+	p          profile
+	srcs       []tensor.Vector
+	resid, dec tensor.Vector
+	msg        compactMsg
+	round      uint64
+}
+
+func newCodecStream(tb testing.TB, spec string, dim int) *codecStream {
+	codec, err := ParseCodec(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := &codecStream{p: codec.up(), resid: tensor.NewVector(dim), dec: tensor.NewVector(dim)}
+	rng := tensor.NewRNG(41)
+	for i := 0; i < 4; i++ {
+		v := tensor.NewVector(dim)
+		rng.NormVector(v, 0, 1e-2)
+		s.srcs = append(s.srcs, v)
+	}
+	for i := 0; i < 8; i++ { // size every buffer off the measured rounds
+		s.next()
+	}
+	return s
+}
+
+func (s *codecStream) next() {
+	roundTrip(s.p, s.srcs[s.round%uint64(len(s.srcs))], s.resid, s.dec, s.round, &s.msg)
+	s.round++
+}
+
+// BenchmarkCodecRoundTrip is one error-feedback compression round at the
+// benchmark's dimension — fold, select or quantize, emit, reconstruct.
+func BenchmarkCodecRoundTrip(b *testing.B) {
+	for _, spec := range []string{"topk:0.01", "q8", "partial:0.25"} {
+		b.Run(spec, func(b *testing.B) {
+			s := newCodecStream(b, spec, c100Dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.next()
+			}
+		})
+	}
+}
+
+// A steady-state round trip allocates nothing, under any codec: the message
+// buffers are sized by the first rounds and the top-k select keeps its
+// histogram on the stack.
+func TestCodecRoundTripDoesNotAllocate(t *testing.T) {
+	for _, spec := range []string{"topk:0.01", "q8", "q16", "partial:0.25"} {
+		s := newCodecStream(t, spec, 3*ChunkElems+41)
+		if allocs := testing.AllocsPerRun(20, s.next); allocs != 0 {
+			t.Errorf("%s: %v allocs per steady-state round trip, want 0", spec, allocs)
+		}
+	}
+}
+
+// A rank that only sends passes no dec: the message, the residual and the
+// allocation count must not depend on whether the dense reconstruction was
+// asked for.
+func TestCodecRoundTripWithoutDec(t *testing.T) {
+	for _, spec := range []string{"topk:0.01", "q8", "q16", "partial:0.25"} {
+		with, without := newCodecStream(t, spec, ChunkElems+41), newCodecStream(t, spec, ChunkElems+41)
+		without.dec = nil
+		for r := 0; r < 6; r++ {
+			with.next()
+			without.next()
+			ep, epNoDec := &captureEP{}, &captureEP{}
+			if _, err := sendCompressedEP(ep, 1, 7, &with.msg, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sendCompressedEP(epNoDec, 1, 7, &without.msg, nil); err != nil {
+				t.Fatal(err)
+			}
+			if len(ep.frames) != len(epNoDec.frames) {
+				t.Fatalf("%s round %d: %d frames with dec, %d without", spec, r, len(ep.frames), len(epNoDec.frames))
+			}
+			for i := range ep.frames {
+				if !bytes.Equal(ep.frames[i].Payload, epNoDec.frames[i].Payload) {
+					t.Fatalf("%s round %d: frame %d differs without dec", spec, r, i)
+				}
+			}
+			for i := range with.resid {
+				if math.Float64bits(with.resid[i]) != math.Float64bits(without.resid[i]) {
+					t.Fatalf("%s round %d: residual %d differs without dec", spec, r, i)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, without.next); allocs != 0 {
+			t.Errorf("%s: %v allocs per steady-state round trip without dec, want 0", spec, allocs)
+		}
 	}
 }

@@ -42,6 +42,11 @@ type compactMsg struct {
 	los, scales []float64
 	// Partial: the block [start, start+len(vals)) with values in vals.
 	start int
+	// wire is the message's exact footprint (headers + payload) under its
+	// chunked encoding — what sendCompressedEP emits. For every kind but
+	// top-k that is the ledger formula; for top-k it is the packed
+	// (data-dependent) size, PackedSparseWireBytes(idx).
+	wire int64
 }
 
 // codecState is the per-fabric compression engine: the negotiated codec,
@@ -55,8 +60,6 @@ type codecState struct {
 	resid map[int]tensor.Vector
 	// residDown is the downlink accumulator (averaging rank only).
 	residDown tensor.Vector
-	accBuf    tensor.Vector
-	selBuf    []float64
 	msg       compactMsg
 	// packedRecv / packedSent track the actual encoded bytes of the codec
 	// messages this rank produced under a lossy codec, in ledger orientation
@@ -150,16 +153,17 @@ func (cs *codecState) restore(s *CodecSnapshot) error {
 	return nil
 }
 
-// roundTrip runs one error-feedback compression round over a message:
-// acc = src + residual, the profile's compact selection of acc is written
-// into m, its exact reconstruction (zeros at untransmitted positions)
-// into dec, and residual absorbs the remainder acc − dec. src, residual
-// and dec have equal length; dec must not alias src or residual.
+// roundTrip runs one error-feedback compression round over a message, in
+// place: residual absorbs src, the profile's compact selection of the sum
+// is written into m, and residual keeps what the selection left out. dec,
+// when a caller needs the dense form, receives the selection's exact
+// reconstruction (zeros at untransmitted positions); nil skips it. src,
+// residual and dec have equal length; dec must not alias src or residual.
 //
 // Every receiver of m reconstructs exactly dec — the wire carries the
 // full float64 bits of values and quantizer scalars — which is what makes
 // the collective bit-identical across backends.
-func (cs *codecState) roundTrip(p profile, src, residual, dec tensor.Vector, round uint64, m *compactMsg) {
+func roundTrip(p profile, src, residual, dec tensor.Vector, round uint64, m *compactMsg) {
 	n := len(src)
 	m.kind = p.kind
 	m.dim = n
@@ -169,32 +173,28 @@ func (cs *codecState) roundTrip(p profile, src, residual, dec tensor.Vector, rou
 	m.los = m.los[:0]
 	m.scales = m.scales[:0]
 	m.start = 0
-
-	if p.kind == CodecNone {
-		// Identity: no error feedback, dec = src verbatim.
-		dec.CopyFrom(src)
-		return
-	}
-
-	if cap(cs.accBuf) < n {
-		cs.accBuf = tensor.NewVector(n)
-	}
-	acc := cs.accBuf[:n]
-	for i := range acc {
-		acc[i] = src[i] + residual[i]
-	}
+	m.wire = p.wireBytes(n, round)
 
 	switch p.kind {
+	case CodecNone:
+		// Identity: no error feedback, dec = src verbatim.
+		dec.CopyFrom(src)
 	case CodecTopK:
-		k := p.keepCount(n)
-		m.idx, cs.selBuf = tensor.TopKSelect(acc, k, m.idx, cs.selBuf)
-		residual.CopyFrom(acc)
-		dec.Zero()
+		m.idx = tensor.TopKSelectAdd(residual, src, p.keepCount(n), m.idx)
+		if dec != nil {
+			dec.Zero()
+		}
+		prev := -1
 		for _, i := range m.idx {
-			v := acc[i]
+			v := residual[i]
 			m.vals = append(m.vals, v)
-			dec[i] = v
 			residual[i] = 0
+			if dec != nil {
+				dec[i] = v
+			}
+			// The packed gap replaces the ledger's nominal index bytes.
+			m.wire += int64(uvarintLen(uint64(int(i)-prev-1))+8) - sparseNominalEntryBytes
+			prev = int(i)
 		}
 	case CodecQuant:
 		bytesPer := p.bits / 8
@@ -202,24 +202,35 @@ func (cs *codecState) roundTrip(p profile, src, residual, dec tensor.Vector, rou
 			m.q = make([]byte, n*bytesPer)
 		}
 		m.q = m.q[:n*bytesPer]
+		if dec == nil {
+			// The residual needs each chunk's reconstruction even when no
+			// caller does; vals, unused by this kind, stages it.
+			m.vals = tensor.EnsureVector(m.vals, min(n, ChunkElems))
+		}
 		for lo := 0; lo < n; lo += ChunkElems {
 			hi := min(lo+ChunkElems, n)
-			qlo, qscale := tensor.QuantizeChunk(acc[lo:hi], p.bits, m.q[lo*bytesPer:])
-			tensor.DequantizeChunk(dec[lo:hi], p.bits, m.q[lo*bytesPer:], qlo, qscale)
+			acc, d := residual[lo:hi], tensor.Vector(m.vals)
+			if dec != nil {
+				d = dec[lo:hi]
+			}
+			d = d[:hi-lo]
+			acc.Add(src[lo:hi])
+			qlo, qscale := tensor.QuantizeChunk(acc, p.bits, m.q[lo*bytesPer:])
+			tensor.DequantizeChunk(d, p.bits, m.q[lo*bytesPer:], qlo, qscale)
+			acc.Sub(d)
 			m.los = append(m.los, qlo)
 			m.scales = append(m.scales, qscale)
 		}
-		for i := range residual {
-			residual[i] = acc[i] - dec[i]
-		}
 	case CodecPartial:
 		lo, hi := p.window(n, round)
+		residual.Add(src)
 		m.start = lo
-		m.vals = append(m.vals, acc[lo:hi]...)
-		residual.CopyFrom(acc)
-		dec.Zero()
-		copy(dec[lo:hi], acc[lo:hi])
+		m.vals = append(m.vals, residual[lo:hi]...)
 		residual[lo:hi].Zero()
+		if dec != nil {
+			dec.Zero()
+			copy(dec[lo:hi], m.vals)
+		}
 	default:
 		panic("comm: roundTrip: unknown codec kind")
 	}
@@ -333,30 +344,6 @@ func PackedSparseWireBytes(idx []uint32) int64 {
 			return total
 		}
 	}
-}
-
-// encodedWireBytes is the exact wire footprint of one compact message
-// under its codec's chunked encoding — what sendCompressedEP actually
-// emits. For every kind but top-k it coincides with the ledger formula;
-// for top-k it is the packed (data-dependent) size.
-func encodedWireBytes(m *compactMsg) int64 {
-	chunksFor := func(elems int) int64 {
-		if elems <= 0 {
-			return 1
-		}
-		return int64((elems + ChunkElems - 1) / ChunkElems)
-	}
-	switch m.kind {
-	case CodecNone:
-		return TensorWireBytes(m.dim)
-	case CodecTopK:
-		return PackedSparseWireBytes(m.idx)
-	case CodecQuant:
-		return chunksFor(m.dim)*(HeaderSize+quantChunkOverhead) + int64(m.dim)*int64(m.bits)/8
-	case CodecPartial:
-		return chunksFor(len(m.vals))*(HeaderSize+rangeChunkOverhead) + int64(len(m.vals))*8
-	}
-	panic("comm: encodedWireBytes: unknown codec kind")
 }
 
 // appendQuantChunk encodes one quantized window: header scalars plus the
@@ -487,8 +474,8 @@ func sendCompressedEP(ep Endpoint, to, worker int, m *compactMsg, scratch []byte
 // recvCompressedEP reassembles one compressed message from a peer into
 // dst — dense, with untransmitted positions zeroed — validating frame
 // type, worker tag, sequence and every payload, and handing each chunk
-// frame back to its transport once decoded. The dense (CodecNone) case is
-// handled by the caller via recvTensorEP.
+// frame back to its transport once decoded or rejected. The dense
+// (CodecNone) case is handled by the caller via recvTensorEP.
 func recvCompressedEP(rx recver, from, worker int, p profile, dst tensor.Vector) error {
 	dst.Zero()
 	want := p.msgType()
@@ -499,33 +486,23 @@ func recvCompressedEP(rx recver, from, worker int, p profile, dst tensor.Vector)
 		if err != nil {
 			return err
 		}
-		if f.Type != want {
-			return fmt.Errorf("comm: expected codec chunk type %d from rank %d, got type %d", want, from, f.Type)
-		}
-		if worker >= 0 && f.Worker != int32(worker) {
-			return fmt.Errorf("comm: codec chunk for worker %d, want %d", f.Worker, worker)
-		}
-		if f.Seq != seq {
-			return fmt.Errorf("comm: codec chunk seq %d, want %d", f.Seq, seq)
-		}
-		switch p.kind {
-		case CodecTopK:
-			if _, err := decodeSparseChunk(dst, f.Payload, &last); err != nil {
-				return err
-			}
-		case CodecQuant:
-			n, err := decodeQuantChunk(dst, off, p.bits, f.Payload)
-			if err != nil {
-				return err
-			}
-			off += n
-		case CodecPartial:
-			if _, err := decodeRangeChunk(dst, f.Payload, &off); err != nil {
-				return err
+		if err = checkChunk(f, want, from, worker, seq); err == nil {
+			switch p.kind {
+			case CodecTopK:
+				_, err = decodeSparseChunk(dst, f.Payload, &last)
+			case CodecQuant:
+				var n int
+				n, err = decodeQuantChunk(dst, off, p.bits, f.Payload)
+				off += n
+			case CodecPartial:
+				_, err = decodeRangeChunk(dst, f.Payload, &off)
 			}
 		}
 		done := f.Flags&FlagLast != 0
 		f.release()
+		if err != nil {
+			return err
+		}
 		if done {
 			if p.kind == CodecQuant && off != len(dst) {
 				return fmt.Errorf("comm: quant stream ended at %d of %d elements", off, len(dst))

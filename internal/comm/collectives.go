@@ -44,9 +44,25 @@ type recver interface {
 	Recv(from int) (*Frame, error)
 }
 
+// checkChunk validates one stream-chunk frame's header: its type, worker
+// tag (when worker is non-negative) and place in the sequence.
+func checkChunk(f *Frame, want MsgType, from, worker int, seq uint32) error {
+	if f.Type != want {
+		return fmt.Errorf("comm: expected chunk type %d from rank %d, got type %d", want, from, f.Type)
+	}
+	if worker >= 0 && f.Worker != int32(worker) {
+		return fmt.Errorf("comm: chunk for worker %d, want %d", f.Worker, worker)
+	}
+	if f.Seq != seq {
+		return fmt.Errorf("comm: chunk seq %d, want %d", f.Seq, seq)
+	}
+	return nil
+}
+
 // recvTensorEP reassembles one chunked tensor from a peer into dst,
 // validating the worker tag (when non-negative), chunk sequence and total
-// size. Each chunk frame is handed back to its transport once decoded.
+// size. Each chunk frame is handed back to its transport once decoded or
+// rejected.
 func recvTensorEP(ep recver, from, worker int, dst tensor.Vector) error {
 	off := 0
 	for seq := uint32(0); ; seq++ {
@@ -54,25 +70,20 @@ func recvTensorEP(ep recver, from, worker int, dst tensor.Vector) error {
 		if err != nil {
 			return err
 		}
-		if f.Type != MsgTensorChunk {
-			return fmt.Errorf("comm: expected tensor chunk from rank %d, got type %d", from, f.Type)
-		}
-		if worker >= 0 && f.Worker != int32(worker) {
-			return fmt.Errorf("comm: tensor chunk for worker %d, want %d", f.Worker, worker)
-		}
-		if f.Seq != seq {
-			return fmt.Errorf("comm: tensor chunk seq %d, want %d", f.Seq, seq)
-		}
+		err = checkChunk(f, MsgTensorChunk, from, worker, seq)
 		n := len(f.Payload) / 8
-		if off+n > len(dst) {
-			return fmt.Errorf("comm: tensor stream overflows %d-element destination", len(dst))
+		if err == nil && off+n > len(dst) {
+			err = fmt.Errorf("comm: tensor stream overflows %d-element destination", len(dst))
 		}
-		if err := tensor.DecodeVector(dst[off:off+n], f.Payload); err != nil {
+		if err == nil {
+			err = tensor.DecodeVector(dst[off:off+n], f.Payload)
+		}
+		last := f.Flags&FlagLast != 0
+		f.release()
+		if err != nil {
 			return err
 		}
 		off += n
-		last := f.Flags&FlagLast != 0
-		f.release()
 		if last {
 			if off != len(dst) {
 				return fmt.Errorf("comm: tensor stream ended at %d of %d elements", off, len(dst))

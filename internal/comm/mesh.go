@@ -35,8 +35,9 @@ type Mesh struct {
 
 	// Reduce-round state (reduce.go). slots and recvBufs serve every round;
 	// whole is the single bucket of an unbucketed one. The codec engine and
-	// its dense staging vectors are sized on the first lossy round and
-	// untouched under the identity codec.
+	// its dense staging vectors are sized on the first lossy round that needs
+	// them (ensureCodecBufs: stageBuf on rank 0, downDec and deltaBuf on the
+	// parameter path) and untouched under the identity codec.
 	slots    []tensor.Vector
 	recvBufs map[int]tensor.Vector
 	whole    [1][2]int

@@ -147,3 +147,42 @@ func TestDenseReduceUnderDupAndDelayMatchesLoopback(t *testing.T) {
 		t.Fatal("fault plan injected no duplicates")
 	}
 }
+
+// TestRejectedChunksAreRecycled: a chunk frame the receive helpers refuse —
+// a corrupt sparse payload, a wrong worker tag, a wrong type, an
+// overflowing dense stream — goes back to its pool like a decoded one.
+// Every case sends a single frame, so the pool must hold it again once the
+// receive has failed.
+func TestRejectedChunksAreRecycled(t *testing.T) {
+	topk := profile{kind: CodecTopK, frac: 0.5}
+	for _, tc := range []struct {
+		name string
+		f    Frame
+		recv func(rx recver, dst tensor.Vector) error
+	}{
+		{"corrupt-sparse", Frame{Type: MsgSparseChunk, Flags: FlagLast, Worker: 3, Payload: sparseChunk(-1, []uint32{9, 2}, []float64{1, 1})},
+			func(rx recver, dst tensor.Vector) error { return recvCompressedEP(rx, 1, 3, topk, dst) }},
+		{"sparse-wrong-worker", Frame{Type: MsgSparseChunk, Flags: FlagLast, Worker: 2, Payload: sparseChunk(-1, []uint32{1}, []float64{1})},
+			func(rx recver, dst tensor.Vector) error { return recvCompressedEP(rx, 1, 3, topk, dst) }},
+		{"sparse-wrong-type", Frame{Type: MsgRangeChunk, Flags: FlagLast, Worker: 3, Payload: appendRangeChunk(nil, 0, []float64{1})},
+			func(rx recver, dst tensor.Vector) error { return recvCompressedEP(rx, 1, 3, topk, dst) }},
+		{"dense-overflow", Frame{Type: MsgTensorChunk, Flags: FlagLast, Worker: 3, Payload: make([]byte, 8*(16+1))},
+			func(rx recver, dst tensor.Vector) error { return recvTensorEP(rx, 1, 3, dst) }},
+		{"dense-wrong-seq", Frame{Type: MsgTensorChunk, Flags: FlagLast, Worker: 3, Seq: 4, Payload: make([]byte, 8)},
+			func(rx recver, dst tensor.Vector) error { return recvTensorEP(rx, 1, 3, dst) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := NewLoopbackEndpoints(2)
+			defer closeAll(eps)
+			if err := eps[1].Send(0, &tc.f); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.recv(eps[0], tensor.NewVector(16)); err == nil {
+				t.Fatal("the malformed chunk was accepted")
+			}
+			if n := len(pooledFrames(eps[0])); n != 1 {
+				t.Fatalf("pool holds %d frames after the rejected chunk, want 1", n)
+			}
+		})
+	}
+}

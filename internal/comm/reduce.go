@@ -69,15 +69,10 @@ func codecMsgSrc(src, ref, delta tensor.Vector, lo, hi int) tensor.Vector {
 	return d
 }
 
-// applyCodecDown applies the decoded downlink window: dst = ref + delta
-// (parameter path — positions the codec left out stay exactly at ref) or
-// dst = decoded mean (gradient path).
-func applyCodecDown(dst, ref, dec tensor.Vector, lo, hi int) {
+// applyDelta finishes a parameter-path downlink window: dst = ref + the
+// decoded mean delta, so positions the codec left out stay exactly at ref.
+func applyDelta(dst, ref, dec tensor.Vector, lo, hi int) {
 	d := dst[lo:hi]
-	if ref == nil {
-		d.CopyFrom(dec[lo:hi])
-		return
-	}
 	for i := range d {
 		d[i] = ref[lo+i] + dec[lo+i]
 	}
@@ -188,16 +183,18 @@ func (m *Mesh) ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view fu
 	return m.reduce(dst, ref, ids, view, buckets, wait, true)
 }
 
-// ensureCodecBufs sizes the dense staging a lossy codec needs: the decoded
-// downlink, the delta scratch, and stageBuf — the pre-compression mean on
-// rank 0, the local reconstruction of an outgoing message elsewhere.
-func (m *Mesh) ensureCodecBufs(dim int) {
-	if len(m.downDec) == dim {
-		return
+// ensureCodecBufs sizes the dense staging a lossy round needs: rank 0's
+// pre-compression mean, and on the parameter path (deltas against ref) the
+// uplink delta scratch and the decoded downlink delta. The gradient path
+// decodes the downlink straight into dst.
+func (m *Mesh) ensureCodecBufs(dim int, deltas bool) {
+	if m.rank == 0 && len(m.stageBuf) != dim {
+		m.stageBuf = tensor.NewVector(dim)
 	}
-	m.downDec = tensor.NewVector(dim)
-	m.deltaBuf = tensor.NewVector(dim)
-	m.stageBuf = tensor.NewVector(dim)
+	if deltas && len(m.deltaBuf) != dim {
+		m.deltaBuf = tensor.NewVector(dim)
+		m.downDec = tensor.NewVector(dim)
+	}
 }
 
 // recvBuf returns rank 0's dim-element staging vector for worker's
@@ -213,12 +210,13 @@ func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
 }
 
 // encode runs one window of a hosted worker's contribution through the
-// uplink profile: dec receives exactly what the wire carries, m.cs.msg its
-// compact form for sendMsg.
+// uplink profile: m.cs.msg receives its compact form for sendMsg, dec (rank
+// 0's averaging slot; nil on the ranks that only send) exactly what the
+// wire carries.
 func (m *Mesh) encode(up profile, id int, src, ref tensor.Vector, lo, hi int, dec tensor.Vector, round uint64) {
 	msg := codecMsgSrc(src, ref, m.deltaBuf, lo, hi)
-	m.cs.roundTrip(up, msg, m.cs.residFor(id, len(src))[lo:hi], dec, round, &m.cs.msg)
-	m.cs.packedRecv += encodedWireBytes(&m.cs.msg)
+	roundTrip(up, msg, m.cs.residFor(id, len(src))[lo:hi], dec, round, &m.cs.msg)
+	m.cs.packedRecv += m.cs.msg.wire
 }
 
 // sendMsg streams one message to a peer: v itself under the identity
@@ -270,14 +268,22 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 		return err
 	}
 	dim := len(dst)
-	if !dense {
+	if dense {
+		ref = nil // the identity codec moves the values themselves, never deltas
+	} else {
 		if err := m.cs.applyRestored(dim); err != nil {
 			return err
 		}
-		m.ensureCodecBufs(dim)
+		m.ensureCodecBufs(dim, ref != nil)
 	}
 	up, down := codec.up(), codec.down()
 	round := m.cs.round
+	// The downlink decodes into dst itself — the mean — unless dst is to
+	// become ref plus a mean delta.
+	downDec := dst
+	if ref != nil {
+		downDec = m.downDec
+	}
 
 	if m.rank == 0 {
 		for b := len(buckets) - 1; b >= 0; b-- {
@@ -320,8 +326,8 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 			}
 			tensor.Average(out, m.slots)
 			if !dense {
-				m.cs.roundTrip(down, out, m.cs.downResid(dim)[lo:hi], m.downDec[lo:hi], round, &m.cs.msg)
-				m.cs.packedSent += int64(m.workers) * encodedWireBytes(&m.cs.msg)
+				roundTrip(down, out, m.cs.downResid(dim)[lo:hi], downDec[lo:hi], round, &m.cs.msg)
+				m.cs.packedSent += int64(m.workers) * m.cs.msg.wire
 			}
 			m.pushView()
 			for r := 1; r < m.procs; r++ {
@@ -335,8 +341,8 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 					return m.fault("reduce broadcast", r, err)
 				}
 			}
-			if !dense {
-				applyCodecDown(dst, ref, m.downDec, lo, hi)
+			if ref != nil {
+				applyDelta(dst, ref, downDec, lo, hi)
 			}
 		}
 	} else {
@@ -349,27 +355,21 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 				if !m.Hosts(id) {
 					continue
 				}
-				out := view(id)[lo:hi]
 				if !dense {
-					out = m.stageBuf[lo:hi]
-					m.encode(up, id, view(id), ref, lo, hi, out, round)
+					m.encode(up, id, view(id), ref, lo, hi, nil, round)
 				}
-				if err := m.sendMsg(0, id, up, out); err != nil {
+				if err := m.sendMsg(0, id, up, view(id)[lo:hi]); err != nil {
 					return m.fault("reduce push", 0, err)
 				}
 			}
 		}
 		for b := len(buckets) - 1; b >= 0; b-- {
 			lo, hi := buckets[b][0], buckets[b][1]
-			in := dst[lo:hi]
-			if !dense {
-				in = m.downDec[lo:hi]
-			}
-			if err := m.recvMsg(0, -1, down, in); err != nil {
+			if err := m.recvMsg(0, -1, down, downDec[lo:hi]); err != nil {
 				return m.fault("reduce pull", 0, err)
 			}
-			if !dense {
-				applyCodecDown(dst, ref, m.downDec, lo, hi)
+			if ref != nil {
+				applyDelta(dst, ref, downDec, lo, hi)
 			}
 		}
 	}

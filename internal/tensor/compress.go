@@ -10,97 +10,125 @@ import "math"
 // backends and across repeats — the property the digest contract leans on.
 
 // TopKSelect appends to idx the positions of the k largest-magnitude
-// elements of v, in ascending position order. scratch is reused for the
-// selection working set and returned (possibly grown). Ties at the
-// threshold magnitude resolve in ascending position order, so the selected
-// set is a pure function of (v, k) — no randomized pivots, no
-// platform-dependent sort order.
+// elements of v, in ascending position order. Ties at the threshold
+// magnitude resolve in ascending position order, so the selected set is a
+// pure function of (v, k) — no pivots, no platform-dependent sort order.
+//
+// Magnitude is the order of the IEEE-754 bits with the sign cleared, which
+// on finite values and ±Inf is the order of |x|. It also defines the cases
+// |x| leaves open: −0 ties with +0, every NaN ranks above +Inf, and NaNs
+// order among themselves by payload. scratch is unused — the working set
+// is a fixed-size histogram — and returned as passed.
 func TopKSelect(v Vector, k int, idx []uint32, scratch []float64) ([]uint32, []float64) {
-	n := len(v)
-	if k >= n {
-		for i := 0; i < n; i++ {
-			idx = append(idx, uint32(i))
-		}
-		return idx, scratch
-	}
-	if k <= 0 {
-		return idx, scratch
-	}
-	if cap(scratch) < n {
-		scratch = make([]float64, n)
-	}
-	scratch = scratch[:n]
-	for i, x := range v {
-		scratch[i] = math.Abs(x)
-	}
-	thr := quickselectDesc(scratch, k)
-
-	// First pass: everything strictly above the threshold is in.
-	above := 0
-	for _, x := range v {
-		if math.Abs(x) > thr {
-			above++
-		}
-	}
-	// Second pass: emit in position order — strictly-above always, ties at
-	// the threshold until the budget is exhausted.
-	ties := k - above
-	for i, x := range v {
-		a := math.Abs(x)
-		if a > thr {
-			idx = append(idx, uint32(i))
-		} else if a == thr && ties > 0 {
-			idx = append(idx, uint32(i))
-			ties--
-		}
-	}
-	return idx, scratch
+	return TopKSelectAdd(v, nil, k, idx), scratch
 }
 
-// quickselectDesc partially orders a (destructively) so that the k-th
-// largest value ends up at a[k-1], and returns it. Median-of-three pivots
-// keep it deterministic; the loop is iterative so adversarial inputs cost
-// time, not stack.
-func quickselectDesc(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	target := k - 1
-	for lo < hi {
-		// Median-of-three pivot (descending order): guards the sorted and
-		// constant-input worst cases without randomness.
-		mid := lo + (hi-lo)/2
-		if a[mid] > a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
+// The select reads a magnitude (63 bits) as five digits, most significant
+// first: bits 62–48 (the exponent and four mantissa bits), 47–33, 32–18,
+// 17–3 and 2–0. Fifteen bits a digit makes the histogram 128 KiB, the most
+// the compiler keeps on the stack, so the select carries no scratch state.
+const (
+	topKDigitBits = 15
+	topKTopShift  = 63 - topKDigitBits
+)
+
+// magBits is the IEEE-754 representation of x with the sign cleared.
+func magBits(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
+// TopKSelectAdd is TopKSelect fused with an error-feedback fold: it first
+// adds add to v in place (add nil: v as it is), then selects from the sum.
+// Two passes over v, whatever its values: the first folds and histograms
+// the leading digit of every magnitude, which names the bucket holding the
+// k-th largest; the second collects the positions at or above that bucket.
+// Only those candidates are then refined, one digit a level, until the
+// threshold bucket is taken whole or holds a single bit pattern.
+func TopKSelectAdd(v, add Vector, k int, idx []uint32) []uint32 {
+	n := len(v)
+	if k <= 0 || k >= n {
+		if add != nil {
+			v.Add(add)
 		}
-		if a[hi] > a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
+		for i := 0; k > 0 && i < n; i++ {
+			idx = append(idx, uint32(i))
 		}
-		if a[hi] > a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
+		return idx
+	}
+	var hist [1 << topKDigitBits]uint32
+	if add != nil {
+		for i, a := range add[:n] {
+			x := a + v[i]
+			v[i] = x
+			hist[magBits(x)>>topKTopShift]++
 		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] > pivot {
-				i++
-			}
-			for a[j] < pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if target <= j {
-			hi = j
-		} else if target >= i {
-			lo = i
-		} else {
-			return a[target]
+	} else {
+		for _, x := range v {
+			hist[magBits(x)>>topKTopShift]++
 		}
 	}
-	return a[target]
+	// The threshold so far: its digits down to bit shift are prefix. Every
+	// magnitude above prefix is selected; of the members magnitudes that
+	// share it, need are.
+	shift := uint(topKTopShift)
+	prefix, need, members := kthBucket(&hist, k)
+	base := len(idx)
+	floor := prefix << shift
+	for i, x := range v {
+		if magBits(x) >= floor {
+			idx = append(idx, uint32(i))
+		}
+	}
+	cand := idx[base:]
+	for shift > 0 && need < members {
+		width := min(shift, topKDigitBits)
+		hist = [1 << topKDigitBits]uint32{}
+		or, and := uint64(0), ^uint64(0)
+		for _, i := range cand {
+			if m := magBits(v[i]); m>>shift == prefix {
+				hist[m>>(shift-width)&(1<<width-1)]++
+				or |= m
+				and &= m
+			}
+		}
+		if or == and {
+			// One bit pattern fills the bucket — the zeros of a sparse message,
+			// a constant vector — so it is the threshold: no digit splits it.
+			prefix, shift = or, 0
+			break
+		}
+		var digit uint64
+		digit, need, members = kthBucket(&hist, need)
+		prefix = prefix<<width | digit
+		shift -= width
+	}
+	// Emit in position order: above the threshold prefix always, at it until
+	// the budget is spent — low positions first.
+	idx = idx[:base]
+	for _, i := range cand {
+		p := magBits(v[i]) >> shift
+		if p > prefix {
+			idx = append(idx, i)
+		} else if p == prefix && need > 0 {
+			idx = append(idx, i)
+			need--
+		}
+		if len(idx)-base == k {
+			break
+		}
+	}
+	return idx
+}
+
+// kthBucket walks a digit histogram from the top to the bucket holding the
+// k-th largest element, and returns it, how many of its members rank at or
+// above the k-th, and how many members it has.
+func kthBucket(hist *[1 << topKDigitBits]uint32, k int) (bucket uint64, need, members int) {
+	for b := len(hist) - 1; ; b-- {
+		c := int(hist[b])
+		if c >= k {
+			return uint64(b), k, c
+		}
+		k -= c
+	}
 }
 
 // QuantLevels returns the number of representable steps for a linear

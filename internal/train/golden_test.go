@@ -28,6 +28,9 @@ var goldenDigests = map[string]string{
 	"ssp":            "4271eb10689d9144a4d4a3f1abd88eb69ec3906b7f8c0f4569e631a9e7f7c8b9",
 	"selsync-inject": "984ef4f33cf55e19acf13be3a48385e069222cf4fbb4feec34168d8a8fb647e5",
 	"fedavg-partial": "b0e4fe8667536524bd87954235c6106590a1f08a52525449f4215e6d605a97c4",
+	"bsp-topk":       "785d09c4966be5ab2039016853d0415a60dba3d96077e646e7868abd98a961ac",
+	"bsp-q8":         "c5f4941d7b0342b56c3684b8df022a29f76537f020ad9b42f1c8044d39ee3243",
+	"bsp-partial":    "beab0c785ee49d594a36a3c73de66f7eb87b5c37a50468dad86bd965421528db",
 }
 
 // goldenCases builds each method's run fresh (configs must not be shared:
@@ -93,7 +96,21 @@ func goldenCases() []struct {
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
 			return RunFedAvg(cfg, FedAvgOptions{C: 0.5, E: 0.25})
 		}},
+		// The lossy codecs: selection, quantization, error feedback and the
+		// downlink round trip all feed the digest, so these pin the codec
+		// kernels' bits against a committed value (recorded before the
+		// histogram select replaced quickselect), not just loopback-vs-TCP.
+		{"bsp-topk", func() *Result { return RunBSP(goldenCodecCfg(109, "topk:0.01")) }},
+		{"bsp-q8", func() *Result { return RunBSP(goldenCodecCfg(110, "q8")) }},
+		{"bsp-partial", func() *Result { return RunBSP(goldenCodecCfg(111, "partial:0.25")) }},
 	}
+}
+
+func goldenCodecCfg(seed uint64, codec string) Config {
+	cfg := smallConfig(seed)
+	cfg.MaxSteps, cfg.EvalEvery = 40, 10
+	cfg.Codec = codec
+	return cfg
 }
 
 func TestGoldenEquivalenceWithPreRefactorLoops(t *testing.T) {

@@ -73,9 +73,11 @@ func TestDigestIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy SyncPolicy
+		codec  string
 	}{
-		{"bsp", BSPPolicy{}},
-		{"selsync", SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}},
+		{"bsp", BSPPolicy{}, ""},
+		{"selsync", SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}, ""},
+		{"bsp-topk", BSPPolicy{}, "topk:0.01"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
@@ -83,6 +85,7 @@ func TestDigestIndependentOfGOMAXPROCS(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				cfg := wideConfig(7)
 				cfg.MaxSteps, cfg.EvalEvery = 8, 4
+				cfg.Codec = tc.codec
 				got := Run(cfg, tc.policy).Digest()
 				if want == "" {
 					want = got
