@@ -1,9 +1,10 @@
 // Command selsync-node runs one rank of a multi-process training job over
 // the TCP transport, or launches a whole localhost job (-launch).
 //
-// Rank 0 coordinates: it plays the parameter server for every collective,
-// drives the SSP event loop, and prints the run report. The other ranks
-// host their block of workers and meet rank 0 at every synchronization.
+// Every rank runs the same loop over its block of workers (SPMD) and ends
+// with the same Result. Rank 0 plays the parameter server for every
+// collective and prints the run report; the other ranks meet it at every
+// synchronization.
 //
 // One rank per terminal:
 //

@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"selsync"
 )
@@ -28,10 +30,13 @@ func main() {
 
 	fmt.Println("δ        LSSR    sync  local  simtime(s)  best acc%")
 	for _, delta := range []float64{0, 0.02, 0.055, 0.075, 0.15, 1e9} {
-		res := selsync.RunSelSync(cfg, selsync.SelSyncOptions{
+		res, err := selsync.NewJob(cfg, selsync.SelSyncPolicy{
 			Delta: delta,
 			Mode:  selsync.ParamAgg,
-		})
+		}).Run(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
 		label := fmt.Sprintf("%.3g", delta)
 		if delta == 0 {
 			label = "0 (=BSP)"

@@ -12,7 +12,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"net"
 	"reflect"
 	"sync"
@@ -26,7 +28,7 @@ const (
 	seed    = 7
 )
 
-func runOne(fabric selsync.Fabric) *selsync.Result {
+func runOne(fabric selsync.Fabric) (*selsync.Result, error) {
 	wload := selsync.WorkloadForModel("resnet", 2048, 512, seed)
 	cfg := selsync.Config{
 		Model: selsync.ResNetLite(10, 6), Workers: workers, Batch: 16, Seed: seed,
@@ -34,7 +36,8 @@ func runOne(fabric selsync.Fabric) *selsync.Result {
 		MaxSteps: 40, EvalEvery: 10,
 		Fabric: fabric,
 	}
-	return selsync.RunSelSync(cfg, selsync.SelSyncOptions{Delta: 0.04, Mode: selsync.ParamAgg})
+	policy := selsync.SelSyncPolicy{Delta: 0.04, Mode: selsync.ParamAgg}
+	return selsync.NewJob(cfg, policy).Run(context.Background())
 }
 
 func main() {
@@ -46,13 +49,14 @@ func main() {
 	for r := range peers {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			panic(err)
+			log.Fatal(err)
 		}
 		peers[r] = ln.Addr().String()
 		ln.Close()
 	}
 
 	results := make([]*selsync.Result, ranks)
+	errs := make([]error, ranks)
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
@@ -60,16 +64,25 @@ func main() {
 			defer wg.Done()
 			fabric, err := selsync.DialTCPFabric(r, peers, workers)
 			if err != nil {
-				panic(fmt.Sprintf("rank %d: %v", r, err))
+				errs[r] = err
+				return
 			}
 			defer fabric.Close()
-			results[r] = runOne(fabric)
+			results[r], errs[r] = runOne(fabric)
 		}(r)
 	}
 	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			log.Fatalf("rank %d: %v", r, err)
+		}
+	}
 
 	fmt.Println("TCP rank 0:", results[0])
-	loopback := runOne(nil)
+	loopback, err := runOne(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("loopback:  ", loopback)
 
 	agree := true

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"strings"
 
 	"selsync"
@@ -29,8 +31,14 @@ func main() {
 	}
 	const delta = 0.18
 
-	pa := selsync.RunSelSync(cfg, selsync.SelSyncOptions{Delta: delta, Mode: selsync.ParamAgg})
-	ga := selsync.RunSelSync(cfg, selsync.SelSyncOptions{Delta: delta, Mode: selsync.GradAgg})
+	run := func(mode selsync.AggMode) *selsync.Result {
+		res, err := selsync.NewJob(cfg, selsync.SelSyncPolicy{Delta: delta, Mode: mode}).Run(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+	pa, ga := run(selsync.ParamAgg), run(selsync.GradAgg)
 
 	fmt.Printf("SelSync δ=%.2f on %s, 8 workers\n\n", delta, pa.Model)
 	fmt.Println("mode       LSSR    best acc%  history (step → acc%)")

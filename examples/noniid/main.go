@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"selsync"
 )
@@ -29,9 +31,16 @@ func main() {
 	// FedAvg on 1-label-per-worker data, no injection. E=0.5 gives ≈6
 	// local steps between rounds at this dataset size — the same local
 	// phase length the paper's E=0.1 implies at its 150-step epochs.
+	train := func(cfg selsync.Config, policy selsync.SyncPolicy) *selsync.Result {
+		res, err := selsync.NewJob(cfg, policy).Run(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
 	fedCfg := base
 	fedCfg.NonIID = &selsync.NonIID{LabelsPerWorker: 1}
-	fed := selsync.RunFedAvg(fedCfg, selsync.FedAvgOptions{C: 1, E: 0.5})
+	fed := train(fedCfg, &selsync.FedAvgPolicy{C: 1, E: 0.5})
 
 	// SelSync with two data-injection configurations. Worker batches
 	// shrink to b′ = b/(1+αβN) so the pooled batch stays at b (Eqn. 3).
@@ -41,7 +50,7 @@ func main() {
 			LabelsPerWorker: 1,
 			Injection:       &selsync.Injection{Alpha: alpha, Beta: beta},
 		}
-		return selsync.RunSelSync(cfg, selsync.SelSyncOptions{Delta: delta, Mode: selsync.ParamAgg})
+		return train(cfg, selsync.SelSyncPolicy{Delta: delta, Mode: selsync.ParamAgg})
 	}
 	mild := run(0.5, 0.5, 0.18)
 	rich := run(0.75, 0.75, 0.18)

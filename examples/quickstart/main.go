@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"selsync"
 )
@@ -29,14 +31,21 @@ func main() {
 		EvalEvery: 40,
 	}
 
+	ctx := context.Background()
 	fmt.Println("training with BSP (synchronize every step)...")
-	bsp := selsync.RunBSP(cfg)
+	bsp, err := selsync.NewJob(cfg, selsync.BSPPolicy{}).Run(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("training with SelSync (synchronize only significant updates)...")
-	sel := selsync.RunSelSync(cfg, selsync.SelSyncOptions{
+	sel, err := selsync.NewJob(cfg, selsync.SelSyncPolicy{
 		Delta: 0.18,             // significance threshold on Δ(g_i)
 		Mode:  selsync.ParamAgg, // average parameters during sync phases
-	})
+	}).Run(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println()
 	fmt.Println(bsp)

@@ -218,13 +218,6 @@ func (p profile) wireBytes(n int, round uint64) int64 {
 	panic("comm: wireBytes: unknown codec kind")
 }
 
-// UpWireBytes returns the exact uplink wire footprint of one n-element
-// message at the given round (round only matters for partial sharing).
-func (c Codec) UpWireBytes(n int, round uint64) int64 { return c.up().wireBytes(n, round) }
-
-// DownWireBytes is UpWireBytes for the downlink direction.
-func (c Codec) DownWireBytes(n int, round uint64) int64 { return c.down().wireBytes(n, round) }
-
 // CodecSnapshot is the error-feedback state of one rank, as captured into
 // checkpoints: resuming a lossy-codec run replays the exact residuals, so
 // the resumed digest equals the uninterrupted one.

@@ -7,8 +7,7 @@ import (
 )
 
 // The dense tensor stream over a bare Endpoint: the two frame primitives
-// every Mesh collective (reduce.go) and the SSP point-to-point path are
-// built from.
+// every Mesh collective (reduce.go) is built from.
 
 // sendTensorEP streams v to a peer in chunked frames. Where the host's
 // memory layout is the wire layout each payload is the chunk's own memory

@@ -279,49 +279,6 @@ func TestMeshFlagsAndClock(t *testing.T) {
 	})
 }
 
-func TestMeshControlAndTensors(t *testing.T) {
-	withEndpoints(t, 2, func(t *testing.T, eps []Endpoint) {
-		ms := meshes(t, eps, 2)
-		payload := tensor.Vector{1, 2, 3, 4.5}
-		parallelRanks(t, eps, func(ep Endpoint) error {
-			m := ms[ep.Rank()]
-			if ep.Rank() == 0 {
-				if err := m.SendControl(1, CtlSSPStart, 1, 2.5, 0); err != nil {
-					return err
-				}
-				if err := m.SendTensor(1, 1, payload); err != nil {
-					return err
-				}
-				c, err := m.RecvControl(1)
-				if err != nil {
-					return err
-				}
-				if c.Op != CtlSSPGrad || c.Worker != 1 || c.A != 0.125 || c.B != 0.5 {
-					return fmt.Errorf("bad grad reply: %+v", c)
-				}
-				return nil
-			}
-			c, err := m.RecvControl(0)
-			if err != nil {
-				return err
-			}
-			if c.Op != CtlSSPStart || c.Worker != 1 || c.A != 2.5 {
-				return fmt.Errorf("bad start: %+v", c)
-			}
-			got := tensor.NewVector(len(payload))
-			if err := m.RecvTensorInto(0, 1, got); err != nil {
-				return err
-			}
-			for i := range got {
-				if got[i] != payload[i] {
-					return fmt.Errorf("tensor element %d: %v", i, got[i])
-				}
-			}
-			return m.SendControl(0, CtlSSPGrad, 1, 0.125, 0.5)
-		})
-	})
-}
-
 func TestMeshCloseBarrier(t *testing.T) {
 	eps := tcpEndpoints(t, 3)
 	ms := meshes(t, eps, 3)

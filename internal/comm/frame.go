@@ -113,15 +113,6 @@ const FlagLast uint16 = 1
 
 // Control ops carried by MsgControl frames.
 const (
-	// CtlSSPStart tells a worker rank to run one SSP iteration for the
-	// frame's worker id; the current global parameters follow as a tensor
-	// stream. Arg A is the virtual start time.
-	CtlSSPStart uint8 = 1
-	// CtlSSPGrad is the reply: arg A is the mini-batch loss, arg B the
-	// modeled compute seconds; the gradient follows as a tensor stream.
-	CtlSSPGrad uint8 = 2
-	// CtlStop ends a worker rank's serve loop.
-	CtlStop uint8 = 3
 	// ctlBye / ctlByeAck implement the close barrier: every rank drains
 	// its peers before any socket is torn down.
 	ctlBye    uint8 = 4

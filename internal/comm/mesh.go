@@ -74,9 +74,6 @@ func (m *Mesh) fault(op string, rank int, err error) error {
 	return peerErr(op, rank, err)
 }
 
-// Broken reports whether a collective on this mesh has failed.
-func (m *Mesh) Broken() bool { return m.broken }
-
 // DeadlineRecver is the optional Endpoint capability the mesh's op timeout
 // rides on: RecvTimeout behaves like Recv but gives up after d, returning
 // an error wrapping ErrTimeout. Both built-in endpoints implement it.
@@ -590,19 +587,19 @@ func (m *Mesh) Close() error {
 				if !m.RankAlive(r) {
 					continue
 				}
-				m.RecvControl(r)
+				m.recvControl(r)
 			}
 			for r := 1; r < m.Procs() && !m.broken; r++ {
 				if !m.RankAlive(r) {
 					continue
 				}
-				m.SendControl(r, ctlByeAck, -1, 0, 0)
+				m.sendControl(r, ctlByeAck, -1, 0, 0)
 			}
 		} else if m.RankAlive(m.Rank()) {
 			// A rank the view evicted skips the barrier: rank 0 is no longer
 			// listening for its bye.
-			if err := m.SendControl(0, ctlBye, -1, 0, 0); err == nil {
-				m.RecvControl(0)
+			if err := m.sendControl(0, ctlBye, -1, 0, 0); err == nil {
+				m.recvControl(0)
 			}
 		}
 	}
@@ -662,39 +659,16 @@ func (m *Mesh) RecvBlob(from int) ([]byte, error) {
 	}
 }
 
-// SendTensor streams v to a peer in chunks, tagged with a worker id (-1 for
-// untagged), reusing the mesh's encode scratch buffer. With RecvTensorInto,
-// SendControl and RecvControl it is the point-to-point surface the SSP
-// coordinator drives (rank 0 runs the event loop, worker ranks serve
-// compute requests).
-func (m *Mesh) SendTensor(to, worker int, v tensor.Vector) error {
-	scratch, err := sendTensorEP(m.ep, to, worker, v, m.scratch)
-	m.scratch = scratch
-	if err != nil {
-		return m.fault("send tensor", to, err)
-	}
-	return nil
-}
-
-// RecvTensorInto reassembles a chunked tensor stream from one peer into
-// dst, validating worker tag (when non-negative), chunk sequence and total
-// size.
-func (m *Mesh) RecvTensorInto(from, worker int, dst tensor.Vector) error {
-	if err := recvTensorEP(m.rx, from, worker, dst); err != nil {
-		return m.fault("recv tensor", from, err)
-	}
-	return nil
-}
-
-// CtlMsg is one decoded control message.
-type CtlMsg struct {
+// ctlMsg is one decoded control message (codec negotiation, the close
+// barrier).
+type ctlMsg struct {
 	Op     uint8
 	Worker int
 	A, B   float64
 }
 
-// SendControl sends one control message to a peer.
-func (m *Mesh) SendControl(to int, op uint8, worker int, a, b float64) error {
+// sendControl sends one control message to a peer.
+func (m *Mesh) sendControl(to int, op uint8, worker int, a, b float64) error {
 	payload := append(m.ctl[:0], op)
 	payload = putScalar(payload, a)
 	payload = putScalar(payload, b)
@@ -704,24 +678,24 @@ func (m *Mesh) SendControl(to int, op uint8, worker int, a, b float64) error {
 	return nil
 }
 
-// RecvControl receives and decodes one control message from a peer.
-func (m *Mesh) RecvControl(from int) (CtlMsg, error) {
+// recvControl receives and decodes one control message from a peer.
+func (m *Mesh) recvControl(from int) (ctlMsg, error) {
 	f, err := m.recvTyped(from, MsgControl)
 	if err != nil {
-		return CtlMsg{}, m.fault("recv control", from, err)
+		return ctlMsg{}, m.fault("recv control", from, err)
 	}
 	if len(f.Payload) != 17 {
-		return CtlMsg{}, fmt.Errorf("comm: control payload is %d bytes, want 17", len(f.Payload))
+		return ctlMsg{}, fmt.Errorf("comm: control payload is %d bytes, want 17", len(f.Payload))
 	}
 	a, err := getScalar(f.Payload[1:9])
 	if err != nil {
-		return CtlMsg{}, err
+		return ctlMsg{}, err
 	}
 	b, err := getScalar(f.Payload[9:17])
 	if err != nil {
-		return CtlMsg{}, err
+		return ctlMsg{}, err
 	}
-	return CtlMsg{Op: f.Payload[0], Worker: int(f.Worker), A: a, B: b}, nil
+	return ctlMsg{Op: f.Payload[0], Worker: int(f.Worker), A: a, B: b}, nil
 }
 
 var _ Fabric = (*Mesh)(nil)

@@ -117,7 +117,7 @@ func (m *Mesh) SetCodec(c Codec) error {
 		// peers blocked in their ack wait.
 		var mismatch error
 		for r := 1; r < m.procs; r++ {
-			cm, err := m.RecvControl(r)
+			cm, err := m.recvControl(r)
 			if err != nil {
 				return err
 			}
@@ -129,16 +129,16 @@ func (m *Mesh) SetCodec(c Codec) error {
 			}
 		}
 		for r := 1; r < m.procs; r++ {
-			if err := m.SendControl(r, ctlCodecAck, -1, fp, 0); err != nil {
+			if err := m.sendControl(r, ctlCodecAck, -1, fp, 0); err != nil {
 				return err
 			}
 		}
 		return mismatch
 	}
-	if err := m.SendControl(0, ctlCodec, -1, fp, 0); err != nil {
+	if err := m.sendControl(0, ctlCodec, -1, fp, 0); err != nil {
 		return err
 	}
-	cm, err := m.RecvControl(0)
+	cm, err := m.recvControl(0)
 	if err != nil {
 		return err
 	}

@@ -61,8 +61,8 @@ type RunSpec struct {
 // ParseTransport validates a CLI's -transport/-rank/-peers/-workers flag
 // combination and builds the communication fabric: (nil, true, nil) for
 // the loopback transport, a dialed TCP mesh for "tcp". report says
-// whether this process should print the run report (rank 0 holds it on a
-// mesh). The caller owns Close on a non-nil fabric.
+// whether this process should print the run report (every rank of a mesh
+// holds the same one; rank 0 prints it). The caller owns Close on a non-nil fabric.
 func ParseTransport(transport string, rank int, peers string, workers int) (fabric comm.Fabric, report bool, err error) {
 	return ParseTransportOpts(transport, rank, peers, workers, TransportOptions{})
 }
@@ -241,18 +241,6 @@ func JobFor(spec RunSpec, opts ...train.Option) (*train.Job, Workload, error) {
 		return nil, Workload{}, err
 	}
 	return train.NewJob(cfg, policy, opts...), wl, nil
-}
-
-// RunOne executes the described run to completion and returns its Result.
-// On a multi-process fabric it must be called SPMD by every rank with an
-// identical spec; rank 0's Result is authoritative for SSP, the ranks
-// agree bitwise for every other method.
-func RunOne(spec RunSpec) (*train.Result, error) {
-	job, _, err := JobFor(spec)
-	if err != nil {
-		return nil, err
-	}
-	return job.Run(context.Background())
 }
 
 // runPolicy executes one training run through the Job API under a

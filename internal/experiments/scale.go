@@ -93,7 +93,7 @@ type Workload struct {
 
 	// SSPOpt is the PS-side update rule for SSP runs (nil = plain SGD).
 	// The Adam workload keeps Adam at the PS; momentum SGD is not carried
-	// over (see train.SSPOptions.PSOpt).
+	// over (see train.SSPPolicy.PSOpt).
 	SSPOpt cluster.OptBuilder
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -83,7 +84,11 @@ func TestRunSpecCodecOnLoopback(t *testing.T) {
 		TrainN: 512, TestN: 256, MaxSteps: 8, Seed: 3,
 		Codec: "topk:0.1", Overlap: true,
 	}
-	res, err := RunOne(spec)
+	job, _, err := JobFor(spec)
+	if err != nil {
+		t.Fatalf("loopback run must accept codecs: %v", err)
+	}
+	res, err := job.Run(context.Background())
 	if err != nil {
 		t.Fatalf("loopback run must accept codecs: %v", err)
 	}

@@ -42,13 +42,6 @@ func NewTracker(alpha float64, window int) *Tracker {
 	}
 }
 
-// NewPaperTracker builds a tracker with the paper's defaults for an
-// N-worker cluster: window 25, smoothing factor N/100 (0.16 for the
-// 16-node cluster in §III-A).
-func NewPaperTracker(workers int) *Tracker {
-	return NewConfiguredTracker(0, 0, workers)
-}
-
 // NewConfiguredTracker builds a tracker from override knobs, filling zero
 // values with the paper defaults for an N-worker cluster (window 25,
 // smoothing factor workers/100). Every Δ(g_i) tracker in the system — the

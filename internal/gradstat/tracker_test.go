@@ -164,13 +164,17 @@ func TestGradVariance(t *testing.T) {
 	}
 }
 
-func TestNewPaperTracker(t *testing.T) {
-	tr := NewPaperTracker(16)
-	// Paper defaults: window 25, alpha 0.16.
-	for i := 0; i < 25; i++ {
-		tr.ObserveGradNorm(1)
+// TestConfiguredTrackerDefaults: zero knobs select the paper's defaults for
+// the cluster size — window 25, alpha N/100.
+func TestConfiguredTrackerDefaults(t *testing.T) {
+	got, want := NewConfiguredTracker(0, 0, 16), NewTracker(0.16, 25)
+	for i := 0; i < 40; i++ {
+		norm := 1 + float64(i%7)/10
+		if g, w := got.ObserveGradNorm(norm), want.ObserveGradNorm(norm); g != w {
+			t.Fatalf("observation %d: default tracker Δ=%v, NewTracker(0.16, 25) Δ=%v", i, g, w)
+		}
 	}
-	if !tr.Exceeds(0) {
-		t.Fatal("paper tracker must behave like any tracker")
+	if !got.Exceeds(0) {
+		t.Fatal("a warmed-up tracker must exceed δ=0")
 	}
 }

@@ -25,6 +25,10 @@ func codecCfg(seed uint64, codec string, overlap bool) func() Config {
 	}
 }
 
+// runBSP is the func(Config) *Result form of a BSP run these tests hand to
+// runTCPRanks and their policy tables.
+func runBSP(cfg Config) *Result { return mustRun(cfg, BSPPolicy{}) }
+
 // TestCodecNoneBitIdenticalToDense: "-codec none" and "-overlap" alone must
 // never change a run, on the gradient path and on the parameter path. There
 // is one reduce pipeline: under the identity codec it averages the values
@@ -36,15 +40,15 @@ func TestCodecNoneBitIdenticalToDense(t *testing.T) {
 		name string
 		run  func(Config) *Result
 	}{
-		{"bsp", RunBSP},
+		{"bsp", runBSP},
 		{"selsync-paramagg", func(cfg Config) *Result {
-			return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+			return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 		}},
 		{"selsync-gradagg", func(cfg Config) *Result {
-			return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.GradAgg})
+			return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.GradAgg})
 		}},
 		{"fedavg", func(cfg Config) *Result {
-			return RunFedAvg(cfg, FedAvgOptions{C: 0.5, E: 0.25})
+			return mustRun(cfg, &FedAvgPolicy{C: 0.5, E: 0.25})
 		}},
 	} {
 		dense := pol.run(codecCfg(31, "", false)())
@@ -82,11 +86,11 @@ func TestLossyCodecDeterministicAcrossBackends(t *testing.T) {
 	for _, codec := range []string{"topk:0.02", "q8", "q16", "partial:0.5"} {
 		t.Run(codec, func(t *testing.T) {
 			mkCfg := codecCfg(32, codec, false)
-			want := RunBSP(mkCfg())
-			if again := RunBSP(mkCfg()); again.Digest() != want.Digest() {
+			want := mustRun(mkCfg(), BSPPolicy{})
+			if again := mustRun(mkCfg(), BSPPolicy{}); again.Digest() != want.Digest() {
 				t.Fatalf("repeated loopback run diverged: %s vs %s", again.Digest(), want.Digest())
 			}
-			results, _ := runTCPRanks(t, 2, 4, mkCfg, RunBSP)
+			results, _ := runTCPRanks(t, 2, 4, mkCfg, runBSP)
 			for r, got := range results {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("rank %d Result diverged from loopback:\n tcp: %+v\n  lb: %+v", r, got, want)
@@ -102,8 +106,8 @@ func TestLossyCodecDeterministicAcrossBackends(t *testing.T) {
 // reproduce the single-process loopback digest.
 func TestOverlapLossyCodecTCPMatchesLoopback(t *testing.T) {
 	mkCfg := codecCfg(33, "topk:0.05", true)
-	want := RunBSP(mkCfg())
-	results, _ := runTCPRanks(t, 2, 4, mkCfg, RunBSP)
+	want := mustRun(mkCfg(), BSPPolicy{})
+	results, _ := runTCPRanks(t, 2, 4, mkCfg, runBSP)
 	for r, got := range results {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rank %d Result diverged from loopback:\n tcp: %+v\n  lb: %+v", r, got, want)
@@ -129,7 +133,7 @@ func TestLossyCodecBoundedDrift(t *testing.T) {
 		return cfg
 	}
 	paramAgg := func(cfg Config) *Result {
-		return RunSelSync(cfg, SelSyncOptions{Delta: 1e9, Mode: cluster.ParamAgg})
+		return mustRun(cfg, SelSyncPolicy{Delta: 1e9, Mode: cluster.ParamAgg})
 	}
 	run := func(codec string, runner func(Config) *Result) (*Result, int64) {
 		lb := comm.NewLoopback(4)
@@ -138,7 +142,7 @@ func TestLossyCodecBoundedDrift(t *testing.T) {
 		res := runner(cfg)
 		return res, lb.Stats().Bytes.Recv + lb.Stats().Bytes.Sent
 	}
-	denseGrad, denseGradBytes := run("", RunBSP)
+	denseGrad, denseGradBytes := run("", runBSP)
 	denseParam, denseParamBytes := run("", paramAgg)
 
 	for _, tc := range []struct {
@@ -148,9 +152,9 @@ func TestLossyCodecBoundedDrift(t *testing.T) {
 		denseBytes   int64
 		minReduction float64
 	}{
-		{"topk:0.01", RunBSP, denseGrad, denseGradBytes, 4},
-		{"q8", RunBSP, denseGrad, denseGradBytes, 4},
-		{"q16", RunBSP, denseGrad, denseGradBytes, 2},
+		{"topk:0.01", runBSP, denseGrad, denseGradBytes, 4},
+		{"q8", runBSP, denseGrad, denseGradBytes, 4},
+		{"q16", runBSP, denseGrad, denseGradBytes, 2},
 		{"partial:0.25", paramAgg, denseParam, denseParamBytes, 2},
 	} {
 		t.Run(tc.codec, func(t *testing.T) {
@@ -285,26 +289,41 @@ func TestQuorumElasticRejectsCodecAndOverlap(t *testing.T) {
 	}
 }
 
-// TestSSPRejectsCodecAndOverlap: SSP replaces the step loop with a
-// discrete-event simulation; the codec and overlap paths do not exist
-// there, so the Job must fail loudly instead of silently running dense.
+// TestSSPRejectsCodecAndOverlap covers every refusal of an event-loop policy
+// — the codec and overlap paths it was named for, and the four job features
+// that live at the step loop's boundaries. SSP replaces that loop, so each
+// must fail loudly before any training instead of being silently ignored
+// (no auto-checkpoint ever taken, a late join training from undrawn
+// weights), with an error that names the policy.
 func TestSSPRejectsCodecAndOverlap(t *testing.T) {
+	sink := func(int, *Checkpoint) error { return nil }
 	for _, tc := range []struct {
-		name    string
-		codec   string
-		overlap bool
+		name string
+		cfg  func(*Config)
+		opts []Option
+		want string
 	}{
-		{"codec", "q8", false},
-		{"overlap", "", true},
+		{"resume", nil, []Option{WithResume(&Checkpoint{})}, "resume"},
+		{"membership", func(c *Config) { c.Membership = churnPlan }, nil, "elastic membership"},
+		{"codec", func(c *Config) { c.Codec = "q8" }, nil, "codec"},
+		{"overlap", func(c *Config) { c.Overlap = true }, nil, "overlap"},
+		{"auto-checkpoint", nil, []Option{WithAutoCheckpoint(5, sink)}, "auto-checkpoint"},
+		{"rejoin", nil, []Option{WithRejoin()}, "rejoin"},
+		{"late-join", nil, []Option{WithLateJoin()}, "rejoin"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := codecCfg(39, tc.codec, tc.overlap)()
-			_, err := NewJob(cfg, &SSPPolicy{Staleness: 4}).Run(context.Background())
-			if err == nil {
-				t.Fatal("SSP must reject codec/overlap configs")
+			cfg := codecCfg(39, "", false)()
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
 			}
-			if !strings.Contains(err.Error(), "SSP") {
-				t.Fatalf("error should name the policy, got: %v", err)
+			var trained bool
+			opts := append(tc.opts, WithObserver(ObserverFunc(func(Event) { trained = true })))
+			res, err := NewJob(cfg, &SSPPolicy{Staleness: 4}, opts...).Run(context.Background())
+			if err == nil || res != nil || trained {
+				t.Fatalf("SSP must refuse before training: res=%v err=%v trained=%v", res, err, trained)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "SSP(s=4)") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("error should name the policy and %q, got: %v", tc.want, err)
 			}
 		})
 	}
@@ -316,7 +335,7 @@ func TestSSPRejectsCodecAndOverlap(t *testing.T) {
 func TestSelSyncWithCodec(t *testing.T) {
 	mkCfg := codecCfg(40, "q8", false)
 	run := func(cfg Config) *Result {
-		return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+		return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	}
 	want := run(mkCfg())
 	if want.SyncSteps == 0 || want.LocalSteps == 0 {

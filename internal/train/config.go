@@ -59,10 +59,9 @@ type Config struct {
 	// flags over the wire.
 	// The fabric's global worker count must equal Workers, and every rank
 	// must use identical Config values — determinism then makes the ranks'
-	// Results bit-identical to a loopback run, with two exceptions: the
+	// Results bit-identical to a loopback run, with one exception: the
 	// TrackDeltas series lands only in the Result of the rank hosting
-	// worker 0 (it reads that worker's tracker), and SSP's rank 0
-	// coordinates the event loop and holds the authoritative Result.
+	// worker 0 (it reads that worker's tracker).
 	Fabric comm.Fabric
 
 	// Codec selects the wire payload codec for synchronization rounds,
@@ -202,39 +201,6 @@ func (c Config) withDefaults() Config {
 		c.Workers = 4
 	}
 	return c
-}
-
-// SelSyncOptions parameterizes RunSelSync.
-type SelSyncOptions struct {
-	// Delta is the significance threshold δ on relative gradient change:
-	// 0 degenerates to BSP, values above the maximum observed Δ(g_i)
-	// degenerate to pure local SGD.
-	Delta float64
-	// Mode selects parameter vs gradient aggregation during
-	// synchronization phases (paper §III-C; PA is the recommended mode).
-	Mode cluster.AggMode
-}
-
-// FedAvgOptions parameterizes RunFedAvg.
-type FedAvgOptions struct {
-	// C is the fraction of workers whose updates are collected per round.
-	C float64
-	// E is the synchronization factor 1/x: parameters synchronize x times
-	// per epoch (E=0.25 → 4 rounds per epoch).
-	E float64
-}
-
-// SSPOptions parameterizes RunSSP.
-type SSPOptions struct {
-	// Staleness is the maximum number of iterations fast workers may run
-	// ahead of the slowest one.
-	Staleness int
-	// PSOpt overrides the update rule the parameter server applies to
-	// pushed gradients. Nil selects plain SGD: momentum-style optimizers
-	// are unstable under asynchronous interleaving (the velocity keeps
-	// integrating stale directions), which is itself one face of the
-	// staleness problems §IV-E reports for SSP.
-	PSOpt cluster.OptBuilder
 }
 
 // EvalPoint is one test-set evaluation during training.

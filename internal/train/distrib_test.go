@@ -36,8 +36,9 @@ func TestSelSyncTCPByteIdenticalToLoopback(t *testing.T) {
 		cfg.EvalEvery = 10
 		return cfg
 	}
-	opts := SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg}
-	run := func(cfg Config) *Result { return RunSelSync(cfg, opts) }
+	run := func(cfg Config) *Result {
+		return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
+	}
 
 	lbFabric := comm.NewLoopback(4)
 	lbCfg := mkCfg()
@@ -75,8 +76,8 @@ func TestBSPAndFedAvgTCPMatchLoopback(t *testing.T) {
 		name string
 		run  func(cfg Config) *Result
 	}{
-		{"bsp", func(cfg Config) *Result { return RunBSP(cfg) }},
-		{"fedavg", func(cfg Config) *Result { return RunFedAvg(cfg, FedAvgOptions{C: 0.5, E: 0.5}) }},
+		{"bsp", func(cfg Config) *Result { return mustRun(cfg, BSPPolicy{}) }},
+		{"fedavg", func(cfg Config) *Result { return mustRun(cfg, &FedAvgPolicy{C: 0.5, E: 0.5}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lbCfg := mkCfg()
@@ -105,10 +106,10 @@ func TestLocalSGDAndSwitchTCPMatchLoopback(t *testing.T) {
 		name string
 		run  func(cfg Config) *Result
 	}{
-		{"localsgd", func(cfg Config) *Result { return RunLocalSGD(cfg) }},
+		{"localsgd", func(cfg Config) *Result { return mustRun(cfg, LocalSGDPolicy{}) }},
 		// A fresh policy per run: SwitchPolicy carries the switched flag.
 		{"switch", func(cfg Config) *Result {
-			return Run(cfg, &SwitchPolicy{
+			return mustRun(cfg, &SwitchPolicy{
 				From:   BSPPolicy{},
 				To:     SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg},
 				AtStep: 8,
@@ -127,18 +128,38 @@ func TestLocalSGDAndSwitchTCPMatchLoopback(t *testing.T) {
 	}
 }
 
-func TestSSPTCPCoordinatorMatchesLoopback(t *testing.T) {
-	mkCfg := func() Config {
-		cfg := smallConfig(23)
-		cfg.MaxSteps = 20
-		cfg.EvalEvery = 10
-		return cfg
-	}
-	opts := SSPOptions{Staleness: 3}
-	want := RunSSP(mkCfg(), opts)
-	results, _ := runTCPRanks(t, 4, 4, mkCfg, func(cfg Config) *Result { return RunSSP(cfg, opts) })
-	// Rank 0 coordinates and holds the authoritative Result.
-	if !reflect.DeepEqual(results[0], want) {
-		t.Fatalf("coordinator Result diverged:\n tcp: %+v\n  lb: %+v", results[0], want)
+// TestSSPTCPMatchesLoopback: SSP is SPMD like every other method — on 2-
+// and 4-rank TCP meshes every rank's Result equals the loopback run's, with
+// identical devices and with a straggler tight against the staleness gate.
+func TestSSPTCPMatchesLoopback(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		straggler bool
+		staleness int
+	}{
+		{"homogeneous", false, 3},
+		{"straggler", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mkCfg := func() Config {
+				cfg := smallConfig(23)
+				cfg.MaxSteps = 20
+				cfg.EvalEvery = 10
+				if tc.straggler {
+					cfg.Device = deviceWithStraggler(cfg.Seed, 1, 4)
+				}
+				return cfg
+			}
+			run := func(cfg Config) *Result { return mustRun(cfg, &SSPPolicy{Staleness: tc.staleness}) }
+			want := run(mkCfg())
+			for _, procs := range []int{2, 4} {
+				results, _ := runTCPRanks(t, procs, 4, mkCfg, run)
+				for r, got := range results {
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d ranks: rank %d Result diverged:\n tcp: %+v\n  lb: %+v", procs, r, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -279,11 +279,4 @@ func TestMembershipConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "procs=P") {
 		t.Fatalf("loopback plan without procs ran: %v", err)
 	}
-	// SSP replaces the step loop and cannot run under elastic membership.
-	cfg = smallConfig(7)
-	cfg.Membership = churnPlan
-	if _, err := NewJob(cfg, &SSPPolicy{Staleness: 2}).Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "elastic membership") {
-		t.Fatalf("SSP under membership ran: %v", err)
-	}
 }

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -9,52 +8,6 @@ import (
 	"selsync/internal/cluster"
 	"selsync/internal/tensor"
 )
-
-// Run executes one training run under the given synchronization policy —
-// a thin shim over the Job API: it builds a Job, runs it under a
-// background context, and panics on the configuration errors Job.Run
-// would return (the historical contract of this entry point). Callers
-// that want cancellation, the event stream, or checkpoint/resume use
-// NewJob directly.
-//
-// On a multi-process fabric Run is SPMD: every rank calls it with an
-// identical Config and an identically-constructed policy, and the ranks
-// meet at the collectives the chosen actions imply. Policies carry per-run
-// state — construct a fresh policy value for every call.
-func Run(cfg Config, policy SyncPolicy) *Result {
-	res, err := NewJob(cfg, policy).Run(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunBSP trains with bulk-synchronous parallelism: every step is a gradient
-// aggregation with a blocking barrier (paper §II-A).
-func RunBSP(cfg Config) *Result { return Run(cfg, BSPPolicy{}) }
-
-// RunLocalSGD trains with purely local updates: workers never communicate
-// after the initial broadcast (the δ ≥ M degeneration of SelSync).
-func RunLocalSGD(cfg Config) *Result { return Run(cfg, LocalSGDPolicy{}) }
-
-// RunSelSync trains with the paper's selective synchronization (Alg. 1):
-// per-worker significance votes select synchronous vs local steps.
-func RunSelSync(cfg Config, opts SelSyncOptions) *Result {
-	return Run(cfg, SelSyncPolicy{Delta: opts.Delta, Mode: opts.Mode})
-}
-
-// RunFedAvg trains with Federated Averaging (paper §II-B). The policy's
-// Init validates C and E.
-func RunFedAvg(cfg Config, opts FedAvgOptions) *Result {
-	return Run(cfg, &FedAvgPolicy{C: opts.C, E: opts.E})
-}
-
-// RunSSP trains with stale-synchronous parallelism (paper §II-C): the
-// discrete-event loop of ssp.go behind the SSPPolicy event-loop hook,
-// which validates the staleness bound.
-func RunSSP(cfg Config, opts SSPOptions) *Result {
-	return Run(cfg, &SSPPolicy{Staleness: opts.Staleness, PSOpt: opts.PSOpt})
-}
 
 // engine drives the SPMD step loop for one run. Everything per-step is
 // preallocated — the aggregation buffer, the Signals (with its flags
@@ -145,7 +98,7 @@ func (e *engine) run(start int, j *Job) (next int, cancelled bool, err error) {
 					// runner stays healthy for the rejoin flow.
 					return step, false, merr
 				}
-				return step, false, e.fail(step, merr)
+				return step, false, e.r.fail(step, merr)
 			}
 		}
 		if j != nil {
@@ -172,26 +125,33 @@ func (e *engine) run(start int, j *Job) (next int, cancelled bool, err error) {
 // vote exchange, the synchronization round, the evaluation reduction —
 // aborts the step and surfaces the typed error.
 func (e *engine) step(step int) (stop bool, err error) {
-	if e.presched != nil {
-		// Overlap runs only on steps the policy commits to gradient
-		// aggregation before gradients exist; everything else (SelSync
-		// votes, local phases) takes the sequential path below.
-		if act, ok := e.presched.PlanStep(step); ok && act.Kind == ActSyncGrads {
-			return e.stepOverlapped(step, act)
-		}
-	}
 	r := e.r
 	e.lr = r.lr(step)
 	injCost := r.nextBatches()
-	r.computeGrads()
 	e.sig.Step = step
 	e.sig.err = nil
-	act := e.policy.Decide(step, &e.sig)
-	if e.sig.err != nil {
-		return false, e.fail(step, e.sig.err)
+	var act Action
+	// Overlap runs only on steps the policy commits to gradient aggregation
+	// before gradients exist: the bucketed collective then runs alongside
+	// the backward pass and execute is handed the finished mean. Everything
+	// else (SelSync votes, local phases) computes first and decides after.
+	overlapped := false
+	if e.presched != nil {
+		act, overlapped = e.presched.PlanStep(step)
+		overlapped = overlapped && act.Kind == ActSyncGrads
 	}
-	if err := e.execute(act, injCost); err != nil {
-		return false, e.fail(step, err)
+	if overlapped {
+		err = e.aggregateOverlapped()
+	} else {
+		r.computeGrads()
+		act = e.policy.Decide(step, &e.sig)
+		err = e.sig.err
+	}
+	if err == nil {
+		err = e.execute(act, injCost, overlapped)
+	}
+	if err != nil {
+		return false, r.fail(step, err)
 	}
 	if r.obs != nil {
 		// Events are built only behind this nil-check: without an
@@ -206,25 +166,16 @@ func (e *engine) step(step int) (stop bool, err error) {
 	}
 	stop, err = r.maybeEval(step)
 	if err != nil {
-		return false, e.fail(step, err)
+		return false, r.fail(step, err)
 	}
 	return stop, nil
 }
 
-// fail marks the runner broken (clock reads fall back to rank-local state)
-// and emits the FaultEvent, nil-check guarded like every event.
-func (e *engine) fail(step int, err error) error {
-	e.r.setBroken(err)
-	if e.r.obs != nil {
-		e.r.obs.OnEvent(FaultEvent{Step: step, Err: err})
-	}
-	return err
-}
-
 // execute carries out one synchronization action through the cluster's
 // fabric, advancing step counters and virtual clocks exactly as the
-// hand-rolled per-method loops did.
-func (e *engine) execute(act Action, injCost float64) error {
+// hand-rolled per-method loops did. aggregated means e.avg already holds
+// the step's mean gradient (the overlapped round produced it).
+func (e *engine) execute(act Action, injCost float64, aggregated bool) error {
 	r := e.r
 	var syncCost float64
 	participants := r.cl.N()
@@ -233,8 +184,10 @@ func (e *engine) execute(act Action, injCost float64) error {
 		// Push gradients, pull the mean, every worker applies the same
 		// averaged update. Replicas that diverged during earlier local
 		// phases stay diverged — the inconsistency §III-C warns about.
-		if err := r.cl.AggregateGrads(e.avg); err != nil {
-			return err
+		if !aggregated {
+			if err := r.cl.AggregateGrads(e.avg); err != nil {
+				return err
+			}
 		}
 		if act.TrackMeanGradDelta && r.cfg.TrackDeltas {
 			r.trackDelta(e.avg.Norm())

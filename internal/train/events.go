@@ -13,11 +13,9 @@ package train
 // machinery costs nothing unless asked for.
 //
 // On a multi-process fabric every rank observes its own local view of the
-// SPMD loop (identical decisions, hosted-worker losses and clocks). The
-// exception is SSP, whose parameter server is genuinely central: the rank-0
-// coordinator applies every update — including those computed by remote
-// ranks — and therefore forwards the whole run's step and eval events;
-// worker ranks observe nothing.
+// SPMD loop (identical decisions, hosted-worker losses and clocks). Under
+// SSP every rank applies every update, so every rank observes the whole
+// run's step and eval events.
 
 // Event is the interface all training events implement. It is sealed: the
 // concrete types below are the full taxonomy.

@@ -308,3 +308,71 @@ func TestCrashRecoveryDigestEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestSSPCrashTakesTheFaultPath: a fabric failure inside the SSP event loop
+// is an ordinary fault, not a panic — every rank gets the typed error, one
+// FaultEvent, and the partial Result the run had earned: an evaluation
+// history that is a prefix of the clean run's.
+func TestSSPCrashTakesTheFaultPath(t *testing.T) {
+	const crashRank = 1
+	type outcome struct {
+		res    *Result
+		err    error
+		faults []FaultEvent
+		frames int // frames this rank sent
+	}
+	run := func(crashFrame int) []outcome {
+		results, _ := commtest.RunRanksOpts(t, 2, 4, commtest.Options{
+			Loopback:  true,
+			OpTimeout: 10 * time.Second,
+			Wrap: func(rank int, ep comm.Endpoint) comm.Endpoint {
+				if rank != crashRank {
+					return ep
+				}
+				return comm.WithFaults(ep, comm.FaultPlan{CrashAtFrame: crashFrame})
+			},
+		}, func(rank int, fabric comm.Fabric) outcome {
+			cfg := faultCfg(124)
+			cfg.Fabric = fabric
+			var out outcome
+			job := NewJob(cfg, &SSPPolicy{Staleness: 3}, WithObserver(ObserverFunc(func(e Event) {
+				if ev, ok := e.(FaultEvent); ok {
+					out.faults = append(out.faults, ev)
+				}
+			})))
+			out.res, out.err = job.Run(context.Background())
+			out.frames = int(fabric.(*comm.Mesh).Endpoint().NetStats().FramesSent)
+			return out
+		})
+		return results
+	}
+	clean := run(0)
+	for rank, got := range clean {
+		if got.err != nil {
+			t.Fatalf("clean run failed on rank %d: %v", rank, got.err)
+		}
+	}
+	want := clean[0].res.History
+
+	// Crash three quarters of the way through the frames the clean run sent:
+	// past the first evaluations, short of the last.
+	for rank, got := range run(clean[crashRank].frames * 3 / 4) {
+		var pe *comm.PeerError
+		if !errors.As(got.err, &pe) {
+			t.Fatalf("rank %d error is not a *comm.PeerError: %v", rank, got.err)
+		}
+		if got.res == nil {
+			t.Fatalf("rank %d returned no partial Result", rank)
+		}
+		if len(got.faults) != 1 || got.faults[0].Err != got.err {
+			t.Fatalf("rank %d observed FaultEvents %v, want exactly the returned error", rank, got.faults)
+		}
+		h := got.res.History
+		if len(h) == 0 || len(h) >= len(want) || !reflect.DeepEqual(h, want[:len(h)]) {
+			t.Fatalf("rank %d partial history is not a proper prefix of the clean run's:\n partial: %+v\n   clean: %+v", rank, h, want)
+		}
+		if got.res.LSSR != -1 || got.res.Steps == 0 || got.res.Steps >= clean[0].res.Steps {
+			t.Fatalf("rank %d partial Result inconsistent: %+v", rank, got.res)
+		}
+	}
+}

@@ -49,34 +49,34 @@ func goldenCases() []struct {
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
 			cfg.TrackDeltas = true
 			cfg.SnapshotAtSteps = []int{9, 29}
-			return RunBSP(cfg)
+			return mustRun(cfg, BSPPolicy{})
 		}},
 		{"local", func() *Result {
 			cfg := smallConfig(102)
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
 			cfg.TrackDeltas = true
-			return RunLocalSGD(cfg)
+			return mustRun(cfg, LocalSGDPolicy{})
 		}},
 		{"selsync-pa", func() *Result {
 			cfg := smallConfig(103)
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
 			cfg.TrackDeltas = true
-			return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+			return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 		}},
 		{"selsync-ga", func() *Result {
 			cfg := smallConfig(104)
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
-			return RunSelSync(cfg, SelSyncOptions{Delta: 0.02, Mode: cluster.GradAgg})
+			return mustRun(cfg, SelSyncPolicy{Delta: 0.02, Mode: cluster.GradAgg})
 		}},
 		{"fedavg", func() *Result {
 			cfg := smallConfig(105)
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
-			return RunFedAvg(cfg, FedAvgOptions{C: 1, E: 0.5})
+			return mustRun(cfg, &FedAvgPolicy{C: 1, E: 0.5})
 		}},
 		{"ssp", func() *Result {
 			cfg := smallConfig(106)
 			cfg.MaxSteps, cfg.EvalEvery = 30, 10
-			return RunSSP(cfg, SSPOptions{Staleness: 3})
+			return mustRun(cfg, &SSPPolicy{Staleness: 3})
 		}},
 		{"selsync-inject", func() *Result {
 			g := data.NewImageGen(8, 1.2, 1.0, 3e3, 107)
@@ -89,20 +89,20 @@ func goldenCases() []struct {
 				LabelsPerWorker: 2,
 				Injection:       &data.Injection{Alpha: 0.5, Beta: 0.5},
 			}
-			return RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+			return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 		}},
 		{"fedavg-partial", func() *Result {
 			cfg := smallConfig(108)
 			cfg.MaxSteps, cfg.EvalEvery = 40, 10
-			return RunFedAvg(cfg, FedAvgOptions{C: 0.5, E: 0.25})
+			return mustRun(cfg, &FedAvgPolicy{C: 0.5, E: 0.25})
 		}},
 		// The lossy codecs: selection, quantization, error feedback and the
 		// downlink round trip all feed the digest, so these pin the codec
 		// kernels' bits against a committed value (recorded before the
 		// histogram select replaced quickselect), not just loopback-vs-TCP.
-		{"bsp-topk", func() *Result { return RunBSP(goldenCodecCfg(109, "topk:0.01")) }},
-		{"bsp-q8", func() *Result { return RunBSP(goldenCodecCfg(110, "q8")) }},
-		{"bsp-partial", func() *Result { return RunBSP(goldenCodecCfg(111, "partial:0.25")) }},
+		{"bsp-topk", func() *Result { return mustRun(goldenCodecCfg(109, "topk:0.01"), BSPPolicy{}) }},
+		{"bsp-q8", func() *Result { return mustRun(goldenCodecCfg(110, "q8"), BSPPolicy{}) }},
+		{"bsp-partial", func() *Result { return mustRun(goldenCodecCfg(111, "partial:0.25"), BSPPolicy{}) }},
 	}
 }
 

@@ -78,6 +78,9 @@ func TestDigestIndependentOfGOMAXPROCS(t *testing.T) {
 		{"bsp", BSPPolicy{}, ""},
 		{"selsync", SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}, ""},
 		{"bsp-topk", BSPPolicy{}, "topk:0.01"},
+		// Every SSP event crosses Average's fan-out on the 740k-element
+		// gradient; SSPPolicy holds no per-run state, so one value serves.
+		{"ssp", &SSPPolicy{Staleness: 2}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
@@ -86,7 +89,7 @@ func TestDigestIndependentOfGOMAXPROCS(t *testing.T) {
 				cfg := wideConfig(7)
 				cfg.MaxSteps, cfg.EvalEvery = 8, 4
 				cfg.Codec = tc.codec
-				got := Run(cfg, tc.policy).Digest()
+				got := mustRun(cfg, tc.policy).Digest()
 				if want == "" {
 					want = got
 				} else if got != want {

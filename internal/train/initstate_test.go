@@ -70,7 +70,7 @@ func TestInitialStateDrawnOncePerRank(t *testing.T) {
 			cfg := alexConfig(142)
 			cfg.Model = countDraws(cfg.Model, &draws[rank])
 			cfg.Fabric = fabric
-			return Run(cfg, BSPPolicy{})
+			return mustRun(cfg, BSPPolicy{})
 		})
 		for rank := range draws {
 			if got := draws[rank].Load(); got != 1 {

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"selsync/internal/comm"
 )
 
 // Job is a first-class training run: constructed once with NewJob,
 // executed once with Run, observable through a typed event stream,
 // cancellable through its context, and checkpointable mid-flight or after
-// it ends. The Run* entry points and train.Run are thin shims over it.
+// it ends. NewJob(cfg, policy).Run(ctx) is the one way into a training run.
 //
 // A Job is single-shot — Run may be called once. Checkpoint is safe to
 // call concurrently with Run (the snapshot is taken at the next step
@@ -118,9 +120,8 @@ func WithLateJoin() Option {
 	return func(j *Job) { j.rejoin = true; j.lateJoin = true }
 }
 
-// NewJob builds a job over a config and a synchronization policy. Like
-// every Run entry point, the policy must be a fresh value per job —
-// policies carry per-run state.
+// NewJob builds a job over a config and a synchronization policy. The
+// policy must be a fresh value per job — policies carry per-run state.
 func NewJob(cfg Config, policy SyncPolicy, opts ...Option) *Job {
 	j := &Job{
 		cfg:        cfg,
@@ -168,13 +169,19 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		j.finish(nil, 0, nil)
 		return nil, err
 	}
+	ev, eventLoop := j.policy.(eventLoopPolicy)
+	if eventLoop {
+		if err := j.refuseEventLoop(); err != nil {
+			j.finish(nil, 0, nil)
+			return nil, err
+		}
+	}
 
 	// Construction and policy Init turn their validation panics into
 	// errors; a panic after the cluster exists must release its worker
 	// pool (Close is idempotent).
 	var r *runner
 	var e *engine
-	ev, eventLoop := j.policy.(eventLoopPolicy)
 	err := capturePanic(func() {
 		r = newRunner(j.cfg, j.policy.Name(), j.resume != nil || j.lateJoin)
 		r.obs = j.obs
@@ -196,10 +203,9 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	j.mu.Lock()
 	j.r = r // mid-run checkpoint requests capture from it
 	j.mu.Unlock()
-	// A panic anywhere past construction — a custom policy's Decide, a
-	// comm failure mid-collective — must release the cluster's worker
-	// pool (Close is idempotent), exactly as the legacy Run guaranteed,
-	// so harnesses that recover don't leak goroutines.
+	// A panic anywhere past construction — a custom policy's Decide, an
+	// observer — must release the cluster's worker pool (Close is
+	// idempotent), so harnesses that recover don't leak goroutines.
 	defer func() {
 		if p := recover(); p != nil {
 			r.cl.Close()
@@ -208,36 +214,25 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 	}()
 
 	if eventLoop {
-		if j.resume != nil {
+		var steps int
+		var loopErr error
+		if err := capturePanic(func() { steps, loopErr = ev.runEventLoop(r) }); err != nil {
 			r.cl.Close()
-			j.finish(r, 0, nil)
-			return nil, fmt.Errorf("train: %s replaces the step loop and cannot resume from a checkpoint", j.policy.Name())
-		}
-		if r.memb != nil {
-			r.cl.Close()
-			j.finish(r, 0, nil)
-			return nil, fmt.Errorf("train: %s replaces the step loop and cannot run under elastic membership", j.policy.Name())
-		}
-		if j.cfg.Overlap || !r.cl.Codec().Nop() {
-			r.cl.Close()
-			j.finish(r, 0, nil)
-			return nil, fmt.Errorf("train: %s replaces the step loop and supports neither payload codecs nor comm/compute overlap", j.policy.Name())
-		}
-		if err := capturePanic(func() {
-			defer func() {
-				if p := recover(); p != nil {
-					r.cl.Close()
-					panic(p)
-				}
-			}()
-			ev.runEventLoop(r)
-		}); err != nil {
 			j.finish(r, 0, nil)
 			return nil, err
 		}
-		res := r.finish()
+		if loopErr != nil {
+			// The step loop's fault path, minus the emergency checkpoint an
+			// event loop cannot take: break the runner, emit the FaultEvent,
+			// hand back the partial Result with the typed error.
+			r.fail(steps, loopErr)
+		}
+		res := r.finishCounts(steps, 0, 0)
 		ev.finalizeResult(res)
 		j.finish(r, 0, res)
+		if loopErr != nil {
+			return res, loopErr
+		}
 		return res, ctx.Err()
 	}
 
@@ -246,7 +241,7 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		// An elastic resume must rebuild the membership topology — plan
 		// cursor, view, rank-0's adopted replicas — before the restore
 		// overwrites worker state against it.
-		r.replayStructural(j.resume.Step)
+		r.replayStructural(func(_ int, ev MemberEvent) bool { return ev.Step <= j.resume.Step })
 		var rerr error
 		start, rerr = restoreCheckpoint(r, j.policy, j.resume)
 		if rerr != nil {
@@ -319,6 +314,35 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 		return res, ctx.Err()
 	}
 	return res, nil
+}
+
+// refuseEventLoop reports the first job option or Config feature an
+// event-loop policy cannot honour. Such a policy replaces the step loop, and
+// with it everything that loop's boundaries service — checkpoints in either
+// direction, membership transitions — and the codec and overlap paths of its
+// synchronization round. The job's own fields decide every case, so the
+// refusal comes before the cluster is built.
+func (j *Job) refuseEventLoop() error {
+	_, _, elastic, _ := j.cfg.membership() // Validate has parsed the plan
+	codec, _ := comm.ParseCodec(j.cfg.Codec)
+	var what string
+	switch {
+	case j.resume != nil:
+		what = "resume from a checkpoint"
+	case j.autoEvery > 0:
+		what = "take auto-checkpoints"
+	case j.rejoin:
+		what = "rejoin a run it left or missed the start of"
+	case elastic:
+		what = "run under elastic membership"
+	case !codec.Nop():
+		what = "send through a payload codec"
+	case j.cfg.Overlap:
+		what = "overlap communication with compute"
+	default:
+		return nil
+	}
+	return fmt.Errorf("train: %s replaces the step loop and cannot %s", j.policy.Name(), what)
 }
 
 // emergencyCheckpoint best-effort captures the run's state after a fabric
@@ -529,18 +553,7 @@ func (j *Job) awaitRejoin(r *runner) (start int, ok bool, err error) {
 	// Replay the transitions this rank missed — other ranks' departures
 	// and readmissions, and its own readmission — so its view and
 	// adoption overlay agree with the survivors' before the barrier.
-	for m.idx <= joinIdx {
-		ev := m.plan.Events[m.idx]
-		m.idx++
-		m.epoch = uint64(m.idx)
-		m.alive[ev.Rank] = ev.Join
-		if ev.Join {
-			m.mesh.MarkAlive(ev.Rank)
-		} else {
-			m.mesh.MarkDead(ev.Rank)
-			m.mesh.AdoptRank(ev.Rank)
-		}
-	}
+	r.replayStructural(func(i int, _ MemberEvent) bool { return i <= joinIdx })
 	start, rerr := restoreCheckpoint(r, j.policy, ck)
 	if rerr != nil {
 		return 0, false, rerr
@@ -561,10 +574,9 @@ func (j *Job) r0() *runner {
 	return j.r
 }
 
-// capturePanic runs fn, converting a panic into an error. Construction
-// and Init-hook panics ("train: FedAvg C must be in (0, 1]") become
-// ordinary errors on the Job API while the legacy Run entry points keep
-// panicking.
+// capturePanic runs fn, converting a panic into an error: construction
+// and Init-hook panics ("train: FedAvg C must be in (0, 1]") are ordinary
+// errors on the Job API.
 func capturePanic(fn func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -20,7 +20,7 @@ import (
 func TestJobMatchesRun(t *testing.T) {
 	cfg := smallConfig(61)
 	cfg.MaxSteps, cfg.EvalEvery = 40, 10
-	want := RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+	want := mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 
 	job := NewJob(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	got, err := job.Run(context.Background())
@@ -193,7 +193,7 @@ func TestObserverDoesNotPerturbResult(t *testing.T) {
 		cfg.TrackDeltas = true
 		return cfg
 	}
-	want := RunSelSync(mk(), SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+	want := mustRun(mk(), SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	var sink bytes.Buffer
 	got, err := NewJob(mk(), SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg},
 		WithObserver(MultiObserver(NewJSONLObserver(&sink), NewProgressObserver(&sink)))).

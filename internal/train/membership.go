@@ -158,30 +158,39 @@ type membState struct {
 	epoch  uint64 // planned-transition epoch: the 1-based plan event index
 }
 
+// membership resolves what makes a run elastic from its Config alone: the
+// parsed plan, the multi-rank mesh behind Config.Fabric (nil in a single
+// process — a one-rank fabric has no peers to lose, so the run mirrors the
+// plan's rank layout arithmetically), and whether the run is elastic at
+// all: a plan with events, or, on a mesh, Config.Quorum or an
+// already-elastic fabric.
+func (c Config) membership() (plan *MembershipPlan, mesh *comm.Mesh, elastic bool, err error) {
+	if plan, err = ParseMembershipPlan(c.Membership); err != nil {
+		return nil, nil, false, err
+	}
+	if m, ok := c.Fabric.(*comm.Mesh); ok && m.Procs() > 1 {
+		mesh = m
+	}
+	elastic = plan != nil && len(plan.Events) > 0
+	if mesh != nil && (mesh.Elastic() || c.Quorum != 0) {
+		elastic = true
+	}
+	return plan, mesh, elastic, nil
+}
+
 // newMembState builds the membership state for a run, or nil when the run
 // is not elastic (no plan, and no elastic mesh). Structural mistakes
 // panic — Job.Run converts construction panics into errors.
 func newMembState(cfg Config, cl *cluster.Cluster) *membState {
-	plan, err := ParseMembershipPlan(cfg.Membership)
+	plan, mesh, elastic, err := cfg.membership()
 	if err != nil {
 		panic(err)
 	}
-	// A one-rank fabric is a mesh too, but it has no peers to lose: the
-	// single-process run mirrors the plan's rank layout arithmetically.
-	var mesh *comm.Mesh
-	if cl.Procs() > 1 {
-		mesh, _ = cl.Fabric().(*comm.Mesh)
-	}
-	planned := plan != nil && len(plan.Events) > 0
-	if mesh == nil {
-		if !planned {
-			return nil
-		}
-		if plan.Procs == 0 {
-			panic("train: a loopback membership plan needs procs=P to mirror the rank layout")
-		}
-	} else if !planned && !mesh.Elastic() && cfg.Quorum == 0 {
+	if !elastic {
 		return nil
+	}
+	if mesh == nil && plan.Procs == 0 {
+		panic("train: a loopback membership plan needs procs=P to mirror the rank layout")
 	}
 	procs := cl.Procs()
 	if mesh == nil {
@@ -409,19 +418,21 @@ func (r *runner) emitViewChange(step, rank int, join bool) {
 	})
 }
 
-// replayStructural applies the structural side of every plan event up to
-// (and including) the checkpoint boundary, without emitting events or
-// barriers: a resumed run must reconstruct the membership topology —
-// view, adoption overlay, rank-0's adopted replicas — before
-// restoreCheckpoint overwrites the worker state. On loopback only the
-// plan cursor and liveness advance (the worker set is static and restore
-// rewrites it wholesale).
-func (r *runner) replayStructural(upto int) {
+// replayStructural applies the structural side of the next plan events —
+// for as long as more(index, event) holds — without emitting events or
+// barriers. It is how a rank catches up on transitions it did not live
+// through: a resumed run must reconstruct the membership topology — view,
+// adoption overlay, rank-0's adopted replicas — before restoreCheckpoint
+// overwrites the worker state, and a rejoining rank must agree with the
+// survivors' view before it meets them at the join barrier. On loopback
+// only the plan cursor and liveness advance (the worker set is static and
+// restore rewrites it wholesale).
+func (r *runner) replayStructural(more func(i int, ev MemberEvent) bool) {
 	m := r.memb
 	if m == nil || m.plan == nil {
 		return
 	}
-	for m.idx < len(m.plan.Events) && m.plan.Events[m.idx].Step <= upto {
+	for m.idx < len(m.plan.Events) && more(m.idx, m.plan.Events[m.idx]) {
 		ev := m.plan.Events[m.idx]
 		m.idx++
 		m.epoch = uint64(m.idx)

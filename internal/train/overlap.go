@@ -108,45 +108,13 @@ func (e *engine) launchCompute() chan struct{} {
 	return done
 }
 
-// stepOverlapped executes one pre-committed gradient-aggregation step with
-// the collective overlapping the backward pass. It mirrors step() +
-// execute(ActSyncGrads) exactly — same counters, costs, events, eval — so
-// the run's Result is bit-identical to the sequential path's.
-func (e *engine) stepOverlapped(step int, act Action) (stop bool, err error) {
-	r := e.r
-	e.lr = r.lr(step)
-	injCost := r.nextBatches()
-	e.sig.Step = step
-	e.sig.err = nil
+// aggregateOverlapped computes the step's gradients with the bucketed
+// collective overlapping the backward pass, leaving their mean in e.avg.
+func (e *engine) aggregateOverlapped() error {
 	done := e.launchCompute()
-	aerr := r.cl.AggregateGradsOverlapped(e.avg, e.buckets, e.waitFn)
+	err := e.r.cl.AggregateGradsOverlapped(e.avg, e.buckets, e.waitFn)
 	if done != nil {
 		<-done
 	}
-	if aerr != nil {
-		return false, e.fail(step, aerr)
-	}
-	if act.TrackMeanGradDelta && r.cfg.TrackDeltas {
-		r.trackDelta(e.avg.Norm())
-	}
-	r.cl.Each(e.syncGradsFn)
-	cost := act.ExtraCost + r.cl.SyncCost() + injCost
-	if err := r.cl.Barrier(cost); err != nil {
-		return false, e.fail(step, err)
-	}
-	if r.obs != nil {
-		r.obs.OnEvent(SyncEvent{Step: step, Kind: act.Kind, Participants: r.cl.N(), CostSeconds: cost})
-		r.obs.OnEvent(StepEvent{
-			Step:     step,
-			Action:   act.Kind,
-			LR:       e.lr,
-			MeanLoss: r.hostedMeanLoss(),
-			SimTime:  r.hostedMaxClock(),
-		})
-	}
-	stop, err = r.maybeEval(step)
-	if err != nil {
-		return false, e.fail(step, err)
-	}
-	return stop, nil
+	return err
 }

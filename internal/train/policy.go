@@ -15,7 +15,9 @@ import (
 // a SyncPolicy owns exactly the per-step synchronization decision. Hybrid
 // methods the hand-rolled loops could not express — BSP warmup flowing into
 // SelSync steady-state, declarative phase schedules — are just policies
-// that wrap other policies (hybrid.go).
+// that wrap other policies (hybrid.go). SSP is the one method whose workers
+// do not advance in lock-step; its policy swaps the step loop for an event
+// loop (ssp.go) on the same runner, fabric and Result assembly.
 
 // ActionKind selects how one step's updates synchronize across workers.
 type ActionKind int
@@ -79,7 +81,7 @@ type Action struct {
 // decision must be rank-invariant (derive it from Signals and policy state
 // only — both are identical on every rank by construction). Policies are
 // single-run: they may carry mutable per-run state (RNG streams, switch
-// flags), so build a fresh value for every Run call.
+// flags), so build a fresh value for every job.
 type SyncPolicy interface {
 	// Name labels the Result ("BSP", "SelSync(δ=0.18,ParamAgg)", ...).
 	Name() string
@@ -109,11 +111,13 @@ type Preschedulable interface {
 
 // eventLoopPolicy is the escape hatch for methods that cannot be expressed
 // as a per-step decision: SSP's discrete-event simulation replaces the
-// engine loop entirely. Internal on purpose — composite policies reject it,
-// and external packages compose the step-based policies instead.
+// engine loop entirely. runEventLoop returns the per-worker mean step count
+// and the fabric error that interrupted the loop (nil on a clean stop).
+// Internal on purpose — composite policies reject it, and external packages
+// compose the step-based policies instead.
 type eventLoopPolicy interface {
 	SyncPolicy
-	runEventLoop(r *runner)
+	runEventLoop(r *runner) (steps int, err error)
 	finalizeResult(res *Result)
 }
 
@@ -351,9 +355,9 @@ func (p *FedAvgPolicy) RestoreState(st PolicyState) error {
 // SSPPolicy is stale-synchronous parallelism (paper §II-C). SSP has no
 // per-step collective decision — workers run asynchronously against a
 // central PS under a staleness bound — so this policy replaces the SPMD
-// step loop with the discrete-event simulation of ssp.go (and, on a
-// multi-process fabric, the rank-0 coordinator protocol of ssp_dist.go).
-// It cannot be composed into Switch/Schedule policies.
+// step loop with the discrete-event simulation of ssp.go, which every rank
+// of a multi-process fabric runs SPMD like the step loop it replaces. It
+// cannot be composed into Switch/Schedule policies.
 type SSPPolicy struct {
 	// Staleness is the maximum number of iterations fast workers may run
 	// ahead of the slowest one.
@@ -375,11 +379,11 @@ func (p *SSPPolicy) Decide(step int, sig *Signals) Action {
 	panic("train: SSPPolicy replaces the engine loop; Decide is never called")
 }
 
-func (p *SSPPolicy) runEventLoop(r *runner) {
+func (p *SSPPolicy) runEventLoop(r *runner) (int, error) {
 	if p.Staleness < 0 {
 		panic("train: SSP staleness must be non-negative")
 	}
-	runSSPLoop(r, SSPOptions{Staleness: p.Staleness, PSOpt: p.PSOpt})
+	return runSSPLoop(r, p)
 }
 
 func (p *SSPPolicy) finalizeResult(res *Result) {

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func stripMethod(res *Result) *Result {
 func TestSwitchPolicyChangesSyncBehaviorAtBoundary(t *testing.T) {
 	cfg := smallConfig(41)
 	cfg.MaxSteps = 50
-	res := Run(cfg, &SwitchPolicy{From: BSPPolicy{}, To: LocalSGDPolicy{}, AtStep: 20})
+	res := mustRun(cfg, &SwitchPolicy{From: BSPPolicy{}, To: LocalSGDPolicy{}, AtStep: 20})
 	// Every step before the boundary synchronizes, none after: the switch
 	// demonstrably changes sync behavior exactly at step 20.
 	if res.SyncSteps != 20 || res.LocalSteps != 30 {
@@ -48,7 +49,7 @@ func TestSwitchPolicyChangesSyncBehaviorAtBoundary(t *testing.T) {
 	// The reverse hybrid flips the counts.
 	cfg2 := smallConfig(41)
 	cfg2.MaxSteps = 50
-	rev := Run(cfg2, &SwitchPolicy{From: LocalSGDPolicy{}, To: BSPPolicy{}, AtStep: 20})
+	rev := mustRun(cfg2, &SwitchPolicy{From: LocalSGDPolicy{}, To: BSPPolicy{}, AtStep: 20})
 	if rev.LocalSteps != 20 || rev.SyncSteps != 30 {
 		t.Fatalf("reverse boundary not respected: sync=%d local=%d (want 30/20)", rev.SyncSteps, rev.LocalSteps)
 	}
@@ -60,10 +61,10 @@ func TestSwitchPolicyPredicateMatchesStepBoundary(t *testing.T) {
 		cfg.MaxSteps = 30
 		return cfg
 	}
-	atStep := Run(mkCfg(), &SwitchPolicy{
+	atStep := mustRun(mkCfg(), &SwitchPolicy{
 		From: BSPPolicy{}, To: SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}, AtStep: 10,
 	})
-	when := Run(mkCfg(), &SwitchPolicy{
+	when := mustRun(mkCfg(), &SwitchPolicy{
 		From: BSPPolicy{}, To: SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg},
 		When: func(sig *Signals) bool { return sig.Step >= 10 },
 	})
@@ -79,7 +80,7 @@ func TestSwitchPolicyPredicateMatchesStepBoundary(t *testing.T) {
 func TestSchedulePolicyPhases(t *testing.T) {
 	cfg := smallConfig(43)
 	cfg.MaxSteps = 30
-	res := Run(cfg, &SchedulePolicy{Phases: []PolicyPhase{
+	res := mustRun(cfg, &SchedulePolicy{Phases: []PolicyPhase{
 		{Policy: BSPPolicy{}, Steps: 10},
 		{Policy: LocalSGDPolicy{}, Steps: 10},
 		{Policy: BSPPolicy{}},
@@ -102,8 +103,8 @@ func TestScheduleStringMatchesSwitchPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheduled := Run(mkCfg(), policy)
-	switched := Run(mkCfg(), &SwitchPolicy{
+	scheduled := mustRun(mkCfg(), policy)
+	switched := mustRun(mkCfg(), &SwitchPolicy{
 		From: BSPPolicy{}, To: SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}, AtStep: 8,
 	})
 	a, b := fmt.Sprintf("%+v", stripMethod(scheduled)), fmt.Sprintf("%+v", stripMethod(switched))
@@ -126,12 +127,12 @@ func TestParseScheduleSingleNameReturnsPurePolicy(t *testing.T) {
 	// And a pure-schedule run is the pure method's run.
 	cfg := smallConfig(45)
 	cfg.MaxSteps = 12
-	a := Run(cfg, policy)
+	a := mustRun(cfg, policy)
 	cfg2 := smallConfig(45)
 	cfg2.MaxSteps = 12
-	b := RunBSP(cfg2)
+	b := mustRun(cfg2, BSPPolicy{})
 	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-		t.Fatal("ParseSchedule(\"bsp\") must reproduce RunBSP exactly")
+		t.Fatal("ParseSchedule(\"bsp\") must reproduce a BSPPolicy run exactly")
 	}
 }
 
@@ -169,12 +170,11 @@ func TestParseScheduleErrors(t *testing.T) {
 func TestCompositeRejectsEventLoopPolicies(t *testing.T) {
 	cfg := smallConfig(46)
 	cfg.MaxSteps = 5
-	defer func() {
-		if recover() == nil {
-			t.Fatal("composing SSP must panic")
-		}
-	}()
-	Run(cfg, &SwitchPolicy{From: &SSPPolicy{Staleness: 3}, To: BSPPolicy{}, AtStep: 2})
+	_, err := NewJob(cfg, &SwitchPolicy{From: &SSPPolicy{Staleness: 3}, To: BSPPolicy{}, AtStep: 2}).
+		Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "SSP") {
+		t.Fatalf("composing SSP must be refused by name, got %v", err)
+	}
 }
 
 // everyKth is a user-style custom policy: parameter-average every k-th
@@ -192,7 +192,7 @@ func (p everyKth) Decide(step int, sig *Signals) Action {
 func TestCustomPolicyThroughPublicSurface(t *testing.T) {
 	cfg := smallConfig(47)
 	cfg.MaxSteps = 30
-	res := Run(cfg, everyKth{k: 3})
+	res := mustRun(cfg, everyKth{k: 3})
 	if res.SyncSteps != 10 || res.LocalSteps != 20 {
 		t.Fatalf("custom cadence wrong: sync=%d local=%d (want 10/20)", res.SyncSteps, res.LocalSteps)
 	}
@@ -215,7 +215,7 @@ func TestTrackDeltasIsPureObservability(t *testing.T) {
 		cfg := smallConfig(77)
 		cfg.MaxSteps = 60
 		cfg.TrackDeltas = track
-		return Run(cfg, &SwitchPolicy{
+		return mustRun(cfg, &SwitchPolicy{
 			From:   BSPPolicy{},
 			To:     SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg},
 			AtStep: 20,

@@ -28,11 +28,6 @@ type runner struct {
 	cl   *cluster.Cluster
 	spec nn.ModelSpec
 	res  *Result
-	// clock returns the run's current virtual time; defaultClock (the
-	// MaxClock collective, falling back to rank-local state once the
-	// fabric is broken) by default, overridden by the distributed SSP
-	// coordinator which tracks remote workers' clocks itself.
-	clock func() float64
 
 	samplers []*data.Sampler
 	parts    [][]int
@@ -77,11 +72,6 @@ type runner struct {
 	// run, where every membership hook is skipped at zero cost.
 	memb *membState
 
-	// sspSteps, when non-nil, is the per-worker mean step count computed
-	// by the distributed SSP coordinator, whose remote workers are not
-	// visible through r.cl.Workers.
-	sspSteps *int
-
 	stepsPerEpoch int
 	losses        []float64
 
@@ -104,6 +94,16 @@ func (r *runner) setBroken(err error) {
 	if r.ferr == nil {
 		r.ferr = err
 	}
+}
+
+// fail marks the runner broken (clock reads fall back to rank-local state)
+// and emits the FaultEvent, nil-check guarded like every event.
+func (r *runner) fail(step int, err error) error {
+	r.setBroken(err)
+	if r.obs != nil {
+		r.obs.OnEvent(FaultEvent{Step: step, Err: err})
+	}
+	return err
 }
 
 // newRunner builds the cluster and the run's bookkeeping. restore is set
@@ -159,7 +159,6 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		gradFlat: tensor.NewVector(cl.Dim()),
 		losses:   make([]float64, cfg.Workers),
 	}
-	r.clock = r.defaultClock
 	if cfg.TrackDeltas && r.cl.LocalWorker(0) != nil {
 		// Same smoothing as the workers' voting trackers, but a private
 		// instance — see the field comment.
@@ -276,11 +275,11 @@ func (r *runner) applyLocal(lr float64) {
 	r.cl.Each(r.applyFn)
 }
 
-// defaultClock returns the run's current virtual time: the MaxClock
-// collective on a healthy fabric, the rank-local maximum once the run is
-// broken (a dead fabric must never be touched again — finish() reads the
-// clock while assembling the partial Result).
-func (r *runner) defaultClock() float64 {
+// clock returns the run's current virtual time: the MaxClock collective on
+// a healthy fabric, the rank-local maximum once the run is broken (a dead
+// fabric must never be touched again — finish() reads the clock while
+// assembling the partial Result).
+func (r *runner) clock() float64 {
 	if r.ferr != nil {
 		return r.hostedMaxClock()
 	}
@@ -440,13 +439,10 @@ func (r *runner) trackDelta(norm float64) {
 
 // finish computes the aggregate counters from the hosted workers, stops
 // the cluster's worker pool, and returns the result. The per-worker step
-// counters of every SPMD algorithm are rank-invariant (sync decisions are
-// global), so averaging over the hosted block equals averaging over all N
-// workers — the multi-process Result matches the loopback one exactly.
+// counters of the step loop are rank-invariant (sync decisions are global),
+// so averaging over the hosted block equals averaging over all N workers —
+// the multi-process Result matches the loopback one exactly.
 func (r *runner) finish() *Result {
-	if r.sspSteps != nil {
-		return r.finishCounts(*r.sspSteps, 0, 0)
-	}
 	var steps, sync, local int
 	for _, w := range r.cl.Workers {
 		steps += w.Steps
@@ -458,8 +454,8 @@ func (r *runner) finish() *Result {
 }
 
 // finishCounts fills the aggregate fields from explicit per-worker step
-// counts (the distributed SSP coordinator tracks remote workers itself)
-// and releases the cluster.
+// counts (an event loop's workers advance unevenly, so it reports the mean
+// over all N itself) and releases the cluster.
 func (r *runner) finishCounts(steps, sync, local int) *Result {
 	r.res.Steps = steps
 	r.res.SyncSteps = sync

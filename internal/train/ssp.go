@@ -1,11 +1,12 @@
 package train
 
 import (
-	"math"
+	"fmt"
+	"slices"
 
-	"selsync/internal/comm"
 	"selsync/internal/nn"
 	"selsync/internal/opt"
+	"selsync/internal/simnet"
 	"selsync/internal/tensor"
 )
 
@@ -19,72 +20,86 @@ import (
 // event is always the earliest pending push, so updates from other workers
 // land between a worker's pull and its push exactly as they would on the
 // real asynchronous testbed — that interleaving is the staleness that
-// degrades the deep residual model in Table I. SSP therefore cannot be
-// expressed as a per-step SyncPolicy decision; SSPPolicy plugs this loop in
+// degrades the deep residual model in Table I. A lock-step step would hand
+// every worker exactly one iteration and the gate would never bind, so SSP
+// cannot be a per-step SyncPolicy decision; SSPPolicy plugs this loop in
 // through the engine's event-loop hook instead.
+//
+// The loop is SPMD like the step loop: every rank runs the same event queue
+// over all N workers and applies every update to its own copy of the global
+// model. The one thing only a worker's owner has — the gradient it just
+// computed, with the mini-batch loss and the modelled compute seconds — is
+// delivered to every rank by the fabric's diagnostic reduce round over that
+// single worker id (the mean of one contribution is the contribution, bit
+// for bit, and the round leaves the ledger to the explicit AccountPush /
+// AccountPull below). With one rank the round is a local copy.
 
-// runSSPLoop is the body of an SSP run, factored out so tests can inspect
-// the cluster (per-worker step spread under the staleness gate) afterwards.
-// On a multi-process fabric it dispatches to the coordinator/serve
-// protocol of ssp_dist.go: SSP's PS is genuinely central, so rank 0 runs
-// the event loop and the other ranks serve compute requests.
-func runSSPLoop(r *runner, opts SSPOptions) {
-	if link, ok := r.cl.Fabric().(*comm.Mesh); ok && r.cl.Procs() > 1 {
-		runSSPMesh(r, opts, link)
-		return
-	}
-	n := r.cl.N()
+// runSSPLoop is the body of an SSP run. It returns the per-worker mean step
+// count and the fabric error that cut the run short (nil on a clean stop).
+func runSSPLoop(r *runner, p *SSPPolicy) (meanSteps int, err error) {
+	n, dim := r.cl.N(), r.cl.Dim()
 	global := r.cl.PS.Global
+	fabric := r.cl.Fabric()
 
 	// The PS owns the update rule in SSP; worker-side optimizer state
-	// would be stale. Plain SGD by default — see SSPOptions.PSOpt.
-	psParam := &nn.Param{Name: "global", Data: global, Grad: tensor.NewVector(r.cl.Dim())}
-	psBuilder := opts.PSOpt
+	// would be stale. Plain SGD by default — see SSPPolicy.PSOpt.
+	psParam := &nn.Param{Name: "global", Data: global, Grad: tensor.NewVector(dim)}
+	psBuilder := p.PSOpt
 	if psBuilder == nil {
 		psBuilder = func(ps []*nn.Param) opt.Optimizer { return opt.NewSGD(ps, 0, 0) }
 	}
 	psOpt := psBuilder([]*nn.Param{psParam})
 
+	steps := make([]int, n)          // applied pushes per worker
+	running := make([]bool, n)       // push pending; otherwise held at the gate
 	completion := make([]float64, n) // virtual push time per running worker
+	// pending[w] is worker w's in-flight message as every rank holds it: the
+	// gradient, then the mini-batch loss and the modelled compute seconds.
+	// The owner assembles it in stage, the reduce round's one contribution.
 	pending := make([]tensor.Vector, n)
-	blocked := make([]bool, n)
+	for w := range pending {
+		pending[w] = tensor.NewVector(dim + 2)
+	}
+	stage := tensor.NewVector(dim + 2)
+	stageView := func(int) tensor.Vector { return stage }
+	id := make([]int, 1)
 	commCost := r.cl.Network.PSPush(r.spec.WireBytes, 1) + r.cl.Network.PSPull(r.spec.WireBytes, 1)
 
-	// start schedules worker w's next iteration at virtual time `now`:
-	// pull the current global model, compute a real gradient, and set the
-	// push-completion event.
-	start := func(w int, now float64) {
-		worker := r.cl.Workers[w]
-		worker.SetParams(global)
+	// start schedules worker w's next iteration at virtual time `now`: its
+	// owner pulls the current global model and computes a real gradient,
+	// every rank receives it and sets the push-completion event.
+	start := func(w int, now float64) error {
 		r.cl.AccountPull(1)
-		batch := r.samplers[w].Next()
-		x, labels := r.cfg.Train.Batch(batch)
-		loss, _ := worker.Model.ComputeGradients(x, labels)
-		r.losses[w] = loss
-		pending[w] = worker.FlatGrads().Clone()
-		tc := worker.Device.ComputeTime(stepFlopsFor(r, len(batch)))
-		completion[w] = now + tc + commCost
-	}
-	for w := 0; w < n; w++ {
-		start(w, 0)
-	}
-
-	minSteps := func() int {
-		m := r.cl.Workers[0].Steps
-		for _, w := range r.cl.Workers[1:] {
-			if w.Steps < m {
-				m = w.Steps
-			}
+		if lw := r.cl.LocalWorker(w); lw != nil {
+			lw.Clock = now // a worker released from the gate idled until now
+			lw.SetParams(global)
+			batch := r.samplers[w].Next()
+			x, labels := r.cfg.Train.Batch(batch)
+			loss, _ := lw.Model.ComputeGradients(x, labels)
+			copy(stage, lw.FlatGrads())
+			stage[dim] = loss
+			stage[dim+1] = lw.Device.ComputeTime(simnet.StepFlops(r.spec.FlopsPerSample, len(batch)))
 		}
-		return m
+		id[0] = w
+		if err := fabric.ReduceMean(pending[w], id, stageView); err != nil {
+			return fmt.Errorf("train: ssp gradient of worker %d: %w", w, err)
+		}
+		completion[w] = now + pending[w][dim+1] + commCost
+		running[w] = true
+		return nil
 	}
 
-	totalApplied := 0
+	applied := 0
+	for w := 0; w < n; w++ {
+		if err := start(w, 0); err != nil {
+			return 0, err
+		}
+	}
 	for {
 		// Earliest pending push wins.
 		next := -1
 		for w := 0; w < n; w++ {
-			if pending[w] != nil && (next == -1 || completion[w] < completion[next]) {
+			if running[w] && (next == -1 || completion[w] < completion[next]) {
 				next = w
 			}
 		}
@@ -92,61 +107,58 @@ func runSSPLoop(r *runner, opts SSPOptions) {
 			panic("train: SSP deadlock — all workers blocked")
 		}
 		now := completion[next]
-		worker := r.cl.Workers[next]
-		worker.Clock = now
 
 		// Apply the (possibly stale) gradient at the PS.
-		psParam.Grad.CopyFrom(pending[next])
-		pending[next] = nil
+		psParam.Grad.CopyFrom(pending[next][:dim])
+		running[next] = false
 		r.cl.AccountPush(1)
-		perWorkerStep := totalApplied / n
+		perWorkerStep := applied / n
 		// Updates arrive N× more often than in BSP and are not averaged,
 		// so each is applied at lr/N: N asynchronous pushes then do the
 		// same total work as one BSP step, leaving staleness (not an
 		// inflated step size) as SSP's distinguishing error source.
-		psOpt.Step(r.lr(perWorkerStep) / float64(n))
-		worker.Steps++
-		totalApplied++
+		lr := r.lr(perWorkerStep) / float64(n)
+		psOpt.Step(lr)
+		steps[next]++
+		applied++
+		if lw := r.cl.LocalWorker(next); lw != nil {
+			// Hosted replicas mirror the queue, so the run clock is the
+			// ordinary MaxClock collective.
+			lw.Steps, lw.Clock = steps[next], now
+		}
 		if r.obs != nil {
 			// One StepEvent per applied PS update: the pushing worker's
 			// own step index and loss, at the push's virtual time.
 			r.obs.OnEvent(StepEvent{
-				Step:     worker.Steps - 1,
+				Step:     steps[next] - 1,
 				Action:   ActSyncGrads,
-				LR:       r.lr(perWorkerStep) / float64(n),
-				MeanLoss: r.losses[next],
+				LR:       lr,
+				MeanLoss: pending[next][dim],
 				SimTime:  now,
 			})
 		}
 
 		// Evaluation cadence in per-worker steps.
-		if totalApplied%(r.cfg.EvalEvery*n) == 0 || totalApplied >= r.cfg.MaxSteps*n {
+		if applied%(r.cfg.EvalEvery*n) == 0 || applied >= r.cfg.MaxSteps*n {
 			loss, metric := r.evalParams(global)
-			r.record(totalApplied/n-1, loss, metric)
+			r.record(applied/n-1, loss, metric)
+			if r.ferr != nil {
+				return applied / n, r.ferr // the clock collective failed
+			}
 		}
-		if totalApplied >= r.cfg.MaxSteps*n || r.stop || r.cancelled() {
-			break
+		if applied >= r.cfg.MaxSteps*n || r.stop || r.cancelled() {
+			return applied / n, nil
 		}
 
-		// Staleness gate: resume this worker and any unblocked ones.
-		ms := minSteps()
-		if worker.Steps-ms <= opts.Staleness {
-			start(next, now)
-		} else {
-			blocked[next] = true
-		}
+		// Staleness gate: resume this worker and any the event released.
+		// Event times never decrease, so a released worker resumes at `now`.
+		slowest := slices.Min(steps)
 		for w := 0; w < n; w++ {
-			if blocked[w] && r.cl.Workers[w].Steps-ms <= opts.Staleness {
-				blocked[w] = false
-				// The blocked worker idled until this event released it.
-				resume := math.Max(r.cl.Workers[w].Clock, now)
-				r.cl.Workers[w].Clock = resume
-				start(w, resume)
+			if !running[w] && steps[w]-slowest <= p.Staleness {
+				if err := start(w, now); err != nil {
+					return applied / n, err
+				}
 			}
 		}
 	}
-}
-
-func stepFlopsFor(r *runner, batch int) float64 {
-	return r.spec.FlopsPerSample * float64(batch)
 }

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"selsync/internal/cluster"
@@ -31,8 +33,20 @@ func smallConfig(seed uint64) Config {
 	}
 }
 
+// mustRun runs one job to completion — NewJob(cfg, policy).Run, the one way
+// in. A run error panics rather than calling t.Fatal: the call sites include
+// the rank goroutines of runTCPRanks, whose harness turns a rank's panic
+// into the test's failure.
+func mustRun(cfg Config, policy SyncPolicy) *Result {
+	res, err := NewJob(cfg, policy).Run(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func TestBSPConvergesAndIsFullySynchronous(t *testing.T) {
-	res := RunBSP(smallConfig(1))
+	res := mustRun(smallConfig(1), BSPPolicy{})
 	if res.LSSR != 0 {
 		t.Fatalf("BSP LSSR must be 0, got %v", res.LSSR)
 	}
@@ -51,7 +65,7 @@ func TestBSPConvergesAndIsFullySynchronous(t *testing.T) {
 }
 
 func TestLocalSGDNeverSynchronizes(t *testing.T) {
-	res := RunLocalSGD(smallConfig(2))
+	res := mustRun(smallConfig(2), LocalSGDPolicy{})
 	if res.LSSR != 1 {
 		t.Fatalf("LocalSGD LSSR must be 1, got %v", res.LSSR)
 	}
@@ -65,7 +79,7 @@ func TestLocalSGDNeverSynchronizes(t *testing.T) {
 
 func TestSelSyncDeltaZeroDegeneratesToBSP(t *testing.T) {
 	cfg := smallConfig(3)
-	res := RunSelSync(cfg, SelSyncOptions{Delta: 0, Mode: cluster.ParamAgg})
+	res := mustRun(cfg, SelSyncPolicy{Delta: 0, Mode: cluster.ParamAgg})
 	if res.LSSR != 0 {
 		t.Fatalf("δ=0 must synchronize every step, LSSR=%v", res.LSSR)
 	}
@@ -73,7 +87,7 @@ func TestSelSyncDeltaZeroDegeneratesToBSP(t *testing.T) {
 
 func TestSelSyncHugeDeltaDegeneratesToLocalSGD(t *testing.T) {
 	cfg := smallConfig(4)
-	res := RunSelSync(cfg, SelSyncOptions{Delta: 1e12, Mode: cluster.ParamAgg})
+	res := mustRun(cfg, SelSyncPolicy{Delta: 1e12, Mode: cluster.ParamAgg})
 	if res.LSSR != 1 {
 		t.Fatalf("huge δ must never synchronize, LSSR=%v", res.LSSR)
 	}
@@ -81,8 +95,8 @@ func TestSelSyncHugeDeltaDegeneratesToLocalSGD(t *testing.T) {
 
 func TestSelSyncMixedRegimeAndSpeedup(t *testing.T) {
 	cfg := smallConfig(5)
-	bsp := RunBSP(cfg)
-	sel := RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+	bsp := mustRun(cfg, BSPPolicy{})
+	sel := mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	if sel.LSSR <= 0 || sel.LSSR >= 1 {
 		t.Fatalf("moderate δ should mix local and sync steps, LSSR=%v (sync=%d local=%d)",
 			sel.LSSR, sel.SyncSteps, sel.LocalSteps)
@@ -106,11 +120,11 @@ func TestSelSyncGAvsPAConsistency(t *testing.T) {
 	cfg := smallConfig(6)
 	cfg.MaxSteps = 30
 
-	pa := runSelSyncReturningCluster(cfg, SelSyncOptions{Delta: 0, Mode: cluster.ParamAgg})
+	pa := runSelSyncReturningCluster(cfg, SelSyncPolicy{Delta: 0, Mode: cluster.ParamAgg})
 	if !pa.ConsistentReplicas() {
 		t.Fatal("PA with δ=0 must keep replicas consistent")
 	}
-	ga := runSelSyncReturningCluster(cfg, SelSyncOptions{Delta: 0, Mode: cluster.GradAgg})
+	ga := runSelSyncReturningCluster(cfg, SelSyncPolicy{Delta: 0, Mode: cluster.GradAgg})
 	if !ga.ConsistentReplicas() {
 		// With δ=0 there are no local steps, so GA replicas also remain
 		// consistent (the BSP equivalence of §III-C).
@@ -118,12 +132,12 @@ func TestSelSyncGAvsPAConsistency(t *testing.T) {
 	}
 }
 
-// runSelSyncReturningCluster mirrors RunSelSync but exposes the cluster for
-// invariant checks: it drives the engine directly and skips finish (which
-// would release the cluster).
-func runSelSyncReturningCluster(cfg Config, opts SelSyncOptions) *cluster.Cluster {
+// runSelSyncReturningCluster runs a SelSync job's loop but exposes the
+// cluster for invariant checks: it drives the engine directly and skips
+// finish (which would release the cluster).
+func runSelSyncReturningCluster(cfg Config, policy SelSyncPolicy) *cluster.Cluster {
 	r := newRunner(cfg, "probe", false)
-	newEngine(r, SelSyncPolicy{Delta: opts.Delta, Mode: opts.Mode}).run(0, nil)
+	newEngine(r, policy).run(0, nil)
 	return r.cl
 }
 
@@ -146,7 +160,7 @@ func TestFedAvgSyncCadence(t *testing.T) {
 	cfg.MaxSteps = 64
 	// stepsPerEpoch = 512/(4·16) = 8; E=0.5 → sync every 4 steps →
 	// 16 sync steps in 64.
-	res := RunFedAvg(cfg, FedAvgOptions{C: 1, E: 0.5})
+	res := mustRun(cfg, &FedAvgPolicy{C: 1, E: 0.5})
 	if res.SyncSteps != 16 {
 		t.Fatalf("sync steps: got %d want 16 (local=%d)", res.SyncSteps, res.LocalSteps)
 	}
@@ -159,7 +173,7 @@ func TestFedAvgSyncCadence(t *testing.T) {
 func TestFedAvgPartialParticipationStillRuns(t *testing.T) {
 	cfg := smallConfig(9)
 	cfg.MaxSteps = 48
-	res := RunFedAvg(cfg, FedAvgOptions{C: 0.5, E: 0.25})
+	res := mustRun(cfg, &FedAvgPolicy{C: 0.5, E: 0.25})
 	if res.Steps != 48 {
 		t.Fatalf("steps: %d", res.Steps)
 	}
@@ -170,22 +184,18 @@ func TestFedAvgPartialParticipationStillRuns(t *testing.T) {
 
 func TestFedAvgValidation(t *testing.T) {
 	cfg := smallConfig(10)
-	for _, o := range []FedAvgOptions{{C: 0, E: 0.5}, {C: 0.5, E: 0}, {C: 1.5, E: 0.5}, {C: 1, E: 1.5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for %+v", o)
-				}
-			}()
-			RunFedAvg(cfg, o)
-		}()
+	for _, p := range []FedAvgPolicy{{C: 0, E: 0.5}, {C: 0.5, E: 0}, {C: 1.5, E: 0.5}, {C: 1, E: 1.5}} {
+		res, err := NewJob(cfg, &p).Run(context.Background())
+		if err == nil || res != nil || !strings.Contains(err.Error(), "FedAvg") {
+			t.Fatalf("C=%v E=%v: want a FedAvg validation error and no Result, got %v, %v", p.C, p.E, res, err)
+		}
 	}
 }
 
 func TestSSPRunsAndRespectsStaleness(t *testing.T) {
 	cfg := smallConfig(11)
 	cfg.MaxSteps = 60
-	res := RunSSP(cfg, SSPOptions{Staleness: 5})
+	res := mustRun(cfg, &SSPPolicy{Staleness: 5})
 	if res.LSSR != -1 {
 		t.Fatalf("SSP LSSR must be N/A (-1), got %v", res.LSSR)
 	}
@@ -204,7 +214,9 @@ func TestSSPStalenessBoundsWorkerSpread(t *testing.T) {
 	cfg.Device = deviceWithStraggler(cfg.Seed, 0, 4)
 	const staleness = 3
 	r := newRunner(cfg, "probe", false)
-	runSSPLoop(r, SSPOptions{Staleness: staleness})
+	if _, err := runSSPLoop(r, &SSPPolicy{Staleness: staleness}); err != nil {
+		t.Fatal(err)
+	}
 	minSteps, maxSteps := math.MaxInt, 0
 	for _, w := range r.cl.Workers {
 		if w.Steps < minSteps {
@@ -236,12 +248,10 @@ func deviceWithStraggler(seed uint64, slow int, factor float64) func(id int) *si
 }
 
 func TestSSPValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RunSSP(smallConfig(13), SSPOptions{Staleness: -1})
+	res, err := NewJob(smallConfig(13), &SSPPolicy{Staleness: -1}).Run(context.Background())
+	if err == nil || res != nil || !strings.Contains(err.Error(), "staleness") {
+		t.Fatalf("want a staleness validation error and no Result, got %v, %v", res, err)
+	}
 }
 
 func TestPatienceStopsEarly(t *testing.T) {
@@ -249,7 +259,7 @@ func TestPatienceStopsEarly(t *testing.T) {
 	cfg.MaxSteps = 2000
 	cfg.EvalEvery = 10
 	cfg.Patience = 3
-	res := RunBSP(cfg)
+	res := mustRun(cfg, BSPPolicy{})
 	if res.Steps >= 2000 {
 		t.Fatal("patience should stop the run before MaxSteps")
 	}
@@ -260,7 +270,7 @@ func TestDeltaTrackingAndSnapshots(t *testing.T) {
 	cfg.MaxSteps = 30
 	cfg.TrackDeltas = true
 	cfg.SnapshotAtSteps = []int{9, 19}
-	res := RunBSP(cfg)
+	res := mustRun(cfg, BSPPolicy{})
 	if len(res.Deltas) != 30 {
 		t.Fatalf("deltas: got %d want 30", len(res.Deltas))
 	}
@@ -283,7 +293,7 @@ func TestSelDPBeatsDefDPUnderLocalTraining(t *testing.T) {
 	runWith := func(s data.Scheme) float64 {
 		cfg := base
 		cfg.Scheme = s
-		res := RunSelSync(cfg, SelSyncOptions{Delta: 0.05, Mode: cluster.ParamAgg})
+		res := mustRun(cfg, SelSyncPolicy{Delta: 0.05, Mode: cluster.ParamAgg})
 		return res.BestMetric
 	}
 	sel := runWith(data.SelDP)
@@ -305,7 +315,7 @@ func TestNonIIDWithInjectionRuns(t *testing.T) {
 		LabelsPerWorker: 2,
 		Injection:       &data.Injection{Alpha: 0.5, Beta: 0.5},
 	}
-	res := RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+	res := mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	if res.Steps != 60 {
 		t.Fatalf("steps: %d", res.Steps)
 	}
@@ -346,8 +356,8 @@ func TestResultStringAndCommReduction(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	cfg := smallConfig(19)
 	cfg.MaxSteps = 40
-	a := RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
-	b := RunSelSync(cfg, SelSyncOptions{Delta: 0.01, Mode: cluster.ParamAgg})
+	a := mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
+	b := mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	if a.BestMetric != b.BestMetric || a.SimTime != b.SimTime || a.LSSR != b.LSSR {
 		t.Fatalf("runs must be bit-deterministic: %+v vs %+v", a, b)
 	}

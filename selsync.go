@@ -10,39 +10,41 @@
 // entry points from the internal packages so applications (see examples/)
 // can program against one import.
 //
-// Quick start:
+// Quick start — NewJob(cfg, policy).Run(ctx) is the one way into a training
+// run:
 //
 //	wload := selsync.WorkloadForModel("resnet", 4096, 1024, 1)
 //	cfg := selsync.Config{
 //		Model: selsync.ResNetLite(10, 6), Workers: 8, Batch: 16, Seed: 1,
 //		Train: wload.Train, Test: wload.Test, Scheme: selsync.SelDP,
 //	}
-//	res := selsync.RunSelSync(cfg, selsync.SelSyncOptions{
-//		Delta: 0.05, Mode: selsync.ParamAgg,
-//	})
+//	policy := selsync.SelSyncPolicy{Delta: 0.05, Mode: selsync.ParamAgg}
+//	res, err := selsync.NewJob(cfg, policy).Run(context.Background())
+//	if err != nil { ... } // configuration and policy mistakes, not panics
 //	fmt.Println(res)
 //
-// Every method runs on one policy-driven SPMD engine: Run(cfg, policy)
-// owns batching, gradient compute, evaluation and early stopping, and a
-// SyncPolicy decides each step's synchronization (the Run* entry points are
-// thin shims over it). Policies compose — SwitchPolicy and SchedulePolicy
-// host Sync-Switch-style hybrids the per-method loops could not express:
+// Every method runs on one policy-driven SPMD engine: the job owns batching,
+// gradient compute, evaluation and early stopping, and a SyncPolicy
+// (BSPPolicy, LocalSGDPolicy, SelSyncPolicy, FedAvgPolicy, SSPPolicy)
+// decides each step's synchronization. Policies compose — SwitchPolicy and
+// SchedulePolicy host Sync-Switch-style hybrids the per-method loops could
+// not express:
 //
-//	res := selsync.Run(cfg, &selsync.SwitchPolicy{
+//	policy := &selsync.SwitchPolicy{
 //		From:   selsync.BSPPolicy{},                                // warmup
 //		To:     selsync.SelSyncPolicy{Delta: 0.05, Mode: selsync.ParamAgg},
 //		AtStep: 500,
-//	})
+//	}
 //
 // or, declaratively from a schedule string ("bsp:500,selsync" — the same
 // grammar cmd/selsync-train's -method flag accepts):
 //
 //	policy, err := selsync.ParseSchedule("bsp:500,selsync", mkPolicy)
 //
-// Custom policies are one Decide method away; see SyncPolicy.
+// Custom policies are one Decide method away; see SyncPolicy. Policies
+// carry per-run state: build a fresh value for every job.
 //
-// Jobs: every Run* call is fire-and-forget. For a run you can cancel,
-// watch, checkpoint and resume, build a Job:
+// A job can be cancelled, watched, checkpointed and resumed:
 //
 //	job := selsync.NewJob(cfg, selsync.SelSyncPolicy{Delta: 0.05, Mode: selsync.ParamAgg},
 //		selsync.WithObserver(selsync.NewProgressObserver(os.Stderr)))
@@ -67,10 +69,10 @@
 //	if err != nil { ... }
 //	defer fabric.Close()
 //	cfg.Fabric = fabric
-//	res := selsync.RunSelSync(cfg, selsync.SelSyncOptions{Delta: 0.05, Mode: selsync.ParamAgg})
+//	res, err := selsync.NewJob(cfg, policy).Run(ctx)
 //	// res is bit-identical on every rank, and to a single-process run
-//	// (diagnostics excepted: Config.TrackDeltas records only on the rank
-//	// hosting worker 0, and SSP's authoritative Result lives on rank 0).
+//	// (one diagnostic excepted: Config.TrackDeltas records only on the
+//	// rank hosting worker 0).
 //
 // cmd/selsync-node launches such jobs on localhost (-launch N) or joins
 // one rank at a time (-rank i -peers ...).
@@ -98,13 +100,6 @@ type (
 	Result = train.Result
 	// EvalPoint is one point of a Result's test-metric history.
 	EvalPoint = train.EvalPoint
-	// SelSyncOptions selects the significance threshold δ and the
-	// aggregation mode.
-	SelSyncOptions = train.SelSyncOptions
-	// FedAvgOptions selects the participation fraction C and sync factor E.
-	FedAvgOptions = train.FedAvgOptions
-	// SSPOptions selects the staleness bound.
-	SSPOptions = train.SSPOptions
 	// NonIID configures label-skewed placement and data-injection.
 	NonIID = train.NonIID
 	// Injection is the randomized data-injection configuration (α, β).
@@ -141,8 +136,8 @@ const (
 )
 
 // The Job API: context-cancellable runs, typed event streams and
-// bit-identical checkpoint/resume. NewJob is the primary entry point; the
-// Run* functions below are fire-and-forget shims over it.
+// bit-identical checkpoint/resume. NewJob is the entry point of every
+// training run.
 type (
 	// Job is a first-class training run: Run(ctx) once, observe, cancel,
 	// checkpoint, resume.
@@ -190,25 +185,9 @@ var (
 	DecodeCheckpoint = train.DecodeCheckpoint
 )
 
-// Training algorithms.
-var (
-	// Run executes one training run under an arbitrary SyncPolicy — the
-	// engine every method entry point below is a shim over.
-	Run = train.Run
-	// RunBSP trains with bulk-synchronous parallelism (the baseline).
-	RunBSP = train.RunBSP
-	// RunSelSync trains with δ-based selective synchronization (Alg. 1).
-	RunSelSync = train.RunSelSync
-	// RunFedAvg trains with Federated Averaging.
-	RunFedAvg = train.RunFedAvg
-	// RunSSP trains with stale-synchronous parallelism.
-	RunSSP = train.RunSSP
-	// RunLocalSGD trains with purely local updates (δ ≥ M degeneration).
-	RunLocalSGD = train.RunLocalSGD
-	// ParseSchedule parses a phase-schedule string ("bsp:500,selsync")
-	// into a policy, given a factory binding names to policies.
-	ParseSchedule = train.ParseSchedule
-)
+// ParseSchedule parses a phase-schedule string ("bsp:500,selsync") into a
+// policy, given a factory binding names to policies.
+var ParseSchedule = train.ParseSchedule
 
 // Synchronization policies. A SyncPolicy decides, once per engine step, how
 // the freshly computed gradients synchronize; implement the interface for
@@ -287,11 +266,6 @@ type WorkloadSpec = data.WorkloadSpec
 // rank (the single-process loopback) or of one TCP-connected process per
 // rank.
 type Fabric = comm.Fabric
-
-// NewLoopbackFabric builds the in-process communication backend over n
-// workers — what Config.Fabric = nil selects implicitly. Useful when the
-// caller wants to read the traffic ledger (Stats) after a run.
-func NewLoopbackFabric(workers int) Fabric { return comm.NewLoopback(workers) }
 
 // DialTCPFabric joins a multi-process training job as `rank`: it listens
 // on peers[rank], connects the full TCP mesh to the other ranks, and

@@ -10,8 +10,20 @@ import (
 	"selsync"
 )
 
-// TestFacadeEndToEnd exercises the public API the way the quickstart
-// example does: build a workload, train with SelSync, compare to BSP.
+// run is the package comment's quick start as the tests call it:
+// NewJob(cfg, policy).Run(ctx) with ordinary error handling.
+func run(t *testing.T, cfg selsync.Config, policy selsync.SyncPolicy) *selsync.Result {
+	t.Helper()
+	res, err := selsync.NewJob(cfg, policy).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestFacadeEndToEnd exercises the public API the way the package comment's
+// quick start and the quickstart example do: build a workload, train with
+// SelSync, compare to BSP.
 func TestFacadeEndToEnd(t *testing.T) {
 	wload := selsync.WorkloadForModel("resnet", 512, 256, 3)
 	cfg := selsync.Config{
@@ -19,8 +31,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Train: wload.Train, Test: wload.Test, Scheme: selsync.SelDP,
 		MaxSteps: 40, EvalEvery: 20,
 	}
-	sel := selsync.RunSelSync(cfg, selsync.SelSyncOptions{Delta: 0.1, Mode: selsync.ParamAgg})
-	bsp := selsync.RunBSP(cfg)
+	sel := run(t, cfg, selsync.SelSyncPolicy{Delta: 0.1, Mode: selsync.ParamAgg})
+	bsp := run(t, cfg, selsync.BSPPolicy{})
 	if sel.Steps != 40 || bsp.Steps != 40 {
 		t.Fatalf("steps: %d / %d", sel.Steps, bsp.Steps)
 	}
@@ -58,7 +70,7 @@ func TestFacadeHybridPolicies(t *testing.T) {
 		Train: wload.Train, Test: wload.Test, Scheme: selsync.SelDP,
 		MaxSteps: 30, EvalEvery: 15,
 	}
-	res := selsync.Run(cfg, &selsync.SwitchPolicy{
+	res := run(t, cfg, &selsync.SwitchPolicy{
 		From:   selsync.BSPPolicy{},
 		To:     selsync.LocalSGDPolicy{},
 		AtStep: 10,
@@ -77,7 +89,7 @@ func TestFacadeHybridPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := selsync.Run(cfg, policy)
+	sched := run(t, cfg, policy)
 	if sched.SyncSteps != 10 || sched.LocalSteps != 20 {
 		t.Fatalf("schedule boundary not respected: %+v", sched)
 	}
