@@ -115,10 +115,11 @@ type stepBenchReport struct {
 }
 
 // runStepBenchmarks measures one training step (ComputeGradients) for each
-// zoo model, one aggregation round per mode, one whole-model optimizer
-// step per optimizer family, the per-step price of observers, one job
-// build and one job resume per zoo model, and the serve daemon's control
-// plane, via testing.Benchmark, and writes the results as JSON.
+// zoo model, the GEMMs of a c100 step shape by shape, one aggregation round
+// per mode, one whole-model optimizer step per optimizer family, the
+// per-step price of observers, one job build and one job resume per zoo
+// model, and the serve daemon's control plane, via testing.Benchmark, and
+// writes the results as JSON.
 func runStepBenchmarks(outPath string) error {
 	benchName := map[string]string{
 		"resnet":      "BenchmarkResNetLiteStep",
@@ -156,6 +157,35 @@ func runStepBenchmarks(outPath string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				net.ComputeGradients(x, labels)
+			}
+		}))
+	}
+
+	// GEMM microbenches: the products one c100 step is made of (ResNetLite
+	// at width 128, batch 16, 100 classes, evaluation batch 256), the
+	// shapes of internal/tensor's BenchmarkMatMul* benchmarks. dst, a and b
+	// are rows×cols as the kernel takes them.
+	grng := tensor.NewRNG(4)
+	for _, g := range []struct {
+		name      string
+		kernel    func(dst, a, b *tensor.Matrix)
+		dst, a, b [2]int
+	}{
+		{"BenchmarkMatMulDense128", tensor.MatMul, [2]int{16, 128}, [2]int{16, 128}, [2]int{128, 128}},
+		{"BenchmarkMatMulATBAccDense128", tensor.MatMulATBAcc, [2]int{128, 128}, [2]int{16, 128}, [2]int{16, 128}},
+		{"BenchmarkMatMulABTDense128", tensor.MatMulABT, [2]int{16, 128}, [2]int{16, 128}, [2]int{128, 128}},
+		{"BenchmarkMatMulHead100", tensor.MatMul, [2]int{16, 100}, [2]int{16, 128}, [2]int{128, 100}},
+		{"BenchmarkMatMulConvStem", tensor.MatMul, [2]int{8, 64}, [2]int{8, 27}, [2]int{27, 64}},
+		{"BenchmarkMatMulEval256", tensor.MatMul, [2]int{256, 128}, [2]int{256, 128}, [2]int{128, 128}},
+	} {
+		dst, a, b := tensor.NewMatrix(g.dst[0], g.dst[1]), tensor.NewMatrix(g.a[0], g.a[1]), tensor.NewMatrix(g.b[0], g.b[1])
+		grng.NormVector(a.Data, 0, 1)
+		grng.NormVector(b.Data, 0, 1)
+		shape := fmt.Sprintf("dst %dx%d, a %dx%d, b %dx%d", g.dst[0], g.dst[1], g.a[0], g.a[1], g.b[0], g.b[1])
+		record(g.name, shape, testing.Benchmark(func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				g.kernel(dst, a, b)
 			}
 		}))
 	}
@@ -255,6 +285,13 @@ func runStepBenchmarks(outPath string) error {
 			Seed:  7,
 			Codec: codec,
 		})
+		// An untrained cluster's gradients are all zero, the top-k select's
+		// degenerate case (every magnitude ties); a round costs what it
+		// costs in training only on gradients with a spread.
+		fill := tensor.NewRNG(8)
+		for _, w := range ccl.Workers {
+			fill.NormVector(w.FlatGrads(), 0, 1e-2)
+		}
 		dst := tensor.NewVector(ccl.Dim())
 		ccl.AggregateGrads(dst) // warm the codec state off the measured rounds
 		recvBefore, sentBefore := ccl.PS.BytesRecv(), ccl.PS.BytesSent()

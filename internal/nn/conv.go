@@ -29,7 +29,8 @@ type Conv2D struct {
 	// numerical equivalence.
 	direct bool
 
-	x *tensor.Matrix // cached input
+	x    *tensor.Matrix // cached input
+	noDX bool           // first layer of a network: Backward returns nil (see inputGradSkipper)
 
 	// Buffers owned across steps: the im2col scratch for forward and
 	// backward, and the output/input-gradient matrices.
@@ -96,6 +97,8 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return c.y
 }
 
+func (c *Conv2D) skipInputGrad() { c.noDX = true }
+
 // Backward accumulates filter/bias gradients and returns the input
 // gradient (owned by the layer, reused on the next call).
 func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
@@ -105,12 +108,16 @@ func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	oh, ow := c.OutH(), c.OutW()
 	ohow := oh * ow
 	ckk := c.C * c.K * c.K
-	c.dx = tensor.EnsureMatrix(c.dx, c.x.Rows, c.x.Cols)
-	c.dx.Zero() // col2im accumulates into its target row
 	c.cols = tensor.EnsureMatrix(c.cols, ckk, ohow)
-	c.dcols = tensor.EnsureMatrix(c.dcols, ckk, ohow)
 	w := c.wView.View(c.Wt.Data, c.F, ckk)
 	dw := c.dwView.View(c.Wt.Grad, c.F, ckk)
+	var dx *tensor.Matrix
+	if !c.noDX {
+		c.dx = tensor.EnsureMatrix(c.dx, c.x.Rows, c.x.Cols)
+		c.dx.Zero() // col2im accumulates into its target row
+		c.dcols = tensor.EnsureMatrix(c.dcols, ckk, ohow)
+		dx = c.dx
+	}
 	for n := 0; n < c.x.Rows; n++ {
 		dout := grad.Row(n)
 		for f := 0; f < c.F; f++ {
@@ -123,10 +130,12 @@ func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		dy := c.dyView.View(dout, c.F, ohow)
 		tensor.Im2Col(c.cols, c.x.Row(n), c.C, c.H, c.W, c.K, c.Pad)
 		tensor.MatMulABTAcc(dw, dy, c.cols)
-		tensor.MatMulATB(c.dcols, w, dy)
-		tensor.Col2Im(c.dx.Row(n), c.dcols, c.C, c.H, c.W, c.K, c.Pad)
+		if dx != nil {
+			tensor.MatMulATB(c.dcols, w, dy)
+			tensor.Col2Im(dx.Row(n), c.dcols, c.C, c.H, c.W, c.K, c.Pad)
+		}
 	}
-	return c.dx
+	return dx
 }
 
 // forwardDirect is the reference direct convolution the GEMM path is
@@ -255,15 +264,15 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		for ch := 0; ch < m.C; ch++ {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							idx := ch*m.H*m.W + (2*oy+dy)*m.W + (2*ox + dx)
-							if in[idx] > best {
-								best = in[idx]
-								bestIdx = idx
-							}
+					// The window's first element seeds the scan, so the
+					// winner is always an element of the window: a NaN or
+					// -Inf there comes out as itself instead of as a
+					// sentinel with no index to route the gradient to.
+					first := ch*m.H*m.W + 2*oy*m.W + 2*ox
+					best, bestIdx := in[first], first
+					for _, idx := range [3]int{first + 1, first + m.W, first + m.W + 1} {
+						if in[idx] > best {
+							best, bestIdx = in[idx], idx
 						}
 					}
 					oi := ch*oh*ow + oy*ow + ox

@@ -11,7 +11,8 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x *tensor.Matrix // cached input for backward
+	x    *tensor.Matrix // cached input for backward
+	noDX bool           // first layer of a network: Backward returns nil (see inputGradSkipper)
 
 	// Buffers owned across steps (the steady-state training step
 	// allocates nothing): output, input gradient, bias-grad scratch.
@@ -46,6 +47,8 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return d.y
 }
 
+func (d *Dense) skipInputGrad() { d.noDX = true }
+
 // Backward accumulates dW = xᵀ·dy and db = column sums of dy, and returns
 // dx = dy·Wᵀ.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
@@ -54,6 +57,9 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	d.db = tensor.EnsureVector(d.db, d.Out)
 	grad.SumColumns(d.db)
 	d.B.Grad.Add(d.db)
+	if d.noDX {
+		return nil
+	}
 
 	w := d.wView.View(d.W.Data, d.In, d.Out)
 	d.dx = tensor.EnsureMatrix(d.dx, grad.Rows, d.In)

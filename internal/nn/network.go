@@ -99,6 +99,11 @@ type FeedForwardNet struct {
 func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 	params := seq.Params()
 	f := &FeedForwardNet{Seq: seq, spec: spec, params: params, arena: BindArena(params)}
+	if len(seq.Layers) > 0 {
+		if first, ok := seq.Layers[0].(inputGradSkipper); ok {
+			first.skipInputGrad()
+		}
+	}
 	f.streams = layerStreams(seq, nil)
 	f.layerOffs = make([]int, len(seq.Layers))
 	off := 0

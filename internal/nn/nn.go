@@ -42,6 +42,14 @@ type Layer interface {
 	Params() []*Param
 }
 
+// inputGradSkipper is implemented by layers whose Backward spends real work
+// on the input gradient alone (Conv2D: Wᵀ·dY and a col2im per sample; Dense:
+// a whole dY·Wᵀ). NewFeedForwardNet calls skipInputGrad once on the
+// network's first layer — its input is the data batch, nobody reads that
+// gradient — after which the layer's Backward returns nil in its place.
+// Layers used on their own or nested in another layer keep computing it.
+type inputGradSkipper interface{ skipInputGrad() }
+
 // Sequential chains layers; the output of layer i feeds layer i+1.
 type Sequential struct {
 	Layers []Layer

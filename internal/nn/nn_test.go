@@ -224,3 +224,36 @@ func TestLossPanicsOnBadLabels(t *testing.T) {
 		}()
 	}
 }
+
+// TestMaxPoolNaNAndInfWindows: a window the old -Inf/-1 sentinel could not
+// beat (all NaN, all -Inf) must still name one of its own elements as the
+// winner — Backward routes the gradient through that index — and a NaN in
+// the window's first position must come out as NaN, so a diverged run
+// reports a NaN loss instead of crashing or hiding it.
+func TestMaxPoolNaNAndInfWindows(t *testing.T) {
+	nan, ninf := math.NaN(), math.Inf(-1)
+	// One 4×4 channel: four 2×2 windows, row-major.
+	x := tensor.FromRows([]tensor.Vector{{
+		nan, nan, nan, 3,
+		nan, nan, 2, 1,
+		ninf, ninf, 5, 7,
+		ninf, ninf, 7, 6,
+	}})
+	pool := NewMaxPool2D(1, 4, 4)
+	y := pool.Forward(x, true)
+	dx := pool.Backward(tensor.FromRows([]tensor.Vector{{1, 2, 3, 4}}))
+	if !math.IsNaN(y.Data[0]) || !math.IsNaN(y.Data[1]) || y.Data[2] != ninf || y.Data[3] != 7 {
+		t.Fatalf("Forward: got %v, want [NaN NaN -Inf 7]", y.Data)
+	}
+	want := tensor.Vector{
+		1, 0, 2, 0,
+		0, 0, 0, 0,
+		3, 0, 0, 4, // ties keep the first maximum of the scan
+		0, 0, 0, 0,
+	}
+	for i, g := range dx.Data {
+		if g != want[i] {
+			t.Fatalf("Backward: got %v, want %v", dx.Data, want)
+		}
+	}
+}

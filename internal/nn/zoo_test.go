@@ -198,3 +198,58 @@ func TestResidualShapePanic(t *testing.T) {
 	}()
 	r.Forward(tensor.NewMatrix(2, 4), false)
 }
+
+// TestFirstLayerInputGradSkipLeavesParamGradsAlone: NewFeedForwardNet tells
+// a network's first layer to leave out the gradient with respect to the
+// data batch. That gradient feeds nothing, so every parameter gradient —
+// and the loss — must come out bit for bit as it does with the skip undone,
+// on all four zoo models and on a Dense-first net, over two steps (layer
+// buffers are reused from the second on).
+func TestFirstLayerInputGradSkipLeavesParamGradsAlone(t *testing.T) {
+	factories := Zoo()
+	mlp := ModelSpec{Name: "MLP", Classes: 10, TopK: 1}
+	factories["mlp"] = Factory{Spec: mlp, Build: func(rng *tensor.RNG) *FeedForwardNet {
+		return NewFeedForwardNet(NewSequential(
+			NewDense("fc1", ImgFeatures, 24, rng), NewReLU(), NewDense("fc2", 24, 10, rng)), mlp)
+	}}
+	skipping := 0
+	for name, f := range factories {
+		skip, full := f.New(5), f.New(5)
+		switch first := full.Seq.Layers[0].(type) {
+		case *Conv2D:
+			first.noDX = false
+		case *Dense:
+			first.noDX = false
+		}
+		if _, ok := skip.Seq.Layers[0].(inputGradSkipper); ok {
+			skipping++
+			x, _ := StepBenchBatch(f, tensor.NewRNG(6))
+			skip.Seq.Forward(x, true)
+			full.Seq.Forward(x, true)
+			seed := tensor.NewMatrix(x.Rows, f.Spec.Classes)
+			if dx := skip.Seq.Backward(seed); dx != nil {
+				t.Errorf("%s: first layer still returns an input gradient", name)
+			}
+			if dx := full.Seq.Backward(seed); dx == nil || dx.Rows != x.Rows || dx.Cols != x.Cols {
+				t.Errorf("%s: with the skip undone the first layer returns %v", name, dx)
+			}
+		}
+		for step := 0; step < 2; step++ {
+			x, labels := StepBenchBatch(f, tensor.NewRNG(7+uint64(step)))
+			lossSkip, _ := skip.ComputeGradients(x, labels)
+			lossFull, _ := full.ComputeGradients(x, labels)
+			if math.Float64bits(lossSkip) != math.Float64bits(lossFull) {
+				t.Errorf("%s step %d: loss %v with the skip, %v without", name, step, lossSkip, lossFull)
+			}
+			gs, gf := skip.Arena().Grad, full.Arena().Grad
+			for i := range gs {
+				if math.Float64bits(gs[i]) != math.Float64bits(gf[i]) {
+					t.Fatalf("%s step %d: gradient %d is %v with the skip, %v without", name, step, i, gs[i], gf[i])
+				}
+			}
+		}
+	}
+	if skipping != 4 { // resnet, vgg, alexnet (Conv2D first) and the MLP
+		t.Fatalf("%d of the networks skip their first layer's input gradient, want 4", skipping)
+	}
+}

@@ -53,17 +53,54 @@ func BenchmarkAverage16Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulATBAccDense128 is the weight-gradient GEMM of a width-128
-// Dense layer at batch 16, the most frequent ATB shape of the c100 step;
-// at 262k multiply-adds it runs inline at any GOMAXPROCS.
-func BenchmarkMatMulATBAccDense128(b *testing.B) {
+// The GEMMs of one c100 step (ResNetLite, width 128, batch 16, 100 classes):
+// every shape the benchmark's training and evaluation loops issue, so a
+// kernel change shows per shape. All but the evaluation batch run inline at
+// any GOMAXPROCS.
+
+func benchGEMM(b *testing.B, kernel func(dst, x, y *Matrix), dst, x, y *Matrix) {
 	rng := NewRNG(4)
-	x, dy, dw := NewMatrix(16, 128), NewMatrix(16, 128), NewMatrix(128, 128)
 	rng.NormVector(x.Data, 0, 1)
-	rng.NormVector(dy.Data, 0, 1)
+	rng.NormVector(y.Data, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulATBAcc(dw, x, dy)
+		kernel(dst, x, y)
 	}
+}
+
+// BenchmarkMatMulDense128 is the forward GEMM of a width-128 Dense layer.
+func BenchmarkMatMulDense128(b *testing.B) {
+	benchGEMM(b, MatMul, NewMatrix(16, 128), NewMatrix(16, 128), NewMatrix(128, 128))
+}
+
+// BenchmarkMatMulATBAccDense128 is its weight-gradient GEMM, dW += xᵀ·dy,
+// the most frequent ATB shape of the step.
+func BenchmarkMatMulATBAccDense128(b *testing.B) {
+	benchGEMM(b, MatMulATBAcc, NewMatrix(128, 128), NewMatrix(16, 128), NewMatrix(16, 128))
+}
+
+// BenchmarkMatMulABTDense128 is its input-gradient GEMM, dx = dy·Wᵀ.
+func BenchmarkMatMulABTDense128(b *testing.B) {
+	benchGEMM(b, MatMulABT, NewMatrix(16, 128), NewMatrix(16, 128), NewMatrix(128, 128))
+}
+
+// BenchmarkMatMulHead100 is the classifier head's forward GEMM: 100 output
+// columns, so the last four fall off the eight-wide column blocks.
+func BenchmarkMatMulHead100(b *testing.B) {
+	benchGEMM(b, MatMul, NewMatrix(16, 100), NewMatrix(16, 128), NewMatrix(128, 100))
+}
+
+// BenchmarkMatMulConvStem is one sample of the conv stem's forward GEMM,
+// 8 filters × 27 taps × 64 pixels: a shared dimension off the four-wide
+// blocking.
+func BenchmarkMatMulConvStem(b *testing.B) {
+	benchGEMM(b, MatMul, NewMatrix(8, 64), NewMatrix(8, 27), NewMatrix(27, 64))
+}
+
+// BenchmarkMatMulEval256 is a width-128 forward GEMM at the evaluation
+// batch, the one c100 shape at parallelThreshold: it fans out at
+// GOMAXPROCS > 1.
+func BenchmarkMatMulEval256(b *testing.B) {
+	benchGEMM(b, MatMul, NewMatrix(256, 128), NewMatrix(256, 128), NewMatrix(128, 128))
 }

@@ -34,7 +34,8 @@ func bitEqual(a, b Vector) bool {
 // large enough to cross parallelThreshold (asserted, so the test cannot
 // silently degrade to comparing serial with serial) and awkward on purpose:
 // row counts no processor count divides, shared dimensions below four and
-// off the four-wide blocking.
+// off the four-wide blocking, chunks of whole register tiles and chunks
+// that end off the tile grid.
 func TestFannedKernelsBitEqualSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := NewRNG(77)
@@ -46,6 +47,8 @@ func TestFannedKernelsBitEqualSerial(t *testing.T) {
 		{691, 677, 9},   // two blocks of four plus a tail of one
 		{2, 4099, 513},  // fewer rows than processors
 		{129, 127, 257},
+		{256, 128, 128}, // c100's evaluation GEMM: every chunk whole 4×8 tiles
+		{258, 130, 127}, // two rows, two columns and three steps off the tiles
 	}
 	for i := 0; i < 4; i++ {
 		rows, cols := 50+rng.Intn(200), 50+rng.Intn(200)
@@ -138,18 +141,24 @@ func TestFannedKernelsBitEqualSerial(t *testing.T) {
 func TestFannedKernelsDoNotAllocate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := NewRNG(5)
-	a, b := randomMatrix(rng, 176, 176), randomMatrix(rng, 176, 176)
-	dst := NewMatrix(176, 176)
+	// 176 rows are whole register tiles in every chunk; 178 leave rows,
+	// columns and steps for the row kernels.
+	var as, bs, dsts []*Matrix
+	for _, n := range []int{176, 178} {
+		as, bs, dsts = append(as, randomMatrix(rng, n, n)), append(bs, randomMatrix(rng, n, n)), append(dsts, NewMatrix(n, n))
+	}
 	vs := []Vector{NewVector(600_000), NewVector(600_000)}
 	mean := NewVector(600_000)
 	round := func() {
-		MatMul(dst, a, b)
-		MatMulABT(dst, a, b)
-		MatMulATBAcc(dst, a, b)
+		for i, dst := range dsts {
+			MatMul(dst, as[i], bs[i])
+			MatMulABT(dst, as[i], bs[i])
+			MatMulATBAcc(dst, as[i], bs[i])
+		}
 		Average(mean, vs)
 		CopyAll(vs, mean)
 	}
-	if dst.Rows*dst.Cols*a.Cols < parallelThreshold || streamCost*len(mean)*len(vs) < parallelThreshold {
+	if 176*176*176 < parallelThreshold || streamCost*len(mean)*len(vs) < parallelThreshold {
 		t.Fatal("test shapes do not cross parallelThreshold")
 	}
 	for i := 0; i < 5; i++ {

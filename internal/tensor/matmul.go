@@ -9,28 +9,51 @@ import (
 // parallelThreshold is the estimated work of one kernel call, in cache-hot
 // multiply-adds, below which it runs on the calling goroutine alone. Waking
 // a parked helper goroutine onto an idle core takes tens of microseconds
-// (20 µs added per call on the 2-core reference VM, where a multiply-add
-// costs 0.08 ns), so a call has to be worth a few hundred µs before fanning
-// out stops losing. The wake is also an OS-thread wake-up whenever a
-// processor is idle, and each one is a chance for the kernel's scheduler to
-// put two of the process's threads on one core, so a training step should
-// not issue one per layer call: the value keeps every GEMM of a width-128
-// model at batch 16 inline (the largest, a 16×1024×128 input projection, is
-// 1<<21), and Average/CopyAll of its 213k-parameter vector over four
-// workers (3.4M); evaluation batches and wider models fan out.
+// (20–30 µs added per call on the 2-core reference VM, where a multiply-add
+// of the tiled GEMM costs 0.05 ns), so a call has to be worth a couple of
+// hundred µs before fanning out stops losing: measured there at
+// GOMAXPROCS=2, a 128×128×128 product (2M, 100 µs inline) takes 10–30 µs
+// longer fanned out, the 256-row evaluation batch (4M, 205 µs) breaks even
+// within the noise and 512 rows finish 20–30 % sooner. The wake is also an
+// OS-thread wake-up whenever a processor is idle, and each one is a chance
+// for the kernel's scheduler to put two of the process's threads on one
+// core, so a training step should not issue one per layer call: the value
+// keeps every GEMM of a width-128 model at batch 16 inline (the largest, a
+// 16×1024×128 input projection, is 1<<21), and Average/CopyAll of its
+// 213k-parameter vector over four workers (3.4M); evaluation batches and
+// wider models fan out.
 const parallelThreshold = 1 << 22
 
 // streamCost is the work estimate of one element moved by the flat-vector
 // kernels (Average, CopyAll) in parallelThreshold's units: they stream
-// operands from L2 or beyond, about four times a cache-hot multiply-add.
+// operands from L2 or beyond at about 0.3 ns an element, four times what a
+// multiply-add cost under the row kernels and nearer six times a tiled one.
+// It stays at four: the streaming kernels did not get faster, so their
+// break-even in elements is where it was.
 const streamCost = 4
 
-// The three MatMul variants share a pair of register-blocked micro-kernels:
-// axpy4 (dst += a0·u0 + a1·u1 + a2·u2 + a3·u3) amortizes the load/store of
-// the destination row over four source rows, and dot4 computes four
-// independent dot products in one pass over the shared operand. Both break
-// the single-accumulator dependency chain of the naive loops, which is what
-// bounds throughput on the scalar float64 pipeline.
+// Micro-kernels. With AVX2+FMA the MatMul variants run on two register
+// tiles (simd_amd64.s). fmaTile4x8 keeps a 4-row × 8-column block of dst in
+// eight ymm accumulators for the whole shared dimension: a step loads two
+// ymm of the b row once and broadcasts four a scalars for eight FMAs (six
+// loads, where the row kernel spends ten loads and two stores on eight
+// FMAs), dst is touched once per block, and because a is read by (row,
+// column) strides the one kernel is MatMul and MatMulATBAcc both.
+// fmaDotTile2x3 computes the six dot products of two a rows with three b
+// rows, every operand vector loaded once for two or three FMAs. Neither is a
+// numeric path of its own: each output element receives exactly the FMA
+// sequence the row kernels give it — one FMA per step of the shared
+// dimension, ascending, into a single accumulator; for A·Bᵀ eight lane sums
+// by k mod 8 folded in fmaDot4's order — so a result is the same bit for bit
+// whichever kernel computed it, and the golden digests cannot tell.
+//
+// The row kernels remain where they are the only implementation: axpy4
+// (dst += a0·u0 + a1·u1 + a2·u2 + a3·u3, the destination row loaded and
+// stored once per four source rows) and dot4 (four dot products in one pass
+// over the shared operand) are the whole GEMM without AVX2+FMA, the edges
+// of the tiled one (rows%4, the depth%4 steps with their zero skip; an odd
+// row and columns%3 of A·Bᵀ), Average's fold, and the reference the tiles
+// are tested against (TestTiledGEMMBitEqualRowKernels).
 
 // axpy4 computes dst += a0*u0 + a1*u1 + a2*u2 + a3*u3 element-wise. All
 // slices must have len(dst) elements.
@@ -73,7 +96,7 @@ func dot4(a, b0, b1, b2, b3 Vector) (s0, s1, s2, s3 float64) {
 // exactly one goroutine with the serial kernel, so the result is the serial
 // loop's bit for bit at any GOMAXPROCS.
 func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols || dst.short() || a.short() || b.short() {
 		panic("tensor: MatMul shape mismatch")
 	}
 	if t := fanFor(dst.Rows, dst.Rows*dst.Cols*a.Cols); t != nil {
@@ -84,29 +107,9 @@ func MatMul(dst, a, b *Matrix) {
 	matMulRange(dst, a, b, 0, dst.Rows)
 }
 
-// matMulRange computes output rows [lo, hi) of dst = a × b. The i-k-j loop
-// order streams through b row-wise, which is cache-friendly for row-major
-// storage; the k dimension is blocked by four so each pass over the output
-// row carries four fused multiply-adds.
+// matMulRange computes output rows [lo, hi) of dst = a × b.
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out := dst.Row(i)
-		out.Zero()
-		arow := a.Row(i)
-		k := 0
-		for ; k+4 <= len(arow); k += 4 {
-			axpy4(out,
-				arow[k], b.Row(k),
-				arow[k+1], b.Row(k+1),
-				arow[k+2], b.Row(k+2),
-				arow[k+3], b.Row(k+3))
-		}
-		for ; k < len(arow); k++ {
-			if av := arow[k]; av != 0 {
-				out.Axpy(av, b.Row(k))
-			}
-		}
-	}
+	gemmRange(dst, a.Data, a.Cols, 1, a.Cols, b, lo, hi, false)
 }
 
 // MatMulATB computes dst = aᵀ × b without materializing the transpose.
@@ -126,7 +129,7 @@ func MatMulATB(dst, a, b *Matrix) {
 // the serial loop's bit for bit at any GOMAXPROCS. The call allocates
 // nothing on either path.
 func MatMulATBAcc(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols || dst.short() || a.short() || b.short() {
 		panic("tensor: MatMulATB shape mismatch")
 	}
 	if t := fanFor(dst.Rows, dst.Rows*dst.Cols*a.Rows); t != nil {
@@ -137,24 +140,58 @@ func MatMulATBAcc(dst, a, b *Matrix) {
 	accumulateATB(dst, a, b, 0, dst.Rows)
 }
 
-// accumulateATB adds aᵀ×b into dst rows [lo, hi). The shared n dimension is
-// walked in full and blocked by four: each pass over a dst row fuses the
-// contributions of four samples, amortizing the dst load/store.
+// accumulateATB adds aᵀ×b into dst rows [lo, hi): MatMul's loop with a read
+// down its columns and the accumulators starting from dst.
 func accumulateATB(dst, a, b *Matrix, lo, hi int) {
-	n := 0
-	for ; n+4 <= a.Rows; n += 4 {
-		a0, a1, a2, a3 := a.Row(n), a.Row(n+1), a.Row(n+2), a.Row(n+3)
-		b0, b1, b2, b3 := b.Row(n), b.Row(n+1), b.Row(n+2), b.Row(n+3)
-		for i := lo; i < hi; i++ {
-			axpy4(dst.Row(i), a0[i], b0, a1[i], b1, a2[i], b2, a3[i], b3)
+	gemmRange(dst, a.Data, 1, a.Cols, a.Rows, b, lo, hi, true)
+}
+
+// gemmRange computes rows [lo, hi) of the product MatMul and MatMulATBAcc
+// are both instances of,
+//
+//	dst[i][j] = (acc ? dst[i][j] : 0) + Σ_{t<depth} a[i·rsa + t·csa] · b[t][j],
+//
+// a being addressed by strides so that one kernel reads it row-wise or
+// transposed. Whole 4-row strips go through fmaTile4x8 over the
+// four-blocked part of the shared dimension; gemmRows then finishes those
+// rows (the depth%4 steps) and computes the rows%4 that are left, so that
+// every element sees the steps of its sum in ascending order and the result
+// is gemmRows' alone, bit for bit.
+func gemmRange(dst *Matrix, a Vector, rsa, csa, depth int, b *Matrix, lo, hi int, acc bool) {
+	tiled, depth4 := lo, depth&^3
+	if haveFMA && dst.Cols > 0 && depth4 > 0 {
+		tiled = lo + (hi-lo)&^3
+		for i := lo; i < tiled; i += 4 {
+			fmaTile4x8(&dst.Data[i*dst.Cols], dst.Cols, &a[i*rsa], rsa, csa, &b.Data[0], b.Cols, depth4, dst.Cols, acc)
 		}
+		gemmRows(dst, a, rsa, csa, depth, b, lo, tiled, depth4, acc)
 	}
-	for ; n < a.Rows; n++ {
-		arow := a.Row(n)
-		brow := b.Row(n)
-		for i := lo; i < hi; i++ {
-			if av := arow[i]; av != 0 {
-				dst.Row(i).Axpy(av, brow)
+	gemmRows(dst, a, rsa, csa, depth, b, tiled, hi, 0, acc)
+}
+
+// gemmRows is gemmRange one output row at a time, from step t0 of the
+// shared dimension on (t0 a multiple of four; at 0 a row not accumulated
+// into is zeroed first). Steps are blocked by four so each pass over the
+// output row carries four multiply-adds; the steps past the last block skip
+// exact zeros of a. It is the whole kernel without AVX2+FMA, the edges of
+// the tiled one with, and the reference the tile kernel is tested against.
+func gemmRows(dst *Matrix, a Vector, rsa, csa, depth int, b *Matrix, lo, hi, t0 int, acc bool) {
+	for i := lo; i < hi; i++ {
+		out := dst.Row(i)
+		if t0 == 0 && !acc {
+			out.Zero()
+		}
+		t, at := t0, i*rsa+t0*csa
+		for ; t+4 <= depth; t, at = t+4, at+4*csa {
+			axpy4(out,
+				a[at], b.Row(t),
+				a[at+csa], b.Row(t+1),
+				a[at+2*csa], b.Row(t+2),
+				a[at+3*csa], b.Row(t+3))
+		}
+		for ; t < depth; t, at = t+1, at+csa {
+			if av := a[at]; av != 0 {
+				out.Axpy(av, b.Row(t))
 			}
 		}
 	}
@@ -173,7 +210,7 @@ func MatMulABTAcc(dst, a, b *Matrix) {
 }
 
 func matMulABT(dst, a, b *Matrix, acc bool) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows || dst.short() || a.short() || b.short() {
 		panic("tensor: MatMulABT shape mismatch")
 	}
 	if t := fanFor(dst.Rows, dst.Rows*dst.Cols*a.Cols); t != nil {
@@ -184,13 +221,32 @@ func matMulABT(dst, a, b *Matrix, acc bool) {
 	matMulABTRange(dst, a, b, 0, dst.Rows, acc)
 }
 
-// matMulABTRange computes output rows [lo, hi) of dst = a × bᵀ, four dot
-// products per pass over the shared a row.
+// matMulABTRange computes output rows [lo, hi) of dst = a × bᵀ: pairs of
+// rows against triples of b rows through fmaDotTile2x3, the columns past
+// the last triple and an odd last row through abtRows. Each output is one
+// dot product, computed the same way by either, so the result is abtRows'
+// alone, bit for bit.
 func matMulABTRange(dst, a, b *Matrix, lo, hi int, acc bool) {
+	tiled, cols3 := lo, b.Rows-b.Rows%3
+	if haveFMA && cols3 > 0 && a.Cols > 0 {
+		tiled = lo + (hi-lo)&^1
+		for i := lo; i < tiled; i += 2 {
+			fmaDotTile2x3(&dst.Data[i*dst.Cols], dst.Cols, &a.Data[i*a.Cols], a.Cols, &b.Data[0], b.Cols, a.Cols, cols3/3, acc)
+		}
+		abtRows(dst, a, b, lo, tiled, cols3, acc)
+	}
+	abtRows(dst, a, b, tiled, hi, 0, acc)
+}
+
+// abtRows is matMulABTRange one output row at a time over columns
+// [j0, b.Rows), four dot products per pass over the shared a row: the whole
+// kernel without AVX2+FMA, the edges of the tiled one with, and the
+// reference the tile kernel is tested against.
+func abtRows(dst, a, b *Matrix, lo, hi, j0 int, acc bool) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		out := dst.Row(i)
-		j := 0
+		j := j0
 		for ; j+4 <= b.Rows; j += 4 {
 			s0, s1, s2, s3 := dot4(arow,
 				b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
@@ -293,20 +349,28 @@ func fanFor(rows, work int) *fanTask {
 	return t
 }
 
+// chunk is the size that cuts n units into about four chunks per
+// processor, so a goroutine that starts late or loses its core still leaves
+// the others something to take.
+func (t *fanTask) chunk(n int) int {
+	return (n + 4*t.procs - 1) / (4 * t.procs)
+}
+
 // rowGrain is the chunk size for a matrix kernel over rows output rows:
-// about four chunks per processor, so a goroutine that starts late or loses
-// its core still leaves the others something to take.
+// chunk rounded up to whole register tiles (four rows; the A·Bᵀ tile's two
+// divide it), so that only the last chunk can have rows left over for the
+// row-at-a-time kernel.
 func (t *fanTask) rowGrain(rows int) int {
-	return (rows + 4*t.procs - 1) / (4 * t.procs)
+	return (t.chunk(rows) + 3) &^ 3
 }
 
 // blockGrain is the chunk size for a flat-vector kernel over n elements:
-// whole combineBlocks, about four chunks per processor like rowGrain. The
+// whole combineBlocks, about four chunks per processor. The
 // range kernels walk a chunk block by block, so a chunk is a contiguous run
 // of the L1-sized blocks the serial walk makes.
 func (t *fanTask) blockGrain(n int) int {
 	blocks := (n + combineBlock - 1) / combineBlock
-	return t.rowGrain(blocks) * combineBlock
+	return t.chunk(blocks) * combineBlock
 }
 
 // fan runs the task's kernel over [0, n) in grain-sized chunks, on the

@@ -59,6 +59,11 @@ func FromRows(rows []Vector) *Matrix {
 	return m
 }
 
+// short reports whether m's backing slice is smaller than its shape: the
+// assembly kernels address operands by shape alone, so the GEMM entry
+// points refuse such a matrix where slicing a Row out of it would.
+func (m *Matrix) short() bool { return len(m.Data) < m.Rows*m.Cols }
+
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

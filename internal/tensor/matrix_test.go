@@ -107,6 +107,29 @@ func TestMatMulShapePanic(t *testing.T) {
 	MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
 }
 
+// TestGEMMRefusesShortBacking: the tile kernels address operands by shape,
+// so a matrix whose Data is shorter than Rows×Cols must be refused up front
+// by every entry point, in whichever operand it sits, the way slicing a Row
+// out of it used to.
+func TestGEMMRefusesShortBacking(t *testing.T) {
+	for name, kernel := range map[string]func(dst, a, b *Matrix){
+		"MatMul": MatMul, "MatMulATB": MatMulATB, "MatMulATBAcc": MatMulATBAcc, "MatMulABT": MatMulABT, "MatMulABTAcc": MatMulABTAcc,
+	} {
+		for short := 0; short < 3; short++ {
+			ops := [3]*Matrix{NewMatrix(8, 8), NewMatrix(8, 8), NewMatrix(8, 8)}
+			ops[short].Data = ops[short].Data[:63]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted operand %d one element short of its shape", name, short)
+					}
+				}()
+				kernel(ops[0], ops[1], ops[2])
+			}()
+		}
+	}
+}
+
 func randMatrix(rng *RNG, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	rng.NormVector(m.Data, 0, 1)

@@ -2,8 +2,8 @@
 
 package tensor
 
-// AVX2+FMA implementations of the four GEMM micro-kernels, selected at
-// startup by CPUID. The pure-Go bodies in vector.go/matmul.go remain the
+// AVX2+FMA implementations of the GEMM micro-kernels, selected at startup
+// by CPUID. The pure-Go bodies in vector.go/matmul.go remain the
 // portable fallback (and the reference the SIMD path is tested against in
 // simd_test.go). FMA contracts the multiply-add rounding step, so the SIMD
 // and generic paths differ in the last ulps; every replica in a simulated
@@ -61,6 +61,24 @@ func fmaDot4(a, b0, b1, b2, b3 Vector) (s0, s1, s2, s3 float64)
 //
 //go:noescape
 func fmaAxpy4(dst, u0, u1, u2, u3 Vector, a0, a1, a2, a3 float64)
+
+// fmaTile4x8 is the GEMM register tile: over the first cols columns of the
+// 4-row strip of dst starting at *dst (row stride ldd), eight at a time and
+// a masked last cols%8,
+// dst[r][j] = (acc ? dst[r][j] : 0) + Σ_{t<depth} a[r·rsa+t·csa]·b[t·ldb+j],
+// with the per-element FMA sequence of fmaAxpy4 over ascending t. It reads
+// and writes exactly that footprint; depth must be ≥ 1.
+//
+//go:noescape
+func fmaTile4x8(dst *float64, ldd int, a *float64, rsa, csa int, b *float64, ldb, depth, cols int, acc bool)
+
+// fmaDotTile2x3 is the A·Bᵀ register tile: rows *a and *(a+lda) against
+// 3·blocks consecutive rows of b (row stride ldb), all k long; the six dot
+// products of each triple, each computed exactly as fmaDot4 computes one,
+// are stored to (acc: added into) dst[r][3·blk+c]. blocks must be ≥ 1.
+//
+//go:noescape
+func fmaDotTile2x3(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, k, blocks int, acc bool)
 
 // fmaMul computes dst = a ⊙ b over len(dst) elements.
 //

@@ -217,6 +217,314 @@ axpy4_done:
 	VZEROUPPER
 	RET
 
+// tilemask<> is eight all-ones quadwords followed by eight zero ones: the 32
+// bytes at offset 8·(8−n) mask the first n of lanes 0–3, the 32 after them
+// the first n−4 of lanes 4–7.
+DATA tilemask<>+0(SB)/8, $-1
+DATA tilemask<>+8(SB)/8, $-1
+DATA tilemask<>+16(SB)/8, $-1
+DATA tilemask<>+24(SB)/8, $-1
+DATA tilemask<>+32(SB)/8, $-1
+DATA tilemask<>+40(SB)/8, $-1
+DATA tilemask<>+48(SB)/8, $-1
+DATA tilemask<>+56(SB)/8, $-1
+DATA tilemask<>+64(SB)/8, $0
+DATA tilemask<>+72(SB)/8, $0
+DATA tilemask<>+80(SB)/8, $0
+DATA tilemask<>+88(SB)/8, $0
+DATA tilemask<>+96(SB)/8, $0
+DATA tilemask<>+104(SB)/8, $0
+DATA tilemask<>+112(SB)/8, $0
+DATA tilemask<>+120(SB)/8, $0
+GLOBL tilemask<>(SB), RODATA|NOPTR, $128
+
+// TILE_ZERO clears the 4×8 accumulator block Y0–Y7.
+#define TILE_ZERO \
+	VXORPD Y0, Y0, Y0 \
+	VXORPD Y1, Y1, Y1 \
+	VXORPD Y2, Y2, Y2 \
+	VXORPD Y3, Y3, Y3 \
+	VXORPD Y4, Y4, Y4 \
+	VXORPD Y5, Y5, Y5 \
+	VXORPD Y6, Y6, Y6 \
+	VXORPD Y7, Y7, Y7
+
+// TILE_BEGIN points the cursors at step 0 of the block: AX at the strip's a
+// column, R13 at the block's b row, CX counting depth down.
+#define TILE_BEGIN \
+	MOVQ SI, AX \
+	MOVQ DX, R13 \
+	MOVQ depth+56(FP), CX
+
+// TILE_STEP is one step of the shared dimension with the b row's eight
+// columns already in Y8, Y9: broadcast the four a scalars, eight FMAs,
+// advance the cursors. It leaves the flags of the depth countdown.
+#define TILE_STEP \
+	VBROADCASTSD (AX), Y10 \
+	VBROADCASTSD (AX)(R9*1), Y11 \
+	VBROADCASTSD (AX)(R9*2), Y12 \
+	VBROADCASTSD (AX)(R11*1), Y13 \
+	VFMADD231PD Y8, Y10, Y0 \
+	VFMADD231PD Y9, Y10, Y1 \
+	VFMADD231PD Y8, Y11, Y2 \
+	VFMADD231PD Y9, Y11, Y3 \
+	VFMADD231PD Y8, Y12, Y4 \
+	VFMADD231PD Y9, Y12, Y5 \
+	VFMADD231PD Y8, Y13, Y6 \
+	VFMADD231PD Y9, Y13, Y7 \
+	ADDQ R10, AX \
+	ADDQ R12, R13 \
+	DECQ CX
+
+// func fmaTile4x8(dst *float64, ldd int, a *float64, rsa, csa int, b *float64, ldb, depth, cols int, acc bool)
+//
+// The GEMM register tile. Over the first cols columns of a 4-row strip of
+// dst (row stride ldd), eight columns at a time:
+//
+//	dst[r][j] = (acc ? dst[r][j] : +0) + Σ_{t<depth} a[r·rsa + t·csa] · b[t·ldb + j]
+//
+// The 4×8 block lives in Y0–Y7 for the whole depth loop: each step loads two
+// ymm of the b row once, broadcasts four a scalars and issues eight FMAs, so
+// dst is touched once per block instead of once per four steps. Every
+// element receives one VFMADD231 per t, ascending, into a single
+// accumulator with the operand roles fmaAxpy4 uses (acc += a·b, a in the
+// second source, b in the third) — the result is fmaAxpy4's bit for bit.
+// A last block of cols%8 columns runs the same steps under a lane mask:
+// masked-off lanes are neither read (they load as zero) nor written. depth
+// must be at least 1; strides are in elements.
+TEXT ·fmaTile4x8(SB), NOSPLIT, $0-73
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ rsa+24(FP), R9
+	MOVQ csa+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ ldb+48(FP), R12
+	MOVQ cols+64(FP), BX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R12
+	LEAQ (R9)(R9*2), R11         // 3·rsa
+tile_block:
+	CMPQ BX, $8
+	JLT  tile_edge
+	CMPB acc+72(FP), $0
+	JNE  tile_load
+	TILE_ZERO
+	JMP  tile_depth
+tile_load:
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (AX), Y4
+	VMOVUPD 32(AX), Y5
+	VMOVUPD (AX)(R8*1), Y6
+	VMOVUPD 32(AX)(R8*1), Y7
+tile_depth:
+	TILE_BEGIN
+tile_loop:
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	TILE_STEP
+	JNZ  tile_loop
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, 32(AX)
+	VMOVUPD Y6, (AX)(R8*1)
+	VMOVUPD Y7, 32(AX)(R8*1)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, BX
+	JMP  tile_block
+tile_edge:
+	TESTQ BX, BX
+	JZ   tile_done
+	LEAQ tilemask<>+64(SB), AX
+	SHLQ $3, BX
+	SUBQ BX, AX
+	VMOVUPD (AX), Y14            // lanes 0–3 of the last cols%8 columns
+	VMOVUPD 32(AX), Y15          // lanes 4–7
+	CMPB acc+72(FP), $0
+	JNE  tile_mload
+	TILE_ZERO
+	JMP  tile_mdepth
+tile_mload:
+	LEAQ (DI)(R8*2), AX
+	VMASKMOVPD (DI), Y14, Y0
+	VMASKMOVPD 32(DI), Y15, Y1
+	VMASKMOVPD (DI)(R8*1), Y14, Y2
+	VMASKMOVPD 32(DI)(R8*1), Y15, Y3
+	VMASKMOVPD (AX), Y14, Y4
+	VMASKMOVPD 32(AX), Y15, Y5
+	VMASKMOVPD (AX)(R8*1), Y14, Y6
+	VMASKMOVPD 32(AX)(R8*1), Y15, Y7
+tile_mdepth:
+	TILE_BEGIN
+tile_mloop:
+	VMASKMOVPD (R13), Y14, Y8
+	VMASKMOVPD 32(R13), Y15, Y9
+	TILE_STEP
+	JNZ  tile_mloop
+	LEAQ (DI)(R8*2), AX
+	VMASKMOVPD Y0, Y14, (DI)
+	VMASKMOVPD Y1, Y15, 32(DI)
+	VMASKMOVPD Y2, Y14, (DI)(R8*1)
+	VMASKMOVPD Y3, Y15, 32(DI)(R8*1)
+	VMASKMOVPD Y4, Y14, (AX)
+	VMASKMOVPD Y5, Y15, 32(AX)
+	VMASKMOVPD Y6, Y14, (AX)(R8*1)
+	VMASKMOVPD Y7, Y15, 32(AX)(R8*1)
+tile_done:
+	VZEROUPPER
+	RET
+
+// func fmaDotTile2x3(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, k, blocks int, acc bool)
+//
+// The A·Bᵀ register tile: two rows of a against `blocks` consecutive
+// triples of b rows, dst[r][3·blk+c] (+)= <a_r, b_(3·blk+c)> over k
+// elements. Every operand vector is loaded once for two (b) or three (a)
+// FMAs, where fmaDot4 loads ten vectors per eight. Each of the six dot
+// products is fmaDot4's, instruction for instruction: eight lane sums by
+// k mod 8 in a low (Y0–Y2, Y6–Y8) and a high (Y3–Y5, Y9–Y11) accumulator,
+// folded high into low, upper into lower 128 bits, VHADDPD, then scalar
+// FMAs over the k mod 8 tail — so the sums are fmaDot4's bit for bit. With
+// acc the store adds the sum to dst the way the Go loop around dot4 does
+// (dst first). blocks must be at least 1; strides are in elements.
+TEXT ·fmaDotTile2x3(SB), NOSPLIT, $0-65
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R9
+	MOVQ b+32(FP), DX
+	MOVQ ldb+40(FP), R12
+	MOVQ k+48(FP), CX
+	MOVQ blocks+56(FP), BX
+	SHLQ $3, R8
+	SHLQ $3, R12
+	LEAQ (SI)(R9*8), R9          // a row 1
+	MOVQ CX, R13
+	ANDQ $-8, R13
+dott_block:
+	LEAQ (DX)(R12*1), R10        // b rows 1 and 2 of the triple
+	LEAQ (DX)(R12*2), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ AX, AX
+	TESTQ R13, R13
+	JZ   dott_fold
+dott_loop8:
+	VMOVUPD (SI)(AX*8), Y12
+	VMOVUPD (R9)(AX*8), Y13
+	VMOVUPD (DX)(AX*8), Y14
+	VMOVUPD (R10)(AX*8), Y15
+	VFMADD231PD Y14, Y12, Y0
+	VFMADD231PD Y14, Y13, Y6
+	VMOVUPD (R11)(AX*8), Y14
+	VFMADD231PD Y15, Y12, Y1
+	VFMADD231PD Y15, Y13, Y7
+	VFMADD231PD Y14, Y12, Y2
+	VFMADD231PD Y14, Y13, Y8
+	VMOVUPD 32(SI)(AX*8), Y12
+	VMOVUPD 32(R9)(AX*8), Y13
+	VMOVUPD 32(DX)(AX*8), Y14
+	VMOVUPD 32(R10)(AX*8), Y15
+	VFMADD231PD Y14, Y12, Y3
+	VFMADD231PD Y14, Y13, Y9
+	VMOVUPD 32(R11)(AX*8), Y14
+	VFMADD231PD Y15, Y12, Y4
+	VFMADD231PD Y15, Y13, Y10
+	VFMADD231PD Y14, Y12, Y5
+	VFMADD231PD Y14, Y13, Y11
+	ADDQ $8, AX
+	CMPQ AX, R13
+	JLT  dott_loop8
+dott_fold:
+	VADDPD Y3, Y0, Y0
+	VADDPD Y4, Y1, Y1
+	VADDPD Y5, Y2, Y2
+	VADDPD Y9, Y6, Y6
+	VADDPD Y10, Y7, Y7
+	VADDPD Y11, Y8, Y8
+	VEXTRACTF128 $1, Y0, X3
+	VADDPD X3, X0, X0
+	VHADDPD X0, X0, X0
+	VEXTRACTF128 $1, Y1, X4
+	VADDPD X4, X1, X1
+	VHADDPD X1, X1, X1
+	VEXTRACTF128 $1, Y2, X5
+	VADDPD X5, X2, X2
+	VHADDPD X2, X2, X2
+	VEXTRACTF128 $1, Y6, X9
+	VADDPD X9, X6, X6
+	VHADDPD X6, X6, X6
+	VEXTRACTF128 $1, Y7, X10
+	VADDPD X10, X7, X7
+	VHADDPD X7, X7, X7
+	VEXTRACTF128 $1, Y8, X11
+	VADDPD X11, X8, X8
+	VHADDPD X8, X8, X8
+dott_tail:
+	CMPQ AX, CX
+	JGE  dott_store
+	VMOVSD (SI)(AX*8), X12
+	VMOVSD (R9)(AX*8), X13
+	VMOVSD (DX)(AX*8), X14
+	VFMADD231SD X14, X12, X0
+	VFMADD231SD X14, X13, X6
+	VMOVSD (R10)(AX*8), X14
+	VFMADD231SD X14, X12, X1
+	VFMADD231SD X14, X13, X7
+	VMOVSD (R11)(AX*8), X14
+	VFMADD231SD X14, X12, X2
+	VFMADD231SD X14, X13, X8
+	INCQ AX
+	JMP  dott_tail
+dott_store:
+	CMPB acc+64(FP), $0
+	JEQ  dott_write
+	VMOVSD (DI), X3
+	VMOVSD 8(DI), X4
+	VMOVSD 16(DI), X5
+	VMOVSD (DI)(R8*1), X9
+	VMOVSD 8(DI)(R8*1), X10
+	VMOVSD 16(DI)(R8*1), X11
+	VADDSD X0, X3, X0
+	VADDSD X1, X4, X1
+	VADDSD X2, X5, X2
+	VADDSD X6, X9, X6
+	VADDSD X7, X10, X7
+	VADDSD X8, X11, X8
+dott_write:
+	VMOVSD X0, (DI)
+	VMOVSD X1, 8(DI)
+	VMOVSD X2, 16(DI)
+	VMOVSD X6, (DI)(R8*1)
+	VMOVSD X7, 8(DI)(R8*1)
+	VMOVSD X8, 16(DI)(R8*1)
+	ADDQ $24, DI
+	LEAQ (R11)(R12*1), DX
+	DECQ BX
+	JNZ  dott_block
+	VZEROUPPER
+	RET
+
 // func fmaMul(dst, a, b Vector)
 TEXT ·fmaMul(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI

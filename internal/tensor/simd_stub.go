@@ -12,6 +12,12 @@ func fmaDot4(a, b0, b1, b2, b3 Vector) (s0, s1, s2, s3 float64) { panic("tensor:
 func fmaAxpy4(dst, u0, u1, u2, u3 Vector, a0, a1, a2, a3 float64) {
 	panic("tensor: no SIMD")
 }
+func fmaTile4x8(dst *float64, ldd int, a *float64, rsa, csa int, b *float64, ldb, depth, cols int, acc bool) {
+	panic("tensor: no SIMD")
+}
+func fmaDotTile2x3(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, k, blocks int, acc bool) {
+	panic("tensor: no SIMD")
+}
 func fmaMul(dst, a, b Vector)                      { panic("tensor: no SIMD") }
 func fmaRelu(y, mask, x Vector)                    { panic("tensor: no SIMD") }
 func fmaSGDMom(w, g, v Vector, lr, mu, wd float64) { panic("tensor: no SIMD") }
