@@ -27,6 +27,7 @@ import (
 	"selsync"
 	"selsync/internal/cluster"
 	"selsync/internal/comm"
+	"selsync/internal/data"
 	"selsync/internal/experiments"
 	"selsync/internal/nn"
 	"selsync/internal/opt"
@@ -105,6 +106,10 @@ type stepBenchResult struct {
 	// through the parameter server (push + pull, exact codec framing);
 	// only the codec sync-round rows report it.
 	WireBytesPerOp int64 `json:"wire_bytes_per_op,omitempty"`
+	// Extra holds the custom metrics a benchmark reported (b.ReportMetric):
+	// counts that repeat exactly, such as the engine-step rows' pool
+	// dispatches per step.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 type stepBenchReport struct {
@@ -115,8 +120,9 @@ type stepBenchReport struct {
 }
 
 // runStepBenchmarks measures one training step (ComputeGradients) for each
-// zoo model, the GEMMs of a c100 step shape by shape, one aggregation round
-// per mode, one whole-model optimizer step per optimizer family, the
+// zoo model, the GEMMs of a c100 step shape by shape, one whole engine step
+// and one evaluation on that shape, one aggregation round per mode, one
+// whole-model optimizer step per optimizer family, the
 // per-step price of observers, one job build and one job resume per zoo
 // model, and the serve daemon's control plane, via testing.Benchmark, and
 // writes the results as JSON.
@@ -140,10 +146,15 @@ func runStepBenchmarks(outPath string) error {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			Iterations:  r.N,
+			Extra:       r.Extra,
 		}
 		report.Benchmarks = append(report.Benchmarks, res)
-		fmt.Printf("%-30s %12.0f ns/op %8d B/op %6d allocs/op (%d iters)\n",
+		fmt.Printf("%-30s %12.0f ns/op %8d B/op %6d allocs/op (%d iters)",
 			res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.Iterations)
+		for unit, v := range res.Extra {
+			fmt.Printf(" %g %s", v, unit)
+		}
+		fmt.Println()
 	}
 	zoo := nn.Zoo()
 	for _, short := range nn.ZooNames() {
@@ -237,6 +248,47 @@ func runStepBenchmarks(outPath string) error {
 				}
 			}
 		}))
+	}
+
+	// Engine-loop benches on the end-to-end benchmark's task shape (c100:
+	// ResNetLite(100, 6), four workers, batch 16, 1024 test rows), through
+	// the same train.StepBench internal/train's BenchmarkEngineStepSelSync
+	// and BenchmarkEvaluateDataset drive: one SelSync-PA step with the pool
+	// dispatches it costs, one evaluation as a run pays for it, and the
+	// evaluation of a selsync-serve job's 32 test rows.
+	for _, shape := range []struct {
+		name           string
+		classes        int
+		workers, testN int
+		step           bool // also the shape of the engine-step row
+	}{
+		{"c100-1024", 100, 4, 1024, true},
+		{"serve-32", 10, 2, 32, false},
+	} {
+		gen := data.NewImageGen(shape.classes, 1.0, 2.0, 3e3, 1)
+		cfg := train.Config{
+			Model: nn.ResNetLite(shape.classes, 6), Workers: shape.workers, Batch: 16, Seed: 1,
+			Train: gen.Dataset("train", 512), Test: gen.Dataset("test", shape.testN),
+			Scheme: data.SelDP, Schedule: opt.Constant{Rate: 0.05},
+		}
+		sb := train.NewStepBench(cfg, train.SelSyncPolicy{Delta: 0.05, Mode: cluster.ParamAgg})
+		measure := func(op func(), per string) testing.BenchmarkResult {
+			return testing.Benchmark(func(b *testing.B) {
+				op() // grow the lazily sized buffers, build the replicas
+				woken := sb.Dispatches()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+				b.ReportMetric(float64(sb.Dispatches()-woken)/float64(b.N), "dispatches/"+per)
+			})
+		}
+		if shape.step {
+			record("BenchmarkEngineStepSelSync", cfg.Model.Spec.Name, measure(sb.Step, "step"))
+		}
+		record("BenchmarkEvaluateDataset/"+shape.name, cfg.Model.Spec.Name, measure(sb.Evaluate, "eval"))
+		sb.Close()
 	}
 
 	// Aggregation-round microbenches: one parameter round (push + average

@@ -234,10 +234,12 @@ type Cluster struct {
 	gradView   func(id int) tensor.Vector
 	paramSlots []tensor.Vector
 
-	// Persistent per-worker goroutine pool behind Each.
-	eachCh    []chan func(*Worker)
-	eachWG    sync.WaitGroup
-	closeOnce sync.Once
+	// Persistent per-worker goroutine pool behind Each, and how many times
+	// Each has run.
+	eachCh     []chan func(*Worker)
+	eachWG     sync.WaitGroup
+	dispatches int
+	closeOnce  sync.Once
 }
 
 // New builds the cluster: the first hosted worker draws the model's initial
@@ -440,6 +442,7 @@ func (c *Cluster) startPool() {
 // worker pool and waits for all to finish. Workers touch disjoint state,
 // so fn needs no locking as long as it only accesses its own worker.
 func (c *Cluster) Each(fn func(w *Worker)) {
+	c.dispatches++
 	if len(c.Workers) == 1 {
 		fn(c.Workers[0])
 		return
@@ -450,6 +453,10 @@ func (c *Cluster) Each(fn func(w *Worker)) {
 	}
 	c.eachWG.Wait()
 }
+
+// Dispatches returns how many times Each has run: the pool wake-ups a run
+// has paid for, a count that depends on the step sequence alone.
+func (c *Cluster) Dispatches() int { return c.dispatches }
 
 // Close stops the worker pool and, when the cluster built its own loopback
 // fabric, releases it. Externally supplied fabrics (TCP meshes) are closed

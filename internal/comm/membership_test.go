@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -247,6 +248,46 @@ func TestReduceMeanOverSurvivors(t *testing.T) {
 				t.Fatalf("rank %d elem %d = %v, want %v (bit-identical)", r, i, results[r][i], want[i])
 			}
 		}
+	}
+}
+
+// TestRejoinTCPNeedsTheAcceptorsAck: RejoinTCP reports the link up only once
+// the peer has answered its hello — the answer says the peer's sends now
+// leave on the new connection. A peer that accepts and reads but never
+// answers is a typed failure within DialTimeout, not a mesh that looks
+// usable and then loses the first message sent to it.
+func TestRejoinTCPNeedsTheAcceptorsAck(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		for {
+			c, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held open, never written to
+		}
+	}()
+	own, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := own.Addr().String()
+	own.Close()
+
+	opts := DefaultTCPOptions()
+	opts.DialTimeout = 200 * time.Millisecond
+	ep, err := RejoinTCP(1, []string{silent.Addr().String(), addr}, opts)
+	if err == nil {
+		ep.Close()
+		t.Fatal("RejoinTCP returned an endpoint although rank 0 never acknowledged the hello")
+	}
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Rank != 0 || !errors.Is(err, ErrTimeout) {
+		t.Fatalf("want a *PeerError naming rank 0 and wrapping ErrTimeout, got %v", err)
 	}
 }
 

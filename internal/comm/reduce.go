@@ -199,10 +199,12 @@ func (m *Mesh) ensureCodecBufs(dim int, deltas bool) {
 
 // recvBuf returns rank 0's dim-element staging vector for worker's
 // contribution: the receive target of a remote worker, the decode target
-// of a hosted one under a lossy codec.
+// of a hosted one under a lossy codec. One buffer per worker, as large as
+// the largest round so far, serves rounds of every size — a run alternates
+// model-sized rounds with an evaluation's few hundred result rows.
 func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
-	if buf, ok := m.recvBufs[worker]; ok && len(buf) == dim {
-		return buf
+	if buf := m.recvBufs[worker]; cap(buf) >= dim {
+		return buf[:dim]
 	}
 	buf := tensor.NewVector(dim)
 	m.recvBufs[worker] = buf

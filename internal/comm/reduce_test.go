@@ -97,6 +97,47 @@ func TestBucketedRoundRefusesElasticMesh(t *testing.T) {
 	})
 }
 
+// TestReduceStagingServesRoundsOfEverySize: rank 0 keeps one staging vector
+// per remote worker and a smaller round borrows it — a run alternates
+// model-sized rounds with single-contribution rounds of a few hundred
+// evaluation rows, and each switch used to allocate a fresh vector. The
+// single-contribution round delivers its one vector unchanged.
+func TestReduceStagingServesRoundsOfEverySize(t *testing.T) {
+	const workers, procs, dim, small = 2, 2, ChunkElems + 7, 130
+	fx := newReduceFixture(workers, dim, 37)
+	eps := NewLoopbackEndpoints(procs)
+	defer closeAll(eps)
+	ms := meshes(t, eps, workers)
+	var staged *float64
+	parallelRanks(t, eps, func(ep Endpoint) error {
+		m := ms[ep.Rank()]
+		big, rows := tensor.NewVector(dim), tensor.NewVector(small)
+		one := func(int) tensor.Vector { return fx.vecs[1][:small] }
+		for round := 0; round < 3; round++ {
+			if err := m.ReduceMean(big, fx.ids, fx.view); err != nil {
+				return err
+			}
+			if err := m.ReduceMean(rows, []int{1}, one); err != nil {
+				return err
+			}
+			for i, v := range rows {
+				if math.Float64bits(v) != math.Float64bits(fx.vecs[1][i]) {
+					return fmt.Errorf("rank %d: row %d = %v, the one contribution is %v", ep.Rank(), i, v, fx.vecs[1][i])
+				}
+			}
+			if ep.Rank() != 0 {
+				continue
+			}
+			if buf := m.recvBufs[1]; round == 0 {
+				staged = &buf[0]
+			} else if &buf[0] != staged || cap(buf) < dim {
+				return fmt.Errorf("round %d: worker 1's staging vector was replaced (cap %d)", round, cap(buf))
+			}
+		}
+		return nil
+	})
+}
+
 // TestLoopbackIsAOneRankMesh pins what NewLoopback hands out: a mesh that
 // runs a whole sync round without framing anything, owns no wire buffers,
 // and still polices its arguments like any mesh.

@@ -149,17 +149,6 @@ type tcpConn struct {
 	vec net.Buffers
 }
 
-func (tc *tcpConn) replace(c net.Conn) int {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.c != nil {
-		tc.c.Close()
-	}
-	tc.c = c
-	tc.gen++
-	return tc.gen
-}
-
 // peerIn is one peer's demux inbox. failed closes when the link breaks
 // (with the cause in err); rearm replaces it after a reconnect, bumping
 // gen and signalling rearmed so blocked receivers re-check.
@@ -344,11 +333,12 @@ func newTCPEndpoint(rank int, peers []string, ln net.Listener, opts TCPOptions) 
 // RejoinTCP builds the endpoint for a rank re-entering a running mesh
 // (selsync-node -join): it rebinds the rank's listen address, dials every
 // lower rank — whose endpoints adopt the replacement connection exactly as
-// the mid-run reconnect protocol does — and starts accepting, without
-// waiting for higher ranks to connect. In the rank-0-rooted collective
-// star only the links toward lower ranks carry traffic, so the mesh is
-// usable as soon as those dials land; a higher rank that does need the
-// link re-establishes it through its own redial path.
+// the mid-run reconnect protocol does, and say so with a Hello of their own
+// before this returns (a *PeerError if none arrives within DialTimeout) —
+// and starts accepting, without waiting for higher ranks to connect. In the
+// rank-0-rooted collective star only the links toward lower ranks carry
+// traffic, so the mesh is usable as soon as those dials land; a higher rank
+// that does need the link re-establishes it through its own redial path.
 func RejoinTCP(rank int, peers []string, opts TCPOptions) (*TCPEndpoint, error) {
 	opts = opts.normalize()
 	if rank < 0 || rank >= len(peers) {
@@ -390,7 +380,13 @@ func RejoinTCP(rank int, peers []string, opts TCPOptions) (*TCPEndpoint, error) 
 			e.teardown()
 			return nil, fmt.Errorf("comm: rejoining rank %d hello to rank %d: %w", rank, to, err)
 		}
-		e.adoptConn(to, c)
+		// The peer answers once it has adopted the connection: only then do
+		// its sends to this rank leave on c rather than on the dead link.
+		if _, err := readHello(c, opts.DialTimeout); err != nil {
+			e.teardown()
+			return nil, peerErr("rejoin handshake", to, err)
+		}
+		e.adoptConn(to, c, false)
 	}
 	return e, nil
 }
@@ -446,15 +442,32 @@ func (e *TCPEndpoint) acceptReplacements() {
 				return
 			}
 			e.tuneConn(c)
-			e.adoptConn(from, c)
+			e.adoptConn(from, c, true)
 		}(c)
 	}
 }
 
 // adoptConn installs a replacement connection for a peer: swap the pair
-// connection, re-arm the inbox, and start the new epoch's readLoop.
-func (e *TCPEndpoint) adoptConn(from int, c net.Conn) {
-	e.conns[from].replace(c)
+// connection, re-arm the inbox, and start the new epoch's readLoop. The
+// accepting side acks with a Hello of its own, which the dialer waits for
+// before it reports the link up (RejoinTCP, redial): without it a dialer
+// could announce itself while this side still sends on the dead connection.
+// The ack goes out under the lock the swap takes, so it is the first frame
+// on c even when a sender was parked waiting for the re-arm.
+func (e *TCPEndpoint) adoptConn(from int, c net.Conn, ack bool) {
+	tc := e.conns[from]
+	tc.mu.Lock()
+	if tc.c != nil {
+		tc.c.Close()
+	}
+	tc.c = c
+	tc.gen++
+	if ack {
+		// A failed write means c is already dead; the readLoop started
+		// below reports that the way it reports any broken link.
+		_ = e.writeFrameLocked(tc, &Frame{Type: MsgHello, Worker: int32(e.rank)})
+	}
+	tc.mu.Unlock()
 	gen := e.in[from].rearm()
 	go e.readLoop(from, c, gen)
 }
@@ -675,7 +688,14 @@ func (e *TCPEndpoint) redial(to int, f *Frame, cause error) error {
 			lastErr = err
 			continue
 		}
-		e.adoptConn(to, c)
+		// The acceptor's ack (see adoptConn) is consumed here, off the raw
+		// connection, so it never reaches the inbox.
+		if _, err := readHello(c, e.opts.DialTimeout); err != nil {
+			c.Close()
+			lastErr = err
+			continue
+		}
+		e.adoptConn(to, c, false)
 		if err := e.writeFrame(e.conns[to], f); err != nil {
 			lastErr = err
 			continue
@@ -690,6 +710,11 @@ func (e *TCPEndpoint) redial(to int, f *Frame, cause error) error {
 func (e *TCPEndpoint) writeFrame(tc *tcpConn, f *Frame) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	return e.writeFrameLocked(tc, f)
+}
+
+// writeFrameLocked is writeFrame for a caller that holds tc.mu.
+func (e *TCPEndpoint) writeFrameLocked(tc *tcpConn, f *Frame) error {
 	if tc.c == nil {
 		// A rejoin endpoint's link to a higher rank that has not connected
 		// back yet.

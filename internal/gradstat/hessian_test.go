@@ -45,6 +45,8 @@ func (q *quadNet) Evaluate(x *tensor.Matrix, labels []int) (float64, int) {
 	return l, c
 }
 
+func (q *quadNet) EvaluateRows(*tensor.Matrix, []int, tensor.Vector, tensor.Vector) {}
+
 func TestTopHessianEigenvalueQuadratic(t *testing.T) {
 	// Diagonal A: eigenvalues are the diagonal; top is 7.
 	a := [][]float64{

@@ -61,14 +61,20 @@ func (SoftmaxCrossEntropy) LossInto(grad, logits *tensor.Matrix, labels []int) (
 	return loss * invN, correct
 }
 
-// EvalLoss computes loss and correct count without building the gradient,
-// for evaluation passes.
-func (SoftmaxCrossEntropy) EvalLoss(logits *tensor.Matrix, labels []int) (loss float64, correct int) {
+// EvalRows is the evaluation pass one row at a time: rowLoss[i] receives row
+// i's cross-entropy and rowHit[i] 1 when its label is among the k largest
+// logits (k ≤ 1: is the argmax), else 0. A row's two numbers depend on that
+// row of the logits alone, so a set of rows may be evaluated in any batches,
+// by any number of replicas, and folded afterwards (FoldRows) to the bits a
+// single pass over all of them yields.
+func (SoftmaxCrossEntropy) EvalRows(logits *tensor.Matrix, labels []int, k int, rowLoss, rowHit tensor.Vector) {
 	if len(labels) != logits.Rows {
 		panic("nn: label count must equal logit rows")
 	}
-	n := logits.Rows
-	for i := 0; i < n; i++ {
+	if len(rowLoss) != logits.Rows || len(rowHit) != logits.Rows {
+		panic("nn: per-row result length must equal logit rows")
+	}
+	for i := range labels {
 		row := logits.Row(i)
 		label := labels[i]
 		maxLogit := row.Max()
@@ -76,12 +82,39 @@ func (SoftmaxCrossEntropy) EvalLoss(logits *tensor.Matrix, labels []int) (loss f
 		for _, v := range row {
 			sum += math.Exp(v - maxLogit)
 		}
-		loss += -(row[label] - maxLogit - math.Log(sum))
-		if row.ArgMax() == label {
+		rowLoss[i] = -(row[label] - maxLogit - math.Log(sum))
+		var hit bool
+		if k > 1 {
+			hit = inTopK(row, label, k)
+		} else {
+			hit = row.ArgMax() == label
+		}
+		if hit {
+			rowHit[i] = 1
+		} else {
+			rowHit[i] = 0
+		}
+	}
+}
+
+// FoldRows folds per-row results into what one evaluation pass over those
+// rows reports: the mean loss, summed in row order, and the hit count.
+func FoldRows(rowLoss, rowHit tensor.Vector) (loss float64, correct int) {
+	for i, l := range rowLoss {
+		loss += l
+		if rowHit[i] != 0 {
 			correct++
 		}
 	}
-	return loss / float64(n), correct
+	return loss / float64(len(rowLoss)), correct
+}
+
+// EvalLoss computes loss and correct count (top-1) without building the
+// gradient, for evaluation passes.
+func (l SoftmaxCrossEntropy) EvalLoss(logits *tensor.Matrix, labels []int) (loss float64, correct int) {
+	rowLoss, rowHit := tensor.NewVector(logits.Rows), tensor.NewVector(logits.Rows)
+	l.EvalRows(logits, labels, 1, rowLoss, rowHit)
+	return FoldRows(rowLoss, rowHit)
 }
 
 // TopKCorrect counts rows whose label appears among the k largest logits —
@@ -92,21 +125,23 @@ func TopKCorrect(logits *tensor.Matrix, labels []int, k int) int {
 	}
 	var correct int
 	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		label := labels[i]
-		target := row[label]
-		// Count strictly greater entries; label is in the top-k if fewer
-		// than k logits beat it (ties resolve in the label's favour,
-		// matching a stable sort by descending logit).
-		greater := 0
-		for j, v := range row {
-			if v > target || (v == target && j < label) {
-				greater++
-			}
-		}
-		if greater < k {
+		if inTopK(logits.Row(i), labels[i], k) {
 			correct++
 		}
 	}
 	return correct
+}
+
+// inTopK reports whether label is among the k largest entries of row: fewer
+// than k entries beat it, ties resolving in favour of the lower index
+// (matching a stable sort by descending logit).
+func inTopK(row tensor.Vector, label, k int) bool {
+	target := row[label]
+	greater := 0
+	for j, v := range row {
+		if v > target || (v == target && j < label) {
+			greater++
+		}
+	}
+	return greater < k
 }

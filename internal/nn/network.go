@@ -49,6 +49,12 @@ type Network interface {
 	// Evaluate runs a forward pass only and returns mean loss and correct
 	// predictions under the model's configured metric (TopK).
 	Evaluate(x *tensor.Matrix, labels []int) (loss float64, correct int)
+	// EvaluateRows is Evaluate before its fold: row i's loss lands in
+	// rowLoss[i], and 1 or 0 in rowHit[i] as the row is correct under the
+	// configured metric or not. Neither depends on which other rows share
+	// the batch, so a test set may be cut anywhere and evaluated by several
+	// replicas; FoldRows over any run of rows is Evaluate's result for them.
+	EvaluateRows(x *tensor.Matrix, labels []int, rowLoss, rowHit tensor.Vector)
 	// Spec returns the model's descriptor.
 	Spec() ModelSpec
 }
@@ -80,6 +86,7 @@ type FeedForwardNet struct {
 	params  []*Param
 	arena   *Arena
 	gradBuf *tensor.Matrix // reused loss-gradient buffer
+	rowBuf  tensor.Vector  // Evaluate's per-row results: losses, then hits
 
 	// streams are the RNG streams layers own (Dropout masks), in layer
 	// order — replica state that lives outside the arena.
@@ -200,14 +207,18 @@ func (f *FeedForwardNet) ComputeGradients(x *tensor.Matrix, labels []int) (float
 }
 
 // Evaluate runs a forward pass in eval mode; correctness uses the spec's
-// TopK metric.
+// TopK metric. It is the fold of EvaluateRows.
 func (f *FeedForwardNet) Evaluate(x *tensor.Matrix, labels []int) (float64, int) {
-	logits := f.Seq.Forward(x, false)
-	loss, correct := f.loss.EvalLoss(logits, labels)
-	if f.spec.TopK > 1 {
-		correct = TopKCorrect(logits, labels, f.spec.TopK)
-	}
-	return loss, correct
+	n := len(labels)
+	f.rowBuf = tensor.EnsureVector(f.rowBuf, 2*n)
+	rowLoss, rowHit := f.rowBuf[:n], f.rowBuf[n:]
+	f.EvaluateRows(x, labels, rowLoss, rowHit)
+	return FoldRows(rowLoss, rowHit)
+}
+
+// EvaluateRows implements Network.
+func (f *FeedForwardNet) EvaluateRows(x *tensor.Matrix, labels []int, rowLoss, rowHit tensor.Vector) {
+	f.loss.EvalRows(f.Seq.Forward(x, false), labels, f.spec.TopK, rowLoss, rowHit)
 }
 
 // FlattenPositions reshapes (n × T·V) activations into (n·T × V) rows so a

@@ -97,7 +97,11 @@ type Config struct {
 
 	MaxSteps  int // hard bound on training steps (per worker); default 2000
 	EvalEvery int // steps between test evaluations; default 50
-	EvalChunk int // examples per evaluation forward pass; default 256
+	// EvalChunk is the number of examples per chunk of the evaluation's loss
+	// fold (the mean loss of each chunk, weighted by its rows): it fixes the
+	// reported loss to the last bit, and nothing else — forward passes run in
+	// fixed blocks of their own (eval.go). Default 256.
+	EvalChunk int
 	// Patience stops the run after this many consecutive evaluations
 	// without improvement of the test metric; 0 disables early stopping.
 	Patience int

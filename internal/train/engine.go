@@ -20,23 +20,23 @@ type engine struct {
 	sig    Signals
 	avg    tensor.Vector
 
-	// Per-step inputs bound into the reusable closures below.
-	lr         float64
-	localExtra float64
+	// Per-step input bound into the reusable closure below.
+	lr float64
 
 	syncGradsFn func(*cluster.Worker)
-	countSyncFn func(*cluster.Worker)
-	localFn     func(*cluster.Worker)
+
+	// presched is the policy's view of a step before its gradients exist
+	// (nil: it declares nothing).
+	presched Preschedulable
 
 	// Comm/compute overlap state (overlap.go); all zero without
-	// Config.Overlap. presched is the policy's gradient-independent step
-	// planner, buckets the layer-aligned tiling of the flat gradient, wm
-	// the per-hosted-worker backward-progress watermarks, waitFn the
-	// bucket gate (nil on a single process, where compute runs first).
-	presched Preschedulable
-	buckets  [][2]int
-	wm       []atomic.Int64
-	waitFn   func(bucket int)
+	// Config.Overlap. buckets is the layer-aligned tiling of the flat
+	// gradient, wm the per-hosted-worker backward-progress watermarks,
+	// waitFn the bucket gate (nil on a single process, where compute runs
+	// first).
+	buckets [][2]int
+	wm      []atomic.Int64
+	waitFn  func(bucket int)
 }
 
 // newEngine wires the loop state and runs the policy's Init hook.
@@ -59,15 +59,7 @@ func newEngine(r *runner, policy SyncPolicy) *engine {
 		w.Steps++
 		w.SyncSteps++
 	}
-	e.countSyncFn = func(w *cluster.Worker) {
-		w.Steps++
-		w.SyncSteps++
-	}
-	e.localFn = func(w *cluster.Worker) {
-		w.Steps++
-		w.LocalSteps++
-		w.Clock += e.localExtra
-	}
+	e.presched, _ = policy.(Preschedulable)
 	if r.cfg.Overlap {
 		e.initOverlap()
 	}
@@ -119,28 +111,31 @@ func (e *engine) run(start int, j *Job) (next int, cancelled bool, err error) {
 	}
 }
 
-// step executes one training step: draw batches, compute gradients, ask the
-// policy, execute its action, evaluate on cadence. Reports true when the
-// run should stop. A fabric failure anywhere in the step — the policy's
-// vote exchange, the synchronization round, the evaluation reduction —
-// aborts the step and surfaces the typed error.
+// step executes one training step: draw batches, ask the policy what it
+// knows already, compute gradients (each worker feeding its tracker and
+// applying its own update right behind them, where the plan allows), ask the
+// policy, execute its action, evaluate on cadence. Reports true when the run
+// should stop. A fabric failure anywhere in the step — the policy's vote
+// exchange, the synchronization round, the evaluation reduction — aborts
+// the step and surfaces the typed error.
 func (e *engine) step(step int) (stop bool, err error) {
 	r := e.r
 	e.lr = r.lr(step)
 	injCost := r.nextBatches()
 	e.sig.Step = step
 	e.sig.err = nil
+	r.plan, r.lrNow = StepPlan{}, e.lr
+	if e.presched != nil {
+		r.plan = e.presched.PlanStep(step)
+	}
 	var act Action
 	// Overlap runs only on steps the policy commits to gradient aggregation
 	// before gradients exist: the bucketed collective then runs alongside
 	// the backward pass and execute is handed the finished mean. Everything
 	// else (SelSync votes, local phases) computes first and decides after.
-	overlapped := false
-	if e.presched != nil {
-		act, overlapped = e.presched.PlanStep(step)
-		overlapped = overlapped && act.Kind == ActSyncGrads
-	}
+	overlapped := r.cfg.Overlap && r.plan.Committed && r.plan.Action.Kind == ActSyncGrads
 	if overlapped {
+		act = r.plan.Action
 		err = e.aggregateOverlapped()
 	} else {
 		r.computeGrads()
@@ -174,13 +169,22 @@ func (e *engine) step(step int) (stop bool, err error) {
 // execute carries out one synchronization action through the cluster's
 // fabric, advancing step counters and virtual clocks exactly as the
 // hand-rolled per-method loops did. aggregated means e.avg already holds
-// the step's mean gradient (the overlapped round produced it).
+// the step's mean gradient (the overlapped round produced it). On a
+// LocalFirst step the workers' own updates are already applied; the step
+// counters and clock adds are a few scalar operations per worker and run
+// right here rather than through a pool dispatch of their own.
 func (e *engine) execute(act Action, injCost float64, aggregated bool) error {
 	r := e.r
+	if act.Kind != ActSyncGrads && !r.plan.LocalFirst {
+		r.applyLocal()
+	}
 	var syncCost float64
 	participants := r.cl.N()
 	switch act.Kind {
 	case ActSyncGrads:
+		if r.plan.LocalFirst {
+			panic(fmt.Sprintf("train: %s declared a local-first step and returned %v", e.policy.Name(), act.Kind))
+		}
 		// Push gradients, pull the mean, every worker applies the same
 		// averaged update. Replicas that diverged during earlier local
 		// phases stay diverged — the inconsistency §III-C warns about.
@@ -195,20 +199,16 @@ func (e *engine) execute(act Action, injCost float64, aggregated bool) error {
 		r.cl.Each(e.syncGradsFn)
 		syncCost = r.cl.SyncCost()
 	case ActSyncParams:
-		// Apply the local update first (Alg. 1 line 9), then push
-		// parameters and pull their average: one consistent global state
-		// for every replica.
-		r.applyLocal(e.lr)
+		// The local update is applied (Alg. 1 line 9); push parameters and
+		// pull their average: one consistent global state for every replica.
 		if err := r.cl.AggregateParams(); err != nil {
 			return err
 		}
-		r.cl.Each(e.countSyncFn)
 		syncCost = r.cl.SyncCost()
 	case ActRoundAverage:
-		// FedAvg's round boundary: everyone applies locally, the chosen
+		// FedAvg's round boundary: everyone has applied locally, the chosen
 		// participants' parameters average into the global model, everyone
 		// pulls it. Push from the participants, pull to all.
-		r.applyLocal(e.lr)
 		ids := act.Participants
 		if ids == nil {
 			ids = r.cl.AllWorkerIDs()
@@ -217,17 +217,26 @@ func (e *engine) execute(act Action, injCost float64, aggregated bool) error {
 			return err
 		}
 		r.cl.Broadcast()
-		r.cl.Each(e.countSyncFn)
 		syncCost = r.cl.Network.PSPush(r.spec.WireBytes, len(ids)) +
 			r.cl.Network.PSPull(r.spec.WireBytes, r.cl.N())
 		participants = len(ids)
 	case ActLocal:
-		r.applyLocal(e.lr)
-		e.localExtra = act.ExtraCost + injCost
-		r.cl.Each(e.localFn)
+		extra := act.ExtraCost + injCost
+		for _, w := range r.cl.Workers {
+			w.Steps++
+			w.LocalSteps++
+			w.Clock += extra
+		}
 		return nil
 	default:
 		panic(fmt.Sprintf("train: unknown action kind %v", act.Kind))
+	}
+	if act.Kind != ActSyncGrads {
+		// syncGradsFn counts on the pool, next to the update it applies.
+		for _, w := range r.cl.Workers {
+			w.Steps++
+			w.SyncSteps++
+		}
 	}
 	cost := act.ExtraCost + syncCost + injCost
 	if err := r.cl.Barrier(cost); err != nil {

@@ -53,8 +53,9 @@ func wideConfig(seed uint64) Config {
 
 // c100Config is the shape of the benchmark's training task: ResNetLite(100,
 // 6), four workers, batch 16. Its training step stays under tensor's
-// parallel threshold, GEMMs and the 213k-parameter Average/CopyAll alike;
-// its evaluation batches cross it.
+// parallel threshold, GEMMs and the 213k-parameter Average/CopyAll alike,
+// and so do its 64-row evaluation blocks: an evaluation uses its cores
+// through several replicas, not through the kernels' fan-out.
 func c100Config(seed uint64) Config {
 	g := data.NewImageGen(100, 1.0, 2.0, 3e3, seed)
 	cfg := smallConfig(seed)

@@ -71,6 +71,20 @@ func (p *SwitchPolicy) Decide(step int, sig *Signals) Action {
 	return p.From.Decide(step, sig)
 }
 
+// PlanStep implements Preschedulable with the plan of the inner policy that
+// will decide the step, when the step number alone settles which: a When
+// predicate that has not fired yet is evaluated in Decide, after compute, so
+// until it fires the composite declares nothing.
+func (p *SwitchPolicy) PlanStep(step int) StepPlan {
+	switch {
+	case p.switched || (p.AtStep > 0 && step >= p.AtStep):
+		return innerPlan(p.To, step)
+	case p.When == nil:
+		return innerPlan(p.From, step)
+	}
+	return StepPlan{}
+}
+
 // CheckpointState implements CheckpointablePolicy: the one-way switch flag
 // plus both inner policies' states. A predicate switch (When) does not
 // re-fire on resume — the captured flag already encodes whether it fired.
@@ -159,6 +173,17 @@ func (p *SchedulePolicy) Decide(step int, sig *Signals) Action {
 	return p.Phases[p.idx].Policy.Decide(step, sig)
 }
 
+// PlanStep implements Preschedulable with the plan of the phase step falls
+// in — Decide's walk over the boundaries, without moving the cursor.
+func (p *SchedulePolicy) PlanStep(step int) StepPlan {
+	idx, boundary := p.idx, p.boundary
+	for idx < len(p.Phases)-1 && step >= boundary {
+		idx++
+		boundary += p.Phases[idx].Steps
+	}
+	return innerPlan(p.Phases[idx].Policy, step)
+}
+
 // CheckpointState implements CheckpointablePolicy: the phase cursor plus
 // every inner policy's state.
 func (p *SchedulePolicy) CheckpointState() PolicyState {
@@ -241,6 +266,18 @@ func ParseSchedule(spec string, mk func(name string) (SyncPolicy, error)) (SyncP
 		}
 	}
 	return &SchedulePolicy{Phases: phases}, nil
+}
+
+// innerPlan is what a composite passes on of an inner policy's plan: where
+// the step's work may run, never Committed — a composite's own Decide does
+// the phase bookkeeping and must be called every step.
+func innerPlan(p SyncPolicy, step int) StepPlan {
+	ps, ok := p.(Preschedulable)
+	if !ok {
+		return StepPlan{}
+	}
+	plan := ps.PlanStep(step)
+	return StepPlan{Observe: plan.Observe, LocalFirst: plan.LocalFirst}
 }
 
 func rejectEventLoop(p SyncPolicy) {

@@ -125,7 +125,9 @@ func TestJobCancellation(t *testing.T) {
 func TestJobDeadline(t *testing.T) {
 	cfg := smallConfig(66)
 	cfg.MaxSteps, cfg.EvalEvery = 1<<20, 1<<20 // effectively unbounded
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	// Long enough for construction and a first step on a box whose other
+	// tenants take a core for a few dozen milliseconds.
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	res, err := NewJob(cfg, LocalSGDPolicy{}).Run(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -10,7 +10,8 @@ import (
 
 // Comm/compute overlap (Config.Overlap): DDP-style sync-as-computed. The
 // flat gradient is tiled into layer-aligned buckets, and on steps whose
-// policy pre-commits to gradient aggregation (Preschedulable) the engine
+// policy pre-commits to gradient aggregation (Preschedulable, a Committed
+// StepPlan) the engine
 // starts the bucketed collective while the backward pass is still
 // producing gradients. Buckets are processed in descending index order —
 // the order the backward pass finalizes layers — and a per-worker atomic
@@ -28,12 +29,11 @@ import (
 // large enough that per-bucket frame overhead stays negligible.
 const overlapBucketBytes = 256 << 10
 
-// initOverlap wires the overlap machinery: the policy's Preschedulable
-// view, the bucket tiling from the model's layer spans, and (on a mesh)
-// one watermark-updating grad hook per hosted worker.
+// initOverlap wires the overlap machinery: the bucket tiling from the
+// model's layer spans, and (on a mesh) one watermark-updating grad hook per
+// hosted worker.
 func (e *engine) initOverlap() {
 	r := e.r
-	e.presched, _ = e.policy.(Preschedulable)
 	gs, ok := r.cl.Workers[0].Model.(nn.GradScheduler)
 	if !ok {
 		panic(fmt.Sprintf("train: Config.Overlap requires a model implementing nn.GradScheduler; %T does not", r.cl.Workers[0].Model))

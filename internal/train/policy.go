@@ -18,6 +18,22 @@ import (
 // that wrap other policies (hybrid.go). SSP is the one method whose workers
 // do not advance in lock-step; its policy swaps the step loop for an event
 // loop (ssp.go) on the same runner, fabric and Result assembly.
+//
+// What each built-in policy's steps end in, and what it therefore tells the
+// engine before a step's gradients exist (Preschedulable / StepPlan) — the
+// trackers may be fed and the workers' own updates applied in the compute
+// dispatch itself, or the collective started under the backward pass:
+//
+//	policy        a step is                  observe  local-first  committed
+//	BSP           sync-grads                 -        -            yes
+//	LocalSGD      local                      -        yes          -
+//	SelSync (PA)  local | sync-params        yes      yes          -
+//	SelSync (GA)  local | sync-grads         yes      -            -
+//	FedAvg        local | round-average      -        yes          -
+//	Switch,       the deciding inner         its      its          never
+//	Schedule      policy's (none while a When predicate is pending)
+//
+// A policy that declares nothing gets the order SyncPolicy.Decide documents.
 
 // ActionKind selects how one step's updates synchronize across workers.
 type ActionKind int
@@ -86,7 +102,9 @@ type SyncPolicy interface {
 	// Name labels the Result ("BSP", "SelSync(δ=0.18,ParamAgg)", ...).
 	Name() string
 	// Decide is called once per step, after gradient computation and
-	// before any update is applied.
+	// before any update is applied — except the worker's own local update
+	// on a step the policy declared LocalFirst (Preschedulable), which
+	// every action such a step can end in would have begun with.
 	Decide(step int, sig *Signals) Action
 }
 
@@ -97,16 +115,36 @@ type PolicyInit interface {
 	Init(sig *Signals)
 }
 
-// Preschedulable is the optional SyncPolicy hook comm/compute overlap
-// builds on: a policy that can commit to a step's action before that
-// step's gradients exist lets the engine launch the bucketed collective
-// while the backward pass is still producing them. PlanStep returns the
-// step's action and true when the decision is gradient-independent; false
-// when it is not (SelSync's significance votes), in which case the engine
-// falls back to the sequential compute-then-communicate path for that
-// step.
+// StepPlan is what a policy knows about a step before that step's gradients
+// exist. The zero value declares nothing, and the engine then runs the step
+// in Decide's documented order: compute, decide, apply.
+type StepPlan struct {
+	// Committed says the step's action is Action whatever the gradients
+	// turn out to be. Under Config.Overlap a committed ActSyncGrads step
+	// launches its bucketed collective while the backward pass is still
+	// producing gradients, and Decide is not called for it.
+	Committed bool
+	Action    Action
+	// Observe says Decide will call Signals.UpdateTrackers. Each worker then
+	// feeds its Δ(g_i) tracker as soon as its own gradient exists, while it
+	// is still in cache, and the call in Decide finds the step observed.
+	Observe bool
+	// LocalFirst says Decide will not return ActSyncGrads. Every other kind
+	// begins with each worker's own update (Alg. 1 line 9), and no Signals
+	// accessor reads parameters, so each worker applies it right behind its
+	// backward pass and the action is executed without it. An optimizer
+	// that rewrites the gradients it is stepped with would make the policy's
+	// gradient reads see its output; the built-in ones only read them.
+	LocalFirst bool
+}
+
+// Preschedulable is the optional SyncPolicy hook for everything the engine
+// can do earlier than Decide: PlanStep is asked before the step's gradients
+// are computed, must not change the policy's state, and must give the same
+// answer on every rank. What it returns moves work, never results — a run
+// with the hook hidden is the same run, bit for bit.
 type Preschedulable interface {
-	PlanStep(step int) (Action, bool)
+	PlanStep(step int) StepPlan
 }
 
 // eventLoopPolicy is the escape hatch for methods that cannot be expressed
@@ -148,11 +186,13 @@ type Signals struct {
 }
 
 // UpdateTrackers feeds every hosted worker's current gradient norm into its
-// Δ(g_i) tracker (Alg. 1 lines 8-9). Sequential, in worker-id order, so the
-// observation stream is deterministic.
+// Δ(g_i) tracker (Alg. 1 lines 8-9), each worker on its own pool goroutine:
+// a tracker sees its own worker's gradients only, so the observation streams
+// are the same in any order. On a step the policy declared Observe the
+// workers already did so behind their backward passes, and this is a no-op.
 func (s *Signals) UpdateTrackers() {
-	for _, w := range s.r.cl.Workers {
-		w.Tracker.ObserveParams(w.Model.Params())
+	if !s.r.plan.Observe {
+		s.r.cl.Each(s.r.observeFn)
 	}
 }
 
@@ -229,8 +269,8 @@ func (BSPPolicy) Decide(step int, sig *Signals) Action {
 // PlanStep implements Preschedulable: BSP's decision never depends on the
 // step's gradients, so every step can overlap its collective with the
 // backward pass.
-func (BSPPolicy) PlanStep(step int) (Action, bool) {
-	return Action{Kind: ActSyncGrads, TrackMeanGradDelta: true}, true
+func (BSPPolicy) PlanStep(step int) StepPlan {
+	return StepPlan{Committed: true, Action: Action{Kind: ActSyncGrads, TrackMeanGradDelta: true}}
 }
 
 // LocalSGDPolicy never synchronizes after the initial broadcast — the δ ≥ M
@@ -246,6 +286,10 @@ func (LocalSGDPolicy) Decide(step int, sig *Signals) Action {
 	sig.RecordOwnGradDelta()
 	return Action{Kind: ActLocal}
 }
+
+// PlanStep implements Preschedulable: every step ends in each worker's own
+// update.
+func (LocalSGDPolicy) PlanStep(step int) StepPlan { return StepPlan{LocalFirst: true} }
 
 // SelSyncPolicy is the paper's selective synchronization (Alg. 1): every
 // step each worker updates its Δ(g_i) tracker and votes to synchronize when
@@ -282,6 +326,13 @@ func (p SelSyncPolicy) Decide(step int, sig *Signals) Action {
 		}
 	}
 	return act
+}
+
+// PlanStep implements Preschedulable: every step feeds the trackers, and
+// under parameter aggregation every step, synchronizing or not, begins with
+// the workers' own updates (Alg. 1 line 9).
+func (p SelSyncPolicy) PlanStep(step int) StepPlan {
+	return StepPlan{Observe: true, LocalFirst: p.Mode == cluster.ParamAgg}
 }
 
 // FedAvgPolicy is Federated Averaging (paper §II-B): workers run local SGD
@@ -333,6 +384,11 @@ func (p *FedAvgPolicy) Decide(step int, sig *Signals) Action {
 	}
 	return Action{Kind: ActLocal}
 }
+
+// PlanStep implements Preschedulable: a local step and a round boundary both
+// begin with the workers' own updates. The boundary's participants are drawn
+// in Decide, so the step is not committed.
+func (p *FedAvgPolicy) PlanStep(step int) StepPlan { return StepPlan{LocalFirst: true} }
 
 // CheckpointState implements CheckpointablePolicy: the participant picker
 // is the policy's only mutable state (the cadence is re-derived by Init).

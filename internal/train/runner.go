@@ -1,8 +1,6 @@
 package train
 
 import (
-	"math"
-
 	"selsync/internal/cluster"
 	"selsync/internal/comm"
 	"selsync/internal/data"
@@ -37,20 +35,28 @@ type runner struct {
 	injCursors []int
 	injRNG     *tensor.RNG
 
-	evalNet  *nn.FeedForwardNet
-	evalFlat tensor.Vector
+	// eval evaluates on the test set (eval.go); its first replica's
+	// parameter vector receives the across-replica mean in place. evalFn is
+	// the stored closure that lets a pool goroutine join an evaluation.
+	eval     *evaluator
+	evalFn   func(*cluster.Worker)
 	gradFlat tensor.Vector
 	// Per-worker batch buffers reused across steps (workers touch only
 	// their own slot, so computeGrads stays race-free). batches holds the
-	// per-step dataset indices, backed by batchIdx's per-worker buffers;
-	// computeFn/applyFn are persistent closures reading them plus lrNow, so
-	// a steady-state step allocates nothing.
+	// per-step dataset indices, backed by batchIdx's per-worker buffers.
+	// computeFn, observeFn and applyFn are persistent closures, so a
+	// steady-state step allocates nothing; plan and lrNow are the step's
+	// inputs to them, set by the engine before it computes: what the policy
+	// declared about the step (under which computeFn also does the other
+	// two's work, behind the backward pass) and its learning rate.
 	batchX      []*tensor.Matrix
 	batchLabels [][]int
 	batches     [][]int
 	batchIdx    [][]int
+	plan        StepPlan
 	lrNow       float64
 	computeFn   func(*cluster.Worker)
+	observeFn   func(*cluster.Worker)
 	applyFn     func(*cluster.Worker)
 	snapSteps   map[int]bool
 
@@ -152,10 +158,6 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 			LSSR:       0,
 			Snapshots:  map[int]Snapshot{},
 		},
-		// Never drawn: evalParams overwrites its parameters before every
-		// read, and evaluation-mode forwards touch no layer stream.
-		evalNet:  cfg.Model.Build(nil),
-		evalFlat: tensor.NewVector(cl.Dim()),
 		gradFlat: tensor.NewVector(cl.Dim()),
 		losses:   make([]float64, cfg.Workers),
 	}
@@ -185,6 +187,7 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		r.samplers = append(r.samplers, data.NewSampler(r.parts[w], r.perBatch))
 	}
 	r.memb = newMembState(cfg, cl)
+	r.initEval()
 
 	r.batches = make([][]int, cfg.Workers)
 	r.batchIdx = make([][]int, cfg.Workers)
@@ -207,7 +210,14 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		loss, _ := w.Model.ComputeGradients(x, labels)
 		r.losses[w.ID] = loss
 		w.Clock += w.Device.ComputeTime(simnet.StepFlops(r.spec.FlopsPerSample, len(r.batches[w.ID])))
+		if r.plan.Observe {
+			r.observeFn(w)
+		}
+		if r.plan.LocalFirst {
+			r.applyFn(w)
+		}
 	}
+	r.observeFn = func(w *cluster.Worker) { w.Tracker.ObserveParams(w.Model.Params()) }
 	r.applyFn = func(w *cluster.Worker) { w.Optimizer.Step(r.lrNow) }
 
 	r.stepsPerEpoch = cfg.Train.N() / (cfg.Workers * cfg.Batch)
@@ -264,14 +274,15 @@ func (r *runner) nextBatches() (injCost float64) {
 
 // computeGrads runs one forward+backward per worker concurrently over
 // r.batches, advancing each worker's clock by its modeled compute time.
-// Per-worker mean losses land in r.losses.
+// Per-worker mean losses land in r.losses. Under r.plan the same dispatch
+// feeds each worker's tracker and applies its own update.
 func (r *runner) computeGrads() {
 	r.cl.Each(r.computeFn)
 }
 
-// applyLocal applies each worker's own gradient through its own optimizer.
-func (r *runner) applyLocal(lr float64) {
-	r.lrNow = lr
+// applyLocal applies each worker's own gradient through its own optimizer,
+// for a step whose plan did not let computeGrads do it.
+func (r *runner) applyLocal() {
 	r.cl.Each(r.applyFn)
 }
 
@@ -291,15 +302,17 @@ func (r *runner) clock() float64 {
 	return m
 }
 
-// meanParams writes the across-replica mean parameter vector into
-// r.evalFlat and returns it. The reduction runs through the cluster's
-// fabric (a zero-copy pointer walk plus tensor.Average in one process, a
-// gather across ranks) and is bit-identical for every rank count.
+// meanParams reduces the across-replica mean parameter vector into the first
+// evaluation replica's arena — where evaluate reads it in place and
+// snapshots copy it from — and returns it. The reduction runs through the
+// cluster's fabric (a zero-copy pointer walk plus tensor.Average in one
+// process, a gather across ranks) and is bit-identical for every rank count.
 func (r *runner) meanParams() (tensor.Vector, error) {
-	if err := r.cl.AverageParamsInto(r.evalFlat); err != nil {
+	mean := r.eval.reps[0].params
+	if err := r.cl.AverageParamsInto(mean); err != nil {
 		return nil, err
 	}
-	return r.evalFlat, nil
+	return mean, nil
 }
 
 // meanGrads writes the across-replica mean gradient vector into r.gradFlat
@@ -330,13 +343,6 @@ func (r *runner) maybeSnapshot(step int) error {
 	return nil
 }
 
-// evalParams evaluates an arbitrary flat parameter vector on the test set,
-// returning mean loss and the model's metric (accuracy % or perplexity).
-func (r *runner) evalParams(v tensor.Vector) (loss, metric float64) {
-	r.evalNet.Arena().Data.CopyFrom(v)
-	return EvaluateDataset(r.evalNet, r.cfg.Test, r.cfg.EvalChunk)
-}
-
 // maybeEval runs a test evaluation on the eval cadence; it returns true
 // when the run should stop (patience exhausted or MaxSteps reached).
 // The evaluated model is the across-replica mean — the state the PS would
@@ -347,11 +353,13 @@ func (r *runner) maybeEval(step int) (bool, error) {
 	}
 	final := step+1 >= r.cfg.MaxSteps
 	if (step+1)%r.cfg.EvalEvery == 0 || final {
-		mean, err := r.meanParams()
+		if _, err := r.meanParams(); err != nil {
+			return false, err
+		}
+		loss, metric, err := r.evaluate()
 		if err != nil {
 			return false, err
 		}
-		loss, metric := r.evalParams(mean)
 		r.record(step, loss, metric)
 	}
 	return final || r.stop, nil
@@ -471,39 +479,4 @@ func (r *runner) finishCounts(steps, sync, local int) *Result {
 	}
 	r.cl.Close()
 	return r.res
-}
-
-// EvaluateDataset evaluates a network over a full dataset in chunks,
-// returning mean loss and the spec's metric: top-K accuracy in percent for
-// classifiers, perplexity (= exp loss) for language models.
-func EvaluateDataset(net nn.Network, d *data.Dataset, chunk int) (loss, metric float64) {
-	if chunk <= 0 {
-		chunk = 256
-	}
-	var totalLoss float64
-	var totalCorrect, totalRows int
-	// One index buffer and one batch buffer serve every chunk.
-	idx := make([]int, 0, chunk)
-	var x *tensor.Matrix
-	var labels []int
-	for start := 0; start < d.N(); start += chunk {
-		end := start + chunk
-		if end > d.N() {
-			end = d.N()
-		}
-		idx = idx[:0]
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		x, labels = d.BatchInto(x, labels, idx)
-		l, correct := net.Evaluate(x, labels)
-		totalLoss += l * float64(len(labels))
-		totalCorrect += correct
-		totalRows += len(labels)
-	}
-	loss = totalLoss / float64(totalRows)
-	if net.Spec().Perplexity {
-		return loss, math.Exp(loss)
-	}
-	return loss, 100 * float64(totalCorrect) / float64(totalRows)
 }

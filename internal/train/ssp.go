@@ -140,7 +140,11 @@ func runSSPLoop(r *runner, p *SSPPolicy) (meanSteps int, err error) {
 
 		// Evaluation cadence in per-worker steps.
 		if applied%(r.cfg.EvalEvery*n) == 0 || applied >= r.cfg.MaxSteps*n {
-			loss, metric := r.evalParams(global)
+			r.eval.reps[0].params.CopyFrom(global)
+			loss, metric, err := r.evaluate()
+			if err != nil {
+				return applied / n, err
+			}
 			r.record(applied/n-1, loss, metric)
 			if r.ferr != nil {
 				return applied / n, r.ferr // the clock collective failed
