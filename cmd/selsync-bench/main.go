@@ -27,6 +27,7 @@ import (
 	"selsync"
 	"selsync/internal/cluster"
 	"selsync/internal/comm"
+	"selsync/internal/comm/commtest"
 	"selsync/internal/data"
 	"selsync/internal/experiments"
 	"selsync/internal/nn"
@@ -122,7 +123,8 @@ type stepBenchReport struct {
 // runStepBenchmarks measures one training step (ComputeGradients) for each
 // zoo model, the GEMMs of a c100 step shape by shape, one whole engine step
 // and one evaluation on that shape, one aggregation round per mode, one
-// whole-model optimizer step per optimizer family, the
+// c100 reduce round per transport, one whole-model optimizer step per
+// optimizer family, the
 // per-step price of observers, one job build and one job resume per zoo
 // model, and the serve daemon's control plane, via testing.Benchmark, and
 // writes the results as JSON.
@@ -317,6 +319,18 @@ func runStepBenchmarks(outPath string) error {
 			cl.AggregateGrads(gradDst)
 		}
 	}))
+
+	// Reduce-round microbenches: one BSP parameter-server round of the
+	// end-to-end benchmark's c100 vector on tcp-bsp's layout (two ranks, two
+	// workers each), over channel endpoints and over TCP on 127.0.0.1 — the
+	// rows of internal/comm's BenchmarkReduceRound, with the socket bytes and
+	// frames a round moves in extra.
+	c100Dim := nn.ParamCount(nn.ResNetLite(100, 6).New(1).Params())
+	for _, transport := range []string{"chan", "tcp"} {
+		record("BenchmarkReduceRound/"+transport+"-2x2", fmt.Sprintf("c100, %d elements", c100Dim), testing.Benchmark(func(b *testing.B) {
+			commtest.ReduceRound(b, transport == "tcp", 2, 2, c100Dim)
+		}))
+	}
 
 	// Codec sync-round microbenches: one gradient round per payload codec
 	// on the same 8-worker ResNetLite cluster, with the exact bytes-on-wire

@@ -13,10 +13,13 @@
 // default one-rank mesh (comm.NewLoopback) the whole cluster lives in one
 // process and the rounds are direct shared-memory kernels, allocation-free
 // in steady state. Over TCP each OS process hosts a contiguous block of the
-// workers and the same rounds become real wire exchanges; rank 0 plays the
-// parameter server. Because the mesh reduces in worker-id order with the
-// same kernels whatever the rank count, a multi-process run reproduces the
-// single-process results bit for bit.
+// workers and the same rounds become real wire exchanges: a dense
+// aggregation relays the running sum from rank to rank, each folding its own
+// workers in, while a compressed or elastic one gathers at rank 0, which
+// plays the parameter server; either way every rank ends the round holding
+// the same global state. Because the mesh reduces in worker-id order with
+// the same kernels whatever the rank count, a multi-process run reproduces
+// the single-process results bit for bit.
 package cluster
 
 import (

@@ -7,7 +7,8 @@ import (
 )
 
 // The dense tensor stream over a bare Endpoint: the two frame primitives
-// every Mesh collective (reduce.go) is built from.
+// the gathered reduce round (reduce.go) is built from, and the header check
+// every received stream chunk passes, the relay's windows included.
 
 // sendTensorEP streams v to a peer in chunked frames. Where the host's
 // memory layout is the wire layout each payload is the chunk's own memory
@@ -19,11 +20,7 @@ func sendTensorEP(ep Endpoint, to, worker int, v tensor.Vector, scratch []byte) 
 	f := Frame{Type: MsgTensorChunk, Worker: int32(worker)}
 	for lo := 0; ; lo += ChunkElems {
 		hi := min(lo+ChunkElems, len(v))
-		var ok bool
-		if f.Payload, ok = tensor.WireView(v[lo:hi]); !ok {
-			scratch = tensor.AppendVector(scratch[:0], v[lo:hi])
-			f.Payload = scratch
-		}
+		f.Payload, scratch = chunkPayload(v[lo:hi], scratch)
 		if hi == len(v) {
 			f.Flags |= FlagLast
 		}
@@ -37,6 +34,17 @@ func sendTensorEP(ep Endpoint, to, worker int, v tensor.Vector, scratch []byte) 
 	}
 }
 
+// chunkPayload returns the payload of a chunk holding v: v's own memory
+// where the host's memory layout is the wire layout, else v encoded into
+// scratch, which it returns grown.
+func chunkPayload(v tensor.Vector, scratch []byte) (payload, grown []byte) {
+	if b, ok := tensor.WireView(v); ok {
+		return b, scratch
+	}
+	scratch = tensor.AppendVector(scratch[:0], v)
+	return scratch, scratch
+}
+
 // recver is the minimal receive surface the reassembly helper needs; an
 // Endpoint satisfies it, and so does the Mesh's view-absorbing wrapper.
 type recver interface {
@@ -44,13 +52,15 @@ type recver interface {
 }
 
 // checkChunk validates one stream-chunk frame's header: its type, worker
-// tag (when worker is non-negative) and place in the sequence.
+// tag and place in the sequence. A stream that belongs to no worker — a
+// mean — is tagged −1, and a contribution or partial sum arriving where one
+// is due is refused like any other mismatch.
 func checkChunk(f *Frame, want MsgType, from, worker int, seq uint32) error {
 	if f.Type != want {
 		return fmt.Errorf("comm: expected chunk type %d from rank %d, got type %d", want, from, f.Type)
 	}
-	if worker >= 0 && f.Worker != int32(worker) {
-		return fmt.Errorf("comm: chunk for worker %d, want %d", f.Worker, worker)
+	if f.Worker != int32(worker) {
+		return fmt.Errorf("comm: chunk from rank %d tagged %d, want %d", from, f.Worker, worker)
 	}
 	if f.Seq != seq {
 		return fmt.Errorf("comm: chunk seq %d, want %d", f.Seq, seq)
@@ -59,9 +69,8 @@ func checkChunk(f *Frame, want MsgType, from, worker int, seq uint32) error {
 }
 
 // recvTensorEP reassembles one chunked tensor from a peer into dst,
-// validating the worker tag (when non-negative), chunk sequence and total
-// size. Each chunk frame is handed back to its transport once decoded or
-// rejected.
+// validating the worker tag, chunk sequence and total size. Each chunk
+// frame is handed back to its transport once decoded or rejected.
 func recvTensorEP(ep recver, from, worker int, dst tensor.Vector) error {
 	off := 0
 	for seq := uint32(0); ; seq++ {

@@ -11,12 +11,15 @@
 //     between ranks, with two backends — in-process channels and a TCP full
 //     mesh with persistent, reused connections. collectives.go holds the
 //     two tensor-stream helpers every collective is built from.
-//   - Mesh (mesh.go, reduce.go): the one Fabric. Rank 0 plays the parameter
-//     server: the reduce round gathers contributions, averages them in
-//     worker-id order and delivers the mean; the SelSync one-bit flags
-//     allgather, the clock maximum and broadcast-by-fan-out complete the
-//     set. Payload codecs and bucketed (overlapped) rounds are parameters
-//     of that same round, not separate collectives.
+//   - Mesh (mesh.go, reduce.go): the one Fabric. The reduce round averages
+//     one contribution per worker in worker-id order and delivers the mean
+//     to every rank: a dense round on a static mesh relays the running sum
+//     from rank to rank, each folding its own workers in; a lossy, elastic
+//     or bucketed one gathers the contributions at rank 0, which plays the
+//     parameter server. The SelSync one-bit flags allgather, the clock
+//     maximum and broadcast-by-fan-out complete the set. Payload codecs and
+//     bucketed (overlapped) rounds are parameters of that same round, not
+//     separate collectives.
 //   - Fabric (this file): the interface internal/cluster drives its
 //     synchronization rounds through. NewLoopback is a Mesh with one rank —
 //     every worker is hosted by rank 0, so each round runs its rank-0
@@ -28,10 +31,10 @@
 // protocol — one push per contributing worker, one pull per receiving
 // worker, with byte sizes computed from the wire codec (TensorWireBytes, or
 // the payload codec's exact sizes) — identically on every rank and for
-// every rank count. That is what the experiment reports need (it is the
-// traffic the modeled PS tier absorbs), and it is what makes loopback and
-// TCP runs comparable. The bytes that actually crossed sockets are tracked
-// separately per Endpoint (NetStats).
+// every rank count, whichever route a round takes. That is what the
+// experiment reports need (it is the traffic the modeled PS tier absorbs),
+// and it is what makes loopback and TCP runs comparable. The bytes that
+// actually crossed sockets are tracked separately per Endpoint (NetStats).
 package comm
 
 import (

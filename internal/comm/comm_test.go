@@ -31,6 +31,12 @@ func withEndpoints(t *testing.T, procs int, fn func(t *testing.T, eps []Endpoint
 // first, then dials the full mesh concurrently.
 func tcpEndpoints(t *testing.T, procs int) []Endpoint {
 	t.Helper()
+	return tcpEndpointsOpts(t, procs, DefaultTCPOptions())
+}
+
+// tcpEndpointsOpts is tcpEndpoints with transport options.
+func tcpEndpointsOpts(t *testing.T, procs int, opts TCPOptions) []Endpoint {
+	t.Helper()
 	lns := make([]net.Listener, procs)
 	peers := make([]string, procs)
 	for r := range lns {
@@ -48,7 +54,7 @@ func tcpEndpoints(t *testing.T, procs int) []Endpoint {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep, err := DialTCPWithListenerOpts(r, peers, lns[r], DefaultTCPOptions())
+			ep, err := DialTCPWithListenerOpts(r, peers, lns[r], opts)
 			eps[r], errs[r] = ep, err
 		}(r)
 	}

@@ -83,6 +83,72 @@ func TestPeerErrorRoundTripTCP(t *testing.T) {
 	roundTripCollectives(t, ep1, 0)
 }
 
+// TestRelayMiddleHopCrash: in a 3-rank relay (runs rank 0 → rank 1 → rank
+// 2, one window), rank 1 crashes at its first send, after taking rank 0's
+// partial. No rank hangs: rank 1 surfaces its own crash on the hop to rank
+// 2, rank 2 the dead upstream peer, and rank 0 — whose partial was already
+// delivered — times out waiting for rank 2's mean, each as a *PeerError
+// naming the peer and phase, within the op timeout.
+func TestRelayMiddleHopCrash(t *testing.T) {
+	const opTimeout = 300 * time.Millisecond
+	want := []struct {
+		rank int
+		op   string
+		is   error
+	}{
+		{2, "reduce pull", ErrTimeout},
+		{2, "reduce relay send", ErrCrashed},
+		{1, "reduce relay recv", ErrPeerDown},
+	}
+	opts := DefaultTCPOptions()
+	opts.RedialAttempts = 0 // a dead peer stays dead: no repair window
+	opts.ReconnectWait = 0
+	for _, transport := range []struct {
+		name string
+		eps  func() []Endpoint
+	}{
+		{"chan", func() []Endpoint { return NewLoopbackEndpoints(3) }},
+		{"tcp", func() []Endpoint { return tcpEndpointsOpts(t, 3, opts) }},
+	} {
+		t.Run(transport.name, func(t *testing.T) {
+			eps := transport.eps()
+			defer closeAll(eps)
+			eps[1] = WithFaults(eps[1], FaultPlan{CrashAtFrame: 1})
+			ms := meshes(t, eps, 3)
+			errs := make([]error, 3)
+			took := make([]time.Duration, 3)
+			done := make(chan int)
+			for r, m := range ms {
+				m.SetOpTimeout(opTimeout)
+				go func() {
+					start := time.Now()
+					errs[r] = m.ReduceMean(tensor.NewVector(7), []int{0, 1, 2}, func(int) tensor.Vector { return tensor.NewVector(7) })
+					took[r] = time.Since(start)
+					done <- r
+				}()
+			}
+			for range ms {
+				select {
+				case <-done:
+				case <-time.After(10 * opTimeout):
+					t.Fatal("a rank of the broken relay hangs")
+				}
+			}
+			for r, w := range want {
+				checkPeerError(t, errs[r], w.rank, w.is)
+				var pe *PeerError
+				errors.As(errs[r], &pe)
+				if pe.Op != w.op {
+					t.Fatalf("rank %d: %v, want phase %q", r, errs[r], w.op)
+				}
+				if took[r] > 3*opTimeout {
+					t.Fatalf("rank %d took %v to fail, op timeout %v", r, took[r], opTimeout)
+				}
+			}
+		})
+	}
+}
+
 // TestTimeoutRoundTripThroughMesh: a silent (but alive) peer under an op
 // timeout surfaces as *PeerError wrapping ErrTimeout, and the expiry is
 // counted in the endpoint's NetStats.

@@ -10,13 +10,15 @@ import (
 )
 
 // Mesh is the Fabric: the cluster's synchronization rounds executed over an
-// Endpoint. Rank 0 plays the parameter server for the collectives (gather,
-// reduce in worker-id order with tensor.Average, deliver the result), which
-// keeps every reduction bit-identical regardless of the process count. With
-// one rank (NewLoopback) every contribution is a rank-0 local read, so the
-// rounds are direct shared-memory kernels and nothing is ever framed; with
-// more, the same code's remaining contributions and the result cross the
-// endpoint as frame exchanges.
+// Endpoint. Every reduction folds in worker-id order with tensor.Average's
+// kernel, which keeps it bit-identical regardless of the process count: a
+// dense round relays the running sum from rank to rank, a lossy, elastic or
+// bucketed one gathers the contributions at rank 0 (reduce.go). Rank 0 also
+// coordinates the flags allgather, the clock maximum, codec negotiation,
+// membership and the close barrier. With one rank (NewLoopback) every
+// contribution is a local read, so the rounds are direct shared-memory
+// kernels and nothing is ever framed; with more, the same code's remaining
+// contributions and results cross the endpoint as frame exchanges.
 //
 // Global workers are block-distributed: with W workers over P processes
 // (P must divide W), rank r hosts workers [r·W/P, (r+1)·W/P).
@@ -33,12 +35,15 @@ type Mesh struct {
 	locals      []int
 	stats       Stats
 
-	// Reduce-round state (reduce.go). slots and recvBufs serve every round;
-	// whole is the single bucket of an unbucketed one. The codec engine and
-	// its dense staging vectors are sized on the first lossy round that needs
+	// Reduce-round state (reduce.go). slots serves every round; runs and out
+	// are the relay's, recvBufs rank 0's staging for gathered rounds; whole
+	// is the single bucket of an unbucketed round. The codec engine and its
+	// dense staging vectors are sized on the first lossy round that needs
 	// them (ensureCodecBufs: stageBuf on rank 0, downDec and deltaBuf on the
 	// parameter path) and untouched under the identity codec.
 	slots    []tensor.Vector
+	runs     []relayRun
+	out      Frame
 	recvBufs map[int]tensor.Vector
 	whole    [1][2]int
 	cs       codecState

@@ -8,20 +8,43 @@ import (
 
 // The reduce round — the one aggregation op a synchronizing step calls.
 // Every entry point (ReduceMean, ReduceMeanCodec, ReduceMeanCodecBuckets)
-// is the same gather → average → deliver loop: per id in ids order the
-// owning rank's contribution reaches rank 0, rank 0 folds them with
-// tensor.Average and sends the mean back. What varies is data, not code:
+// computes the same mean: tensor.Average over one vector per id, folded in
+// ids order, delivered bit-identical to every rank. It takes one of two
+// routes, chosen from what the mesh already knows — the codec and the
+// membership — never from an option.
 //
-//   - the codec. Under the identity codec contributions go to the wire
-//     straight from the caller's view, the mean is written into dst and dst
-//     itself is broadcast — no staging copy anywhere. Under a lossy codec
-//     every message runs through the codec's encode→decode round trip on
-//     its producing rank, so the values averaged and the values applied are
-//     exactly the values the wire carried (or would carry, with one rank).
-//     That single invariant is what makes the round bit-identical across
-//     rank counts: one rank executes the identical float64 arithmetic
-//     without the sockets.
-//   - the buckets. They tile [0, dim) and are processed in descending index
+// The relay: a dense, unbucketed round on a static mesh (the identity
+// codec, or a diagnostic read). tensor.Average is a sequential fold — d =
+// +0, then d += v per id, then d·1/n (tensor.Accumulate) — so the running
+// sum can travel instead of the contributions. ids is cut into runs of
+// consecutive ids one rank hosts; per ChunkElems window, a run's rank
+// receives the partial sum from the previous run's rank into dst (the
+// first run starts from +0), folds its own contributions into it and
+// forwards it; the last run's rank scales by 1/n and sends the mean window
+// to every other rank, which receives it straight into dst. A rank ships
+// one vector per run instead of one per contribution, nothing is staged,
+// and every rank folds its own workers. Partial streams are tagged with the
+// first id their receiver folds, means with −1, and every window's tag and
+// place are checked on arrival. Frames of one link arrive in send order, so
+// a rank whose run follows one of the last rank's runs takes mean window c
+// before partial window c+1 from it; every other rank takes the means after
+// its last window. One rank is the relay with one run and no frames: one
+// tensor.Average call.
+//
+// The gather, everywhere the relay cannot reproduce the round: per id in
+// ids order the owning rank's contribution reaches rank 0, rank 0 folds
+// them with tensor.Average and sends the mean back. It serves
+//
+//   - a lossy codec. Every message runs through the codec's encode→decode
+//     round trip on its producing rank, so the values averaged and the
+//     values applied are exactly the values the wire carried (or would
+//     carry, with one rank), and the downlink's error feedback is rank 0's
+//     state. That single invariant is what makes the round bit-identical
+//     across rank counts: one rank executes the identical float64
+//     arithmetic without the sockets.
+//   - an elastic mesh, where rank 0 re-forms the mean over the survivors
+//     and piggybacks view changes on the broadcast.
+//   - buckets. They tile [0, dim) and are processed in descending index
 //     order on every rank — the order a backward pass produces layer
 //     gradients — and the optional wait hook blocks until the local
 //     contribution for a bucket is written. That is the comm/compute
@@ -29,9 +52,11 @@ import (
 //     frames for b queue in the endpoint inboxes, and while peers compute
 //     lower buckets, rank 0 reduces and re-broadcasts the ones already in
 //     flight. Descending order on every rank keeps the per-link frame
-//     sequences aligned without per-bucket headers. One bucket over the
-//     whole vector is the plain round.
-//   - the ledger. Parameter-server rounds write it, diagnostic reads do not.
+//     sequences aligned without per-bucket headers.
+//
+// Either way the ledger is the parameter server's logical one (a pure
+// function of codec, buckets and round, so the route never shows in it):
+// parameter-server rounds write it, diagnostic reads do not.
 
 // validateReduceArgs checks the bucket tiling and ref/dst aliasing rules.
 func validateReduceArgs(dst, ref tensor.Vector, buckets [][2]int) error {
@@ -198,10 +223,11 @@ func (m *Mesh) ensureCodecBufs(dim int, deltas bool) {
 }
 
 // recvBuf returns rank 0's dim-element staging vector for worker's
-// contribution: the receive target of a remote worker, the decode target
-// of a hosted one under a lossy codec. One buffer per worker, as large as
-// the largest round so far, serves rounds of every size — a run alternates
-// model-sized rounds with an evaluation's few hundred result rows.
+// contribution to a gathered round: the receive target of a remote worker,
+// the decode target of a hosted one under a lossy codec. One buffer per
+// worker, as large as the largest round so far, serves rounds of every size
+// — a run alternates model-sized rounds with an evaluation's few hundred
+// result rows.
 func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
 	if buf := m.recvBufs[worker]; cap(buf) >= dim {
 		return buf[:dim]
@@ -242,13 +268,14 @@ func (m *Mesh) recvMsg(from, worker int, p profile, dst tensor.Vector) error {
 	return recvCompressedEP(meshRx{m}, from, worker, p, dst)
 }
 
-// reduce is the round itself (see the comment at the top of the file).
-// buckets nil means one bucket over the whole vector; ps marks
-// parameter-server traffic, which runs through the installed codec and
-// writes the ledger, while a diagnostic read (ps false) is always dense and
-// leaves no trace. Transport failures surface as typed *PeerError values
-// naming the peer and phase of the round; on an elastic mesh a failed peer
-// is instead promoted to dead and the mean re-forms over the survivors.
+// reduce is the round itself (see the comment at the top of the file): it
+// picks the route and writes the ledger. buckets nil means one bucket over
+// the whole vector; ps marks parameter-server traffic, which runs through
+// the installed codec and writes the ledger, while a diagnostic read (ps
+// false) is always dense and leaves no trace. Transport failures surface as
+// typed *PeerError values naming the peer and phase of the round; on an
+// elastic mesh a failed peer is instead promoted to dead and the mean
+// re-forms over the survivors.
 func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int), ps bool) error {
 	var codec Codec
 	if ps {
@@ -262,6 +289,7 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 	if m.Elastic() && (!dense || buckets != nil) {
 		return fmt.Errorf("comm: payload codecs and bucketed rounds require static membership (elastic mesh, codec %q)", codec)
 	}
+	relay := dense && buckets == nil && !m.Elastic()
 	if buckets == nil {
 		m.whole[0] = [2]int{0, len(dst)}
 		buckets = m.whole[:]
@@ -269,6 +297,25 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 	if err := validateReduceArgs(dst, ref, buckets); err != nil {
 		return err
 	}
+	var err error
+	if relay {
+		err = m.relay(dst, ids, view)
+	} else {
+		err = m.gather(dst, ref, ids, view, buckets, wait, codec)
+	}
+	if err != nil {
+		return err
+	}
+	if ps {
+		m.cs.accountCodec(&m.stats, len(ids), m.workers, buckets, m.cs.round)
+		m.cs.round++
+	}
+	return nil
+}
+
+// gather is the rank-0 round (see the comment at the top of the file).
+func (m *Mesh) gather(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int), codec Codec) error {
+	dense := codec.Nop()
 	dim := len(dst)
 	if dense {
 		ref = nil // the identity codec moves the values themselves, never deltas
@@ -375,9 +422,147 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 			}
 		}
 	}
-	if ps {
-		m.cs.round++
-		m.cs.accountCodec(&m.stats, len(ids), m.workers, buckets, round)
+	return nil
+}
+
+// relayRun is ids[lo:hi], a run of consecutive contributions one rank hosts.
+type relayRun struct{ rank, lo, hi int }
+
+// cutRuns cuts ids into m.runs.
+func (m *Mesh) cutRuns(ids []int) error {
+	m.runs = m.runs[:0]
+	for i, id := range ids {
+		r := m.OwnerOf(id)
+		if r < 0 {
+			return fmt.Errorf("comm: reduce id %d is not one of the mesh's %d workers", id, m.workers)
+		}
+		if n := len(m.runs); n > 0 && m.runs[n-1].rank == r {
+			m.runs[n-1].hi = i + 1
+		} else {
+			m.runs = append(m.runs, relayRun{rank: r, lo: i, hi: i + 1})
+		}
+	}
+	if len(m.runs) == 0 {
+		return fmt.Errorf("comm: reduce over no contributions")
 	}
 	return nil
+}
+
+// relay is the dense round on a static mesh (see the comment at the top of
+// the file).
+func (m *Mesh) relay(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
+	if err := m.cutRuns(ids); err != nil {
+		return err
+	}
+	dim, win := len(dst), len(dst)
+	if m.procs > 1 {
+		win = ChunkElems
+	}
+	windows := (dim + win - 1) / win
+	last := m.runs[len(m.runs)-1].rank
+	pulled := 0 // mean windows this rank has received from last
+	for c := 0; c < windows; c++ {
+		lo, hi := c*win, min((c+1)*win, dim)
+		d := dst[lo:hi]
+		for j, run := range m.runs {
+			if run.rank != m.rank {
+				continue
+			}
+			first, final := j == 0, j == len(m.runs)-1
+			if !first {
+				prev := m.runs[j-1].rank
+				// last sent mean windows up to c−1 ahead of this partial, and
+				// a link delivers in send order: take them first.
+				for ; prev == last && pulled < c; pulled++ {
+					if err := m.pullWindow(last, dst, win, pulled, windows); err != nil {
+						return err
+					}
+				}
+				if err := m.recvWindow(prev, ids[run.lo], c, windows, d); err != nil {
+					return m.fault("reduce relay recv", prev, err)
+				}
+			}
+			m.slots = m.slots[:0]
+			for _, id := range ids[run.lo:run.hi] {
+				m.slots = append(m.slots, view(id)[lo:hi])
+			}
+			switch {
+			case first && final:
+				tensor.Average(d, m.slots)
+			case first:
+				d.Zero()
+				tensor.Accumulate(d, m.slots)
+			default:
+				tensor.Accumulate(d, m.slots)
+			}
+			if !final {
+				next := m.runs[j+1]
+				if err := m.sendWindow(next.rank, ids[next.lo], c, windows, d); err != nil {
+					return m.fault("reduce relay send", next.rank, err)
+				}
+				continue
+			}
+			if !first {
+				d.Scale(1 / float64(len(ids)))
+			}
+			for r := 0; r < m.procs; r++ {
+				if r == m.rank {
+					continue
+				}
+				if err := m.sendWindow(r, -1, c, windows, d); err != nil {
+					return m.fault("reduce broadcast", r, err)
+				}
+			}
+		}
+	}
+	for ; m.rank != last && pulled < windows; pulled++ {
+		if err := m.pullWindow(last, dst, win, pulled, windows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pullWindow receives mean window c of dst from the last run's rank.
+func (m *Mesh) pullWindow(from int, dst tensor.Vector, win, c, windows int) error {
+	lo := c * win
+	if err := m.recvWindow(from, -1, c, windows, dst[lo:min(lo+win, len(dst))]); err != nil {
+		return m.fault("reduce pull", from, err)
+	}
+	return nil
+}
+
+// sendWindow sends v as window c of a windows-long stream tagged tag: one
+// dense chunk frame, numbered c, the last one flagged — chunk c of the frame
+// sequence sendTensorEP would send, under the relay's own tag. The frame is
+// the mesh's, so a send allocates nothing.
+func (m *Mesh) sendWindow(to, tag, c, windows int, v tensor.Vector) error {
+	f := &m.out
+	*f = Frame{Type: MsgTensorChunk, Worker: int32(tag), Seq: uint32(c)}
+	if c == windows-1 {
+		f.Flags = FlagLast
+	}
+	f.Payload, m.scratch = chunkPayload(v, m.scratch)
+	err := m.ep.Send(to, f)
+	f.Payload = nil // do not keep the caller's memory reachable
+	return err
+}
+
+// recvWindow receives window c of a windows-long stream tagged tag from a
+// peer into dst, checking the frame's type, tag, number, last flag and size.
+// The frame goes back to its transport either way.
+func (m *Mesh) recvWindow(from, tag, c, windows int, dst tensor.Vector) error {
+	f, err := m.recvFrom(from)
+	if err != nil {
+		return err
+	}
+	err = checkChunk(f, MsgTensorChunk, from, tag, uint32(c))
+	if err == nil && (f.Flags&FlagLast != 0) != (c == windows-1) {
+		err = fmt.Errorf("comm: chunk %d of %d from rank %d flagged last=%v", c, windows, from, f.Flags&FlagLast != 0)
+	}
+	if err == nil {
+		err = tensor.DecodeVector(dst, f.Payload)
+	}
+	f.release()
+	return err
 }

@@ -97,20 +97,23 @@ func TestBucketedRoundRefusesElasticMesh(t *testing.T) {
 	})
 }
 
-// TestReduceStagingServesRoundsOfEverySize: rank 0 keeps one staging vector
-// per remote worker and a smaller round borrows it — a run alternates
-// model-sized rounds with single-contribution rounds of a few hundred
-// evaluation rows, and each switch used to allocate a fresh vector. The
-// single-contribution round delivers its one vector unchanged.
-func TestReduceStagingServesRoundsOfEverySize(t *testing.T) {
+// alternateRoundSizes runs three pairs of a model-sized dense round and a
+// single-contribution round of a few hundred evaluation rows — the sizes a
+// run alternates between — on every rank, checks that the small round
+// delivers its one vector unchanged, and calls after with the rank's mesh
+// once each pair is done. elastic runs the rounds on an elastic mesh.
+func alternateRoundSizes(t *testing.T, elastic bool, after func(m *Mesh, round int) error) {
+	t.Helper()
 	const workers, procs, dim, small = 2, 2, ChunkElems + 7, 130
 	fx := newReduceFixture(workers, dim, 37)
 	eps := NewLoopbackEndpoints(procs)
 	defer closeAll(eps)
 	ms := meshes(t, eps, workers)
-	var staged *float64
 	parallelRanks(t, eps, func(ep Endpoint) error {
 		m := ms[ep.Rank()]
+		if elastic {
+			m.EnableElastic(0)
+		}
 		big, rows := tensor.NewVector(dim), tensor.NewVector(small)
 		one := func(int) tensor.Vector { return fx.vecs[1][:small] }
 		for round := 0; round < 3; round++ {
@@ -125,14 +128,41 @@ func TestReduceStagingServesRoundsOfEverySize(t *testing.T) {
 					return fmt.Errorf("rank %d: row %d = %v, the one contribution is %v", ep.Rank(), i, v, fx.vecs[1][i])
 				}
 			}
-			if ep.Rank() != 0 {
-				continue
+			if err := after(m, round); err != nil {
+				return err
 			}
-			if buf := m.recvBufs[1]; round == 0 {
-				staged = &buf[0]
-			} else if &buf[0] != staged || cap(buf) < dim {
-				return fmt.Errorf("round %d: worker 1's staging vector was replaced (cap %d)", round, cap(buf))
-			}
+		}
+		return nil
+	})
+}
+
+// TestRelayStagesNothing: on a static mesh the dense rounds relay, so no
+// rank keeps a staging vector for anybody's contribution, whatever sizes
+// the rounds alternate between.
+func TestRelayStagesNothing(t *testing.T) {
+	alternateRoundSizes(t, false, func(m *Mesh, round int) error {
+		if len(m.recvBufs) != 0 {
+			return fmt.Errorf("rank %d, round %d: %d staging vectors", m.rank, round, len(m.recvBufs))
+		}
+		return nil
+	})
+}
+
+// TestReduceStagingServesRoundsOfEverySize: where the round still gathers
+// (an elastic mesh), rank 0 keeps one staging vector per remote worker and a
+// smaller round borrows it — each switch between a model-sized round and an
+// evaluation's rows used to allocate a fresh vector.
+func TestReduceStagingServesRoundsOfEverySize(t *testing.T) {
+	const dim = ChunkElems + 7
+	var staged *float64
+	alternateRoundSizes(t, true, func(m *Mesh, round int) error {
+		if m.rank != 0 {
+			return nil
+		}
+		if buf := m.recvBufs[1]; round == 0 {
+			staged = &buf[0]
+		} else if &buf[0] != staged || cap(buf) < dim {
+			return fmt.Errorf("round %d: worker 1's staging vector was replaced (cap %d)", round, cap(buf))
 		}
 		return nil
 	})

@@ -48,15 +48,18 @@ const streamCost = 4
 // whichever kernel computed it, and the golden digests cannot tell.
 //
 // The row kernels remain where they are the only implementation: axpy4
-// (dst += a0·u0 + a1·u1 + a2·u2 + a3·u3, the destination row loaded and
-// stored once per four source rows) and dot4 (four dot products in one pass
-// over the shared operand) are the whole GEMM without AVX2+FMA, the edges
-// of the tiled one (rows%4, the depth%4 steps with their zero skip; an odd
-// row and columns%3 of A·Bᵀ), Average's fold, and the reference the tiles
-// are tested against (TestTiledGEMMBitEqualRowKernels).
+// (dst += a0·u0, then += a1·u1, += a2·u2, += a3·u3, the destination row
+// loaded and stored once per four source rows) and dot4 (four dot products
+// in one pass over the shared operand) are the whole GEMM without
+// AVX2+FMA, the edges of the tiled one (rows%4, the depth%4 steps with their
+// zero skip; an odd row and columns%3 of A·Bᵀ), Average's fold, and the
+// reference the tiles are tested against (TestTiledGEMMBitEqualRowKernels).
 
-// axpy4 computes dst += a0*u0 + a1*u1 + a2*u2 + a3*u3 element-wise. All
-// slices must have len(dst) elements.
+// axpy4 computes dst += a0*u0 + a1*u1 + a2*u2 + a3*u3 element-wise, adding
+// the four terms to dst one at a time in that order — fmaAxpy4's
+// association, so a sum folded four sources at a time equals one folded a
+// source at a time (Accumulate's contract) on either path. All slices must
+// have len(dst) elements.
 func axpy4(dst Vector, a0 float64, u0 Vector, a1 float64, u1 Vector, a2 float64, u2 Vector, a3 float64, u3 Vector) {
 	if haveFMA {
 		fmaAxpy4(dst, u0[:len(dst)], u1[:len(dst)], u2[:len(dst)], u3[:len(dst)], a0, a1, a2, a3)
@@ -67,7 +70,12 @@ func axpy4(dst Vector, a0 float64, u0 Vector, a1 float64, u1 Vector, a2 float64,
 	u2 = u2[:len(dst)]
 	u3 = u3[:len(dst)]
 	for j := range dst {
-		dst[j] += a0*u0[j] + a1*u1[j] + a2*u2[j] + a3*u3[j]
+		d := dst[j]
+		d += a0 * u0[j]
+		d += a1 * u1[j]
+		d += a2 * u2[j]
+		d += a3 * u3[j]
+		dst[j] = d
 	}
 }
 

@@ -12,6 +12,19 @@ package tensor
 // haveFMA reports whether the CPU and OS support the AVX2+FMA kernels.
 var haveFMA = detectFMA()
 
+// ForcePortable makes every kernel run its pure-Go body until the returned
+// restore is called: the switch TestPortableKernelsOnFMAHost flips, for
+// tests in other packages that hold a property on both numeric paths. It
+// returns nil where the pure-Go bodies are the only path already. Call it
+// only while no kernel runs.
+func ForcePortable() (restore func()) {
+	if !haveFMA {
+		return nil
+	}
+	haveFMA = false
+	return func() { haveFMA = true }
+}
+
 func detectFMA() bool {
 	maxID, _, _, _ := cpuidex(0, 0)
 	if maxID < 7 {

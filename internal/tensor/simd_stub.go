@@ -6,6 +6,10 @@ package tensor
 // compile-time false so the SIMD branches fold away.
 const haveFMA = false
 
+// ForcePortable is a no-op returning nil: the pure-Go kernels are the only
+// path here.
+func ForcePortable() (restore func()) { return nil }
+
 func fmaDot(a, b Vector) float64                                { panic("tensor: no SIMD") }
 func fmaAxpy(alpha float64, dst, u Vector)                      { panic("tensor: no SIMD") }
 func fmaDot4(a, b0, b1, b2, b3 Vector) (s0, s1, s2, s3 float64) { panic("tensor: no SIMD") }

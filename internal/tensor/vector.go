@@ -389,14 +389,39 @@ func combineRange(dst Vector, vs []Vector, w []float64, scale float64, lo, hi in
 
 // combineOne applies the weighted combination to the block dst[lo:hi].
 func combineOne(dst Vector, vs []Vector, w []float64, scale float64, lo, hi int) {
+	d := dst[lo:hi]
+	d.Zero()
+	foldBlock(d, vs, w, lo, hi)
+	d.Scale(scale)
+}
+
+// Accumulate adds vs to dst in order — dst += vs[0], then += vs[1], … one
+// rounding per addition — which is Average's fold without its zeroing and
+// its scaling by 1/len(vs). A running sum carried through several calls, vs
+// split anywhere, therefore ends bit-identical to the sum Average scales:
+// zero a vector, Accumulate every part of vs in order, Scale by 1/len(vs),
+// and the result is Average's. That is how the ranks of a mesh fold their
+// own workers into one running mean (comm's relay round). It panics on a
+// length mismatch and does not allocate.
+func Accumulate(dst Vector, vs []Vector) {
+	for _, v := range vs {
+		assertSameLen(len(dst), len(v), "Accumulate")
+	}
+	for lo := 0; lo < len(dst); lo += combineBlock {
+		hi := min(lo+combineBlock, len(dst))
+		foldBlock(dst[lo:hi], vs, nil, lo, hi)
+	}
+}
+
+// foldBlock adds coef_i·vs[i][lo:hi] to d for i ascending, four sources per
+// pass over d; coef_i comes from w, nil meaning all ones.
+func foldBlock(d Vector, vs []Vector, w []float64, lo, hi int) {
 	coef := func(i int) float64 {
 		if w == nil {
 			return 1
 		}
 		return w[i]
 	}
-	d := dst[lo:hi]
-	d.Zero()
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
 		axpy4(d,
@@ -408,7 +433,6 @@ func combineOne(dst Vector, vs []Vector, w []float64, scale float64, lo, hi int)
 	for ; i < len(vs); i++ {
 		d.Axpy(coef(i), vs[i][lo:hi])
 	}
-	d.Scale(scale)
 }
 
 func assertSameLen(a, b int, op string) {

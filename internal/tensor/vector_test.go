@@ -127,6 +127,52 @@ func TestAverage(t *testing.T) {
 	}
 }
 
+// TestAccumulateSplitsAverage: a running sum folded part by part — zero,
+// Accumulate each part of vs in order, scale by 1/len(vs) — is Average bit
+// for bit, for every way of cutting vs, on the assembly kernels and on the
+// pure-Go ones. Negative zeros are in the inputs because the sum starts from
+// +0 either way.
+func TestAccumulateSplitsAverage(t *testing.T) {
+	rng := NewRNG(41)
+	check := func(path string) {
+		for _, n := range []int{1, 7, combineBlock + 129} {
+			for nsrc := 1; nsrc <= 9; nsrc++ {
+				vs := make([]Vector, nsrc)
+				for i := range vs {
+					vs[i] = randVec(rng, n)
+					vs[i][0] = math.Copysign(0, -1)
+				}
+				want := NewVector(n)
+				Average(want, vs)
+				got := NewVector(n)
+				// Bit i of cuts set: a part ends after source i.
+				for cuts := 0; cuts < 1<<(nsrc-1); cuts++ {
+					got.Fill(math.NaN())
+					got.Zero()
+					start := 0
+					for i := range vs {
+						if i == nsrc-1 || cuts&(1<<i) != 0 {
+							Accumulate(got, vs[start:i+1])
+							start = i + 1
+						}
+					}
+					got.Scale(1 / float64(nsrc))
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s: n=%d, %d sources, cuts %b: element %d = %v, Average %v", path, n, nsrc, cuts, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+	check("default kernels")
+	if restore := ForcePortable(); restore != nil {
+		defer restore()
+		check("pure-Go kernels")
+	}
+}
+
 func TestWeightedAverage(t *testing.T) {
 	dst := NewVector(1)
 	WeightedAverage(dst, []Vector{{2}, {10}}, []float64{3, 1})
