@@ -322,14 +322,24 @@ func runStepBenchmarks(outPath string) error {
 
 	// Reduce-round microbenches: one BSP parameter-server round of the
 	// end-to-end benchmark's c100 vector on tcp-bsp's layout (two ranks, two
-	// workers each), over channel endpoints and over TCP on 127.0.0.1 — the
-	// rows of internal/comm's BenchmarkReduceRound, with the socket bytes and
-	// frames a round moves in extra.
+	// workers each), over channel endpoints and over TCP on 127.0.0.1, dense
+	// and through tcp-bsp-topk's codec — the rows of internal/comm's
+	// BenchmarkReduceRound, with the socket bytes and frames a round moves in
+	// extra.
 	c100Dim := nn.ParamCount(nn.ResNetLite(100, 6).New(1).Params())
+	topk, err := comm.ParseCodec("topk:0.01")
+	if err != nil {
+		return err
+	}
 	for _, transport := range []string{"chan", "tcp"} {
-		record("BenchmarkReduceRound/"+transport+"-2x2", fmt.Sprintf("c100, %d elements", c100Dim), testing.Benchmark(func(b *testing.B) {
-			commtest.ReduceRound(b, transport == "tcp", 2, 2, c100Dim)
-		}))
+		for _, row := range []struct {
+			suffix string
+			codec  comm.Codec
+		}{{"", comm.Codec{}}, {"-topk", topk}} {
+			record("BenchmarkReduceRound/"+transport+"-2x2"+row.suffix, fmt.Sprintf("c100, %d elements, codec %s", c100Dim, row.codec), testing.Benchmark(func(b *testing.B) {
+				commtest.ReduceRound(b, transport == "tcp", row.codec, 2, 2, c100Dim)
+			}))
+		}
 	}
 
 	// Codec sync-round microbenches: one gradient round per payload codec

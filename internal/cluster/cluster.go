@@ -15,9 +15,11 @@
 // in steady state. Over TCP each OS process hosts a contiguous block of the
 // workers and the same rounds become real wire exchanges: a dense
 // aggregation relays the running sum from rank to rank, each folding its own
-// workers in, while a compressed or elastic one gathers at rank 0, which
-// plays the parameter server; either way every rank ends the round holding
-// the same global state. Because the mesh reduces in worker-id order with
+// workers in; a compressed one sends every compressed contribution to every
+// rank, and each rank folds them and compresses the mean itself, the
+// parameter server's downlink replicated on every rank; a dense elastic one
+// gathers at rank 0, which plays the parameter server. Either way every rank
+// ends the round holding the same global state. Because the mesh reduces in worker-id order with
 // the same kernels whatever the rank count, a multi-process run reproduces
 // the single-process results bit for bit.
 package cluster
@@ -362,9 +364,10 @@ func (c *Cluster) copyInitialState() {
 // configured).
 func (c *Cluster) Codec() comm.Codec { return c.cfg.Codec }
 
-// CodecSnapshot captures the codec's error-feedback state for this rank's
-// hosted workers (nil under the identity codec, which has none) so a
-// checkpoint resume can continue bit-identically.
+// CodecSnapshot captures the codec's error-feedback state — this rank's
+// hosted workers' residuals and its replica of the downlink one (nil under
+// the identity codec, which has none) — so a checkpoint resume can continue
+// bit-identically.
 func (c *Cluster) CodecSnapshot() *comm.CodecSnapshot { return c.fabric.CodecSnapshot() }
 
 // RestoreCodecSnapshot reinstates error-feedback state captured by

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -9,11 +10,12 @@ import (
 )
 
 // Payload codecs: the negotiated compression a fabric applies to the
-// synchronization collectives. A codec never changes the *protocol* — the
-// PS gather/average/fan-out round is identical — only the representation
-// of each tensor message on the wire, plus the per-stream error-feedback
-// residual that makes lossy codecs converge: whatever a round leaves out
-// is carried forward and added to the next round's message.
+// synchronization collectives. A codec never changes the *mean* a round
+// computes — one contribution per id, averaged in ids order — only the
+// representation of each tensor message on the wire, plus the per-stream
+// error-feedback residual that makes lossy codecs converge: whatever a round
+// leaves out is carried forward and added to the next round's message. (It
+// does pick the route the round takes; see reduce.go.)
 //
 // Determinism contract: every lossy decision (top-k selection,
 // quantization rounding, partial-window rotation) is a pure function of
@@ -229,9 +231,17 @@ type CodecSnapshot struct {
 	// Residuals holds the uplink error-feedback accumulator per hosted
 	// worker id, ascending.
 	Residuals []WorkerResidual
-	// Down is the downlink accumulator (rank 0 / loopback only).
+	// Down is this rank's replica of the downlink accumulator, captured on
+	// every rank once a lossy round has run. A snapshot past round 0
+	// without it is refused (ErrSnapshotNoDownlink).
 	Down []float64
 }
+
+// ErrSnapshotNoDownlink refuses a codec snapshot that has run rounds but
+// carries no downlink residual — a file written by a rank that kept no
+// replica of it. Every rank runs the downlink compression now, and resuming
+// from a zeroed residual would silently diverge from the other ranks.
+var ErrSnapshotNoDownlink = errors.New("comm: codec snapshot carries no downlink residual (written by a rank that kept no replica)")
 
 // WorkerResidual pairs a global worker id with its uplink residual.
 type WorkerResidual struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"selsync/internal/comm"
 	"selsync/internal/comm/commtest"
@@ -20,14 +21,10 @@ func workerVec(id, dim, round int) tensor.Vector {
 }
 
 // runCodecRounds drives `rounds` codec reductions (with or without a ref
-// vector and buckets) on any CodecFabric and returns the concatenated dst
-// of every round plus the final logical ledger.
+// vector and buckets) on a fabric and returns the concatenated dst of every
+// round.
 func runCodecRounds(t testing.TB, f comm.Fabric, codec comm.Codec, dim, rounds int, withRef bool, buckets [][2]int) []float64 {
-	cf, ok := f.(comm.CodecFabric)
-	if !ok {
-		t.Fatalf("fabric %T does not implement CodecFabric", f)
-	}
-	if err := cf.SetCodec(codec); err != nil {
+	if err := f.SetCodec(codec); err != nil {
 		t.Fatalf("SetCodec: %v", err)
 	}
 	ids := make([]int, f.Workers())
@@ -54,11 +51,9 @@ func runCodecRounds(t testing.TB, f comm.Fabric, codec comm.Codec, dim, rounds i
 			ref.CopyFrom(dst)
 		}
 		if buckets != nil {
-			err = cf.ReduceMeanCodecBuckets(dst, ref, ids, view, buckets, nil)
-		} else if withRef {
-			err = cf.ReduceMeanCodec(dst, ref, ids, view)
+			err = f.ReduceMeanCodecBuckets(dst, ref, ids, view, buckets, nil)
 		} else {
-			err = cf.ReduceMeanCodec(dst, nil, ids, view)
+			err = f.ReduceMeanCodec(dst, ref, ids, view)
 		}
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
@@ -149,13 +144,12 @@ func TestCodecLedgerReduction(t *testing.T) {
 // elastic membership.
 func TestCodecNegotiationMismatch(t *testing.T) {
 	results, _ := commtest.RunRanks(t, 2, 2, func(rank int, f comm.Fabric) error {
-		cf := f.(comm.CodecFabric)
 		spec := "q8"
 		if rank == 1 {
 			spec = "q16"
 		}
 		codec, _ := comm.ParseCodec(spec)
-		return cf.SetCodec(codec)
+		return f.SetCodec(codec)
 	})
 	anyErr := false
 	for _, err := range results {
@@ -220,7 +214,6 @@ func TestCodecSnapshotResumeBitIdentical(t *testing.T) {
 // runCodecRoundsFrom continues rounds [from, to) on an already-configured
 // fabric, regenerating the same per-round worker vectors.
 func runCodecRoundsFrom(t testing.TB, f comm.Fabric, dim, from, to int) []float64 {
-	cf := f.(comm.CodecFabric)
 	ids := make([]int, f.Workers())
 	for i := range ids {
 		ids[i] = i
@@ -232,10 +225,234 @@ func runCodecRoundsFrom(t testing.TB, f comm.Fabric, dim, from, to int) []float6
 		for _, id := range f.LocalWorkers() {
 			vecs[id] = workerVec(id, dim, r)
 		}
-		if err := cf.ReduceMeanCodec(dst, nil, ids, func(id int) tensor.Vector { return vecs[id] }); err != nil {
+		if err := f.ReduceMeanCodec(dst, nil, ids, func(id int) tensor.Vector { return vecs[id] }); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
 		out = append(out, dst...)
 	}
 	return out
+}
+
+// exchangeRound is one round of an exchange plan: the contributing ids, in
+// fold order, whether the round runs on the parameter path (deltas against
+// the previous global state) and the buckets it is cut into (nil: one).
+type exchangeRound struct {
+	ids     []int
+	withRef bool
+	buckets [][2]int
+}
+
+// exchangePlan lists the rounds TestCodecExchangeMatchesOneRank drives on a
+// mesh of procs ranks hosting perRank workers each. For every id order —
+// every id, the reverse, a seeded FedAvg-style shuffle of a subset with one
+// id twice, and the last worker alone — it runs the gradient and the
+// parameter path, unbucketed and in three buckets, rounds consecutive
+// rounds each. allOnly keeps the first order.
+func exchangePlan(procs, perRank, dim, rounds int, allOnly bool) []exchangeRound {
+	workers := procs * perRank
+	all, rev := make([]int, workers), make([]int, workers)
+	for i := range all {
+		all[i], rev[workers-1-i] = i, i
+	}
+	perm := tensor.NewRNG(uint64(7*workers + procs)).Perm(workers)
+	n := workers/2 + 1
+	orders := [][]int{all, rev, append(perm[:n:n], perm[0]), {workers - 1}}
+	if allOnly {
+		orders = orders[:1]
+	}
+	three := [][2]int{{0, dim / 4}, {dim / 4, dim * 3 / 5}, {dim * 3 / 5, dim}}
+	var plan []exchangeRound
+	for _, ids := range orders {
+		for _, withRef := range []bool{false, true} {
+			for _, buckets := range [][][2]int{nil, three} {
+				for r := 0; r < rounds; r++ {
+					plan = append(plan, exchangeRound{ids, withRef, buckets})
+				}
+			}
+		}
+	}
+	return plan
+}
+
+// exchangeState is what one rank holds after one round: the result, its
+// replica of the downlink residual and its ledger.
+type exchangeState struct {
+	dst, down []float64
+	ledger    comm.Stats
+}
+
+// runExchangePlan negotiates codec and runs plan on f, worker id
+// contributing workerVec(id, dim, round); a round on the parameter path
+// takes the previous round's result as its reference. It panics on any
+// error, which the rank harness reports as a test failure.
+func runExchangePlan(f comm.Fabric, codec comm.Codec, plan []exchangeRound, dim int) []exchangeState {
+	if err := f.SetCodec(codec); err != nil {
+		panic(err)
+	}
+	vecs := map[int]tensor.Vector{}
+	view := func(id int) tensor.Vector { return vecs[id] }
+	dst, ref := tensor.NewVector(dim), tensor.NewVector(dim)
+	for i := range dst {
+		dst[i] = math.Cos(float64(i))
+	}
+	var out []exchangeState
+	for r, round := range plan {
+		for _, id := range f.LocalWorkers() {
+			vecs[id] = workerVec(id, dim, r)
+		}
+		var rf tensor.Vector
+		if round.withRef {
+			ref.CopyFrom(dst)
+			rf = ref
+		}
+		if err := f.ReduceMeanCodecBuckets(dst, rf, round.ids, view, round.buckets, nil); err != nil {
+			panic(fmt.Sprintf("round %d: %v", r, err))
+		}
+		snap := f.CodecSnapshot()
+		out = append(out, exchangeState{append([]float64(nil), dst...), snap.Down, *f.Stats()})
+	}
+	return out
+}
+
+// TestCodecExchangeMatchesOneRank: the lossy round leaves on every rank of a
+// 2-, 3- or 4-rank mesh, over channel and TCP endpoints, with 1 to 3 workers
+// a rank, exactly the bits a one-rank mesh leaves — its result and its
+// replica of the downlink residual — and the same ledger, round after
+// round, for every codec and every plan of exchangePlan. A larger vector
+// whose messages span several chunks runs the every-id plan once more.
+func TestCodecExchangeMatchesOneRank(t *testing.T) {
+	const rounds = 4
+	specs := []string{"topk:0.01", "topk:0.37", "q8", "q16", "partial:0.25", "partial:0.3,0.7"}
+	type shape struct {
+		procs, perRank, dim int
+		allOnly             bool
+	}
+	var shapes []shape
+	for _, procs := range []int{2, 3, 4} {
+		for _, perRank := range []int{1, 2, 3} {
+			shapes = append(shapes, shape{procs, perRank, 1000, false})
+		}
+	}
+	shapes = append(shapes, shape{2, 2, 3*comm.ChunkElems + 1, true})
+	for _, spec := range specs {
+		codec, err := comm.ParseCodec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/%dx%d/dim=%d", spec, sh.procs, sh.perRank, sh.dim), func(t *testing.T) {
+				workers := sh.procs * sh.perRank
+				plan := exchangePlan(sh.procs, sh.perRank, sh.dim, rounds, sh.allOnly)
+				want := runExchangePlan(comm.NewLoopback(workers), codec, plan, sh.dim)
+				for _, transport := range []string{"chan", "tcp"} {
+					got, _ := commtest.RunRanksOpts(t, sh.procs, workers,
+						commtest.Options{Loopback: transport == "chan", OpTimeout: 20 * time.Second},
+						func(rank int, f comm.Fabric) []exchangeState { return runExchangePlan(f, codec, plan, sh.dim) })
+					for rank, states := range got {
+						for r, st := range states {
+							w := want[r]
+							where := fmt.Sprintf("%s rank %d, round %d (ids %v, ref %v, buckets %v)",
+								transport, rank, r, plan[r].ids, plan[r].withRef, plan[r].buckets)
+							if i := firstBitDiff(st.dst, w.dst); i >= 0 {
+								t.Fatalf("%s: element %d = %v, one rank %v", where, i, st.dst[i], w.dst[i])
+							}
+							if len(st.down) != sh.dim {
+								t.Fatalf("%s: downlink replica has %d elements, want %d", where, len(st.down), sh.dim)
+							}
+							if i := firstBitDiff(st.down, w.down); i >= 0 {
+								t.Fatalf("%s: downlink residual %d = %v, one rank %v", where, i, st.down[i], w.down[i])
+							}
+							if st.ledger != w.ledger {
+								t.Fatalf("%s: ledger %+v, one rank %+v", where, st.ledger, w.ledger)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which two equally long vectors
+// differ in any bit, -1 where there is none.
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestExchangeRoundDoesNotAllocate: once its buffers are sized, a top-k round
+// on two ranks of two workers over channel endpoints allocates nothing on
+// either rank — no dense staging, no per-message frames, the peers' entries
+// decoded into reused slots.
+func TestExchangeRoundDoesNotAllocate(t *testing.T) {
+	const procs, workers, dim = 2, 4, 2*comm.ChunkElems + 5
+	codec, err := comm.ParseCodec("topk:0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := comm.NewLoopbackEndpoints(procs)
+	ms := make([]*comm.Mesh, procs)
+	for r, ep := range eps {
+		if ms[r], err = comm.NewMesh(ep, workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := tensor.NewRNG(3)
+	vecs := make([]tensor.Vector, workers)
+	ids := make([]int, workers)
+	for w := range vecs {
+		vecs[w] = tensor.NewVector(dim)
+		rng.NormVector(vecs[w], 0, 1)
+		ids[w] = w
+	}
+	view := func(w int) tensor.Vector { return vecs[w] }
+	dsts := []tensor.Vector{tensor.NewVector(dim), tensor.NewVector(dim)}
+
+	// Rank 1 runs a round per message on start and answers on done.
+	start, done := make(chan bool), make(chan error)
+	go func() {
+		if err := ms[1].SetCodec(codec); err != nil {
+			done <- err
+			return
+		}
+		done <- nil
+		for round := range start {
+			if round {
+				done <- ms[1].ReduceMeanCodec(dsts[1], nil, ids, view)
+			}
+		}
+		done <- ms[1].Close()
+	}()
+	if err := ms[0].SetCodec(codec); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		start <- true
+		err := ms[0].ReduceMeanCodec(dsts[0], nil, ids, view)
+		if e := <-done; err == nil {
+			err = e
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(50, round)
+	close(start)
+	ms[0].Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per steady-state top-k exchange round, want 0", allocs)
+	}
 }

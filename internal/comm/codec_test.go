@@ -102,6 +102,37 @@ func (c *captureEP) Recv(from int) (*Frame, error) {
 func (c *captureEP) NetStats() EndpointStats { return EndpointStats{} }
 func (c *captureEP) Close() error            { return nil }
 
+// sendVia streams msg to rank 1 of ep through a mesh's sender, the one every
+// codec message goes out through.
+func sendVia(tb testing.TB, ep Endpoint, worker int, msg *compactMsg) {
+	tb.Helper()
+	m, err := NewMesh(ep, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.sendCodecMsg(worker, msg); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// recvDense receives one codec message from rank 1 as its dense
+// reconstruction: a top-k message's entries scattered into a zeroed dst,
+// every other kind straight from recvCompressedEP.
+func recvDense(rx recver, worker int, p profile, dst tensor.Vector) error {
+	if p.kind != CodecTopK {
+		return recvCompressedEP(rx, 1, worker, p, dst)
+	}
+	var msg compactMsg
+	if err := recvSparseEP(rx, 1, worker, len(dst), &msg); err != nil {
+		return err
+	}
+	dst.Zero()
+	for e, i := range msg.idx {
+		dst[i] = msg.vals[e]
+	}
+	return nil
+}
+
 // The ledger formula must equal the encoder's actual frame bytes — except
 // top-k, whose packed (data-dependent) encoding must instead match the
 // PackedSparseWireBytes mirror exactly — and a receiver must reconstruct
@@ -110,7 +141,7 @@ func (c *captureEP) Close() error            { return nil }
 // by round).
 func TestCodecWireBytesExactAndRoundTrip(t *testing.T) {
 	specs := []string{"topk:0.01", "topk:0.37", "q8", "q16", "partial:0.25", "partial:0.3,0.7"}
-	dims := []int{5, 1000, ChunkElems + 7, 2*ChunkElems + 11}
+	dims := []int{5, 1000, ChunkElems + 7, 2*ChunkElems + 11, 3*ChunkElems + 1}
 	for _, spec := range specs {
 		codec, err := ParseCodec(spec)
 		if err != nil {
@@ -121,39 +152,94 @@ func TestCodecWireBytesExactAndRoundTrip(t *testing.T) {
 			for i := range src {
 				src[i] = math.Sin(float64(i)*0.7) * float64(i%13)
 			}
-			cs := &codecState{codec: codec}
+			var msg compactMsg
 			resid := tensor.NewVector(dim)
 			dec := tensor.NewVector(dim)
 			for round := uint64(0); round < 6; round++ {
 				p := codec.up()
-				roundTrip(p, src, resid, dec, round, &cs.msg)
+				roundTrip(p, src, resid, dec, round, &msg)
 				ep := &captureEP{}
-				if _, err := sendCompressedEP(ep, 1, 7, &cs.msg, nil); err != nil {
-					t.Fatalf("%s dim=%d round=%d: send: %v", spec, dim, round, err)
-				}
+				sendVia(t, ep, 7, &msg)
 				want := p.wireBytes(dim, round)
 				if p.kind == CodecTopK {
-					want = PackedSparseWireBytes(cs.msg.idx)
-					if want != cs.msg.wire {
+					want = PackedSparseWireBytes(msg.idx)
+					if want != msg.wire {
 						t.Fatalf("%s dim=%d round=%d: encodedWireBytes %d disagrees with PackedSparseWireBytes %d",
-							spec, dim, round, cs.msg.wire, want)
+							spec, dim, round, msg.wire, want)
 					}
-				} else if want != cs.msg.wire {
+				} else if want != msg.wire {
 					t.Fatalf("%s dim=%d round=%d: encodedWireBytes %d disagrees with ledger formula %d",
-						spec, dim, round, cs.msg.wire, want)
+						spec, dim, round, msg.wire, want)
 				}
 				if ep.bytes != want {
 					t.Fatalf("%s dim=%d round=%d: wire bytes %d, expected %d", spec, dim, round, ep.bytes, want)
 				}
 				got := tensor.NewVector(dim)
 				got.Fill(999) // recv must zero it
-				if err := recvCompressedEP(ep, 1, 7, p, got); err != nil {
+				if err := recvDense(ep, 7, p, got); err != nil {
 					t.Fatalf("%s dim=%d round=%d: recv: %v", spec, dim, round, err)
 				}
 				for i := range got {
 					if got[i] != dec[i] {
 						t.Fatalf("%s dim=%d round=%d: decode mismatch at %d: wire %v, local %v", spec, dim, round, i, got[i], dec[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldSparseMeanIsAverage: folding top-k messages as entries adds to the
+// residual exactly what the dense fold adds — tensor.Average over the
+// zero-filled messages, then mean + residual — for one to five messages that
+// share positions, leave some out, carry ±0, −Inf and values small enough
+// that scaling the sum underflows, and for an empty message; and it leaves
+// its accumulator all +0 for the next fold.
+func TestFoldSparseMeanIsAverage(t *testing.T) {
+	const dim = 300
+	rng := tensor.NewRNG(17)
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.Inf(-1)}
+	sum := tensor.NewVector(dim) // shared by every fold: each must leave it all +0
+	for _, n := range []int{1, 2, 3, 5} {
+		for trial := 0; trial < 20; trial++ {
+			slots := make([]exchSlot, n)
+			dense := make([]tensor.Vector, n)
+			for s := range slots {
+				dense[s] = tensor.NewVector(dim)
+				if trial%7 == 3 && s == n-1 {
+					continue // an empty message
+				}
+				for i := 0; i < dim; i++ {
+					if rng.Float64() > 0.2 {
+						continue
+					}
+					v := rng.Norm()
+					if rng.Float64() < 0.3 {
+						v = special[rng.Intn(len(special))]
+					}
+					slots[s].msg.idx = append(slots[s].msg.idx, uint32(i))
+					slots[s].msg.vals = append(slots[s].msg.vals, v)
+					dense[s][i] = v
+				}
+			}
+			resid := tensor.NewVector(dim)
+			rng.NormVector(resid, 0, 1)
+			for i := 0; i < dim; i += 11 {
+				resid[i] = math.Abs(special[i%len(special)]) // a live residual is never −0
+			}
+			want := resid.Clone()
+			mean := tensor.NewVector(dim)
+			tensor.Average(mean, dense)
+			for i := range want {
+				want[i] = mean[i] + want[i]
+			}
+			foldSparseMean(resid, sum, slots)
+			for i := range resid {
+				if math.Float64bits(resid[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d messages, trial %d: residual %d = %v, dense fold %v", n, trial, i, resid[i], want[i])
+				}
+				if math.Float64bits(sum[i]) != 0 {
+					t.Fatalf("%d messages, trial %d: the fold left %v in its accumulator at %d", n, trial, sum[i], i)
 				}
 			}
 		}
@@ -170,13 +256,13 @@ func TestCodecErrorFeedbackConservation(t *testing.T) {
 		for i := range src {
 			src[i] = math.Cos(float64(i) * 1.3)
 		}
-		cs := &codecState{codec: codec}
+		var msg compactMsg
 		resid := tensor.NewVector(dim)
 		dec := tensor.NewVector(dim)
 		sum := tensor.NewVector(dim)
 		const rounds = 12
 		for r := uint64(0); r < rounds; r++ {
-			roundTrip(codec.up(), src, resid, dec, r, &cs.msg)
+			roundTrip(codec.up(), src, resid, dec, r, &msg)
 			sum.Add(dec)
 		}
 		for i := range src {
@@ -211,65 +297,58 @@ func TestPartialWindowCoversVector(t *testing.T) {
 	}
 }
 
+// TestDecodeSparseChunkRejectsCorrupt: the entry decoder refuses every
+// malformed chunk without appending anything, appends a valid chunk's
+// entries at their absolute positions, and continues a message's gaps from
+// the previous chunk's last position.
 func TestDecodeSparseChunkRejectsCorrupt(t *testing.T) {
-	dst := tensor.NewVector(8)
-	mk := func(idx []uint32, vals []float64) []byte {
-		prev := -1
-		return appendSparseChunk(nil, idx, vals, &prev)
+	const dim = 8
+	mk := func(idx []uint32, vals []float64) []byte { return appendSparseChunk(nil, idx, vals, -1) }
+	// A chunk already decoded: a refused one must leave it exactly as it is.
+	idx, vals := []uint32{0}, []float64{42}
+	decode := func(payload []byte, last int) (int, error) {
+		var err error
+		n := len(idx)
+		idx, vals, err = decodeSparseChunk(idx, vals, dim, payload, &last)
+		return len(idx) - n, err
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"payload shorter than the count header", []byte{1, 2}},
+		// Duplicate and descending indices encode as negative gaps — huge
+		// uvarints — and must be rejected as out of range.
+		{"duplicate index", mk([]uint32{3, 3}, []float64{1, 2})},
+		{"descending indices", mk([]uint32{5, 2}, []float64{1, 2})},
+		{"out-of-range index", mk([]uint32{1, 8}, []float64{1, 2})},
+		{"count exceeding payload capacity", []byte{255, 0, 0, 0, 1, 2, 3}},
+		// The count promises an entry whose gap bytes all have continuation
+		// bits.
+		{"truncated varint", []byte{1, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}},
+		// One entry, gap 0, but seven value bytes.
+		{"short value section", []byte{1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7}},
+	} {
+		if n, err := decode(tc.payload, -1); err == nil || n != 0 {
+			t.Fatalf("%s: appended %d entries, err %v; want a refusal that appends nothing", tc.name, n, err)
+		}
 	}
 	last := -1
-	if _, err := decodeSparseChunk(dst, []byte{1, 2}, &last); err == nil {
-		t.Fatal("accepted payload shorter than the count header")
-	}
-	last = -1
-	// Duplicate and descending indices encode as negative gaps — huge
-	// uvarints — and must be rejected as out of range.
-	if _, err := decodeSparseChunk(dst, mk([]uint32{3, 3}, []float64{1, 2}), &last); err == nil {
-		t.Fatal("accepted duplicate index")
-	}
-	last = -1
-	if _, err := decodeSparseChunk(dst, mk([]uint32{5, 2}, []float64{1, 2}), &last); err == nil {
-		t.Fatal("accepted descending indices")
-	}
-	last = -1
-	if _, err := decodeSparseChunk(dst, mk([]uint32{8}, []float64{1}), &last); err == nil {
-		t.Fatal("accepted out-of-range index")
-	}
-	last = -1
-	// A count larger than the payload can carry.
-	big := []byte{255, 0, 0, 0, 1, 2, 3}
-	if _, err := decodeSparseChunk(dst, big, &last); err == nil {
-		t.Fatal("accepted count exceeding payload capacity")
-	}
-	last = -1
-	// Truncated varint stream: count promises an entry whose gap bytes all
-	// have continuation bits.
-	trunc := []byte{1, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}
-	if _, err := decodeSparseChunk(dst, trunc, &last); err == nil {
-		t.Fatal("accepted truncated varint")
-	}
-	last = -1
-	// Value section size mismatch: one entry, gap 0, but seven value bytes.
-	short := []byte{1, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7}
-	if _, err := decodeSparseChunk(dst, short, &last); err == nil {
-		t.Fatal("accepted short value section")
-	}
-	last = -1
-	if n, err := decodeSparseChunk(dst, mk([]uint32{1, 7}, []float64{4, 5}), &last); err != nil || n != 2 {
-		t.Fatalf("rejected valid chunk: n=%d err=%v", n, err)
-	}
-	if dst[1] != 4 || dst[7] != 5 {
-		t.Fatalf("valid chunk mis-scattered: %v", dst)
+	var err error
+	idx, vals, err = decodeSparseChunk(idx[:0], vals[:0], dim, mk([]uint32{1, 7}, []float64{4, 5}), &last)
+	if err != nil || len(idx) != 2 || idx[0] != 1 || idx[1] != 7 || vals[0] != 4 || vals[1] != 5 {
+		t.Fatalf("valid chunk decoded as %v %v, err %v", idx, vals, err)
 	}
 	if last != 7 {
 		t.Fatalf("last position %d, want 7", last)
 	}
 	// Cross-chunk continuation: a second chunk's gaps continue from the
 	// first chunk's final position on both sides.
-	prev := 7
-	cont := appendSparseChunk(nil, []uint32{7}, []float64{9}, &prev) // duplicate across chunks
-	if _, err := decodeSparseChunk(dst, cont, &last); err == nil {
-		t.Fatal("accepted cross-chunk non-ascending index")
+	if n, err := decode(appendSparseChunk(nil, []uint32{7}, []float64{9}, 7), last); err == nil || n != 0 {
+		t.Fatalf("cross-chunk duplicate index: appended %d entries, err %v", n, err)
+	}
+	if n, err := decode(appendSparseChunk(nil, []uint32{3}, []float64{9}, 2), 2); err != nil || n != 1 || idx[2] != 3 {
+		t.Fatalf("cross-chunk continuation: appended %d entries (%v), err %v", n, idx, err)
 	}
 }
 
@@ -434,12 +513,8 @@ func TestCodecRoundTripWithoutDec(t *testing.T) {
 			with.next()
 			without.next()
 			ep, epNoDec := &captureEP{}, &captureEP{}
-			if _, err := sendCompressedEP(ep, 1, 7, &with.msg, nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sendCompressedEP(epNoDec, 1, 7, &without.msg, nil); err != nil {
-				t.Fatal(err)
-			}
+			sendVia(t, ep, 7, &with.msg)
+			sendVia(t, epNoDec, 7, &without.msg)
 			if len(ep.frames) != len(epNoDec.frames) {
 				t.Fatalf("%s round %d: %d frames with dec, %d without", spec, r, len(ep.frames), len(epNoDec.frames))
 			}

@@ -27,8 +27,9 @@ const (
 )
 
 // compactMsg is the in-memory form of one compressed tensor message,
-// produced by codecState.roundTrip and streamed by sendCompressedEP. Its
-// slices are owned by the codecState and valid until the next roundTrip.
+// produced by roundTrip (or, for a peer's top-k message, recvSparseEP) and
+// streamed chunk by chunk through appendChunk. Its slices are reused by the
+// next message written into it.
 type compactMsg struct {
 	kind CodecKind
 	dim  int
@@ -43,29 +44,45 @@ type compactMsg struct {
 	// Partial: the block [start, start+len(vals)) with values in vals.
 	start int
 	// wire is the message's exact footprint (headers + payload) under its
-	// chunked encoding — what sendCompressedEP emits. For every kind but
+	// chunked encoding — what Mesh.sendCodecMsg emits. For every kind but
 	// top-k that is the ledger formula; for top-k it is the packed
 	// (data-dependent) size, PackedSparseWireBytes(idx).
 	wire int64
 }
 
+// exchSlot is one contribution of a lossy round (Mesh.exchange): its compact
+// message — a hosted contribution's encoding, or a peer's top-k entries —
+// and, under the codecs whose messages are averaged densely, its
+// reconstruction.
+type exchSlot struct {
+	msg   compactMsg
+	dense tensor.Vector
+}
+
 // codecState is the per-fabric compression engine: the negotiated codec,
 // the shared round counter, and the error-feedback residuals (one
-// full-dimension accumulator per hosted worker for the uplink, one for
-// the downlink on the averaging rank). Every Mesh embeds one.
+// full-dimension accumulator per hosted worker for the uplink, and every
+// rank's replica of the downlink one). Every Mesh embeds one.
 type codecState struct {
 	codec Codec
 	round uint64
 	// resid maps global worker id → uplink error-feedback accumulator.
 	resid map[int]tensor.Vector
-	// residDown is the downlink accumulator (averaging rank only).
+	// residDown is the downlink accumulator. Every rank folds the same means
+	// into its own replica, so the replicas stay bit-identical.
 	residDown tensor.Vector
-	msg       compactMsg
+	// slots holds one round's contributions in ids order; down is the
+	// downlink message every rank compresses and none sends; sum is the
+	// top-k fold's per-position accumulator, all +0 between rounds.
+	slots []exchSlot
+	down  compactMsg
+	sum   tensor.Vector
 	// packedRecv / packedSent track the actual encoded bytes of the codec
 	// messages this rank produced under a lossy codec, in ledger orientation
-	// (uplink messages → Recv, downlink fan-out → Sent). Complete on a
-	// one-rank fabric, which encodes every message of every round;
-	// diagnostic only — the logical ledger stays the pure wireBytes formula.
+	// (uplink messages → Recv, the downlink message once per worker → Sent).
+	// Complete on a one-rank fabric, which encodes every message of every
+	// round; diagnostic only — the logical ledger stays the pure wireBytes
+	// formula.
 	packedRecv, packedSent int64
 	// restored holds a snapshot installed before the model dimension is
 	// known; it is applied lazily at the first collective.
@@ -91,6 +108,31 @@ func (cs *codecState) downResid(dim int) tensor.Vector {
 		cs.residDown = tensor.NewVector(dim)
 	}
 	return cs.residDown
+}
+
+// sparseSum returns the top-k fold's accumulator for windows of up to dim
+// elements, all +0.
+func (cs *codecState) sparseSum(dim int) tensor.Vector {
+	if len(cs.sum) < dim {
+		cs.sum = tensor.NewVector(dim)
+	}
+	return cs.sum
+}
+
+// exchSlots returns n contribution slots, each with a dim-element dense
+// reconstruction when dense is set. Slots keep their buffers from round to
+// round.
+func (cs *codecState) exchSlots(n, dim int, dense bool) []exchSlot {
+	for len(cs.slots) < n {
+		cs.slots = append(cs.slots, exchSlot{})
+	}
+	s := cs.slots[:n]
+	for i := range s {
+		if dense {
+			s[i].dense = tensor.EnsureVector(s[i].dense, dim)
+		}
+	}
+	return s
 }
 
 // applyRestored installs a lazily held snapshot once dim is known,
@@ -149,22 +191,26 @@ func (cs *codecState) restore(s *CodecSnapshot) error {
 	if got, want := s.Spec, cs.codec.String(); got != want {
 		return fmt.Errorf("comm: codec snapshot is for codec %q, run uses %q", got, want)
 	}
+	if s.Round > 0 && s.Down == nil {
+		return fmt.Errorf("comm: codec %q snapshot at round %d: %w", s.Spec, s.Round, ErrSnapshotNoDownlink)
+	}
 	cs.restored = s
 	return nil
 }
 
 // roundTrip runs one error-feedback compression round over a message, in
-// place: residual absorbs src, the profile's compact selection of the sum
-// is written into m, and residual keeps what the selection left out. dec,
-// when a caller needs the dense form, receives the selection's exact
-// reconstruction (zeros at untransmitted positions); nil skips it. src,
-// residual and dec have equal length; dec must not alias src or residual.
+// place: residual absorbs src (src nil: the residual already holds the
+// sum), the profile's compact selection of the sum is written into m, and
+// residual keeps what the selection left out. dec, when a caller needs the
+// dense form, receives the selection's exact reconstruction (zeros at
+// untransmitted positions); nil skips it. src, residual and dec have equal
+// length; dec must not alias src or residual.
 //
 // Every receiver of m reconstructs exactly dec — the wire carries the
 // full float64 bits of values and quantizer scalars — which is what makes
 // the collective bit-identical across backends.
 func roundTrip(p profile, src, residual, dec tensor.Vector, round uint64, m *compactMsg) {
-	n := len(src)
+	n := len(residual)
 	m.kind = p.kind
 	m.dim = n
 	m.bits = p.bits
@@ -214,7 +260,9 @@ func roundTrip(p profile, src, residual, dec tensor.Vector, round uint64, m *com
 				d = dec[lo:hi]
 			}
 			d = d[:hi-lo]
-			acc.Add(src[lo:hi])
+			if src != nil {
+				acc.Add(src[lo:hi])
+			}
 			qlo, qscale := tensor.QuantizeChunk(acc, p.bits, m.q[lo*bytesPer:])
 			tensor.DequantizeChunk(d, p.bits, m.q[lo*bytesPer:], qlo, qscale)
 			acc.Sub(d)
@@ -223,7 +271,9 @@ func roundTrip(p profile, src, residual, dec tensor.Vector, round uint64, m *com
 		}
 	case CodecPartial:
 		lo, hi := p.window(n, round)
-		residual.Add(src)
+		if src != nil {
+			residual.Add(src)
+		}
 		m.start = lo
 		m.vals = append(m.vals, residual[lo:hi]...)
 		residual[lo:hi].Zero()
@@ -236,9 +286,9 @@ func roundTrip(p profile, src, residual, dec tensor.Vector, round uint64, m *com
 	}
 }
 
-// msgType returns the frame type a profile's chunks travel as.
-func (p profile) msgType() MsgType {
-	switch p.kind {
+// msgType returns the frame type a codec's chunks travel as.
+func (k CodecKind) msgType() MsgType {
+	switch k {
 	case CodecTopK:
 		return MsgSparseChunk
 	case CodecQuant:
@@ -249,69 +299,101 @@ func (p profile) msgType() MsgType {
 	return MsgTensorChunk
 }
 
+// chunks is the number of frames m travels in: ChunkElems entries (top-k),
+// elements (quantized) or values (partial) a frame, and at least one.
+func (m *compactMsg) chunks() int {
+	n := len(m.vals)
+	if m.kind == CodecQuant {
+		n = m.dim // vals only stages the quantizer's reconstruction
+	}
+	return max(1, (n+ChunkElems-1)/ChunkElems)
+}
+
+// appendChunk appends the payload of m's chunk c to dst.
+func (m *compactMsg) appendChunk(dst []byte, c int) []byte {
+	lo := c * ChunkElems
+	switch m.kind {
+	case CodecTopK:
+		hi := min(lo+ChunkElems, len(m.idx))
+		prev := -1
+		if lo > 0 {
+			prev = int(m.idx[lo-1])
+		}
+		return appendSparseChunk(dst, m.idx[lo:hi], m.vals[lo:hi], prev)
+	case CodecQuant:
+		hi, bytesPer := min(lo+ChunkElems, m.dim), m.bits/8
+		return appendQuantChunk(dst, m.bits, m.los[c], m.scales[c], m.q[lo*bytesPer:hi*bytesPer])
+	case CodecPartial:
+		hi := min(lo+ChunkElems, len(m.vals))
+		return appendRangeChunk(dst, m.start+lo, m.vals[lo:hi])
+	}
+	panic(fmt.Sprintf("comm: codec kind %d has no compact wire form", m.kind))
+}
+
 // appendSparseChunk encodes one chunk of a sparse message, bit-packed:
-// [count u32], one uvarint gap per entry (gap = position − *prev − 1),
-// then the float64 values. *prev threads the previous position across the
-// chunks of a message (initially −1), so gaps stay small — a 1%-dense
-// stream averages gaps near 100, one varint byte instead of four index
-// bytes. Non-ascending input encodes a negative gap as a huge uint64,
-// which every decoder rejects as out of range.
-func appendSparseChunk(dst []byte, idx []uint32, vals []float64, prev *int) []byte {
+// [count u32], one uvarint gap per entry (gap = position − previous
+// position − 1), then the float64 values. prev is the position before the
+// chunk's first — the previous chunk's last, −1 at the start of a message —
+// so gaps stay small across chunks: a 1%-dense stream averages gaps near
+// 100, one varint byte instead of four index bytes. Non-ascending input
+// encodes a negative gap as a huge uint64, which the decoder rejects as out
+// of range.
+func appendSparseChunk(dst []byte, idx []uint32, vals []float64, prev int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(idx)))
 	for _, i := range idx {
-		gap := uint64(int64(i) - int64(*prev) - 1)
-		dst = binary.AppendUvarint(dst, gap)
-		*prev = int(i)
+		dst = binary.AppendUvarint(dst, uint64(int64(i)-int64(prev)-1))
+		prev = int(i)
 	}
 	return tensor.AppendVector(dst, vals)
 }
 
-// decodeSparseChunk scatters one packed sparse chunk into dst, enforcing
-// strictly ascending positions (continuing from *last, initially -1) and
-// bounds. Returns the entry count. It never panics on corrupt payloads:
-// bad counts, truncated or overlong varints, and gap overflows all map to
-// errors, and nothing is written to dst until the whole chunk validates.
-func decodeSparseChunk(dst tensor.Vector, payload []byte, last *int) (int, error) {
+// decodeSparseChunk appends one packed sparse chunk's entries to idx and
+// vals, enforcing strictly ascending positions (continuing from *last,
+// initially −1) below dim. It never panics on corrupt payloads: bad counts,
+// truncated or overlong varints, and gap overflows all map to errors, and
+// nothing is appended until the whole chunk validates.
+func decodeSparseChunk(idx []uint32, vals []float64, dim int, payload []byte, last *int) ([]uint32, []float64, error) {
 	if len(payload) < sparseChunkOverhead {
-		return 0, fmt.Errorf("comm: sparse chunk payload %d bytes shorter than count header %d", len(payload), sparseChunkOverhead)
+		return idx, vals, fmt.Errorf("comm: sparse chunk payload %d bytes shorter than count header %d", len(payload), sparseChunkOverhead)
 	}
 	n := int(binary.LittleEndian.Uint32(payload))
 	rest := payload[sparseChunkOverhead:]
 	// Each entry costs at least one gap byte and exactly eight value bytes.
 	if n < 0 || n > len(rest)/9 {
-		return 0, fmt.Errorf("comm: sparse chunk count %d exceeds %d payload bytes", n, len(rest))
+		return idx, vals, fmt.Errorf("comm: sparse chunk count %d exceeds %d payload bytes", n, len(rest))
 	}
 	// First pass: validate every gap and the stream geometry before
-	// touching dst, so a corrupt chunk cannot leave a half-scattered
+	// appending anything, so a corrupt chunk cannot leave a half-decoded
 	// message behind.
 	off, pos := 0, *last
 	for i := 0; i < n; i++ {
 		gap, w := binary.Uvarint(rest[off:])
 		if w <= 0 {
-			return 0, fmt.Errorf("comm: sparse chunk entry %d: truncated or overlong index varint", i)
+			return idx, vals, fmt.Errorf("comm: sparse chunk entry %d: truncated or overlong index varint", i)
 		}
 		off += w
-		// pos + 1 + gap must stay below len(dst); pos ≥ −1 and < len(dst),
-		// so len(dst)−pos−1 is a non-negative bound on the allowed gap.
-		if gap >= uint64(len(dst)-pos-1) {
-			return 0, fmt.Errorf("comm: sparse chunk entry %d: position gap %d out of range for %d-element message (prev %d)", i, gap, len(dst), pos)
+		// pos + 1 + gap must stay below dim; pos ≥ −1 and < dim, so
+		// dim−pos−1 is a non-negative bound on the allowed gap.
+		if gap >= uint64(dim-pos-1) {
+			return idx, vals, fmt.Errorf("comm: sparse chunk entry %d: position gap %d out of range for %d-element message (prev %d)", i, gap, dim, pos)
 		}
 		pos += 1 + int(gap)
 	}
 	if len(rest)-off != n*8 {
-		return 0, fmt.Errorf("comm: sparse chunk carries %d value bytes for %d entries", len(rest)-off, n)
+		return idx, vals, fmt.Errorf("comm: sparse chunk carries %d value bytes for %d entries", len(rest)-off, n)
 	}
-	// Second pass: scatter.
-	vals := rest[off:]
+	// Second pass: append.
+	valBytes := rest[off:]
 	off, pos = 0, *last
 	for i := 0; i < n; i++ {
 		gap, w := binary.Uvarint(rest[off:])
 		off += w
 		pos += 1 + int(gap)
-		dst[pos] = math.Float64frombits(binary.LittleEndian.Uint64(vals[i*8:]))
+		idx = append(idx, uint32(pos))
+		vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(valBytes[i*8:])))
 	}
 	*last = pos
-	return n, nil
+	return idx, vals, nil
 }
 
 // uvarintLen is the encoded size of x as a uvarint.
@@ -326,7 +408,7 @@ func uvarintLen(x uint64) int {
 
 // PackedSparseWireBytes is the exact wire footprint (headers + payload)
 // of one top-k message with the given ascending positions under the
-// packed MsgSparseChunk encoding — the mirror of sendCompressedEP's
+// packed MsgSparseChunk encoding — the mirror of compactMsg.appendChunk's
 // chunking, asserted equal to the encoder's actual output by
 // TestCodecWireBytesExactAndRoundTrip. Data-dependent, hence not part of
 // the logical ledger (which charges the canonical 12-byte entries).
@@ -410,86 +492,21 @@ func decodeRangeChunk(dst tensor.Vector, payload []byte, next *int) (int, error)
 	return n, nil
 }
 
-// sendCompressedEP streams one compact message to a peer, chunked under
-// MaxPayload, reusing scratch. The dense (CodecNone) case is handled by
-// the caller via sendTensorEP.
-func sendCompressedEP(ep Endpoint, to, worker int, m *compactMsg, scratch []byte) ([]byte, error) {
-	send := func(t MsgType, seq uint32, last bool, payload []byte) error {
-		f := Frame{Type: t, Worker: int32(worker), Seq: seq, Payload: payload}
-		if last {
-			f.Flags |= FlagLast
-		}
-		return ep.Send(to, &f)
-	}
-	switch m.kind {
-	case CodecTopK:
-		seq := uint32(0)
-		prev := -1 // gap baseline threads across the message's chunks
-		for lo := 0; ; lo += ChunkElems {
-			hi := min(lo+ChunkElems, len(m.idx))
-			scratch = appendSparseChunk(scratch[:0], m.idx[lo:hi], m.vals[lo:hi], &prev)
-			last := hi == len(m.idx)
-			if err := send(MsgSparseChunk, seq, last, scratch); err != nil {
-				return scratch, err
-			}
-			if last {
-				return scratch, nil
-			}
-			seq++
-		}
-	case CodecQuant:
-		bytesPer := m.bits / 8
-		seq := uint32(0)
-		for lo := 0; ; lo += ChunkElems {
-			hi := min(lo+ChunkElems, m.dim)
-			c := int(seq)
-			scratch = appendQuantChunk(scratch[:0], m.bits, m.los[c], m.scales[c], m.q[lo*bytesPer:hi*bytesPer])
-			last := hi == m.dim
-			if err := send(MsgQuantChunk, seq, last, scratch); err != nil {
-				return scratch, err
-			}
-			if last {
-				return scratch, nil
-			}
-			seq++
-		}
-	case CodecPartial:
-		seq := uint32(0)
-		for lo := 0; ; lo += ChunkElems {
-			hi := min(lo+ChunkElems, len(m.vals))
-			scratch = appendRangeChunk(scratch[:0], m.start+lo, m.vals[lo:hi])
-			last := hi == len(m.vals)
-			if err := send(MsgRangeChunk, seq, last, scratch); err != nil {
-				return scratch, err
-			}
-			if last {
-				return scratch, nil
-			}
-			seq++
-		}
-	}
-	return scratch, fmt.Errorf("comm: sendCompressedEP: codec kind %d has no wire form", m.kind)
-}
-
-// recvCompressedEP reassembles one compressed message from a peer into
-// dst — dense, with untransmitted positions zeroed — validating frame
-// type, worker tag, sequence and every payload, and handing each chunk
-// frame back to its transport once decoded or rejected. The dense
-// (CodecNone) case is handled by the caller via recvTensorEP.
+// recvCompressedEP reassembles one quantized or partial message from a peer
+// into dst — dense, with untransmitted positions zeroed — validating frame
+// type, worker tag, sequence and every payload, and handing each chunk frame
+// back to its transport once decoded or rejected. Top-k messages arrive as
+// entries (recvSparseEP), dense ones through recvTensorEP.
 func recvCompressedEP(rx recver, from, worker int, p profile, dst tensor.Vector) error {
 	dst.Zero()
-	want := p.msgType()
-	last := -1 // sparse ascending tracker
-	off := 0   // quant element cursor / range forward cursor
+	off := 0 // quant element cursor / range forward cursor
 	for seq := uint32(0); ; seq++ {
 		f, err := rx.Recv(from)
 		if err != nil {
 			return err
 		}
-		if err = checkChunk(f, want, from, worker, seq); err == nil {
+		if err = checkChunk(f, p.kind.msgType(), from, worker, seq); err == nil {
 			switch p.kind {
-			case CodecTopK:
-				_, err = decodeSparseChunk(dst, f.Payload, &last)
 			case CodecQuant:
 				var n int
 				n, err = decodeQuantChunk(dst, off, p.bits, f.Payload)
@@ -508,6 +525,30 @@ func recvCompressedEP(rx recver, from, worker int, p profile, dst tensor.Vector)
 				return fmt.Errorf("comm: quant stream ended at %d of %d elements", off, len(dst))
 			}
 			return nil
+		}
+	}
+}
+
+// recvSparseEP reassembles one top-k message of a dim-element vector from a
+// peer as entries: msg's positions (strictly ascending, below dim) and
+// values, with the same frame checks and frame recycling as
+// recvCompressedEP.
+func recvSparseEP(rx recver, from, worker, dim int, msg *compactMsg) error {
+	msg.kind, msg.dim = CodecTopK, dim
+	msg.idx, msg.vals = msg.idx[:0], msg.vals[:0]
+	last := -1
+	for seq := uint32(0); ; seq++ {
+		f, err := rx.Recv(from)
+		if err != nil {
+			return err
+		}
+		if err = checkChunk(f, MsgSparseChunk, from, worker, seq); err == nil {
+			msg.idx, msg.vals, err = decodeSparseChunk(msg.idx, msg.vals, dim, f.Payload, &last)
+		}
+		done := f.Flags&FlagLast != 0
+		f.release()
+		if err != nil || done {
+			return err
 		}
 	}
 }

@@ -14,12 +14,15 @@
 //   - Mesh (mesh.go, reduce.go): the one Fabric. The reduce round averages
 //     one contribution per worker in worker-id order and delivers the mean
 //     to every rank: a dense round on a static mesh relays the running sum
-//     from rank to rank, each folding its own workers in; a lossy, elastic
-//     or bucketed one gathers the contributions at rank 0, which plays the
-//     parameter server. The SelSync one-bit flags allgather, the clock
-//     maximum and broadcast-by-fan-out complete the set. Payload codecs and
-//     bucketed (overlapped) rounds are parameters of that same round, not
-//     separate collectives.
+//     from rank to rank, each folding its own workers in; a lossy one sends
+//     every compressed contribution to every rank, and each folds them and
+//     compresses the mean on its own replica of the downlink error
+//     feedback; a dense round on an elastic mesh, or a bucketed one,
+//     gathers the contributions at rank 0, which plays the parameter
+//     server. The SelSync one-bit flags allgather, the clock maximum and
+//     broadcast-by-fan-out complete the set. Payload codecs and bucketed
+//     (overlapped) rounds are parameters of that same round, not separate
+//     collectives.
 //   - Fabric (this file): the interface internal/cluster drives its
 //     synchronization rounds through. NewLoopback is a Mesh with one rank —
 //     every worker is hosted by rank 0, so each round runs its rank-0
@@ -131,12 +134,13 @@ type Fabric interface {
 	// Codec returns the installed codec (the identity codec if none).
 	Codec() Codec
 	// CodecSnapshot captures this rank's error-feedback state (hosted
-	// uplink residuals, the downlink residual on rank 0, and the shared
-	// round counter) for bit-identical checkpoint/resume. Returns nil
-	// under the identity codec, which has none.
+	// uplink residuals, this rank's replica of the downlink residual, and
+	// the shared round counter) for bit-identical checkpoint/resume.
+	// Returns nil under the identity codec, which has none.
 	CodecSnapshot() *CodecSnapshot
 	// RestoreCodecSnapshot reinstates a captured state. The snapshot's
-	// spec must match the installed codec.
+	// spec must match the installed codec, and a snapshot past round 0
+	// must carry the downlink replica (ErrSnapshotNoDownlink).
 	RestoreCodecSnapshot(s *CodecSnapshot) error
 
 	// AccountPush / AccountPull record n point-to-point PS messages of dim

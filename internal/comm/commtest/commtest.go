@@ -136,15 +136,15 @@ func endpoints(t testing.TB, procs int, o Options) []comm.Endpoint {
 	return eps
 }
 
-// ReduceRound is a benchmark body: one dense parameter-server round — a
-// BSP step's ReduceMeanCodec under the identity codec, over every worker's
-// dim-element vector — per iteration, on a standing mesh of procs ranks
-// hosting perRank workers each. The ranks are goroutines of this process on
-// channel endpoints, or with tcp on real sockets over 127.0.0.1. Besides the
-// time it reports what every rank's endpoint sent per round: socket-B/op
-// (headers included) and frames/op. comm's BenchmarkReduceRound and
-// selsync-bench -steps both run it, so their numbers compare.
-func ReduceRound(b *testing.B, tcp bool, procs, perRank, dim int) {
+// ReduceRound is a benchmark body: one parameter-server round — a BSP
+// step's ReduceMeanCodec through codec, over every worker's dim-element
+// vector — per iteration, on a standing mesh of procs ranks hosting perRank
+// workers each. The ranks are goroutines of this process on channel
+// endpoints, or with tcp on real sockets over 127.0.0.1. Besides the time it
+// reports what every rank's endpoint sent per round: socket-B/op (headers
+// included) and frames/op. comm's BenchmarkReduceRound and selsync-bench
+// -steps both run it, so their numbers compare.
+func ReduceRound(b *testing.B, tcp bool, codec comm.Codec, procs, perRank, dim int) {
 	eps := endpoints(b, procs, Options{Loopback: !tcp})
 	workers := procs * perRank
 	ms := make([]*comm.Mesh, procs)
@@ -155,6 +155,16 @@ func ReduceRound(b *testing.B, tcp bool, procs, perRank, dim int) {
 			b.Fatal(err)
 		}
 		ms[r], dsts[r] = m, tensor.NewVector(dim)
+	}
+	// The codec negotiation is a collective: every rank at once.
+	negotiated := make(chan error, procs)
+	for _, m := range ms {
+		go func() { negotiated <- m.SetCodec(codec) }()
+	}
+	for range ms {
+		if err := <-negotiated; err != nil {
+			b.Fatal(err)
+		}
 	}
 	rng := tensor.NewRNG(1)
 	vecs := make([]tensor.Vector, workers)
@@ -208,7 +218,7 @@ func ReduceRound(b *testing.B, tcp bool, procs, perRank, dim int) {
 		}
 	}()
 
-	round() // the first round sizes what the transports pool
+	round() // the first round sizes what the transports pool and the codec keeps
 	frames0, bytes0 := wire()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +141,76 @@ func TestRelayMiddleHopCrash(t *testing.T) {
 				errors.As(errs[r], &pe)
 				if pe.Op != w.op {
 					t.Fatalf("rank %d: %v, want phase %q", r, errs[r], w.op)
+				}
+				if took[r] > 3*opTimeout {
+					t.Fatalf("rank %d took %v to fail, op timeout %v", r, took[r], opTimeout)
+				}
+			}
+		})
+	}
+}
+
+// TestExchangePeerCrash: in a 3-rank top-k round, rank 2 crashes at its
+// first exchange send (its one frame before is the codec negotiation). The
+// survivors send to rank 2 last, so each has delivered its message to the
+// other before it touches the dead link. No rank hangs: rank 2 surfaces its
+// own crash on the link to rank 0, and each survivor a *PeerError naming
+// rank 2 — in the send phase if its own message to rank 2 already failed,
+// else in the receive phase waiting for rank 2's — within the op timeout.
+func TestExchangePeerCrash(t *testing.T) {
+	const opTimeout = 300 * time.Millisecond
+	codec, err := ParseCodec("topk:0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultTCPOptions()
+	opts.RedialAttempts = 0 // a dead peer stays dead: no repair window
+	opts.ReconnectWait = 0
+	for _, transport := range []struct {
+		name string
+		eps  func() []Endpoint
+	}{
+		{"chan", func() []Endpoint { return NewLoopbackEndpoints(3) }},
+		{"tcp", func() []Endpoint { return tcpEndpointsOpts(t, 3, opts) }},
+	} {
+		t.Run(transport.name, func(t *testing.T) {
+			eps := transport.eps()
+			defer closeAll(eps)
+			eps[2] = WithFaults(eps[2], FaultPlan{CrashAtFrame: 2})
+			ms := meshes(t, eps, 3)
+			errs := make([]error, 3)
+			took := make([]time.Duration, 3)
+			done := make(chan int)
+			fx := newReduceFixture(3, 40, 47)
+			for r, m := range ms {
+				m.SetOpTimeout(opTimeout)
+				go func() {
+					defer func() { done <- r }()
+					if errs[r] = m.SetCodec(codec); errs[r] != nil {
+						return
+					}
+					start := time.Now()
+					errs[r] = m.ReduceMeanCodec(tensor.NewVector(40), nil, fx.ids, fx.view)
+					took[r] = time.Since(start)
+				}()
+			}
+			for range ms {
+				select {
+				case <-done:
+				case <-time.After(10 * opTimeout):
+					t.Fatal("a rank of the broken exchange hangs")
+				}
+			}
+			for r := range ms {
+				peer, is, ops := 2, ErrPeerDown, []string{"reduce exchange send", "reduce exchange recv"}
+				if r == 2 {
+					peer, is, ops = 0, ErrCrashed, ops[:1]
+				}
+				checkPeerError(t, errs[r], peer, is)
+				var pe *PeerError
+				errors.As(errs[r], &pe)
+				if !slices.Contains(ops, pe.Op) {
+					t.Fatalf("rank %d: %v, want phase %q", r, errs[r], ops)
 				}
 				if took[r] > 3*opTimeout {
 					t.Fatalf("rank %d took %v to fail, op timeout %v", r, took[r], opTimeout)

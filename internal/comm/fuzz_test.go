@@ -8,7 +8,7 @@ import (
 // sparseChunk builds one packed sparse chunk for seeds, with the gap
 // baseline (the previous chunk's final position, −1 at message start).
 func sparseChunk(prev int, idx []uint32, vals []float64) []byte {
-	return appendSparseChunk(nil, idx, vals, &prev)
+	return appendSparseChunk(nil, idx, vals, prev)
 }
 
 // FuzzDecodeFrame holds DecodeFrame to its contract: arbitrary bytes must
@@ -46,7 +46,9 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzDecodeCodecPayload holds the codec chunk decoders to the
 // DecodeFrame standard: arbitrary payload bytes — corrupt index lists,
 // out-of-range scales, truncated level streams — must decode or error,
-// never panic, and never write outside the destination vector.
+// never panic, and never write outside the destination vector. The sparse
+// entry decoder must append only strictly ascending positions below the
+// message's dimension, and nothing at all on error.
 func FuzzDecodeCodecPayload(f *testing.F) {
 	f.Add(uint8(0), sparseChunk(-1, []uint32{0, 7, 31}, []float64{1, -2, 3}))
 	f.Add(uint8(0), sparseChunk(-1, []uint32{9, 2}, []float64{1, 1}))              // descending: must error
@@ -60,17 +62,41 @@ func FuzzDecodeCodecPayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		const dim = 32
-		// Guard pages: the decoders get a window of a larger buffer; bytes
-		// outside the window must stay untouched no matter the input.
+		if kind%3 == 0 {
+			// A previous chunk's entries, and the continuation point the fuzzer
+			// picks; what the decoder appends must continue them.
+			last := int(kind/3)%(dim+1) - 1
+			idx, vals := []uint32{0}, []float64{42}
+			idx, vals, err := decodeSparseChunk(idx, vals, dim, payload, &last)
+			if len(idx) != len(vals) {
+				t.Fatalf("%d positions for %d values", len(idx), len(vals))
+			}
+			if err != nil {
+				if len(idx) != 1 {
+					t.Fatalf("refused chunk appended %d entries", len(idx)-1)
+				}
+				return
+			}
+			prev := int(kind/3)%(dim+1) - 1
+			for _, i := range idx[1:] {
+				if int(i) <= prev || int(i) >= dim {
+					t.Fatalf("position %d after %d in a %d-element message", i, prev, dim)
+				}
+				prev = int(i)
+			}
+			if prev != last {
+				t.Fatalf("last position %d, decoder reports %d", prev, last)
+			}
+			return
+		}
+		// Guard pages: the dense decoders get a window of a larger buffer;
+		// bytes outside the window must stay untouched no matter the input.
 		buf := make([]float64, dim+2)
 		for i := range buf {
 			buf[i] = 42
 		}
 		dst := buf[1 : dim+1]
 		switch kind % 3 {
-		case 0:
-			last := -1
-			decodeSparseChunk(dst, payload, &last)
 		case 1:
 			for _, bits := range []int{8, 16} {
 				decodeQuantChunk(dst, int(kind)%dim, bits, payload)

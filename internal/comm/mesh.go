@@ -11,9 +11,11 @@ import (
 
 // Mesh is the Fabric: the cluster's synchronization rounds executed over an
 // Endpoint. Every reduction folds in worker-id order with tensor.Average's
-// kernel, which keeps it bit-identical regardless of the process count: a
-// dense round relays the running sum from rank to rank, a lossy, elastic or
-// bucketed one gathers the contributions at rank 0 (reduce.go). Rank 0 also
+// arithmetic, which keeps it bit-identical regardless of the process count:
+// a dense round relays the running sum from rank to rank, a lossy one
+// exchanges every compressed contribution between all ranks, each of which
+// folds them and compresses the mean itself, and a dense elastic or
+// bucketed one gathers the contributions at rank 0 (reduce.go). Rank 0
 // coordinates the flags allgather, the clock maximum, codec negotiation,
 // membership and the close barrier. With one rank (NewLoopback) every
 // contribution is a local read, so the rounds are direct shared-memory
@@ -35,21 +37,20 @@ type Mesh struct {
 	locals      []int
 	stats       Stats
 
-	// Reduce-round state (reduce.go). slots serves every round; runs and out
-	// are the relay's, recvBufs rank 0's staging for gathered rounds; whole
-	// is the single bucket of an unbucketed round. The codec engine and its
-	// dense staging vectors are sized on the first lossy round that needs
-	// them (ensureCodecBufs: stageBuf on rank 0, downDec and deltaBuf on the
-	// parameter path) and untouched under the identity codec.
+	// Reduce-round state (reduce.go). slots serves every round; runs are the
+	// relay's, out the frame the relay and the exchange send from, recvBufs
+	// rank 0's staging for gathered rounds; whole is the single bucket of an
+	// unbucketed round. The codec engine (its residuals and message slots)
+	// and deltaBuf, the parameter path's uplink delta scratch, are sized on
+	// the first lossy round that needs them and untouched under the identity
+	// codec.
 	slots    []tensor.Vector
 	runs     []relayRun
 	out      Frame
 	recvBufs map[int]tensor.Vector
 	whole    [1][2]int
 	cs       codecState
-	downDec  tensor.Vector
 	deltaBuf tensor.Vector
-	stageBuf tensor.Vector
 
 	// scratch is the frame-encode buffer, ctl the control-payload one.
 	scratch []byte

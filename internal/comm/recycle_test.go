@@ -154,18 +154,17 @@ func TestDenseReduceUnderDupAndDelayMatchesLoopback(t *testing.T) {
 // Every case sends a single frame, so the pool must hold it again once the
 // receive has failed.
 func TestRejectedChunksAreRecycled(t *testing.T) {
-	topk := profile{kind: CodecTopK, frac: 0.5}
 	for _, tc := range []struct {
 		name string
 		f    Frame
 		recv func(rx recver, dst tensor.Vector) error
 	}{
 		{"corrupt-sparse", Frame{Type: MsgSparseChunk, Flags: FlagLast, Worker: 3, Payload: sparseChunk(-1, []uint32{9, 2}, []float64{1, 1})},
-			func(rx recver, dst tensor.Vector) error { return recvCompressedEP(rx, 1, 3, topk, dst) }},
+			func(rx recver, dst tensor.Vector) error { return recvSparseEP(rx, 1, 3, len(dst), &compactMsg{}) }},
 		{"sparse-wrong-worker", Frame{Type: MsgSparseChunk, Flags: FlagLast, Worker: 2, Payload: sparseChunk(-1, []uint32{1}, []float64{1})},
-			func(rx recver, dst tensor.Vector) error { return recvCompressedEP(rx, 1, 3, topk, dst) }},
+			func(rx recver, dst tensor.Vector) error { return recvSparseEP(rx, 1, 3, len(dst), &compactMsg{}) }},
 		{"sparse-wrong-type", Frame{Type: MsgRangeChunk, Flags: FlagLast, Worker: 3, Payload: appendRangeChunk(nil, 0, []float64{1})},
-			func(rx recver, dst tensor.Vector) error { return recvCompressedEP(rx, 1, 3, topk, dst) }},
+			func(rx recver, dst tensor.Vector) error { return recvSparseEP(rx, 1, 3, len(dst), &compactMsg{}) }},
 		{"dense-overflow", Frame{Type: MsgTensorChunk, Flags: FlagLast, Worker: 3, Payload: make([]byte, 8*(16+1))},
 			func(rx recver, dst tensor.Vector) error { return recvTensorEP(rx, 1, 3, dst) }},
 		{"dense-wrong-seq", Frame{Type: MsgTensorChunk, Flags: FlagLast, Worker: 3, Seq: 4, Payload: make([]byte, 8)},

@@ -9,7 +9,7 @@ import (
 // The reduce round — the one aggregation op a synchronizing step calls.
 // Every entry point (ReduceMean, ReduceMeanCodec, ReduceMeanCodecBuckets)
 // computes the same mean: tensor.Average over one vector per id, folded in
-// ids order, delivered bit-identical to every rank. It takes one of two
+// ids order, delivered bit-identical to every rank. It takes one of three
 // routes, chosen from what the mesh already knows — the codec and the
 // membership — never from an option.
 //
@@ -31,32 +31,43 @@ import (
 // its last window. One rank is the relay with one run and no frames: one
 // tensor.Average call.
 //
-// The gather, everywhere the relay cannot reproduce the round: per id in
-// ids order the owning rank's contribution reaches rank 0, rank 0 folds
-// them with tensor.Average and sends the mean back. It serves
+// The exchange: every lossy round on a static mesh, bucketed or not. A
+// lossy codec runs each message through its error-feedback round trip
+// (roundTrip) on the rank that owns the worker's residual, so the values
+// averaged are exactly the values the wire carries. Each rank encodes its
+// hosted contributions in ids order and sends each message to every peer;
+// then it receives the peers' messages in ids order, folds all of them
+// with tensor.Average's arithmetic into its own replica of the downlink
+// residual and runs the downlink round trip on that replica. Every rank
+// folds the same messages, so the replicas and the means they decode stay
+// bit-identical without a downlink message ever crossing the wire — and
+// one rank executes the identical float64 arithmetic without the sockets.
+// Top-k messages fold as entries (foldSparseMean): their values are summed
+// per position in slot order and the mean is added straight into the
+// residual, touching only the positions some message carries — no message
+// is decoded densely and nothing dense is averaged. Quantized and partial
+// messages are decoded into one dense slot per contribution and averaged.
+// Buckets tile [0, dim) and are processed in descending index order on
+// every rank — the order a backward pass produces layer gradients — and the
+// optional wait hook blocks until the local contribution for a bucket is
+// written (the comm/compute overlap entry point). A rank sends all of a
+// bucket's messages before it receives any. That relies on the inbox bound: an
+// endpoint buffers up to 8192 frames per peer (inboxSize) whether or not
+// the mesh above it is receiving, and a bucket puts hosted contributions ×
+// chunks per message frames on each link — 8192 frames is 8192·ChunkElems
+// elements (or top-k entries) for a rank hosting one worker — so no send
+// waits on a peer that is itself still sending.
 //
-//   - a lossy codec. Every message runs through the codec's encode→decode
-//     round trip on its producing rank, so the values averaged and the
-//     values applied are exactly the values the wire carried (or would
-//     carry, with one rank), and the downlink's error feedback is rank 0's
-//     state. That single invariant is what makes the round bit-identical
-//     across rank counts: one rank executes the identical float64
-//     arithmetic without the sockets.
-//   - an elastic mesh, where rank 0 re-forms the mean over the survivors
-//     and piggybacks view changes on the broadcast.
-//   - buckets. They tile [0, dim) and are processed in descending index
-//     order on every rank — the order a backward pass produces layer
-//     gradients — and the optional wait hook blocks until the local
-//     contribution for a bucket is written. That is the comm/compute
-//     overlap entry point: while rank 0 still computes bucket b, its peers'
-//     frames for b queue in the endpoint inboxes, and while peers compute
-//     lower buckets, rank 0 reduces and re-broadcasts the ones already in
-//     flight. Descending order on every rank keeps the per-link frame
-//     sequences aligned without per-bucket headers.
+// The gather, where neither reproduces the round — a dense round on an
+// elastic mesh, or a bucketed one: per id in ids order the owning rank's
+// contribution reaches rank 0, rank 0 folds them with tensor.Average and
+// sends the mean back, bucket by bucket in the exchange's order. On an
+// elastic mesh rank 0 re-forms the mean over the survivors and piggybacks
+// view changes on the broadcast.
 //
-// Either way the ledger is the parameter server's logical one (a pure
-// function of codec, buckets and round, so the route never shows in it):
-// parameter-server rounds write it, diagnostic reads do not.
+// Whichever the route, the ledger is the parameter server's logical one (a
+// pure function of codec, buckets and round, so the route never shows in
+// it): parameter-server rounds write it, diagnostic reads do not.
 
 // validateReduceArgs checks the bucket tiling and ref/dst aliasing rules.
 func validateReduceArgs(dst, ref tensor.Vector, buckets [][2]int) error {
@@ -94,12 +105,12 @@ func codecMsgSrc(src, ref, delta tensor.Vector, lo, hi int) tensor.Vector {
 	return d
 }
 
-// applyDelta finishes a parameter-path downlink window: dst = ref + the
-// decoded mean delta, so positions the codec left out stay exactly at ref.
-func applyDelta(dst, ref, dec tensor.Vector, lo, hi int) {
-	d := dst[lo:hi]
+// applyDelta finishes a parameter-path downlink window in place: d holds
+// the decoded mean delta and becomes ref + d, so positions the codec left out
+// stay exactly at ref.
+func applyDelta(d, ref tensor.Vector) {
 	for i := range d {
-		d[i] = ref[lo+i] + dec[lo+i]
+		d[i] = ref[i] + d[i]
 	}
 }
 
@@ -184,7 +195,8 @@ func (m *Mesh) RestoreCodecSnapshot(s *CodecSnapshot) error { return m.cs.restor
 
 // CodecPackedWire returns the actual encoded bytes of the lossy-codec
 // messages this rank has produced, in ledger orientation (uplink → recv,
-// downlink fan-out → sent). For the bit-packed top-k stream this is the
+// the downlink message once per worker → sent; every rank compresses the
+// downlink, none sends it). For the bit-packed top-k stream this is the
 // data-dependent packed footprint; for every other lossy codec it equals
 // the logical ledger. Complete on a one-rank fabric, which encodes every
 // message of every round itself; across ranks the per-socket truth lives
@@ -208,26 +220,10 @@ func (m *Mesh) ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view fu
 	return m.reduce(dst, ref, ids, view, buckets, wait, true)
 }
 
-// ensureCodecBufs sizes the dense staging a lossy round needs: rank 0's
-// pre-compression mean, and on the parameter path (deltas against ref) the
-// uplink delta scratch and the decoded downlink delta. The gradient path
-// decodes the downlink straight into dst.
-func (m *Mesh) ensureCodecBufs(dim int, deltas bool) {
-	if m.rank == 0 && len(m.stageBuf) != dim {
-		m.stageBuf = tensor.NewVector(dim)
-	}
-	if deltas && len(m.deltaBuf) != dim {
-		m.deltaBuf = tensor.NewVector(dim)
-		m.downDec = tensor.NewVector(dim)
-	}
-}
-
-// recvBuf returns rank 0's dim-element staging vector for worker's
-// contribution to a gathered round: the receive target of a remote worker,
-// the decode target of a hosted one under a lossy codec. One buffer per
-// worker, as large as the largest round so far, serves rounds of every size
-// — a run alternates model-sized rounds with an evaluation's few hundred
-// result rows.
+// recvBuf returns rank 0's dim-element staging vector for a remote worker's
+// contribution to a gathered round. One buffer per worker, as large as the
+// largest round so far, serves rounds of every size — a run alternates
+// model-sized rounds with an evaluation's few hundred result rows.
 func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
 	if buf := m.recvBufs[worker]; cap(buf) >= dim {
 		return buf[:dim]
@@ -235,37 +231,6 @@ func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
 	buf := tensor.NewVector(dim)
 	m.recvBufs[worker] = buf
 	return buf
-}
-
-// encode runs one window of a hosted worker's contribution through the
-// uplink profile: m.cs.msg receives its compact form for sendMsg, dec (rank
-// 0's averaging slot; nil on the ranks that only send) exactly what the
-// wire carries.
-func (m *Mesh) encode(up profile, id int, src, ref tensor.Vector, lo, hi int, dec tensor.Vector, round uint64) {
-	msg := codecMsgSrc(src, ref, m.deltaBuf, lo, hi)
-	roundTrip(up, msg, m.cs.residFor(id, len(src))[lo:hi], dec, round, &m.cs.msg)
-	m.cs.packedRecv += m.cs.msg.wire
-}
-
-// sendMsg streams one message to a peer: v itself under the identity
-// profile (zero-copy where the memory layout is the wire layout), else the
-// compact message the last roundTrip produced.
-func (m *Mesh) sendMsg(to, worker int, p profile, v tensor.Vector) error {
-	var err error
-	if p.kind == CodecNone {
-		m.scratch, err = sendTensorEP(m.ep, to, worker, v, m.scratch)
-	} else {
-		m.scratch, err = sendCompressedEP(m.ep, to, worker, &m.cs.msg, m.scratch)
-	}
-	return err
-}
-
-// recvMsg reassembles one message from a peer into dst (dense).
-func (m *Mesh) recvMsg(from, worker int, p profile, dst tensor.Vector) error {
-	if p.kind == CodecNone {
-		return recvTensorEP(meshRx{m}, from, worker, dst)
-	}
-	return recvCompressedEP(meshRx{m}, from, worker, p, dst)
 }
 
 // reduce is the round itself (see the comment at the top of the file): it
@@ -277,17 +242,13 @@ func (m *Mesh) recvMsg(from, worker int, p profile, dst tensor.Vector) error {
 // elastic mesh a failed peer is instead promoted to dead and the mean
 // re-forms over the survivors.
 func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int), ps bool) error {
-	var codec Codec
-	if ps {
-		codec = m.cs.codec
-	}
-	dense := codec.Nop()
+	dense := !ps || m.cs.codec.Nop()
 	// SetCodec refuses an elastic mesh; this catches the mesh that turned
 	// elastic afterwards, and the bucketed round under any codec: its caller
 	// sized wait over the workers it hosted at the start, so an adopted
 	// replica's gradients would be read while still being written.
 	if m.Elastic() && (!dense || buckets != nil) {
-		return fmt.Errorf("comm: payload codecs and bucketed rounds require static membership (elastic mesh, codec %q)", codec)
+		return fmt.Errorf("comm: payload codecs and bucketed rounds require static membership (elastic mesh, codec %q)", m.cs.codec)
 	}
 	relay := dense && buckets == nil && !m.Elastic()
 	if buckets == nil {
@@ -298,10 +259,13 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 		return err
 	}
 	var err error
-	if relay {
+	switch {
+	case !dense:
+		err = m.exchange(dst, ref, ids, view, buckets, wait)
+	case relay:
 		err = m.relay(dst, ids, view)
-	} else {
-		err = m.gather(dst, ref, ids, view, buckets, wait, codec)
+	default:
+		err = m.gather(dst, ids, view, buckets, wait)
 	}
 	if err != nil {
 		return err
@@ -313,88 +277,144 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 	return nil
 }
 
-// gather is the rank-0 round (see the comment at the top of the file).
-func (m *Mesh) gather(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int), codec Codec) error {
-	dense := codec.Nop()
-	dim := len(dst)
-	if dense {
-		ref = nil // the identity codec moves the values themselves, never deltas
-	} else {
-		if err := m.cs.applyRestored(dim); err != nil {
-			return err
+// exchange is the lossy round on a static mesh (see the comment at the top
+// of the file).
+func (m *Mesh) exchange(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
+	if len(ids) == 0 {
+		return fmt.Errorf("comm: reduce over no contributions")
+	}
+	for _, id := range ids {
+		if m.OwnerOf(id) < 0 {
+			return fmt.Errorf("comm: reduce id %d is not one of the mesh's %d workers", id, m.workers)
 		}
-		m.ensureCodecBufs(dim, ref != nil)
 	}
-	up, down := codec.up(), codec.down()
-	round := m.cs.round
-	// The downlink decodes into dst itself — the mean — unless dst is to
-	// become ref plus a mean delta.
-	downDec := dst
-	if ref != nil {
-		downDec = m.downDec
+	cs, dim := &m.cs, len(dst)
+	if err := cs.applyRestored(dim); err != nil {
+		return err
 	}
-
-	if m.rank == 0 {
-		for b := len(buckets) - 1; b >= 0; b-- {
-			if wait != nil {
-				wait(b)
+	if ref != nil && len(m.deltaBuf) != dim {
+		m.deltaBuf = tensor.NewVector(dim)
+	}
+	up, down := cs.codec.up(), cs.codec.down()
+	sparse := up.kind == CodecTopK
+	slots := cs.exchSlots(len(ids), dim, !sparse)
+	resid, round := cs.downResid(dim), cs.round
+	for b := len(buckets) - 1; b >= 0; b-- {
+		if wait != nil {
+			wait(b)
+		}
+		lo, hi := buckets[b][0], buckets[b][1]
+		for j, id := range ids {
+			if m.OwnerOf(id) != m.rank {
+				continue
 			}
-			lo, hi := buckets[b][0], buckets[b][1]
+			s := &slots[j]
+			var dec tensor.Vector
+			if !sparse {
+				dec = s.dense[lo:hi]
+			}
+			msg := codecMsgSrc(view(id), ref, m.deltaBuf, lo, hi)
+			roundTrip(up, msg, cs.residFor(id, dim)[lo:hi], dec, round, &s.msg)
+			cs.packedRecv += s.msg.wire
+			if err := m.sendCodecMsg(id, &s.msg); err != nil {
+				return err
+			}
+		}
+		for j, id := range ids {
+			owner := m.OwnerOf(id)
+			if owner == m.rank {
+				continue
+			}
+			var err error
+			if sparse {
+				err = recvSparseEP(meshRx{m}, owner, id, hi-lo, &slots[j].msg)
+			} else {
+				err = recvCompressedEP(meshRx{m}, owner, id, up, slots[j].dense[lo:hi])
+			}
+			if err != nil {
+				return m.fault("reduce exchange recv", owner, err)
+			}
+		}
+		// The mean joins the downlink residual, and the downlink round trip
+		// decodes what every rank applies.
+		out, r := dst[lo:hi], resid[lo:hi]
+		if sparse {
+			foldSparseMean(r, cs.sparseSum(dim), slots)
+		} else {
 			m.slots = m.slots[:0]
-			for _, id := range ids {
-				owner := m.OwnerOf(id)
-				if owner < 0 {
-					// Dead rank's worker, not yet adopted: the mean re-forms
-					// over the survivors' contributions.
-					continue
-				}
-				var slot tensor.Vector
-				switch {
-				case owner == 0 && dense:
-					slot = view(id)[lo:hi]
-				case owner == 0:
-					slot = m.recvBuf(id, dim)[lo:hi]
-					m.encode(up, id, view(id), ref, lo, hi, slot, round)
-				default:
-					slot = m.recvBuf(id, dim)[lo:hi]
-					if err := m.recvMsg(owner, id, up, slot); err != nil {
-						if m.elasticSkip(owner, err) {
-							continue
-						}
-						return m.fault("reduce gather", owner, err)
-					}
-				}
-				m.slots = append(m.slots, slot)
-			}
-			// Identity: the mean lands in dst and dst is what goes out. Lossy:
-			// the mean is compressed with the downlink error feedback and
-			// every rank, this one included, applies its reconstruction.
-			out := dst[lo:hi]
-			if !dense {
-				out = m.stageBuf[lo:hi]
+			for j := range slots {
+				m.slots = append(m.slots, slots[j].dense[lo:hi])
 			}
 			tensor.Average(out, m.slots)
-			if !dense {
-				roundTrip(down, out, m.cs.downResid(dim)[lo:hi], downDec[lo:hi], round, &m.cs.msg)
-				m.cs.packedSent += int64(m.workers) * m.cs.msg.wire
+			r.Add(out)
+		}
+		roundTrip(down, nil, r, out, round, &cs.down)
+		cs.packedSent += int64(m.workers) * cs.down.wire
+		if ref != nil {
+			applyDelta(out, ref[lo:hi])
+		}
+	}
+	return nil
+}
+
+// foldSparseMean adds the mean of the slots' top-k messages to resid,
+// through sum, which is all +0 on entry and on return. Slot by slot, each
+// entry adds its value to its position's running sum, so every position's
+// values are summed in slot order from +0; then every entry adds its
+// position's sum times 1/len(slots) to resid and zeroes it, so a position
+// that several messages carry is added once in full and then +0. That is
+// tensor.Average over the zero-filled messages followed by TopKSelectAdd's
+// mean + resid[p], bit for bit: neither a running sum nor a live residual is
+// ever −0, so every +0 the dense fold would add is an identity.
+func foldSparseMean(resid, sum tensor.Vector, slots []exchSlot) {
+	for i := range slots {
+		m := &slots[i].msg
+		for e, p := range m.idx {
+			sum[p] += m.vals[e]
+		}
+	}
+	inv := 1 / float64(len(slots))
+	for i := range slots {
+		for _, p := range slots[i].msg.idx {
+			// The conversion rounds the product before the add: no fused
+			// multiply-add, like Average's scaling pass followed by the fold.
+			resid[p] = float64(sum[p]*inv) + resid[p]
+			sum[p] = 0
+		}
+	}
+}
+
+// sendCodecMsg streams one compact message, tagged worker, to every peer:
+// each chunk is encoded once into the mesh's scratch and sent down every
+// link from the mesh's one frame, so a send allocates nothing. A one-rank
+// mesh has nobody to send to and encodes nothing.
+func (m *Mesh) sendCodecMsg(worker int, msg *compactMsg) error {
+	if m.procs == 1 {
+		return nil
+	}
+	f := &m.out
+	for c, n := 0, msg.chunks(); c < n; c++ {
+		m.scratch = msg.appendChunk(m.scratch[:0], c)
+		*f = Frame{Type: msg.kind.msgType(), Worker: int32(worker), Seq: uint32(c), Payload: m.scratch}
+		if c == n-1 {
+			f.Flags = FlagLast
+		}
+		for r := 0; r < m.procs; r++ {
+			if r == m.rank {
+				continue
 			}
-			m.pushView()
-			for r := 1; r < m.procs; r++ {
-				if !m.RankAlive(r) {
-					continue
-				}
-				if err := m.sendMsg(r, -1, down, out); err != nil {
-					if m.elasticSkip(r, err) {
-						continue
-					}
-					return m.fault("reduce broadcast", r, err)
-				}
-			}
-			if ref != nil {
-				applyDelta(dst, ref, downDec, lo, hi)
+			if err := m.ep.Send(r, f); err != nil {
+				return m.fault("reduce exchange send", r, err)
 			}
 		}
-	} else {
+	}
+	return nil
+}
+
+// gather is the dense rank-0 round (see the comment at the top of the file).
+func (m *Mesh) gather(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
+	dim := len(dst)
+	if m.rank != 0 {
 		for b := len(buckets) - 1; b >= 0; b-- {
 			if wait != nil {
 				wait(b)
@@ -404,21 +424,59 @@ func (m *Mesh) gather(dst, ref tensor.Vector, ids []int, view func(worker int) t
 				if !m.Hosts(id) {
 					continue
 				}
-				if !dense {
-					m.encode(up, id, view(id), ref, lo, hi, nil, round)
-				}
-				if err := m.sendMsg(0, id, up, view(id)[lo:hi]); err != nil {
+				var err error
+				if m.scratch, err = sendTensorEP(m.ep, 0, id, view(id)[lo:hi], m.scratch); err != nil {
 					return m.fault("reduce push", 0, err)
 				}
 			}
 		}
 		for b := len(buckets) - 1; b >= 0; b-- {
 			lo, hi := buckets[b][0], buckets[b][1]
-			if err := m.recvMsg(0, -1, down, downDec[lo:hi]); err != nil {
+			if err := recvTensorEP(meshRx{m}, 0, -1, dst[lo:hi]); err != nil {
 				return m.fault("reduce pull", 0, err)
 			}
-			if ref != nil {
-				applyDelta(dst, ref, downDec, lo, hi)
+		}
+		return nil
+	}
+	for b := len(buckets) - 1; b >= 0; b-- {
+		if wait != nil {
+			wait(b)
+		}
+		lo, hi := buckets[b][0], buckets[b][1]
+		m.slots = m.slots[:0]
+		for _, id := range ids {
+			owner := m.OwnerOf(id)
+			switch {
+			case owner < 0:
+				// Dead rank's worker, not yet adopted: the mean re-forms over
+				// the survivors' contributions.
+				continue
+			case owner == 0:
+				m.slots = append(m.slots, view(id)[lo:hi])
+				continue
+			}
+			slot := m.recvBuf(id, dim)[lo:hi]
+			if err := recvTensorEP(meshRx{m}, owner, id, slot); err != nil {
+				if m.elasticSkip(owner, err) {
+					continue
+				}
+				return m.fault("reduce gather", owner, err)
+			}
+			m.slots = append(m.slots, slot)
+		}
+		out := dst[lo:hi]
+		tensor.Average(out, m.slots)
+		m.pushView()
+		for r := 1; r < m.procs; r++ {
+			if !m.RankAlive(r) {
+				continue
+			}
+			var err error
+			if m.scratch, err = sendTensorEP(m.ep, r, -1, out, m.scratch); err != nil {
+				if m.elasticSkip(r, err) {
+					continue
+				}
+				return m.fault("reduce broadcast", r, err)
 			}
 		}
 	}

@@ -94,11 +94,13 @@ type Checkpoint struct {
 	// gob field: absent in old checkpoints, decoding as false.)
 	Dirty bool
 
-	// Codec is the payload codec's error-feedback state for this rank's
-	// hosted workers (nil when the run uses no lossy codec). Compressed
-	// runs resume bit-identically only with it: the residual accumulators
-	// are part of the training state. (A new gob field: absent in old
-	// checkpoints, decoding as nil.)
+	// Codec is the payload codec's error-feedback state: this rank's
+	// hosted workers' residuals and its replica of the downlink residual
+	// (nil when the run uses no lossy codec). Compressed runs resume
+	// bit-identically only with it: the residual accumulators are part of
+	// the training state, and a snapshot without the downlink replica is
+	// refused. (A new gob field: absent in old checkpoints, decoding as
+	// nil.)
 	Codec *comm.CodecSnapshot
 }
 

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -349,5 +351,82 @@ func TestSelSyncWithCodec(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rank %d Result diverged from loopback:\n tcp: %+v\n  lb: %+v", r, got, want)
 		}
+	}
+}
+
+// TestCodecCheckpointResumeTCP: every rank of a compressed run carries its
+// replica of the downlink residual in its checkpoint. A 2-rank TCP
+// topk:0.02 run interrupted on the eval cadence, checkpointed per rank and
+// resumed by a fresh gang — fresh meshes, so nothing of the first run's
+// error feedback survives outside the checkpoints — reproduces the
+// uninterrupted loopback Result on every rank.
+func TestCodecCheckpointResumeTCP(t *testing.T) {
+	mkCfg := codecCfg(35, "topk:0.02", false)
+	want := mustRun(mkCfg(), BSPPolicy{})
+	cks, _ := commtest.RunRanks(t, 2, 4, func(rank int, fabric comm.Fabric) *Checkpoint {
+		cfg := mkCfg()
+		cfg.MaxSteps, cfg.Fabric = 16, fabric
+		job := NewJob(cfg, BSPPolicy{})
+		if _, err := job.Run(context.Background()); err != nil {
+			panic(err)
+		}
+		ck, err := job.Checkpoint(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		var buf bytes.Buffer
+		if err := ck.Encode(&buf); err != nil {
+			panic(err)
+		}
+		if ck, err = DecodeCheckpoint(&buf); err != nil {
+			panic(err)
+		}
+		return ck
+	})
+	for rank, ck := range cks {
+		if ck.Codec == nil || len(ck.Codec.Down) != ck.Dim {
+			t.Fatalf("rank %d checkpoint carries no downlink replica: %+v", rank, ck.Codec)
+		}
+	}
+	results, _ := commtest.RunRanks(t, 2, 4, func(rank int, fabric comm.Fabric) *Result {
+		cfg := mkCfg()
+		cfg.Fabric = fabric
+		res, err := NewJob(cfg, BSPPolicy{}, WithResume(cks[rank])).Run(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		return res
+	})
+	for rank, got := range results {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rank %d resumed Result diverged from loopback:\n tcp: %+v\n  lb: %+v", rank, got, want)
+		}
+	}
+}
+
+// TestCodecResumeRefusesMissingDownlink: a lossy checkpoint past round 0
+// whose codec state lacks the downlink residual — what a rank other than 0
+// wrote while only rank 0 kept one — is refused with the typed error, naming
+// the codec. Resuming from a zeroed residual would silently diverge from
+// the ranks that kept theirs.
+func TestCodecResumeRefusesMissingDownlink(t *testing.T) {
+	mkCfg := codecCfg(36, "topk:0.02", false)
+	short := mkCfg()
+	short.MaxSteps = 8
+	job := NewJob(short, BSPPolicy{})
+	if _, err := job.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := job.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Codec == nil || ck.Codec.Round == 0 || ck.Codec.Down == nil {
+		t.Fatalf("the short run left no lossy rounds to resume from: %+v", ck.Codec)
+	}
+	ck.Codec.Down = nil
+	_, err = NewJob(mkCfg(), BSPPolicy{}, WithResume(ck)).Run(context.Background())
+	if !errors.Is(err, comm.ErrSnapshotNoDownlink) || !strings.Contains(err.Error(), `"topk:0.02"`) {
+		t.Fatalf("resume without the downlink residual: %v, want comm.ErrSnapshotNoDownlink naming the codec", err)
 	}
 }
