@@ -233,6 +233,8 @@ type Cluster struct {
 	// Workers and in the adopted map.
 	nbase   int
 	adopted map[int]*Worker
+	// setup is run on every replica the cluster builds after SetWorkerSetup.
+	setup func(*Worker)
 	// Stored view closures and per-local-worker arena slots keep the
 	// steady-state sync round allocation-free.
 	paramView  func(id int) tensor.Vector
@@ -345,6 +347,18 @@ func (c *Cluster) newWorker(id int, model *nn.FeedForwardNet, rng *tensor.RNG) *
 		Device:    c.deviceFor(id),
 		Tracker:   gradstat.NewConfiguredTracker(c.cfg.TrackerAlpha, c.cfg.TrackerWindow, c.cfg.Workers),
 		RNG:       rng,
+	}
+}
+
+// SetWorkerSetup runs fn on every hosted replica now and on every replica
+// the cluster builds from then on (elastic adoption and in-place reset), so
+// per-replica wiring a caller installs — the training runner's backward-pass
+// hook — follows a worker onto its rebuilt replica. fn runs on the calling
+// goroutine, before the replica's first step.
+func (c *Cluster) SetWorkerSetup(fn func(*Worker)) {
+	c.setup = fn
+	for _, w := range c.Workers {
+		fn(w)
 	}
 }
 
@@ -521,6 +535,9 @@ func (c *Cluster) rebuildWorker(id int, epoch uint64) *Worker {
 		panic(err) // replicas of one factory own the same streams
 	}
 	w.Steps, w.LocalSteps, w.SyncSteps = ref.Steps, ref.LocalSteps, ref.SyncSteps
+	if c.setup != nil {
+		c.setup(w)
+	}
 	return w
 }
 

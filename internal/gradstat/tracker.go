@@ -89,7 +89,10 @@ func (t *Tracker) ObserveGradNorm(norm float64) float64 {
 }
 
 // ObserveParams is a convenience wrapper that computes the flattened
-// gradient norm of a parameter list and feeds it to ObserveGradNorm.
+// gradient norm of a parameter list and feeds it to ObserveGradNorm. The
+// training runner feeds ObserveGradNorm the same norm itself: it takes each
+// parameter's squared norm inside the backward pass, as the parameter's
+// gradient is final, and sums them in nn.GradNorm2's order.
 func (t *Tracker) ObserveParams(ps []*nn.Param) float64 {
 	return t.ObserveGradNorm(math.Sqrt(nn.GradNorm2(ps)))
 }

@@ -12,14 +12,11 @@ import "selsync/internal/tensor"
 // real parameter servers ship around, applied to the replica itself.
 type Arena struct {
 	Data tensor.Vector // all parameter values, in Params() order
-	Grad tensor.Vector // all gradient accumulators, same layout
+	Grad tensor.Vector // all gradients, same layout
 }
 
 // Dim returns the flat parameter dimension.
 func (a *Arena) Dim() int { return len(a.Data) }
-
-// ZeroGrad clears every gradient accumulator in one pass.
-func (a *Arena) ZeroGrad() { a.Grad.Zero() }
 
 // BindArena re-homes every parameter and gradient in ps into two freshly
 // allocated contiguous buffers, preserving current values, and returns the

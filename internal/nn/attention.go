@@ -142,7 +142,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matri
 }
 
 // Backward propagates through the output projection, the attention softmax
-// and the Q/K/V projections, accumulating all four weight gradients.
+// and the Q/K/V projections, writing all four weight gradients.
 func (a *MultiHeadAttention) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	n := grad.Rows
 	dk := a.D / a.H
@@ -155,7 +155,7 @@ func (a *MultiHeadAttention) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	gr := a.grView.View(grad.Data, n*a.T, a.D)
 
 	// Output projection: y = concat·Wo.
-	tensor.MatMulATBAcc(a.dwView.View(a.Wo.Grad, a.D, a.D), a.concat, gr)
+	tensor.MatMulATB(a.dwView.View(a.Wo.Grad, a.D, a.D), a.concat, gr)
 	a.dconcat = tensor.EnsureMatrix(a.dconcat, n*a.T, a.D)
 	tensor.MatMulABT(a.dconcat, gr, wo)
 
@@ -210,7 +210,7 @@ func (a *MultiHeadAttention) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		w     *tensor.Matrix
 		p     *Param
 	}{{a.dq, wq, a.Wq}, {a.dk, wk, a.Wk}, {a.dv, wv, a.Wv}} {
-		tensor.MatMulATBAcc(a.dwView.View(t.p.Grad, a.D, a.D), xr, t.dproj)
+		tensor.MatMulATB(a.dwView.View(t.p.Grad, a.D, a.D), xr, t.dproj)
 		if idx == 0 {
 			tensor.MatMulABT(dxr, t.dproj, t.w)
 		} else {

@@ -14,9 +14,12 @@ import (
 // The hot path lowers the convolution onto the parallel GEMM kernels via
 // im2col/col2im: per sample, Y (F × oh·ow) = W (F × C·K·K) × cols, and the
 // backward pass is the pair dW += dY·colsᵀ, dcols = Wᵀ·dY scattered back
-// through col2im. The original direct loops are retained as a reference
-// implementation (forwardDirect/backwardDirect) and the equivalence of the
-// two paths is property-tested across shapes in conv_equiv_test.go.
+// through col2im. A training forward keeps every sample's columns for the
+// backward pass; an evaluation forward builds them one sample at a time in
+// the first sample's space. The original direct loops are retained as a
+// reference implementation (forwardDirect/backwardDirect) and the
+// equivalence of the two paths is property-tested across shapes in
+// conv_equiv_test.go.
 type Conv2D struct {
 	C, H, W int // input channels / height / width
 	F, K    int // filters, kernel size
@@ -32,12 +35,16 @@ type Conv2D struct {
 	x    *tensor.Matrix // cached input
 	noDX bool           // first layer of a network: Backward returns nil (see inputGradSkipper)
 
-	// Buffers owned across steps: the im2col scratch for forward and
-	// backward, and the output/input-gradient matrices.
-	cols, dcols *tensor.Matrix
-	y, dx       *tensor.Matrix
+	// Buffers owned across steps: the im2col columns (a training forward's
+	// for every sample, batch × C·K·K·oh·ow, read back by Backward, and
+	// colsFor the input they were built from; an evaluation forward's for
+	// one sample at a time), and the column-gradient, output and
+	// input-gradient matrices.
+	cols         tensor.Vector
+	colsFor      *tensor.Matrix
+	dcols, y, dx *tensor.Matrix
 
-	wView, dwView, yView, dyView tensor.Matrix // header-only GEMM views
+	wView, dwView, yView, dyView, colsView tensor.Matrix // header-only GEMM views
 }
 
 // OutH returns the output height.
@@ -80,11 +87,17 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	ohow := oh * ow
 	ckk := c.C * c.K * c.K
 	c.y = tensor.EnsureMatrix(c.y, x.Rows, c.F*ohow)
-	c.cols = tensor.EnsureMatrix(c.cols, ckk, ohow)
+	samples := 1 // an evaluation forward reuses sample 0's columns
+	c.colsFor = nil
+	if train {
+		samples, c.colsFor = x.Rows, x
+	}
+	c.cols = tensor.EnsureVector(c.cols, samples*ckk*ohow)
 	w := c.wView.View(c.Wt.Data, c.F, ckk)
 	for n := 0; n < x.Rows; n++ {
-		tensor.Im2Col(c.cols, x.Row(n), c.C, c.H, c.W, c.K, c.Pad)
-		tensor.MatMul(c.yView.View(c.y.Row(n), c.F, ohow), w, c.cols)
+		cols := c.sampleCols(n % samples)
+		tensor.Im2Col(cols, x.Row(n), c.C, c.H, c.W, c.K, c.Pad)
+		tensor.MatMul(c.yView.View(c.y.Row(n), c.F, ohow), w, cols)
 		out := c.y.Row(n)
 		for f := 0; f < c.F; f++ {
 			bias := c.B.Data[f]
@@ -97,18 +110,30 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return c.y
 }
 
+// sampleCols views sample n's columns.
+func (c *Conv2D) sampleCols(n int) *tensor.Matrix {
+	ckk, ohow := c.C*c.K*c.K, c.OutH()*c.OutW()
+	return c.colsView.View(c.cols[n*ckk*ohow:(n+1)*ckk*ohow], ckk, ohow)
+}
+
 func (c *Conv2D) skipInputGrad() { c.noDX = true }
 
-// Backward accumulates filter/bias gradients and returns the input
-// gradient (owned by the layer, reused on the next call).
+// Backward writes the filter/bias gradients — sums over the batch, so their
+// windows are cleared first — from the columns the training forward kept,
+// and returns the input gradient (owned by the layer, reused on the next
+// call).
 func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	c.Wt.Grad.Zero()
+	c.B.Grad.Zero()
 	if c.direct {
 		return c.backwardDirect(grad)
+	}
+	if c.colsFor != c.x {
+		panic("nn: Conv2D.Backward without a training-mode Forward")
 	}
 	oh, ow := c.OutH(), c.OutW()
 	ohow := oh * ow
 	ckk := c.C * c.K * c.K
-	c.cols = tensor.EnsureMatrix(c.cols, ckk, ohow)
 	w := c.wView.View(c.Wt.Data, c.F, ckk)
 	dw := c.dwView.View(c.Wt.Grad, c.F, ckk)
 	var dx *tensor.Matrix
@@ -128,8 +153,7 @@ func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
 			c.B.Grad[f] += s
 		}
 		dy := c.dyView.View(dout, c.F, ohow)
-		tensor.Im2Col(c.cols, c.x.Row(n), c.C, c.H, c.W, c.K, c.Pad)
-		tensor.MatMulABTAcc(dw, dy, c.cols)
+		tensor.MatMulABTAcc(dw, dy, c.sampleCols(n))
 		if dx != nil {
 			tensor.MatMulATB(c.dcols, w, dy)
 			tensor.Col2Im(dx.Row(n), c.dcols, c.C, c.H, c.W, c.K, c.Pad)
@@ -175,7 +199,8 @@ func (c *Conv2D) forwardDirect(x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-// backwardDirect is the reference direct backward pass.
+// backwardDirect is the reference direct backward pass (Backward has
+// cleared the parameter gradients it adds into).
 func (c *Conv2D) backwardDirect(grad *tensor.Matrix) *tensor.Matrix {
 	oh, ow := c.OutH(), c.OutW()
 	dx := tensor.NewMatrix(c.x.Rows, c.x.Cols)

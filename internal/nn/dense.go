@@ -15,9 +15,8 @@ type Dense struct {
 	noDX bool           // first layer of a network: Backward returns nil (see inputGradSkipper)
 
 	// Buffers owned across steps (the steady-state training step
-	// allocates nothing): output, input gradient, bias-grad scratch.
+	// allocates nothing): output, input gradient.
 	y, dx         *tensor.Matrix
-	db            tensor.Vector
 	wView, dwView tensor.Matrix
 }
 
@@ -49,14 +48,11 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 func (d *Dense) skipInputGrad() { d.noDX = true }
 
-// Backward accumulates dW = xᵀ·dy and db = column sums of dy, and returns
+// Backward writes dW = xᵀ·dy and db = column sums of dy, and returns
 // dx = dy·Wᵀ.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	tensor.MatMulATBAcc(d.dwView.View(d.W.Grad, d.In, d.Out), d.x, grad)
-
-	d.db = tensor.EnsureVector(d.db, d.Out)
-	grad.SumColumns(d.db)
-	d.B.Grad.Add(d.db)
+	tensor.MatMulATB(d.dwView.View(d.W.Grad, d.In, d.Out), d.x, grad)
+	grad.SumColumns(d.B.Grad)
 	if d.noDX {
 		return nil
 	}

@@ -58,9 +58,11 @@ func (e *Embedding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// Backward scatters gradients back into the table rows; the returned input
-// gradient is zero (token ids are not differentiable).
+// Backward scatters gradients into the table rows, cleared first (a token
+// may occur many times, and a row no token hit has gradient zero); the
+// returned input gradient is zero (token ids are not differentiable).
 func (e *Embedding) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	e.Table.Grad.Zero()
 	for n := 0; n < grad.Rows; n++ {
 		g := grad.Row(n)
 		for t := 0; t < e.T; t++ {

@@ -19,7 +19,6 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Matrix, tol float64) {
 	c := tensor.NewMatrix(y.Rows, y.Cols)
 	rng.NormVector(c.Data, 0, 1)
 
-	ZeroGrads(l.Params())
 	dx := l.Backward(c)
 
 	lossAt := func() float64 {

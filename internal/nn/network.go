@@ -42,9 +42,10 @@ func (s ModelSpec) RowsPerExample() int {
 type Network interface {
 	// Params returns the model parameters in a stable order.
 	Params() []*Param
-	// ComputeGradients zeroes the gradient accumulators, runs
-	// forward+backward on the batch and returns the mean loss and the
-	// number of correctly predicted rows (top-1).
+	// ComputeGradients runs forward+backward on the batch — each layer
+	// writes its gradient, so the arena holds this batch's gradient alone —
+	// and returns the mean loss and the number of correctly predicted rows
+	// (top-1).
 	ComputeGradients(x *tensor.Matrix, labels []int) (loss float64, correct int)
 	// Evaluate runs a forward pass only and returns mean loss and correct
 	// predictions under the model's configured metric (TopK).
@@ -62,13 +63,16 @@ type Network interface {
 // GradScheduler is implemented by networks that can report backward-pass
 // progress: SetGradHook installs a callback invoked after each layer's
 // backward step with the lowest arena offset whose gradient is final —
-// once the hook reports low, every gradient in [low, Dim) is fully
-// accumulated and safe to read concurrently (with the store/load ordering
-// the caller arranges). LayerSpans returns each layer's starting arena
-// offset in ascending order (first element 0), the natural cut points for
-// communication buckets. The comm/compute overlap path is built on this
-// pair: buckets of the flat gradient launch their collective as the
-// backward pass releases them.
+// once the hook reports low, every gradient in [low, Dim) is written and
+// no later layer touches it, so it may be read (and the parameters over it
+// updated) while the backward pass goes on. LayerSpans returns each layer's
+// starting arena offset in ascending order (first element 0).
+//
+// The training runner's per-block work is the main consumer: on a step
+// whose policy lets it, each worker takes a block's Δ(g_i) norm and applies
+// its own optimizer update to the block as soon as the hook releases it,
+// while the block is still in cache. The comm/compute overlap path reads the
+// same progress to launch gradient buckets early, cut at LayerSpans.
 type GradScheduler interface {
 	SetGradHook(func(low int))
 	LayerSpans() []int
@@ -99,12 +103,29 @@ type FeedForwardNet struct {
 	gradHook  func(low int)
 }
 
+// SharedParamError is NewFeedForwardNet's panic value for a parameter that
+// appears twice in the network: its layers write their gradients rather
+// than add to them, so a shared parameter would keep only one use's.
+type SharedParamError struct{ Name string }
+
+func (e *SharedParamError) Error() string {
+	return fmt.Sprintf("nn: parameter %q appears more than once in the network; shared parameters are not supported", e.Name)
+}
+
 // NewFeedForwardNet wraps a Sequential with its spec, caching the parameter
 // list and re-homing it into one contiguous Arena. Binding happens here —
 // network-build time — so every downstream consumer (optimizers, the
-// cluster exchange path) sees the contiguous layout from the first step.
+// cluster exchange path) sees the contiguous layout from the first step. A
+// parameter listed twice panics with a *SharedParamError.
 func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 	params := seq.Params()
+	seen := make(map[*Param]bool, len(params))
+	for _, p := range params {
+		if seen[p] {
+			panic(&SharedParamError{Name: p.Name})
+		}
+		seen[p] = true
+	}
 	f := &FeedForwardNet{Seq: seq, spec: spec, params: params, arena: BindArena(params)}
 	if len(seq.Layers) > 0 {
 		if first, ok := seq.Layers[0].(inputGradSkipper); ok {
@@ -183,14 +204,15 @@ func (f *FeedForwardNet) Arena() *Arena { return f.arena }
 // Spec returns the model descriptor.
 func (f *FeedForwardNet) Spec() ModelSpec { return f.spec }
 
-// ComputeGradients runs forward and backward in training mode. With a grad
+// ComputeGradients runs forward and backward in training mode. Every layer
+// writes its own gradient window, so nothing is cleared first. With a grad
 // hook installed the backward chain runs layer by layer here — the same
 // calls in the same order as Sequential.Backward, so the arithmetic is
 // bit-identical — firing the hook after each layer with its arena offset:
-// no layer's backward ever touches another layer's gradients, so once
-// layer i finishes, everything at offset layerOffs[i] and above is final.
+// no layer's backward ever touches another layer's gradients or parameters,
+// so once layer i finishes, everything at offset layerOffs[i] and above is
+// final.
 func (f *FeedForwardNet) ComputeGradients(x *tensor.Matrix, labels []int) (float64, int) {
-	f.arena.ZeroGrad()
 	logits := f.Seq.Forward(x, true)
 	f.gradBuf = tensor.EnsureMatrix(f.gradBuf, logits.Rows, logits.Cols)
 	loss, correct := f.loss.LossInto(f.gradBuf, logits, labels)

@@ -16,7 +16,7 @@ import (
 	"selsync/internal/tensor"
 )
 
-// Param is one named, flat parameter tensor with its gradient accumulator.
+// Param is one named, flat parameter tensor with its gradient.
 // Layers hold structured views (matrices) over Data; aggregation code only
 // ever sees the flat slices.
 type Param struct {
@@ -33,9 +33,10 @@ func NewParam(name string, n int) *Param {
 // Layer is a differentiable module. Forward consumes a row-major batch
 // matrix and returns the output batch; Backward consumes the gradient of
 // the loss with respect to the output and returns the gradient with respect
-// to the input, accumulating parameter gradients into Params along the way.
-// Backward must be called after the matching Forward (layers cache
-// activations between the two).
+// to the input, writing each of its Params' gradients along the way: the
+// batch's gradient replaces whatever the window held, so nobody clears
+// gradients between steps. Backward must be called after the matching
+// training-mode Forward (layers cache activations between the two).
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix
@@ -84,8 +85,8 @@ func (s *Sequential) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // Params returns the concatenated parameter list of all layers, in layer
 // order. The order is deterministic, which keeps flattened vectors
 // compatible across worker replicas. The list is memoized — it is read on
-// every training step (per worker, via Tracker.ObserveParams) and the
-// layer set never changes after construction.
+// every training step (per worker, by the gradient-norm observation) and
+// the layer set never changes after construction.
 func (s *Sequential) Params() []*Param {
 	if s.params == nil {
 		s.params = s.collectParams()
@@ -132,13 +133,6 @@ func FlattenGrads(ps []*Param, dst tensor.Vector) {
 // wrong length.
 func SetGrads(ps []*Param, src tensor.Vector) {
 	unflatten(ps, src, func(p *Param) tensor.Vector { return p.Grad })
-}
-
-// ZeroGrads clears every gradient accumulator.
-func ZeroGrads(ps []*Param) {
-	for _, p := range ps {
-		p.Grad.Zero()
-	}
 }
 
 // GradNorm2 returns the squared L2 norm of the full flattened gradient —

@@ -49,9 +49,18 @@ func TestGradFlattenAndZero(t *testing.T) {
 			t.Fatal("grad round trip failed")
 		}
 	}
-	ZeroGrads(ps)
+	zeroGrads(ps)
 	if GradNorm2(ps) != 0 {
-		t.Fatal("ZeroGrads left non-zero gradient")
+		t.Fatal("zeroGrads left non-zero gradient")
+	}
+}
+
+// zeroGrads clears every gradient in ps. Layers write their gradients in
+// Backward, so nothing in the package clears them; tests that set gradients
+// by hand use this.
+func zeroGrads(ps []*Param) {
+	for _, p := range ps {
+		p.Grad.Zero()
 	}
 }
 

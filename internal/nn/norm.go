@@ -47,8 +47,7 @@ func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		mu := row.Mean()
-		variance := row.Variance()
-		inv := 1 / math.Sqrt(variance+l.Eps)
+		inv := 1 / math.Sqrt(row.VarianceAbout(mu)+l.Eps)
 		l.invStd[i] = inv
 		xh := l.xhat.Row(i)
 		out := y.Row(i)
@@ -63,9 +62,12 @@ func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward implements the standard LayerNorm gradient:
 // dx = invStd/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat⊙xhat)) with
-// dxhat = dy⊙g, plus gain/bias gradient accumulation.
+// dxhat = dy⊙g. The gain/bias gradients are sums over rows, so their
+// windows are cleared first, while they are about to be hot anyway.
 func (l *LayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	n := float64(l.Dim)
+	l.G.Grad.Zero()
+	l.B.Grad.Zero()
 	l.dx = tensor.EnsureMatrix(l.dx, grad.Rows, grad.Cols)
 	dx := l.dx
 	for i := 0; i < grad.Rows; i++ {

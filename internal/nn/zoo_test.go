@@ -146,7 +146,7 @@ func TestComputeGradientsZeroesFirst(t *testing.T) {
 	FlattenGrads(net.Params(), g2)
 	for i := range g1 {
 		if math.Abs(g1[i]-g2[i]) > 1e-12 {
-			t.Fatal("ComputeGradients must zero accumulators between calls")
+			t.Fatal("ComputeGradients must write the batch's gradient, not add to the last one")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"selsync/internal/nn"
@@ -213,6 +214,68 @@ func TestFallbackMatchesFused(t *testing.T) {
 		nn.FlattenParams(bound, fb)
 		if i, ok := trajectoryClose(fl, fb); !ok {
 			t.Fatalf("%s: fallback and fused disagree at %d: %g vs %g", mk.name, i, fl[i], fb[i])
+		}
+	}
+}
+
+// TestStepRangeTilesMatchStep: one step's update applied block by block, the
+// blocks in descending order (the order a backward pass releases them) and
+// cut anywhere, leaves parameters and optimizer state bit-identical to Step
+// over the whole arena — for SGD and Adam, arena-bound and loose parameters,
+// over several steps, so Adam's step count must advance once per step.
+func TestStepRangeTilesMatchStep(t *testing.T) {
+	sizes := []int{5, 17, 64, 3, 9}
+	mkParams := func(bind bool) []*nn.Param {
+		ps := make([]*nn.Param, len(sizes))
+		r := tensor.NewRNG(6)
+		for i, n := range sizes {
+			ps[i] = nn.NewParam("p", n)
+			r.NormVector(ps[i].Data, 0, 1)
+		}
+		if bind {
+			nn.BindArena(ps)
+		}
+		return ps
+	}
+	type ranged interface {
+		Optimizer
+		Checkpointable
+	}
+	for _, mk := range []struct {
+		name  string
+		build func(ps []*nn.Param) ranged
+	}{
+		{"SGD", func(ps []*nn.Param) ranged { return NewSGD(ps, 0.9, 1e-3) }},
+		{"Adam", func(ps []*nn.Param) ranged { return NewAdam(ps) }},
+	} {
+		for _, bind := range []bool{true, false} {
+			whole, blocks := mkParams(bind), mkParams(bind)
+			ow, ob := mk.build(whole), mk.build(blocks)
+			dim := nn.ParamCount(whole)
+			rng := tensor.NewRNG(7)
+			g := tensor.NewVector(dim)
+			for step := 0; step < 6; step++ {
+				rng.NormVector(g, 0, 1e-2)
+				nn.SetGrads(whole, g)
+				nn.SetGrads(blocks, g)
+				ow.Step(0.05)
+				for hi := dim; hi > 0; {
+					lo := max(0, hi-1-rng.Intn(30))
+					ob.StepRange(0.05, lo, hi)
+					hi = lo
+				}
+			}
+			fw, fb := tensor.NewVector(dim), tensor.NewVector(dim)
+			nn.FlattenParams(whole, fw)
+			nn.FlattenParams(blocks, fb)
+			for i := range fw {
+				if math.Float64bits(fw[i]) != math.Float64bits(fb[i]) {
+					t.Fatalf("%s bind=%v: element %d is %v after Step, %v after ranges", mk.name, bind, i, fw[i], fb[i])
+				}
+			}
+			if !reflect.DeepEqual(ow.State(), ob.State()) {
+				t.Fatalf("%s bind=%v: optimizer state differs between Step and ranges", mk.name, bind)
+			}
 		}
 	}
 }

@@ -6,11 +6,14 @@
 // Optimizers operate on nn.Param lists in place, holding their state
 // (momentum buffers, Adam moments) in single flat vectors laid out like
 // the parameter arena. When the parameters are arena-contiguous
-// (nn.ArenaView), a step is one fused SIMD pass over the whole model;
-// otherwise the same kernels run per parameter window. Each worker replica
-// owns a private optimizer instance; optimizer state is deliberately *not*
-// synchronized between workers — matching the paper's setup, where only
-// gradients or parameters cross the network.
+// (nn.ArenaView), an update is one fused SIMD pass over the arena; otherwise
+// the same kernels run per parameter window. Updates are elementwise, so
+// every Optimizer also steps a range of the arena (StepRange): the training
+// runner applies a worker's own update to each block of the arena
+// as the backward pass finishes it, and the blocks together give Step's
+// bits. Each worker replica owns a private optimizer instance; optimizer
+// state is deliberately *not* synchronized between workers — matching the
+// paper's setup, where only gradients or parameters cross the network.
 package opt
 
 import (
@@ -22,10 +25,17 @@ import (
 )
 
 // Optimizer applies one update step from the gradients currently stored in
-// the parameter list it was built over.
+// the parameter list it was built over. Its update treats every element of
+// the flat parameter layout on its own, so a step can be applied range by
+// range.
 type Optimizer interface {
 	// Step applies the update using the given learning rate.
 	Step(lr float64)
+	// StepRange applies one step's update to the elements [lo, hi) of the
+	// flat parameter layout. The ranges of one step must tile [0, Dim) once
+	// each before the next step's first range, in any order; together they
+	// are Step(lr) bit for bit.
+	StepRange(lr float64, lo, hi int)
 	// Reset clears internal state (momentum/moment buffers).
 	Reset()
 }
@@ -58,8 +68,8 @@ type Checkpointable interface {
 //
 // Momentum state lives in one flat buffer spanning every parameter. When
 // the parameter list is arena-contiguous (nn.BindArena's layout — every
-// zoo model), Step is a single fused tensor.SGDMomentum pass over the
-// whole arena; otherwise it falls back to the same kernel applied per
+// zoo model), a step is a single fused tensor.SGDMomentum pass over the
+// arena range; otherwise it falls back to the same kernel applied per
 // parameter window.
 type SGD struct {
 	Params      []*nn.Param
@@ -82,15 +92,21 @@ func NewSGD(params []*nn.Param, momentum, weightDecay float64) *SGD {
 	return s
 }
 
-// Step applies one SGD update.
-func (s *SGD) Step(lr float64) {
+// Step applies one SGD update: StepRange over the whole arena.
+func (s *SGD) Step(lr float64) { s.StepRange(lr, 0, len(s.velocity)) }
+
+// StepRange implements Optimizer.
+func (s *SGD) StepRange(lr float64, lo, hi int) {
 	if s.fused {
-		tensor.SGDMomentum(s.data, s.grad, s.velocity, lr, s.Momentum, s.WeightDecay)
+		tensor.SGDMomentum(s.data[lo:hi], s.grad[lo:hi], s.velocity[lo:hi], lr, s.Momentum, s.WeightDecay)
 		return
 	}
 	for i, p := range s.Params {
-		v := s.velocity[s.offsets[i]:s.offsets[i+1]]
-		tensor.SGDMomentum(p.Data, p.Grad, v, lr, s.Momentum, s.WeightDecay)
+		off := s.offsets[i]
+		a, b := max(lo, off), min(hi, s.offsets[i+1])
+		if a < b {
+			tensor.SGDMomentum(p.Data[a-off:b-off], p.Grad[a-off:b-off], s.velocity[a:b], lr, s.Momentum, s.WeightDecay)
+		}
 	}
 }
 
@@ -119,7 +135,7 @@ func (s *SGD) Reset() {
 
 // Adam is the Adam optimizer (Kingma & Ba, 2014) with bias correction.
 // Like SGD, both moment buffers are single flat vectors and the update is
-// one fused tensor.AdamUpdate pass over the whole arena when the parameter
+// one fused tensor.AdamUpdate pass over the arena range when the parameter
 // list is contiguous.
 type Adam struct {
 	Params []*nn.Param
@@ -133,6 +149,12 @@ type Adam struct {
 	grad    tensor.Vector
 	fused   bool
 	t       int
+
+	// The step in progress: its bias-correction factors, and how many
+	// elements its ranges have yet to cover (0 between steps, where the
+	// next range opens a new step and advances t).
+	c1, c2  float64
+	pending int
 }
 
 // NewAdam builds an Adam optimizer with the canonical defaults
@@ -145,19 +167,29 @@ func NewAdam(params []*nn.Param) *Adam {
 	return a
 }
 
-// Step applies one Adam update.
-func (a *Adam) Step(lr float64) {
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+// Step applies one Adam update: StepRange over the whole arena.
+func (a *Adam) Step(lr float64) { a.StepRange(lr, 0, len(a.m)) }
+
+// StepRange implements Optimizer. The step count behind the bias
+// correction advances once per step, at the step's first range.
+func (a *Adam) StepRange(lr float64, lo, hi int) {
+	if a.pending == 0 {
+		a.t++
+		a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+		a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
+		a.pending = len(a.m)
+	}
+	a.pending -= hi - lo
 	if a.fused {
-		tensor.AdamUpdate(a.data, a.grad, a.m, a.v, lr, a.Beta1, a.Beta2, a.Eps, c1, c2)
+		tensor.AdamUpdate(a.data[lo:hi], a.grad[lo:hi], a.m[lo:hi], a.v[lo:hi], lr, a.Beta1, a.Beta2, a.Eps, a.c1, a.c2)
 		return
 	}
 	for i, p := range a.Params {
-		m := a.m[a.offsets[i]:a.offsets[i+1]]
-		v := a.v[a.offsets[i]:a.offsets[i+1]]
-		tensor.AdamUpdate(p.Data, p.Grad, m, v, lr, a.Beta1, a.Beta2, a.Eps, c1, c2)
+		off := a.offsets[i]
+		l, h := max(lo, off), min(hi, a.offsets[i+1])
+		if l < h {
+			tensor.AdamUpdate(p.Data[l-off:h-off], p.Grad[l-off:h-off], a.m[l:h], a.v[l:h], lr, a.Beta1, a.Beta2, a.Eps, a.c1, a.c2)
+		}
 	}
 }
 
@@ -180,7 +212,7 @@ func (a *Adam) SetState(st State) error {
 	}
 	copy(a.m, st.Vectors[0])
 	copy(a.v, st.Vectors[1])
-	a.t = st.Step
+	a.t, a.pending = st.Step, 0
 	return nil
 }
 
@@ -195,7 +227,7 @@ func (a *Adam) Reset() {
 		a.m.Zero()
 		a.v.Zero()
 	}
-	a.t = 0
+	a.t, a.pending = 0, 0
 }
 
 // paramOffsets returns the prefix-sum offsets of each parameter's window

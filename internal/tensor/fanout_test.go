@@ -85,14 +85,16 @@ func TestFannedKernelsBitEqualSerial(t *testing.T) {
 					t.Errorf("procs=%d MatMulABT(acc=%v) %+v differs from the serial kernel", procs, acc, s)
 				}
 			}
-			// MatMulATBAcc: dst(rows×cols) += x(k×rows)ᵀ × y(k×cols).
+			// MatMulATB(Acc): dst(rows×cols) (+)= x(k×rows)ᵀ × y(k×cols).
 			x, y := randomMatrix(rng, s.k, s.rows), randomMatrix(rng, s.k, s.cols)
-			rng.NormVector(got.Data, 0, 1)
-			want.Data.CopyFrom(got.Data)
-			MatMulATBAcc(got, x, y)
-			accumulateATB(want, x, y, 0, s.rows)
-			if !bitEqual(got.Data, want.Data) {
-				t.Errorf("procs=%d MatMulATBAcc %+v differs from the serial kernel", procs, s)
+			for _, acc := range []bool{false, true} {
+				rng.NormVector(got.Data, 0, 1)
+				want.Data.CopyFrom(got.Data)
+				matMulATB(got, x, y, acc)
+				matMulATBRange(want, x, y, 0, s.rows, acc)
+				if !bitEqual(got.Data, want.Data) {
+					t.Errorf("procs=%d MatMulATB(acc=%v) %+v differs from the serial kernel", procs, acc, s)
+				}
 			}
 		}
 		for _, n := range vecLens {

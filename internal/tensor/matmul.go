@@ -121,37 +121,37 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 }
 
 // MatMulATB computes dst = aᵀ × b without materializing the transpose.
-// Shapes: a is (n × p), b is (n × q), dst is (p × q).
-func MatMulATB(dst, a, b *Matrix) {
-	dst.Zero()
-	MatMulATBAcc(dst, a, b)
-}
+// Shapes: a is (n × p), b is (n × q), dst is (p × q). It is how layers write
+// a weight gradient: dst's old contents are never read, and the result is
+// MatMulATBAcc's into a zeroed dst bit for bit (the tile's accumulators and
+// gemmRows' rows both start from +0).
+func MatMulATB(dst, a, b *Matrix) { matMulATB(dst, a, b, false) }
 
-// MatMulATBAcc computes dst += aᵀ × b: the accumulating form layers use to
-// fold weight gradients straight into the Param.Grad accumulators without a
-// private scratch matrix and the extra zero+add passes it would cost.
+// MatMulATBAcc computes dst += aᵀ × b.
 //
 // Large products are partitioned by dst row, never along the shared n
 // dimension: dst row i receives a[n][i]·b[n] for n ascending whichever
 // goroutine owns it, so there is no cross-goroutine sum and the result is
 // the serial loop's bit for bit at any GOMAXPROCS. The call allocates
 // nothing on either path.
-func MatMulATBAcc(dst, a, b *Matrix) {
+func MatMulATBAcc(dst, a, b *Matrix) { matMulATB(dst, a, b, true) }
+
+func matMulATB(dst, a, b *Matrix, acc bool) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols || dst.short() || a.short() || b.short() {
 		panic("tensor: MatMulATB shape mismatch")
 	}
 	if t := fanFor(dst.Rows, dst.Rows*dst.Cols*a.Rows); t != nil {
-		t.kern, t.dst, t.a, t.b = kernMatMulATB, dst, a, b
+		t.kern, t.dst, t.a, t.b, t.acc = kernMatMulATB, dst, a, b, acc
 		t.fan(dst.Rows, t.rowGrain(dst.Rows))
 		return
 	}
-	accumulateATB(dst, a, b, 0, dst.Rows)
+	matMulATBRange(dst, a, b, 0, dst.Rows, acc)
 }
 
-// accumulateATB adds aᵀ×b into dst rows [lo, hi): MatMul's loop with a read
-// down its columns and the accumulators starting from dst.
-func accumulateATB(dst, a, b *Matrix, lo, hi int) {
-	gemmRange(dst, a.Data, 1, a.Cols, a.Rows, b, lo, hi, true)
+// matMulATBRange computes dst rows [lo, hi) of aᵀ×b, added to dst under acc:
+// MatMul's loop with a read down its columns.
+func matMulATBRange(dst, a, b *Matrix, lo, hi int, acc bool) {
+	gemmRange(dst, a.Data, 1, a.Cols, a.Rows, b, lo, hi, acc)
 }
 
 // gemmRange computes rows [lo, hi) of the product MatMul and MatMulATBAcc
@@ -306,7 +306,7 @@ const (
 type fanTask struct {
 	kern      rangeKernel
 	dst, a, b *Matrix // matrix kernels
-	acc       bool    // kernMatMulABT: accumulate into dst
+	acc       bool    // kernMatMulATB, kernMatMulABT: accumulate into dst
 	vec       Vector  // kernCombine: dst; kernCopyAll: src
 	vs        []Vector
 	w         []float64
@@ -426,7 +426,7 @@ func (t *fanTask) drain() {
 		case kernMatMul:
 			matMulRange(t.dst, t.a, t.b, lo, hi)
 		case kernMatMulATB:
-			accumulateATB(t.dst, t.a, t.b, lo, hi)
+			matMulATBRange(t.dst, t.a, t.b, lo, hi, t.acc)
 		case kernMatMulABT:
 			matMulABTRange(t.dst, t.a, t.b, lo, hi, t.acc)
 		case kernCombine:

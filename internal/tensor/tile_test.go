@@ -111,21 +111,24 @@ func checkTiledGEMM(t *testing.T, ops *gemmOperands, rows, cols, k, lo, hi int, 
 		check(fmt.Sprintf("MatMulABT(acc=%v)", acc))
 	}
 
-	// dst (+)= xᵀ × b: x is k×rows.
+	// dst (+)= xᵀ × b: x is k×rows. The overwriting form must equal the
+	// accumulating one into zeroed rows, bit for bit.
 	x := place(ops.a, k, rows, atEnd, atv)
 	b = place(ops.b, k, cols, !atEnd, bv)
-	if full {
-		MatMulATBAcc(dst, x, b)
-	} else {
-		accumulateATB(dst, x, b, lo, hi)
-	}
-	gemmRows(want, atv, 1, rows, k, &Matrix{Rows: k, Cols: cols, Data: bv}, lo, hi, 0, true)
-	check("MatMulATBAcc")
-	if full {
-		MatMulATB(dst, x, b)
-		want.Zero()
+	for _, acc := range []bool{false, true} {
+		switch {
+		case !full:
+			matMulATBRange(dst, x, b, lo, hi, acc)
+		case acc:
+			MatMulATBAcc(dst, x, b)
+		default:
+			MatMulATB(dst, x, b)
+		}
+		if !acc {
+			want.Data[lo*cols : hi*cols].Zero()
+		}
 		gemmRows(want, atv, 1, rows, k, &Matrix{Rows: k, Cols: cols, Data: bv}, lo, hi, 0, true)
-		check("MatMulATB")
+		check(fmt.Sprintf("MatMulATB(acc=%v)", acc))
 	}
 }
 

@@ -165,11 +165,14 @@ func (v Vector) Mean() float64 {
 
 // Variance returns the population variance of v, or 0 for vectors with
 // fewer than one element.
-func (v Vector) Variance() float64 {
+func (v Vector) Variance() float64 { return v.VarianceAbout(v.Mean()) }
+
+// VarianceAbout returns the mean squared deviation of v from m — Variance,
+// for a caller that already holds v's Mean — or 0 for an empty vector.
+func (v Vector) VarianceAbout(m float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	m := v.Mean()
 	var s float64
 	for _, x := range v {
 		d := x - m

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"selsync/internal/cluster"
+	"selsync/internal/data"
+	"selsync/internal/nn"
+	"selsync/internal/opt"
 )
 
 // undeclared hides a policy's Preschedulable side — and nothing else: the
@@ -138,4 +141,113 @@ func TestCompositesPlanForTheDecidingPolicy(t *testing.T) {
 	if after := sched.CheckpointState(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("PlanStep moved the schedule's cursor: %+v → %+v", before, after)
 	}
+}
+
+// hookless hides a network's GradScheduler side — and nothing else — so its
+// worker reports no gradient block during the backward pass and does each
+// step's tracker and update work over the whole arena after it.
+type hookless struct{ nn.Network }
+
+// TestBlockApplyMatchesWholeStep: taking each block's Δ(g_i) norm and
+// applying the worker's own update to it inside the backward pass moves
+// work, never results. For every zoo model, both optimizer families and
+// every built-in way a step can end, a run whose networks report their
+// blocks and a run whose networks hide the hook end in DeepEqual Results
+// and DeepEqual checkpoints: parameters, velocity or moments, trackers.
+func TestBlockApplyMatchesWholeStep(t *testing.T) {
+	selsync := func(mode cluster.AggMode) func() SyncPolicy {
+		return func() SyncPolicy { return SelSyncPolicy{Delta: 0.01, Mode: mode} }
+	}
+	policies := []struct {
+		name   string
+		policy func() SyncPolicy
+	}{
+		{"selsync-pa", selsync(cluster.ParamAgg)},
+		{"selsync-ga", selsync(cluster.GradAgg)},
+		{"local", func() SyncPolicy { return LocalSGDPolicy{} }},
+		{"fedavg", func() SyncPolicy { return &FedAvgPolicy{C: 0.5, E: 0.5} }},
+		{"bsp", func() SyncPolicy { return BSPPolicy{} }},
+		{"bsp:3,selsync", func() SyncPolicy {
+			p, err := ParseSchedule("bsp:3,selsync", func(name string) (SyncPolicy, error) {
+				if name == "bsp" {
+					return BSPPolicy{}, nil
+				}
+				return selsync(cluster.ParamAgg)(), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+	}
+	optimizers := map[string]cluster.OptBuilder{
+		"sgd":  func(ps []*nn.Param) opt.Optimizer { return opt.NewSGD(ps, 0.9, 4e-4) },
+		"adam": func(ps []*nn.Param) opt.Optimizer { return opt.NewAdam(ps) },
+	}
+	for _, model := range nn.ZooNames() {
+		for _, optName := range []string{"sgd", "adam"} {
+			for _, pc := range policies {
+				t.Run(model+"/"+optName+"/"+pc.name, func(t *testing.T) {
+					run := func(hide bool) (*Result, *Checkpoint) {
+						cfg := blockTestConfig(model)
+						cfg.Opt = optimizers[optName]
+						policy := pc.policy()
+						r := newRunner(cfg, "probe", false)
+						if hide {
+							for _, w := range r.cl.Workers {
+								w.Model.(nn.GradScheduler).SetGradHook(nil)
+								w.Model = hookless{w.Model}
+							}
+						}
+						next, _, err := newEngine(r, policy).run(0, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ck, err := captureCheckpoint(r, policy, next)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// The last step's blocks: all reported by the hook, or
+						// none — the run is not comparing a path with itself.
+						want := int64(0)
+						if hide {
+							want = int64(r.cl.Dim())
+						}
+						for _, w := range r.cl.Workers {
+							if got := r.blocks[w.ID].final.Load(); got != want {
+								t.Fatalf("hide=%v: worker %d's backward pass reported offset %d final, want %d", hide, w.ID, got, want)
+							}
+						}
+						return r.finish(), ck
+					}
+					res, ck := run(false)
+					wantRes, wantCk := run(true)
+					if !reflect.DeepEqual(res, wantRes) {
+						t.Fatalf("Results differ:\n   blocks: %+v\n   whole: %+v", res, wantRes)
+					}
+					if !reflect.DeepEqual(ck, wantCk) {
+						t.Fatal("checkpoints differ between the per-block and the whole-arena run")
+					}
+				})
+			}
+		}
+	}
+}
+
+// blockTestConfig is a short 2-worker run of a zoo model on its own kind of
+// data, evaluated once mid-run and once at the end.
+func blockTestConfig(model string) Config {
+	f := nn.Zoo()[model]
+	cfg := smallConfig(61)
+	cfg.Model, cfg.Workers, cfg.Batch = f, 2, 8
+	cfg.MaxSteps, cfg.EvalEvery = 10, 5
+	cfg.TrackDeltas = true
+	if f.Spec.SeqLen > 0 {
+		g := data.NewTextGen(nn.LMVocab, 6, 1e2, 61)
+		cfg.Train, cfg.Test = g.Dataset("train", 128, nn.LMSeqLen), g.Dataset("test", 32, nn.LMSeqLen)
+	} else {
+		g := data.NewImageGen(f.Spec.Classes, 1.2, 1.0, 3e3, 61)
+		cfg.Train, cfg.Test = g.Dataset("train", 256), g.Dataset("test", 64)
+	}
+	return cfg
 }

@@ -95,6 +95,66 @@ func TestDegradedModeDigestEquality(t *testing.T) {
 	}
 }
 
+// TestDegradedModeDigestEqualityLocalSGD is the churn plan under LocalSGD,
+// whose every step applies each worker's update block by block inside its
+// backward pass: the replica rebuilt for the departed rank's worker — adopted
+// by rank 0 on a mesh, reset in place on loopback — must report its blocks
+// like every other, and the digest must not depend on the fabric.
+func TestDegradedModeDigestEqualityLocalSGD(t *testing.T) {
+	const procs, probeStep = 4, 15 // rank 2 is away for steps 10–23
+	mkCfg := func() Config { return elasticCfg(133, churnPlan) }
+	// blockReporters lists, at probeStep, the hosted workers whose backward
+	// pass reported every block through the hook.
+	blockReporters := func(job **Job, out *[]int) Option {
+		return WithObserver(ObserverFunc(func(e Event) {
+			if se, ok := e.(StepEvent); ok && se.Step == probeStep {
+				r := (*job).r
+				for _, w := range r.cl.Workers {
+					if r.blocks[w.ID].final.Load() == 0 {
+						*out = append(*out, w.ID)
+					}
+				}
+			}
+		}))
+	}
+
+	var lbJob *Job
+	var lbHooked []int
+	lbJob = NewJob(mkCfg(), LocalSGDPolicy{}, blockReporters(&lbJob, &lbHooked))
+	want, err := lbJob.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lbHooked, []int{0, 1, 2, 3}) {
+		t.Fatalf("loopback: workers reporting blocks at step %d = %v, want all four (worker 2 rebuilt)", probeStep, lbHooked)
+	}
+
+	hooked := make([][]int, procs)
+	results, _ := commtest.RunRanksOpts(t, procs, 4, commtest.Options{}, func(rank int, fabric comm.Fabric) *Result {
+		cfg := mkCfg()
+		cfg.Fabric = fabric
+		var job *Job
+		opts := []Option{blockReporters(&job, &hooked[rank])}
+		if rank == 2 {
+			opts = append(opts, WithRejoin())
+		}
+		job = NewJob(cfg, LocalSGDPolicy{}, opts...)
+		res, err := job.Run(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		return res
+	})
+	for rank, got := range results {
+		if got.Digest() != want.Digest() {
+			t.Fatalf("rank %d LocalSGD degraded digest %s != loopback %s", rank, got.Digest(), want.Digest())
+		}
+	}
+	if !reflect.DeepEqual(hooked[0], []int{0, 2}) {
+		t.Fatalf("rank 0: workers reporting blocks at step %d = %v, want [0 2] (worker 2 adopted)", probeStep, hooked[0])
+	}
+}
+
 // TestPermanentDepartureContinuesOverSurvivors: a plan that never readmits
 // the departed rank. The departing rank exits cleanly with ErrRankLeft and
 // a partial Result; the survivors run to completion and stay bit-identical

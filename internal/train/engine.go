@@ -3,7 +3,6 @@ package train
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"selsync/internal/cluster"
 	"selsync/internal/tensor"
@@ -31,11 +30,9 @@ type engine struct {
 
 	// Comm/compute overlap state (overlap.go); all zero without
 	// Config.Overlap. buckets is the layer-aligned tiling of the flat
-	// gradient, wm the per-hosted-worker backward-progress watermarks,
-	// waitFn the bucket gate (nil on a single process, where compute runs
-	// first).
+	// gradient, waitFn the bucket gate (nil on a single process, where
+	// compute runs first).
 	buckets [][2]int
-	wm      []atomic.Int64
 	waitFn  func(bucket int)
 }
 
@@ -112,12 +109,12 @@ func (e *engine) run(start int, j *Job) (next int, cancelled bool, err error) {
 }
 
 // step executes one training step: draw batches, ask the policy what it
-// knows already, compute gradients (each worker feeding its tracker and
-// applying its own update right behind them, where the plan allows), ask the
-// policy, execute its action, evaluate on cadence. Reports true when the run
-// should stop. A fabric failure anywhere in the step — the policy's vote
-// exchange, the synchronization round, the evaluation reduction — aborts
-// the step and surfaces the typed error.
+// knows already, compute gradients (each worker taking its tracker's norm
+// and applying its own update block by block inside the backward pass,
+// where the plan allows), ask the policy, execute its action, evaluate on
+// cadence. Reports true when the run should stop. A fabric failure anywhere
+// in the step — the policy's vote exchange, the synchronization round, the
+// evaluation reduction — aborts the step and surfaces the typed error.
 func (e *engine) step(step int) (stop bool, err error) {
 	r := e.r
 	e.lr = r.lr(step)
@@ -128,6 +125,7 @@ func (e *engine) step(step int) (stop bool, err error) {
 	if e.presched != nil {
 		r.plan = e.presched.PlanStep(step)
 	}
+	r.work = blockWork{observe: r.plan.Observe, apply: r.plan.LocalFirst}
 	var act Action
 	// Overlap runs only on steps the policy commits to gradient aggregation
 	// before gradients exist: the bucketed collective then runs alongside

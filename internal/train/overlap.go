@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"selsync/internal/nn"
 )
@@ -14,9 +13,10 @@ import (
 // StepPlan) the engine
 // starts the bucketed collective while the backward pass is still
 // producing gradients. Buckets are processed in descending index order —
-// the order the backward pass finalizes layers — and a per-worker atomic
-// watermark (the lowest arena offset whose gradient is final, maintained
-// by the nn.GradScheduler hook) gates each bucket's launch.
+// the order the backward pass finalizes layers — and each hosted worker's
+// block progress (workerBlocks.final, the lowest arena offset whose gradient
+// is final, which the runner's nn.GradScheduler hook maintains) gates each
+// bucket's launch.
 //
 // On a single process the compute runs first and the bucketed collective
 // follows with no wait: shared memory has no transfer to overlap, and the
@@ -30,25 +30,17 @@ import (
 const overlapBucketBytes = 256 << 10
 
 // initOverlap wires the overlap machinery: the bucket tiling from the
-// model's layer spans, and (on a mesh) one watermark-updating grad hook per
-// hosted worker.
+// model's layer spans, and (on a mesh) the bucket gate over the hosted
+// workers' block progress.
 func (e *engine) initOverlap() {
 	r := e.r
-	gs, ok := r.cl.Workers[0].Model.(nn.GradScheduler)
-	if !ok {
-		panic(fmt.Sprintf("train: Config.Overlap requires a model implementing nn.GradScheduler; %T does not", r.cl.Workers[0].Model))
-	}
-	e.buckets = planBuckets(gs.LayerSpans(), r.cl.Dim(), overlapBucketBytes/8)
-	if r.cl.Procs() > 1 {
-		e.wm = make([]atomic.Int64, len(r.cl.Workers))
-		for i, w := range r.cl.Workers {
-			ws, ok := w.Model.(nn.GradScheduler)
-			if !ok {
-				panic(fmt.Sprintf("train: Config.Overlap requires a model implementing nn.GradScheduler; %T does not", w.Model))
-			}
-			wm := &e.wm[i]
-			ws.SetGradHook(func(low int) { wm.Store(int64(low)) })
+	for _, w := range r.cl.Workers {
+		if _, ok := w.Model.(nn.GradScheduler); !ok {
+			panic(fmt.Sprintf("train: Config.Overlap requires a model implementing nn.GradScheduler; %T does not", w.Model))
 		}
+	}
+	e.buckets = planBuckets(r.cl.Workers[0].Model.(nn.GradScheduler).LayerSpans(), r.cl.Dim(), overlapBucketBytes/8)
+	if r.cl.Procs() > 1 {
 		e.waitFn = e.waitBucket
 	}
 }
@@ -72,13 +64,13 @@ func planBuckets(spans []int, dim, targetElems int) [][2]int {
 }
 
 // waitBucket blocks until every hosted worker's backward pass has
-// finalized bucket b — each watermark must have dropped to the bucket's
-// start. The hook's atomic store and this load form the happens-before
-// edge that makes the collective's gradient reads race-free.
+// finalized bucket b — each worker's final offset must have dropped to the
+// bucket's start. The hook's atomic store and this load form the
+// happens-before edge that makes the collective's gradient reads race-free.
 func (e *engine) waitBucket(b int) {
 	lo := int64(e.buckets[b][0])
-	for i := range e.wm {
-		for e.wm[i].Load() > lo {
+	for _, w := range e.r.cl.Workers {
+		for e.r.blocks[w.ID].final.Load() > lo {
 			runtime.Gosched()
 		}
 	}
@@ -86,10 +78,11 @@ func (e *engine) waitBucket(b int) {
 
 // launchCompute starts the step's gradient computation. Single process:
 // inline, nil join channel, and the collective runs with a nil wait. Mesh:
-// watermarks reset to "nothing ready", compute departs on its own
-// goroutine, and the caller joins on the returned channel after the
-// collective — compute bookkeeping (losses, clocks) may still be running
-// when the last bucket's frames have already been reduced.
+// block progress resets to "nothing ready" before compute departs on its
+// own goroutine (so the collective never sees the last step's), and the
+// caller joins on the returned channel after the collective — compute
+// bookkeeping (losses, clocks) may still be running when the last bucket's
+// frames have already been reduced.
 func (e *engine) launchCompute() chan struct{} {
 	r := e.r
 	if e.waitFn == nil {
@@ -97,8 +90,8 @@ func (e *engine) launchCompute() chan struct{} {
 		return nil
 	}
 	dim := int64(r.cl.Dim())
-	for i := range e.wm {
-		e.wm[i].Store(dim)
+	for _, w := range r.cl.Workers {
+		r.blocks[w.ID].final.Store(dim)
 	}
 	done := make(chan struct{})
 	go func() {

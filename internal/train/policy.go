@@ -21,8 +21,8 @@ import (
 //
 // What each built-in policy's steps end in, and what it therefore tells the
 // engine before a step's gradients exist (Preschedulable / StepPlan) — the
-// trackers may be fed and the workers' own updates applied in the compute
-// dispatch itself, or the collective started under the backward pass:
+// trackers may be fed and the workers' own updates applied block by block
+// inside the backward pass itself, or the collective started under it:
 //
 //	policy        a step is                  observe  local-first  committed
 //	BSP           sync-grads                 -        -            yes
@@ -126,15 +126,19 @@ type StepPlan struct {
 	Committed bool
 	Action    Action
 	// Observe says Decide will call Signals.UpdateTrackers. Each worker then
-	// feeds its Δ(g_i) tracker as soon as its own gradient exists, while it
-	// is still in cache, and the call in Decide finds the step observed.
+	// takes its gradient's norm block by block inside its backward pass, each
+	// block as soon as the layer that writes it is done and while it is
+	// still in cache, and feeds its Δ(g_i) tracker when the pass ends; the
+	// call in Decide finds the step observed.
 	Observe bool
 	// LocalFirst says Decide will not return ActSyncGrads. Every other kind
 	// begins with each worker's own update (Alg. 1 line 9), and no Signals
-	// accessor reads parameters, so each worker applies it right behind its
-	// backward pass and the action is executed without it. An optimizer
-	// that rewrites the gradients it is stepped with would make the policy's
-	// gradient reads see its output; the built-in ones only read them.
+	// accessor reads parameters, so each worker applies it inside its
+	// backward pass — to each block of the arena once the block's gradient is
+	// final, which no layer below reads, with opt.Optimizer.StepRange — and
+	// the action is executed without it. An optimizer that rewrites the
+	// gradients it is stepped with would make the policy's gradient reads see
+	// its output; the built-in ones only read them.
 	LocalFirst bool
 }
 
@@ -189,10 +193,11 @@ type Signals struct {
 // Δ(g_i) tracker (Alg. 1 lines 8-9), each worker on its own pool goroutine:
 // a tracker sees its own worker's gradients only, so the observation streams
 // are the same in any order. On a step the policy declared Observe the
-// workers already did so behind their backward passes, and this is a no-op.
+// workers already did so inside their backward passes, and this is a no-op.
 func (s *Signals) UpdateTrackers() {
 	if !s.r.plan.Observe {
-		s.r.cl.Each(s.r.observeFn)
+		s.r.work = blockWork{observe: true}
+		s.r.cl.Each(s.r.wholeFn)
 	}
 }
 

@@ -44,21 +44,27 @@ type runner struct {
 	// Per-worker batch buffers reused across steps (workers touch only
 	// their own slot, so computeGrads stays race-free). batches holds the
 	// per-step dataset indices, backed by batchIdx's per-worker buffers.
-	// computeFn, observeFn and applyFn are persistent closures, so a
-	// steady-state step allocates nothing; plan and lrNow are the step's
-	// inputs to them, set by the engine before it computes: what the policy
-	// declared about the step (under which computeFn also does the other
-	// two's work, behind the backward pass) and its learning rate.
+	// computeFn and wholeFn are persistent closures, so a steady-state step
+	// allocates nothing; plan, lrNow and work are their inputs, set by the
+	// engine before each dispatch: what the policy declared about the step,
+	// its learning rate, and what each worker does with every finished block
+	// of its gradient (blocks.go) — behind the backward pass in computeFn,
+	// over the whole arena in wholeFn.
 	batchX      []*tensor.Matrix
 	batchLabels [][]int
 	batches     [][]int
 	batchIdx    [][]int
 	plan        StepPlan
 	lrNow       float64
+	work        blockWork
 	computeFn   func(*cluster.Worker)
-	observeFn   func(*cluster.Worker)
-	applyFn     func(*cluster.Worker)
+	wholeFn     func(*cluster.Worker)
 	snapSteps   map[int]bool
+
+	// blocks is the per-worker block state, indexed by worker id, and
+	// paramOffs the arena offset of each parameter (Dim last).
+	blocks    []workerBlocks
+	paramOffs []int
 
 	bestMetric float64
 	haveBest   bool
@@ -207,18 +213,14 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 	r.computeFn = func(w *cluster.Worker) {
 		x, labels := r.cfg.Train.BatchInto(r.batchX[w.ID], r.batchLabels[w.ID], r.batches[w.ID])
 		r.batchX[w.ID], r.batchLabels[w.ID] = x, labels
+		b := &r.blocks[w.ID]
+		b.final.Store(int64(r.cl.Dim()))
 		loss, _ := w.Model.ComputeGradients(x, labels)
 		r.losses[w.ID] = loss
 		w.Clock += w.Device.ComputeTime(simnet.StepFlops(r.spec.FlopsPerSample, len(r.batches[w.ID])))
-		if r.plan.Observe {
-			r.observeFn(w)
-		}
-		if r.plan.LocalFirst {
-			r.applyFn(w)
-		}
+		r.finishBlocks(w, int(b.final.Load()))
 	}
-	r.observeFn = func(w *cluster.Worker) { w.Tracker.ObserveParams(w.Model.Params()) }
-	r.applyFn = func(w *cluster.Worker) { w.Optimizer.Step(r.lrNow) }
+	r.initBlocks()
 
 	r.stepsPerEpoch = cfg.Train.N() / (cfg.Workers * cfg.Batch)
 	if r.stepsPerEpoch < 1 {
@@ -274,8 +276,8 @@ func (r *runner) nextBatches() (injCost float64) {
 
 // computeGrads runs one forward+backward per worker concurrently over
 // r.batches, advancing each worker's clock by its modeled compute time.
-// Per-worker mean losses land in r.losses. Under r.plan the same dispatch
-// feeds each worker's tracker and applies its own update.
+// Per-worker mean losses land in r.losses. Each worker does r.work on its
+// gradient's blocks as the backward pass finishes them.
 func (r *runner) computeGrads() {
 	r.cl.Each(r.computeFn)
 }
@@ -283,7 +285,8 @@ func (r *runner) computeGrads() {
 // applyLocal applies each worker's own gradient through its own optimizer,
 // for a step whose plan did not let computeGrads do it.
 func (r *runner) applyLocal() {
-	r.cl.Each(r.applyFn)
+	r.work = blockWork{apply: true}
+	r.cl.Each(r.wholeFn)
 }
 
 // clock returns the run's current virtual time: the MaxClock collective on
