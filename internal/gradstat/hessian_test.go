@@ -18,8 +18,9 @@ type quadNet struct {
 }
 
 func newQuadNet(a [][]float64, b []float64) *quadNet {
-	p := nn.NewParam("w", len(b))
-	return &quadNet{a: a, b: b, params: []*nn.Param{p}}
+	ps := []*nn.Param{nn.NewParam("w", len(b))}
+	nn.NewArena(ps)
+	return &quadNet{a: a, b: b, params: ps}
 }
 
 func (q *quadNet) Params() []*nn.Param { return q.params }

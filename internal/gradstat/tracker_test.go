@@ -93,10 +93,11 @@ func TestTrackerZeroStartThenSignal(t *testing.T) {
 }
 
 func TestTrackerObserveParams(t *testing.T) {
-	p := nn.NewParam("w", 3)
-	copy(p.Grad, []float64{3, 4, 0}) // norm 5
+	ps := []*nn.Param{nn.NewParam("w", 3)}
+	nn.NewArena(ps)
+	copy(ps[0].Grad, []float64{3, 4, 0}) // norm 5
 	tr := NewTracker(1, 0)
-	tr.ObserveParams([]*nn.Param{p})
+	tr.ObserveParams(ps)
 	if math.Abs(tr.Smoothed()-5) > 1e-12 {
 		t.Fatalf("Smoothed: got %v want 5", tr.Smoothed())
 	}

@@ -3,9 +3,8 @@ package nn
 import "selsync/internal/tensor"
 
 // Arena is a pair of contiguous per-replica buffers holding every
-// parameter value and every gradient of one model, in Params() order.
-// Layers keep operating on their own Param vectors — after BindArena those
-// vectors are views into the arena — so the whole replica can be read or
+// parameter value and every gradient of one model, in Params() order. Each
+// Param's Data/Grad is a window of it, so the whole replica can be read or
 // overwritten as one flat tensor.Vector without any per-layer copying:
 // flattening becomes returning Data, and a full parameter broadcast is a
 // single SIMD CopyFrom. This is the contiguous "gradient bucket" layout
@@ -18,34 +17,26 @@ type Arena struct {
 // Dim returns the flat parameter dimension.
 func (a *Arena) Dim() int { return len(a.Data) }
 
-// BindArena re-homes every parameter and gradient in ps into two freshly
-// allocated contiguous buffers, preserving current values, and returns the
-// arena. Each Param's Data/Grad is re-sliced to a window of the arena, so
-// all existing *Param pointers stay valid; the windows keep the arena's
-// remaining capacity, which lets ArenaView re-derive the full flat vector
-// from the first parameter.
-//
-// BindArena must run at network-build time, before buffers derived from
-// the old storage exist. Layers in this package never cache slices of
-// Param.Data/Param.Grad across calls (they re-view per Forward/Backward),
-// so rebinding after layer construction is safe.
-func BindArena(ps []*Param) *Arena {
-	n := ParamCount(ps)
+// NewArena allocates one zeroed arena sized by the lengths ps declare and
+// points each Param's Data/Grad at its window, in order; it copies nothing.
+// The windows keep the arena's remaining capacity, which lets ArenaView
+// re-derive the full flat vector from the first parameter.
+func NewArena(ps []*Param) *Arena {
+	n := 0
+	for _, p := range ps {
+		n += p.n
+	}
 	a := &Arena{Data: tensor.NewVector(n), Grad: tensor.NewVector(n)}
 	off := 0
 	for _, p := range ps {
-		m := len(p.Data)
-		copy(a.Data[off:off+m], p.Data)
-		copy(a.Grad[off:off+m], p.Grad)
-		p.Data = a.Data[off : off+m]
-		p.Grad = a.Grad[off : off+m]
-		off += m
+		p.Data, p.Grad = a.Data[off:off+p.n], a.Grad[off:off+p.n]
+		off += p.n
 	}
 	return a
 }
 
 // ArenaView reports whether the parameters in ps are back-to-back windows
-// of one contiguous allocation (the BindArena layout) and, if so, returns
+// of one contiguous allocation (the NewArena layout) and, if so, returns
 // the full flat data and gradient vectors. Optimizers use it to switch to
 // whole-arena fused updates; ok is false for parameter lists assembled
 // from individually allocated Params.

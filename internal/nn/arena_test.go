@@ -1,30 +1,35 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"selsync/internal/tensor"
 )
 
-func TestBindArenaPreservesValuesAndLayout(t *testing.T) {
-	rng := tensor.NewRNG(3)
+// bind binds l's parameters onto an arena of their own and draws its
+// initial state from rng (nothing for a nil rng): a layer used outside a
+// network, built the way Factory.Build builds one inside it.
+func bind[L Layer](rng *tensor.RNG, l L) L {
+	NewArena(l.Params())
+	Init(rng, l)
+	return l
+}
+
+func TestNewArenaLayout(t *testing.T) {
 	ps := []*Param{NewParam("a", 5), NewParam("b", 3), NewParam("c", 7)}
 	for _, p := range ps {
-		rng.NormVector(p.Data, 0, 1)
-		rng.NormVector(p.Grad, 0, 1)
+		if p.Data != nil || p.Grad != nil {
+			t.Fatal("NewParam must not allocate")
+		}
 	}
-	wantData := tensor.NewVector(15)
-	wantGrad := tensor.NewVector(15)
-	FlattenParams(ps, wantData)
-	FlattenGrads(ps, wantGrad)
-
-	a := BindArena(ps)
-	if a.Dim() != 15 {
+	a := NewArena(ps)
+	if a.Dim() != 15 || len(a.Grad) != 15 {
 		t.Fatalf("arena dim: %d", a.Dim())
 	}
-	for i := range wantData {
-		if a.Data[i] != wantData[i] || a.Grad[i] != wantGrad[i] {
-			t.Fatalf("arena values differ at %d", i)
+	for i, want := range []int{5, 3, 7} {
+		if len(ps[i].Data) != want || len(ps[i].Grad) != want {
+			t.Fatalf("param %d: windows of %d/%d, want %d", i, len(ps[i].Data), len(ps[i].Grad), want)
 		}
 	}
 	// Writing through a Param must be visible in the arena and vice versa.
@@ -39,11 +44,15 @@ func TestBindArenaPreservesValuesAndLayout(t *testing.T) {
 }
 
 func TestArenaViewDetectsContiguity(t *testing.T) {
-	ps := []*Param{NewParam("a", 4), NewParam("b", 6)}
-	if _, _, ok := ArenaView(ps); ok {
+	loose := []*Param{
+		{Name: "a", Data: tensor.NewVector(4), Grad: tensor.NewVector(4)},
+		{Name: "b", Data: tensor.NewVector(6), Grad: tensor.NewVector(6)},
+	}
+	if _, _, ok := ArenaView(loose); ok {
 		t.Fatal("individually allocated params must not report an arena")
 	}
-	a := BindArena(ps)
+	ps := []*Param{NewParam("a", 4), NewParam("b", 6)}
+	a := NewArena(ps)
 	data, grad, ok := ArenaView(ps)
 	if !ok {
 		t.Fatal("bound params must report an arena")
@@ -55,7 +64,7 @@ func TestArenaViewDetectsContiguity(t *testing.T) {
 
 func TestArenaViewRejectsReordered(t *testing.T) {
 	ps := []*Param{NewParam("a", 4), NewParam("b", 6)}
-	BindArena(ps)
+	NewArena(ps)
 	swapped := []*Param{ps[1], ps[0]}
 	if _, _, ok := ArenaView(swapped); ok {
 		t.Fatal("reordered params must not report an arena")
@@ -89,8 +98,7 @@ func TestFeedForwardNetIsArenaBacked(t *testing.T) {
 }
 
 func TestSequentialParamsMemoized(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	seq := NewSequential(NewDense("d1", 4, 4, rng), NewReLU(), NewDense("d2", 4, 2, rng))
+	seq := NewSequential(NewDense("d1", 4, 4), NewReLU(), NewDense("d2", 4, 2))
 	p1 := seq.Params()
 	p2 := seq.Params()
 	if len(p1) != 4 {
@@ -98,5 +106,25 @@ func TestSequentialParamsMemoized(t *testing.T) {
 	}
 	if &p1[0] != &p2[0] {
 		t.Fatal("Params must return the memoized slice, not a fresh copy")
+	}
+}
+
+// TestBuildAllocatesOneArena: a network built without drawing costs its
+// arena and the layer headers, nothing per parameter — ResNetLite(10, 6)
+// is 3.22 MB of arena, so 64 KiB of slack leaves no room for a second copy
+// of any of its weight matrices.
+func TestBuildAllocatesOneArena(t *testing.T) {
+	f := ResNetLite(10, 6)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	net := f.Build(nil)
+	runtime.ReadMemStats(&after)
+	arena := uint64(16 * net.Arena().Dim())
+	if got := after.TotalAlloc - before.TotalAlloc; got > arena+64<<10 {
+		t.Fatalf("Build(nil) allocated %d B, its arena is %d B", got, arena)
+	}
+	if _, _, ok := ArenaView(net.Params()); !ok {
+		t.Fatal("parameters must be windows of the arena")
 	}
 }

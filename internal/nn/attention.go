@@ -42,27 +42,27 @@ type MultiHeadAttention struct {
 	xrView, yrView, grView, dxView         tensor.Matrix // n·T × D reshape headers
 }
 
-// NewMultiHeadAttention builds the layer with Xavier-initialized
-// projections; a nil rng draws nothing (see Factory.Build). dim must be
-// divisible by heads.
-func NewMultiHeadAttention(name string, seqLen, dim, heads int, causal bool, rng *tensor.RNG) *MultiHeadAttention {
+// NewMultiHeadAttention declares the layer. dim must be divisible by
+// heads.
+func NewMultiHeadAttention(name string, seqLen, dim, heads int, causal bool) *MultiHeadAttention {
 	if dim%heads != 0 {
 		panic("nn: attention dim must divide evenly into heads")
 	}
-	a := &MultiHeadAttention{
+	return &MultiHeadAttention{
 		T: seqLen, D: dim, H: heads, Causal: causal,
 		Wq: NewParam(name+".Wq", dim*dim),
 		Wk: NewParam(name+".Wk", dim*dim),
 		Wv: NewParam(name+".Wv", dim*dim),
 		Wo: NewParam(name+".Wo", dim*dim),
 	}
-	if rng != nil {
-		std := math.Sqrt(1 / float64(dim))
-		for _, p := range []*Param{a.Wq, a.Wk, a.Wv, a.Wo} {
-			rng.NormVector(p.Data, 0, std)
-		}
+}
+
+// init draws Xavier-initialized projections, Wq, Wk, Wv, then Wo.
+func (a *MultiHeadAttention) init(rng *tensor.RNG) {
+	std := math.Sqrt(1 / float64(a.D))
+	for _, p := range a.Params() {
+		rng.NormVector(p.Data, 0, std)
 	}
-	return a
 }
 
 // Forward computes self-attention for the whole batch: three batch-wide

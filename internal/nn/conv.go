@@ -53,9 +53,9 @@ func (c *Conv2D) OutH() int { return c.H + 2*c.Pad - c.K + 1 }
 // OutW returns the output width.
 func (c *Conv2D) OutW() int { return c.W + 2*c.Pad - c.K + 1 }
 
-// NewConv2D builds a Conv2D with He initialization; a nil rng draws nothing
-// (see Factory.Build).
-func NewConv2D(name string, channels, height, width, filters, kernel, pad int, rng *tensor.RNG) *Conv2D {
+// NewConv2D declares a Conv2D of filters kernel×kernel filters over
+// channels×height×width inputs.
+func NewConv2D(name string, channels, height, width, filters, kernel, pad int) *Conv2D {
 	c := &Conv2D{
 		C: channels, H: height, W: width,
 		F: filters, K: kernel, Pad: pad,
@@ -65,11 +65,13 @@ func NewConv2D(name string, channels, height, width, filters, kernel, pad int, r
 	if c.OutH() <= 0 || c.OutW() <= 0 {
 		panic("nn: Conv2D output would be empty")
 	}
-	if rng != nil {
-		fanIn := float64(channels * kernel * kernel)
-		rng.NormVector(c.Wt.Data, 0, math.Sqrt(2/fanIn))
-	}
 	return c
+}
+
+// init draws He-initialized filters; the bias stays zero.
+func (c *Conv2D) init(rng *tensor.RNG) {
+	fanIn := float64(c.C * c.K * c.K)
+	rng.NormVector(c.Wt.Data, 0, math.Sqrt(2/fanIn))
 }
 
 // Forward computes the convolution: im2col + GEMM per sample, plus the

@@ -32,8 +32,8 @@ func maxAbsDiff(a, b tensor.Vector) float64 {
 
 // newConvPair builds two convolutions with identical weights, one per path.
 func newConvPair(seed uint64, c, h, w, f, k, pad int) (gemm, direct *Conv2D) {
-	gemm = NewConv2D("g", c, h, w, f, k, pad, tensor.NewRNG(seed))
-	direct = NewConv2D("d", c, h, w, f, k, pad, tensor.NewRNG(seed))
+	gemm = bind(tensor.NewRNG(seed), NewConv2D("g", c, h, w, f, k, pad))
+	direct = bind(tensor.NewRNG(seed), NewConv2D("d", c, h, w, f, k, pad))
 	direct.direct = true
 	return gemm, direct
 }

@@ -20,21 +20,14 @@ type Dense struct {
 	wView, dwView tensor.Matrix
 }
 
-// NewDense builds a Dense layer with He-initialized weights (suited to the
-// ReLU family used throughout the zoo) and zero bias. A nil rng draws
-// nothing (see Factory.Build): the weights stay zero for the caller to fill.
-func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
-	d := &Dense{
-		In:  in,
-		Out: out,
-		W:   NewParam(name+".W", in*out),
-		B:   NewParam(name+".b", out),
-	}
-	if rng != nil {
-		rng.NormVector(d.W.Data, 0, math.Sqrt(2.0/float64(in)))
-	}
-	return d
+// NewDense declares an in→out fully connected layer.
+func NewDense(name string, in, out int) *Dense {
+	return &Dense{In: in, Out: out, W: NewParam(name+".W", in*out), B: NewParam(name+".b", out)}
 }
+
+// init draws He-initialized weights (suited to the ReLU family used
+// throughout the zoo); the bias stays zero.
+func (d *Dense) init(rng *tensor.RNG) { rng.NormVector(d.W.Data, 0, math.Sqrt(2.0/float64(d.In))) }
 
 // Forward computes x·W + b.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {

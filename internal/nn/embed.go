@@ -19,17 +19,15 @@ type Embedding struct {
 	y, dx *tensor.Matrix
 }
 
-// NewEmbedding builds an embedding table with N(0, 1/√D) initialization; a
-// nil rng draws nothing (see Factory.Build).
-func NewEmbedding(name string, vocab, seqLen, dim int, rng *tensor.RNG) *Embedding {
-	e := &Embedding{
-		Vocab: vocab, T: seqLen, D: dim,
-		Table: NewParam(name+".table", vocab*dim),
-	}
-	if rng != nil {
-		rng.NormVector(e.Table.Data, 0, 1/math.Sqrt(float64(dim)))
-	}
-	return e
+// NewEmbedding declares a vocab×dim embedding table over sequences of
+// seqLen tokens.
+func NewEmbedding(name string, vocab, seqLen, dim int) *Embedding {
+	return &Embedding{Vocab: vocab, T: seqLen, D: dim, Table: NewParam(name+".table", vocab*dim)}
+}
+
+// init draws the table from N(0, 1/√D).
+func (e *Embedding) init(rng *tensor.RNG) {
+	rng.NormVector(e.Table.Data, 0, 1/math.Sqrt(float64(e.D)))
 }
 
 // Forward gathers rows of the table.

@@ -78,7 +78,7 @@ func randInput(seed uint64, rows, cols int) *tensor.Matrix {
 
 func TestDenseGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	checkLayerGradients(t, NewDense("d", 7, 5, rng), randInput(2, 4, 7), 1e-6)
+	checkLayerGradients(t, bind(rng, NewDense("d", 7, 5)), randInput(2, 4, 7), 1e-6)
 }
 
 func TestReLUGradCheck(t *testing.T) {
@@ -101,7 +101,7 @@ func TestGELUGradCheck(t *testing.T) {
 }
 
 func TestLayerNormGradCheck(t *testing.T) {
-	l := NewLayerNorm("ln", 10)
+	l := bind(nil, NewLayerNorm("ln", 10))
 	// Non-trivial gain/bias to exercise their gradient paths.
 	rng := tensor.NewRNG(6)
 	rng.NormVector(l.G.Data, 1, 0.3)
@@ -111,13 +111,13 @@ func TestLayerNormGradCheck(t *testing.T) {
 
 func TestConv2DGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	conv := NewConv2D("c", 2, 5, 5, 3, 3, 1, rng)
+	conv := bind(rng, NewConv2D("c", 2, 5, 5, 3, 3, 1))
 	checkLayerGradients(t, conv, randInput(9, 2, 2*5*5), 1e-5)
 }
 
 func TestConv2DNoPadGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(10)
-	conv := NewConv2D("c", 1, 4, 4, 2, 3, 0, rng)
+	conv := bind(rng, NewConv2D("c", 1, 4, 4, 2, 3, 0))
 	checkLayerGradients(t, conv, randInput(11, 3, 16), 1e-5)
 }
 
@@ -129,36 +129,36 @@ func TestMaxPoolGradCheck(t *testing.T) {
 
 func TestResidualGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(13)
-	block := NewResidual(NewSequential(
+	block := bind(rng, NewResidual(NewSequential(
 		NewLayerNorm("ln", 6),
-		NewDense("fc1", 6, 6, rng),
+		NewDense("fc1", 6, 6),
 		NewTanh(),
-		NewDense("fc2", 6, 6, rng),
-	))
+		NewDense("fc2", 6, 6),
+	)))
 	checkLayerGradients(t, block, randInput(14, 4, 6), 1e-5)
 }
 
 func TestPositionwiseGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(15)
-	pw := NewPositionwise(3, NewDense("fc", 4, 4, rng))
+	pw := bind(rng, NewPositionwise(3, NewDense("fc", 4, 4)))
 	checkLayerGradients(t, pw, randInput(16, 2, 12), 1e-6)
 }
 
 func TestAttentionGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(17)
-	attn := NewMultiHeadAttention("a", 4, 6, 2, false, rng)
+	attn := bind(rng, NewMultiHeadAttention("a", 4, 6, 2, false))
 	checkLayerGradients(t, attn, randInput(18, 2, 24), 1e-5)
 }
 
 func TestCausalAttentionGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(19)
-	attn := NewMultiHeadAttention("a", 4, 6, 3, true, rng)
+	attn := bind(rng, NewMultiHeadAttention("a", 4, 6, 3, true))
 	checkLayerGradients(t, attn, randInput(20, 2, 24), 1e-5)
 }
 
 func TestEmbeddingGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(21)
-	emb := NewEmbedding("e", 11, 5, 3, rng)
+	emb := bind(rng, NewEmbedding("e", 11, 5, 3))
 	// Token-id inputs: integers encoded as floats. The input gradient is
 	// structurally zero, so only the table gradient is informative. Ids
 	// are stored at n+0.5 so the ±1e-6 probe of the finite-difference
@@ -178,12 +178,12 @@ func TestPositionalEncodingGradCheck(t *testing.T) {
 
 func TestSequentialCompositeGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(24)
-	seq := NewSequential(
-		NewConv2D("c", 1, 4, 4, 2, 3, 1, rng),
+	seq := bind(rng, NewSequential(
+		NewConv2D("c", 1, 4, 4, 2, 3, 1),
 		NewReLU(),
 		NewMaxPool2D(2, 4, 4),
-		NewDense("fc", 8, 5, rng),
-	)
+		NewDense("fc", 8, 5),
+	))
 	x := randInput(25, 3, 16)
 	for i := range x.Data {
 		x.Data[i] = x.Data[i]*0.9 + 0.2 // keep pre-activations off the ReLU kink
@@ -196,18 +196,18 @@ func TestSequentialCompositeGradCheck(t *testing.T) {
 func TestTransformerBlockGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(26)
 	const T, D = 3, 4
-	block := NewSequential(
+	block := bind(rng, NewSequential(
 		NewResidual(NewSequential(
 			NewPositionwise(T, NewLayerNorm("ln1", D)),
-			NewMultiHeadAttention("attn", T, D, 2, true, rng),
+			NewMultiHeadAttention("attn", T, D, 2, true),
 		)),
 		NewResidual(NewSequential(
 			NewPositionwise(T, NewLayerNorm("ln2", D)),
-			NewPositionwise(T, NewDense("ff1", D, 2*D, rng)),
+			NewPositionwise(T, NewDense("ff1", D, 2*D)),
 			NewGELU(),
-			NewPositionwise(T, NewDense("ff2", 2*D, D, rng)),
+			NewPositionwise(T, NewDense("ff2", 2*D, D)),
 		)),
-	)
+	))
 	checkLayerGradients(t, block, randInput(27, 2, T*D), 1e-4)
 }
 

@@ -1,6 +1,10 @@
 package nn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
@@ -63,5 +67,37 @@ func TestSetLayerRNGRejectsWrongCount(t *testing.T) {
 	}
 	if err := alex.SetLayerRNG(alex.LayerRNG()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestZooInitialStateGolden pins every zoo model's drawn initial state —
+// the arena's bits and the layer-owned streams of New(42) — plus the
+// benchmark's 100-class ResNetLite. A reordered or re-scaled draw fails
+// here by name instead of as a training-digest mismatch downstream.
+func TestZooInitialStateGolden(t *testing.T) {
+	want := map[string]string{
+		"resnet":      "85cc0ceb4a1f009a02ba485f228452c7a4a57892023418c99098b236d116e746",
+		"vgg":         "d027227055f87b1875885382d428840e53371322bd4b6609a97d01483d00aca2",
+		"alexnet":     "6278ea9aa166e9f24e5ae8534fb261893e0adc9d024df54f6cd7c6fdc6a1ba97",
+		"transformer": "7a472dcc831c1b11a1bf2c55322d143308ca7e159d74833da1fdfb6085abb41c",
+		"resnet-c100": "af5a775325412b5207f1122341be37850fe003363414335a8cbc13551d7ed6f5",
+	}
+	models := Zoo()
+	models["resnet-c100"] = ResNetLite(100, 6)
+	for name, f := range models {
+		net := f.New(42)
+		h := sha256.New()
+		var w [8]byte
+		for _, v := range net.Arena().Data {
+			binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+			h.Write(w[:])
+		}
+		for _, s := range net.LayerRNG() {
+			binary.LittleEndian.PutUint64(w[:], s)
+			h.Write(w[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: initial state digest %s, want %s", name, got, want[name])
+		}
 	}
 }

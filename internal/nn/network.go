@@ -113,9 +113,9 @@ func (e *SharedParamError) Error() string {
 }
 
 // NewFeedForwardNet wraps a Sequential with its spec, caching the parameter
-// list and re-homing it into one contiguous Arena. Binding happens here —
-// network-build time — so every downstream consumer (optimizers, the
-// cluster exchange path) sees the contiguous layout from the first step. A
+// list and binding it onto one zeroed Arena (NewArena), so every consumer
+// (optimizers, the cluster exchange path) sees the contiguous layout from
+// the first step. The network's initial state is Init's to draw. A
 // parameter listed twice panics with a *SharedParamError.
 func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 	params := seq.Params()
@@ -126,13 +126,17 @@ func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 		}
 		seen[p] = true
 	}
-	f := &FeedForwardNet{Seq: seq, spec: spec, params: params, arena: BindArena(params)}
+	f := &FeedForwardNet{Seq: seq, spec: spec, params: params, arena: NewArena(params)}
 	if len(seq.Layers) > 0 {
 		if first, ok := seq.Layers[0].(inputGradSkipper); ok {
 			first.skipInputGrad()
 		}
 	}
-	f.streams = layerStreams(seq, nil)
+	walkLayers(seq, func(l Layer) {
+		if d, ok := l.(*Dropout); ok {
+			f.streams = append(f.streams, d.rng)
+		}
+	})
 	f.layerOffs = make([]int, len(seq.Layers))
 	off := 0
 	for i, l := range seq.Layers {
@@ -142,22 +146,41 @@ func NewFeedForwardNet(seq *Sequential, spec ModelSpec) *FeedForwardNet {
 	return f
 }
 
-// layerStreams appends the RNG streams owned by l and the layers nested in
-// it, in layer order.
-func layerStreams(l Layer, out []*tensor.RNG) []*tensor.RNG {
+// walkLayers calls fn on l and then on every layer nested in it, in layer
+// order.
+func walkLayers(l Layer, fn func(Layer)) {
+	fn(l)
 	switch l := l.(type) {
-	case *Dropout:
-		out = append(out, l.rng)
 	case *Sequential:
 		for _, inner := range l.Layers {
-			out = layerStreams(inner, out)
+			walkLayers(inner, fn)
 		}
 	case *Residual:
-		out = layerStreams(l.Inner, out)
+		walkLayers(l.Inner, fn)
 	case *Positionwise:
-		out = layerStreams(l.Inner, out)
+		walkLayers(l.Inner, fn)
 	}
-	return out
+}
+
+// initializer is implemented by layers with initial state of their own:
+// drawn weights, LayerNorm's unit gain, Dropout's stream.
+type initializer interface{ init(rng *tensor.RNG) }
+
+// Init writes the initial state of layers and the layers nested in them
+// into their bound Params, drawing from rng in the order given and, within
+// a layer, in layer order. A nil rng writes nothing: the state stays zero
+// and the streams blank, for the caller to fill by copy or restore.
+func Init(rng *tensor.RNG, layers ...Layer) {
+	if rng == nil {
+		return
+	}
+	for _, l := range layers {
+		walkLayers(l, func(l Layer) {
+			if in, ok := l.(initializer); ok {
+				in.init(rng)
+			}
+		})
+	}
 }
 
 // LayerRNG returns the state words of the RNG streams the layers own, in

@@ -18,17 +18,19 @@ import (
 
 // Param is one named, flat parameter tensor with its gradient.
 // Layers hold structured views (matrices) over Data; aggregation code only
-// ever sees the flat slices.
+// ever sees the flat slices. A layer's Params are windows of its network's
+// Arena: they have no storage until NewArena binds them.
 type Param struct {
 	Name string
 	Data tensor.Vector
 	Grad tensor.Vector
+
+	n int // declared length, what NewArena sizes the window by
 }
 
-// NewParam allocates a zeroed parameter of length n.
-func NewParam(name string, n int) *Param {
-	return &Param{Name: name, Data: tensor.NewVector(n), Grad: tensor.NewVector(n)}
-}
+// NewParam declares a parameter of length n. It allocates nothing: Data
+// and Grad stay nil until NewArena points them at their arena windows.
+func NewParam(name string, n int) *Param { return &Param{Name: name, n: n} }
 
 // Layer is a differentiable module. Forward consumes a row-major batch
 // matrix and returns the output batch; Backward consumes the gradient of
@@ -37,6 +39,10 @@ func NewParam(name string, n int) *Param {
 // batch's gradient replaces whatever the window held, so nobody clears
 // gradients between steps. Backward must be called after the matching
 // training-mode Forward (layers cache activations between the two).
+//
+// A constructor takes shapes only; the layer computes once its Params are
+// bound to an arena (NewFeedForwardNet, or NewArena for a layer used on its
+// own), and its initial state is whatever Init draws into them.
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(grad *tensor.Matrix) *tensor.Matrix

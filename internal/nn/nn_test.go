@@ -9,8 +9,7 @@ import (
 )
 
 func TestParamFlattenRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	d := NewDense("d", 4, 3, rng)
+	d := bind(tensor.NewRNG(1), NewDense("d", 4, 3))
 	ps := d.Params()
 	n := ParamCount(ps)
 	if n != 4*3+3 {
@@ -31,8 +30,7 @@ func TestParamFlattenRoundTrip(t *testing.T) {
 }
 
 func TestGradFlattenAndZero(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	d := NewDense("d", 3, 2, rng)
+	d := bind(nil, NewDense("d", 3, 2))
 	ps := d.Params()
 	g := tensor.NewVector(ParamCount(ps))
 	for i := range g {
@@ -65,8 +63,7 @@ func zeroGrads(ps []*Param) {
 }
 
 func TestFlattenLengthMismatchPanics(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	d := NewDense("d", 2, 2, rng)
+	d := bind(nil, NewDense("d", 2, 2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -78,12 +75,11 @@ func TestFlattenLengthMismatchPanics(t *testing.T) {
 // Property: SetParams(FlattenParams(x)) is the identity for any parameter
 // content.
 func TestQuickParamRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	seq := NewSequential(
-		NewDense("a", 5, 4, rng),
+	seq := bind(nil, NewSequential(
+		NewDense("a", 5, 4),
 		NewLayerNorm("ln", 4),
-		NewDense("b", 4, 3, rng),
-	)
+		NewDense("b", 4, 3),
+	))
 	ps := seq.Params()
 	n := ParamCount(ps)
 	f := func(seed uint64) bool {
@@ -107,8 +103,7 @@ func TestQuickParamRoundTrip(t *testing.T) {
 
 func TestSequentialParamOrderStable(t *testing.T) {
 	build := func() *Sequential {
-		rng := tensor.NewRNG(5)
-		return NewSequential(NewDense("a", 3, 3, rng), NewDense("b", 3, 2, rng))
+		return bind(tensor.NewRNG(5), NewSequential(NewDense("a", 3, 3), NewDense("b", 3, 2)))
 	}
 	p1, p2 := build().Params(), build().Params()
 	if len(p1) != len(p2) {
@@ -127,7 +122,7 @@ func TestSequentialParamOrderStable(t *testing.T) {
 }
 
 func TestDropoutTrainVsEval(t *testing.T) {
-	d := NewDropout(0.5, tensor.NewRNG(6))
+	d := bind(tensor.NewRNG(6), NewDropout(0.5))
 	x := randInput(7, 4, 100)
 	yEval := d.Forward(x, false)
 	if !yEval.Equal(x) {
@@ -166,7 +161,7 @@ func TestDropoutInvalidP(t *testing.T) {
 			t.Fatal("expected panic for p=1")
 		}
 	}()
-	NewDropout(1.0, tensor.NewRNG(7))
+	NewDropout(1.0)
 }
 
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {

@@ -22,18 +22,13 @@ type LayerNorm struct {
 	y, dx  *tensor.Matrix // owned buffers reused across steps
 }
 
-// NewLayerNorm builds a LayerNorm over rows of width dim, gain initialized
-// to 1 and bias to 0.
+// NewLayerNorm declares a LayerNorm over rows of width dim.
 func NewLayerNorm(name string, dim int) *LayerNorm {
-	l := &LayerNorm{
-		Dim: dim,
-		G:   NewParam(name+".g", dim),
-		B:   NewParam(name+".b", dim),
-		Eps: 1e-5,
-	}
-	l.G.Data.Fill(1)
-	return l
+	return &LayerNorm{Dim: dim, G: NewParam(name+".g", dim), B: NewParam(name+".b", dim), Eps: 1e-5}
 }
+
+// init sets the gain to 1; the bias stays 0. It draws nothing.
+func (l *LayerNorm) init(*tensor.RNG) { l.G.Data.Fill(1) }
 
 // Forward normalizes each row and applies gain/bias.
 func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
@@ -109,13 +104,17 @@ type Dropout struct {
 	y, dx *tensor.Matrix // owned buffers reused across steps
 }
 
-// NewDropout builds a Dropout layer with drop probability p in [0, 1).
-func NewDropout(p float64, rng *tensor.RNG) *Dropout {
+// NewDropout builds a Dropout layer with drop probability p in [0, 1) and
+// a blank stream.
+func NewDropout(p float64) *Dropout {
 	if p < 0 || p >= 1 {
 		panic("nn: Dropout probability must be in [0, 1)")
 	}
-	return &Dropout{P: p, rng: rng}
+	return &Dropout{P: p, rng: tensor.NewRNG(0)}
 }
+
+// init splits the layer's stream off the init stream.
+func (d *Dropout) init(rng *tensor.RNG) { d.rng.SetState(rng.Split().State()) }
 
 // Forward applies the random mask in training mode; identity in eval mode.
 func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {

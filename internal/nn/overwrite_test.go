@@ -55,8 +55,7 @@ func TestBackwardOverwritesGradients(t *testing.T) {
 // gradients added, and layers write theirs, so NewFeedForwardNet refuses it
 // with a typed panic naming it.
 func TestSharedParamRefused(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	a, b := NewDense("a", 4, 4, rng), NewDense("b", 4, 4, rng)
+	a, b := NewDense("a", 4, 4), NewDense("b", 4, 4)
 	b.W = a.W
 	defer func() {
 		err, _ := recover().(error)

@@ -30,10 +30,11 @@ const (
 // worker — are Build(nil) too and never draw.
 type Factory struct {
 	Spec ModelSpec
-	// Build constructs the network. With a non-nil rng it draws the initial
-	// weights from it and splits the layer-owned streams (Dropout) off it, in
-	// a fixed order. With a nil rng it draws nothing: weights are zero and
-	// layer streams blank, for the caller to fill by copy or restore.
+	// Build constructs the network onto one arena allocation (its layers
+	// declare shapes only) and then, with a non-nil rng, draws its initial
+	// state with Init in a fixed order. With a nil rng it draws nothing:
+	// the arena stays zero and the layer streams blank, for the caller to
+	// fill by copy or restore.
 	Build func(rng *tensor.RNG) *FeedForwardNet
 }
 
@@ -41,13 +42,12 @@ type Factory struct {
 // with the same seed return bit-identical networks.
 func (f Factory) New(seed uint64) *FeedForwardNet { return f.Build(tensor.NewRNG(seed)) }
 
-// layerStream splits a layer-owned stream off the init stream; a
-// non-drawing build (nil rng) gets a blank one.
-func layerStream(rng *tensor.RNG) *tensor.RNG {
-	if rng == nil {
-		return tensor.NewRNG(0)
-	}
-	return rng.Split()
+// build binds layers onto one network and draws their initial state from
+// rng in layer order.
+func build(spec ModelSpec, rng *tensor.RNG, layers ...Layer) *FeedForwardNet {
+	net := NewFeedForwardNet(NewSequential(layers...), spec)
+	Init(rng, net.Seq)
+	return net
 }
 
 // ResNetLite is the deep residual analogue of ResNet101: a convolutional
@@ -66,7 +66,7 @@ func ResNetLite(classes, blocks int) Factory {
 	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
 		const width = 128 // 8 filters × 4×4 after pooling
 		layers := []Layer{
-			NewConv2D("stem", ImgChannels, ImgSize, ImgSize, 8, 3, 1, rng),
+			NewConv2D("stem", ImgChannels, ImgSize, ImgSize, 8, 3, 1),
 			NewReLU(),
 			NewMaxPool2D(8, ImgSize, ImgSize),
 		}
@@ -74,16 +74,16 @@ func ResNetLite(classes, blocks int) Factory {
 			name := fmt.Sprintf("block%d", b)
 			layers = append(layers, NewResidual(NewSequential(
 				NewLayerNorm(name+".ln", width),
-				NewDense(name+".fc1", width, width, rng),
+				NewDense(name+".fc1", width, width),
 				NewReLU(),
-				NewDense(name+".fc2", width, width, rng),
+				NewDense(name+".fc2", width, width),
 			)))
 		}
 		layers = append(layers,
 			NewLayerNorm("head.ln", width),
-			NewDense("head.fc", width, classes, rng),
+			NewDense("head.fc", width, classes),
 		)
-		return NewFeedForwardNet(NewSequential(layers...), spec)
+		return build(spec, rng, layers...)
 	}}
 }
 
@@ -104,19 +104,25 @@ func VGGLite(classes int) Factory {
 		// A single pooling stage keeps 16×4×4 = 256 features: the
 		// 100-class task needs the width (two pools squeeze it to 64
 		// dims, which cannot separate 100 classes).
-		head := NewDense("fc2", 128, classes, rng)
-		head.W.Data.Scale(0.1) // start near the uniform-prediction loss
-		seq := NewSequential(
-			NewConv2D("conv1", ImgChannels, ImgSize, ImgSize, 8, 3, 1, rng),
+		body := []Layer{
+			NewConv2D("conv1", ImgChannels, ImgSize, ImgSize, 8, 3, 1),
 			NewReLU(),
 			NewMaxPool2D(8, ImgSize, ImgSize), // → 8×4×4
-			NewConv2D("conv2", 8, ImgSize/2, ImgSize/2, 16, 3, 1, rng),
+			NewConv2D("conv2", 8, ImgSize/2, ImgSize/2, 16, 3, 1),
 			NewReLU(), // → 16×4×4 = 256
-			NewDense("fc1", 256, 128, rng),
+			NewDense("fc1", 256, 128),
 			NewReLU(),
-			head,
-		)
-		return NewFeedForwardNet(seq, spec)
+		}
+		head := NewDense("fc2", 128, classes)
+		net := NewFeedForwardNet(NewSequential(append(body, head)...), spec)
+		if rng != nil {
+			// The head is drawn first, and scaled to start near the
+			// uniform-prediction loss.
+			Init(rng, head)
+			head.W.Data.Scale(0.1)
+			Init(rng, body...)
+		}
+		return net
 	}}
 }
 
@@ -132,16 +138,15 @@ func AlexNetLite(classes int) Factory {
 		MemBytesBase:   1.2e9, MemBytesPerEx: 6.0e6,
 	}
 	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
-		seq := NewSequential(
-			NewConv2D("conv1", ImgChannels, ImgSize, ImgSize, 12, 5, 2, rng),
+		return build(spec, rng,
+			NewConv2D("conv1", ImgChannels, ImgSize, ImgSize, 12, 5, 2),
 			NewReLU(),
 			NewMaxPool2D(12, ImgSize, ImgSize), // → 12×4×4 = 192
-			NewDense("fc1", 192, 128, rng),
+			NewDense("fc1", 192, 128),
 			NewReLU(),
-			NewDropout(0.2, layerStream(rng)),
-			NewDense("fc2", 128, classes, rng),
+			NewDropout(0.2),
+			NewDense("fc2", 128, classes),
 		)
-		return NewFeedForwardNet(seq, spec)
 	}}
 }
 
@@ -160,7 +165,7 @@ func TransformerLite() Factory {
 	}
 	return Factory{Spec: spec, Build: func(rng *tensor.RNG) *FeedForwardNet {
 		layers := []Layer{
-			NewEmbedding("embed", LMVocab, LMSeqLen, LMDim, rng),
+			NewEmbedding("embed", LMVocab, LMSeqLen, LMDim),
 			NewPositionalEncoding(LMSeqLen, LMDim),
 		}
 		for b := 0; b < 2; b++ {
@@ -168,23 +173,23 @@ func TransformerLite() Factory {
 			layers = append(layers,
 				NewResidual(NewSequential(
 					NewPositionwise(LMSeqLen, NewLayerNorm(name+".ln1", LMDim)),
-					NewMultiHeadAttention(name+".attn", LMSeqLen, LMDim, LMHeads, true, rng),
+					NewMultiHeadAttention(name+".attn", LMSeqLen, LMDim, LMHeads, true),
 				)),
 				NewResidual(NewSequential(
 					NewPositionwise(LMSeqLen, NewLayerNorm(name+".ln2", LMDim)),
-					NewPositionwise(LMSeqLen, NewDense(name+".ff1", LMDim, 2*LMDim, rng)),
+					NewPositionwise(LMSeqLen, NewDense(name+".ff1", LMDim, 2*LMDim)),
 					NewGELU(),
-					NewPositionwise(LMSeqLen, NewDense(name+".ff2", 2*LMDim, LMDim, rng)),
+					NewPositionwise(LMSeqLen, NewDense(name+".ff2", 2*LMDim, LMDim)),
 				)),
-				NewDropout(0.2, layerStream(rng)),
+				NewDropout(0.2),
 			)
 		}
 		layers = append(layers,
 			NewPositionwise(LMSeqLen, NewLayerNorm("head.ln", LMDim)),
-			NewPositionwise(LMSeqLen, NewDense("head.fc", LMDim, LMVocab, rng)),
+			NewPositionwise(LMSeqLen, NewDense("head.fc", LMDim, LMVocab)),
 			NewFlattenPositions(LMSeqLen),
 		)
-		return NewFeedForwardNet(NewSequential(layers...), spec)
+		return build(spec, rng, layers...)
 	}}
 }
 

@@ -177,8 +177,7 @@ func TestZooNamesSorted(t *testing.T) {
 }
 
 func TestEmbeddingRejectsOutOfRangeIDs(t *testing.T) {
-	rng := tensor.NewRNG(31)
-	emb := NewEmbedding("e", 4, 2, 3, rng)
+	emb := bind(tensor.NewRNG(31), NewEmbedding("e", 4, 2, 3))
 	x := tensor.FromRows([]tensor.Vector{{0, 9}})
 	defer func() {
 		if recover() == nil {
@@ -189,8 +188,7 @@ func TestEmbeddingRejectsOutOfRangeIDs(t *testing.T) {
 }
 
 func TestResidualShapePanic(t *testing.T) {
-	rng := tensor.NewRNG(32)
-	r := NewResidual(NewDense("d", 4, 3, rng)) // width-changing inner layer
+	r := bind(tensor.NewRNG(32), NewResidual(NewDense("d", 4, 3))) // width-changing inner layer
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for width-changing residual")
@@ -209,8 +207,7 @@ func TestFirstLayerInputGradSkipLeavesParamGradsAlone(t *testing.T) {
 	factories := Zoo()
 	mlp := ModelSpec{Name: "MLP", Classes: 10, TopK: 1}
 	factories["mlp"] = Factory{Spec: mlp, Build: func(rng *tensor.RNG) *FeedForwardNet {
-		return NewFeedForwardNet(NewSequential(
-			NewDense("fc1", ImgFeatures, 24, rng), NewReLU(), NewDense("fc2", 24, 10, rng)), mlp)
+		return build(mlp, rng, NewDense("fc1", ImgFeatures, 24), NewReLU(), NewDense("fc2", 24, 10))
 	}}
 	skipping := 0
 	for name, f := range factories {

@@ -161,7 +161,7 @@ func TestFusedPathIsActuallyFused(t *testing.T) {
 	if !s.fused {
 		t.Fatal("zoo model must take the fused arena path")
 	}
-	loose := []*nn.Param{nn.NewParam("a", 10), nn.NewParam("b", 20)}
+	loose := testParams([]int{10, 20}, false)
 	s2 := NewSGD(loose, 0.9, 0)
 	if s2.fused {
 		t.Fatal("individually allocated params must take the fallback path")
@@ -172,24 +172,35 @@ func TestFusedPathIsActuallyFused(t *testing.T) {
 	}
 }
 
+// testParams returns parameters of the given sizes with values from one
+// seeded draw, individually allocated or bound onto one arena.
+func testParams(sizes []int, bind bool) []*nn.Param {
+	ps := make([]*nn.Param, len(sizes))
+	for i, n := range sizes {
+		if bind {
+			ps[i] = nn.NewParam("p", n)
+		} else {
+			ps[i] = &nn.Param{Name: "p", Data: tensor.NewVector(n), Grad: tensor.NewVector(n)}
+		}
+	}
+	if bind {
+		nn.NewArena(ps)
+	}
+	r := tensor.NewRNG(6)
+	for _, p := range ps {
+		r.NormVector(p.Data, 0, 1)
+	}
+	return ps
+}
+
 // TestFallbackMatchesFused runs the same gradient sequence through an
 // arena-bound and a loose copy of the same parameter set: the segmented
 // fallback and the whole-arena fused update must agree.
 func TestFallbackMatchesFused(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	sizes := []int{5, 17, 64, 3}
-	mkParams := func() []*nn.Param {
-		ps := make([]*nn.Param, len(sizes))
-		r := tensor.NewRNG(6)
-		for i, n := range sizes {
-			ps[i] = nn.NewParam("p", n)
-			r.NormVector(ps[i].Data, 0, 1)
-		}
-		return ps
-	}
-	loose := mkParams()
-	bound := mkParams()
-	nn.BindArena(bound)
+	loose := testParams(sizes, false)
+	bound := testParams(sizes, true)
 
 	for _, mk := range []struct {
 		name  string
@@ -225,18 +236,6 @@ func TestFallbackMatchesFused(t *testing.T) {
 // over several steps, so Adam's step count must advance once per step.
 func TestStepRangeTilesMatchStep(t *testing.T) {
 	sizes := []int{5, 17, 64, 3, 9}
-	mkParams := func(bind bool) []*nn.Param {
-		ps := make([]*nn.Param, len(sizes))
-		r := tensor.NewRNG(6)
-		for i, n := range sizes {
-			ps[i] = nn.NewParam("p", n)
-			r.NormVector(ps[i].Data, 0, 1)
-		}
-		if bind {
-			nn.BindArena(ps)
-		}
-		return ps
-	}
 	type ranged interface {
 		Optimizer
 		Checkpointable
@@ -249,7 +248,7 @@ func TestStepRangeTilesMatchStep(t *testing.T) {
 		{"Adam", func(ps []*nn.Param) ranged { return NewAdam(ps) }},
 	} {
 		for _, bind := range []bool{true, false} {
-			whole, blocks := mkParams(bind), mkParams(bind)
+			whole, blocks := testParams(sizes, bind), testParams(sizes, bind)
 			ow, ob := mk.build(whole), mk.build(blocks)
 			dim := nn.ParamCount(whole)
 			rng := tensor.NewRNG(7)

@@ -67,7 +67,7 @@ type Checkpointable interface {
 //	w ← w − lr·v
 //
 // Momentum state lives in one flat buffer spanning every parameter. When
-// the parameter list is arena-contiguous (nn.BindArena's layout — every
+// the parameter list is arena-contiguous (nn.NewArena's layout — every
 // zoo model), a step is a single fused tensor.SGDMomentum pass over the
 // arena range; otherwise it falls back to the same kernel applied per
 // parameter window.

@@ -10,9 +10,10 @@ import (
 )
 
 func oneParam(vals ...float64) []*nn.Param {
-	p := nn.NewParam("w", len(vals))
-	copy(p.Data, vals)
-	return []*nn.Param{p}
+	ps := []*nn.Param{nn.NewParam("w", len(vals))}
+	nn.NewArena(ps)
+	copy(ps[0].Data, vals)
+	return ps
 }
 
 func setGrad(ps []*nn.Param, vals ...float64) {
@@ -162,7 +163,7 @@ func TestQuickSchedulesMonotone(t *testing.T) {
 func TestQuickSGDZeroGradFixedPoint(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		p := nn.NewParam("w", 8)
+		p := testParams([]int{8}, true)[0]
 		rng.NormVector(p.Data, 0, 1)
 		before := p.Data.Clone()
 		sgd := NewSGD([]*nn.Param{p}, 0.9, 0)

@@ -10,6 +10,18 @@ func benchMatrices(n int) (a, b, c *Matrix) {
 	return
 }
 
+// BenchmarkNormVector is one model-sized draw (ResNetLite(10, 6) has
+// 201 450 parameters): the four-lane kernel on AVX2 hosts, the scalar loop
+// elsewhere.
+func BenchmarkNormVector(b *testing.B) {
+	v := NewVector(201_450)
+	rng := NewRNG(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng.NormVector(v, 0, 1)
+	}
+}
+
 func BenchmarkMatMul64(b *testing.B) {
 	x, y, z := benchMatrices(64)
 	b.ReportAllocs()

@@ -59,9 +59,35 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// NormVector fills dst with independent N(mu, sigma²) samples.
+// normChunk is how many samples NormVector's vector path draws uniforms
+// for before handing them to the kernel.
+const normChunk = 256
+
+// NormVector fills dst with independent N(mu, sigma²) samples: element i
+// is mu + sigma*Norm() of the i-th call. With AVX2 the uniforms are drawn
+// a chunk at a time (same stream positions) and the transform runs four
+// lanes at a time in boxMuller4, bit for bit the scalar math; a length
+// that is not a multiple of four finishes on the scalar loop.
 func (r *RNG) NormVector(dst Vector, mu, sigma float64) {
-	for i := range dst {
+	done := 0
+	if haveFMA {
+		var u1, u2 [normChunk]float64
+		g := *r // a local copy keeps the state word in a register
+		for n := len(dst) &^ 3; done < n; {
+			m := min(normChunk, n-done)
+			for i := range m {
+				u := g.Float64() // Norm's draws, in Norm's order
+				for u == 0 {
+					u = g.Float64()
+				}
+				u1[i], u2[i] = u, g.Float64()
+			}
+			boxMuller4(&dst[done], &u1[0], &u2[0], m, mu, sigma)
+			done += m
+		}
+		*r = g
+	}
+	for i := done; i < len(dst); i++ {
 		dst[i] = mu + sigma*r.Norm()
 	}
 }

@@ -8,6 +8,7 @@ package tensor
 // simd_test.go). FMA contracts the multiply-add rounding step, so the SIMD
 // and generic paths differ in the last ulps; every replica in a simulated
 // cluster runs the same path, so cross-replica determinism is unaffected.
+// The Box–Muller kernel uses no FMA and is bit-identical to its Go loop.
 
 // haveFMA reports whether the CPU and OS support the AVX2+FMA kernels.
 var haveFMA = detectFMA()
@@ -111,6 +112,14 @@ func fmaSGDMom(w, g, v Vector, lr, mu, wd float64)
 //
 //go:noescape
 func fmaAdam(w, g, m, v Vector, lr, b1, ob1, b2, ob2, c1, c2, eps float64)
+
+// boxMuller4 writes dst[i] = mu + sigma·√(−2·log u1[i])·cos(2π·u2[i]) for
+// i < n, four lanes at a time, each lane bit-identical to RNG.Norm's scalar
+// math (see simd_amd64.s). n must be a multiple of 4, 0 < u1[i] < 1 and
+// 0 ≤ u2[i] < 1.
+//
+//go:noescape
+func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64)
 
 // fmaRelu writes y = max(x, 0) and mask = 1 where x > 0 (else 0).
 //

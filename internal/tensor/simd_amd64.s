@@ -730,3 +730,188 @@ relu_tail:
 relu_done:
 	VZEROUPPER
 	RET
+
+// Box–Muller constants, one float64 (or bit pattern) each; the kernel
+// broadcasts them where it uses them. The log block is math/log_amd64.s's
+// archLog, the cos block math.cos (sin.go), constant for constant.
+DATA bmconst<>+0x000(SB)/8, $0x000fffffffffffff // mantissa mask
+DATA bmconst<>+0x008(SB)/8, $0x3fe0000000000000 // 0.5
+DATA bmconst<>+0x010(SB)/8, $0x4330000000000000 // 2^52: small integer ↔ low mantissa bits
+DATA bmconst<>+0x018(SB)/8, $0x43300000000003fe // 2^52 + 1022 (exponent bias − 1)
+DATA bmconst<>+0x020(SB)/8, $0x3fe6a09e667f3bcd // HSqrt2
+DATA bmconst<>+0x028(SB)/8, $0x4000000000000000 // 2.0
+DATA bmconst<>+0x030(SB)/8, $0x3fe5555555555593 // L1
+DATA bmconst<>+0x038(SB)/8, $0x3fd999999997fa04 // L2
+DATA bmconst<>+0x040(SB)/8, $0x3fd2492494229359 // L3
+DATA bmconst<>+0x048(SB)/8, $0x3fcc71c51d8e78af // L4
+DATA bmconst<>+0x050(SB)/8, $0x3fc7466496cb03de // L5
+DATA bmconst<>+0x058(SB)/8, $0x3fc39a09d078c69f // L6
+DATA bmconst<>+0x060(SB)/8, $0x3fc2f112df3e5244 // L7
+DATA bmconst<>+0x068(SB)/8, $0x3dea39ef35793c76 // Ln2Lo
+DATA bmconst<>+0x070(SB)/8, $0x3fe62e42fee00000 // Ln2Hi
+DATA bmconst<>+0x078(SB)/8, $0xc000000000000000 // -2.0
+DATA bmconst<>+0x080(SB)/8, $0x401921fb54442d18 // 2π
+DATA bmconst<>+0x088(SB)/8, $0x3ff45f306dc9c883 // 4/π
+DATA bmconst<>+0x090(SB)/8, $0x0000000000000001 // integer 1
+DATA bmconst<>+0x098(SB)/8, $0x3fe921fb40000000 // PI4A
+DATA bmconst<>+0x0a0(SB)/8, $0x3e64442d00000000 // PI4B
+DATA bmconst<>+0x0a8(SB)/8, $0x3ce8469898cc5170 // PI4C
+DATA bmconst<>+0x0b0(SB)/8, $0x3de5d8fd1fd19ccd // _sin[0]
+DATA bmconst<>+0x0b8(SB)/8, $0xbe5ae5e5a9291f5d // _sin[1]
+DATA bmconst<>+0x0c0(SB)/8, $0x3ec71de3567d48a1 // _sin[2]
+DATA bmconst<>+0x0c8(SB)/8, $0xbf2a01a019bfdf03 // _sin[3]
+DATA bmconst<>+0x0d0(SB)/8, $0x3f8111111110f7d0 // _sin[4]
+DATA bmconst<>+0x0d8(SB)/8, $0xbfc5555555555548 // _sin[5]
+DATA bmconst<>+0x0e0(SB)/8, $0xbda8fa49a0861a9b // _cos[0]
+DATA bmconst<>+0x0e8(SB)/8, $0x3e21ee9d7b4e3f05 // _cos[1]
+DATA bmconst<>+0x0f0(SB)/8, $0xbe927e4f7eac4bc6 // _cos[2]
+DATA bmconst<>+0x0f8(SB)/8, $0x3efa01a019c844f5 // _cos[3]
+DATA bmconst<>+0x100(SB)/8, $0xbf56c16c16c14f91 // _cos[4]
+DATA bmconst<>+0x108(SB)/8, $0x3fa555555555554b // _cos[5]
+DATA bmconst<>+0x110(SB)/8, $0x8000000000000000 // sign bit
+DATA bmconst<>+0x118(SB)/8, $0x3ff0000000000000 // 1.0
+GLOBL bmconst<>(SB), RODATA|NOPTR, $0x120
+
+// Y = Y·s + c with s in a register: one step of a Horner chain, multiply
+// then add, rounded separately like the Go source it mirrors. Clobbers Y11.
+#define HORNER(c, s, Y) \
+	VMULPD s, Y, Y \
+	VBROADCASTSD bmconst<>+c(SB), Y11 \
+	VADDPD Y11, Y, Y
+
+// func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64)
+//
+// dst[i] = mu + sigma·(√(−2·log u1[i]) · cos(2π·u2[i])) for i < n, n a
+// multiple of 4, four lanes per iteration. Every operation is the scalar
+// one of math.Log (archLog) and math.Cos, in the same order: mul, add, sub,
+// div and sqrt only, nothing contracted into an FMA, so each lane is
+// bit-identical to RNG.Norm. The caller guarantees 0 < u1 < 1 and
+// 0 ≤ u2 < 1, which rules out log's and cos's special cases and cos's
+// large-argument reduction. cos's octant branches become selects: after
+// the odd-octant fix-up j is even, bit 1 of j picks the sine polynomial and
+// bit 1 ⊕ bit 2 is the sign.
+TEXT ·boxMuller4(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ u1+8(FP), SI
+	MOVQ u2+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD mu+32(FP), Y14
+	VBROADCASTSD sigma+40(FP), Y15
+	VBROADCASTSD bmconst<>+0x118(SB), Y13 // 1.0
+	XORQ AX, AX
+bm_loop:
+	CMPQ AX, CX
+	JGE  bm_done
+
+	// ---- log(u1): frexp by bit masks, k as a float via the 2^52 trick.
+	VMOVUPD (SI)(AX*8), Y0
+	VPSRLQ $52, Y0, Y1                      // biased exponent (u1 > 0)
+	VBROADCASTSD bmconst<>+0x010(SB), Y2
+	VPOR Y2, Y1, Y1                         // 2^52 + e
+	VBROADCASTSD bmconst<>+0x018(SB), Y2
+	VSUBPD Y2, Y1, Y1                       // k = e − 1022
+	VBROADCASTSD bmconst<>+0x000(SB), Y2
+	VANDPD Y2, Y0, Y0
+	VBROADCASTSD bmconst<>+0x008(SB), Y2
+	VORPD Y2, Y0, Y0                        // f1 ∈ [0.5, 1)
+	VBROADCASTSD bmconst<>+0x020(SB), Y2
+	VCMPPD $0x01, Y2, Y0, Y2                // f1 < √2/2
+	VANDPD Y13, Y2, Y2                      // 0 or 1
+	VSUBPD Y2, Y1, Y1                       // k -= 1
+	VADDPD Y13, Y2, Y2                      // 1 or 2
+	VMULPD Y2, Y0, Y0                       // f1 *= 2
+	VSUBPD Y13, Y0, Y0                      // f = f1 − 1
+	VBROADCASTSD bmconst<>+0x028(SB), Y2
+	VADDPD Y0, Y2, Y2                       // 2 + f
+	VDIVPD Y2, Y0, Y3                       // s = f / (2 + f)
+	VMULPD Y3, Y3, Y4                       // s2
+	VMULPD Y4, Y4, Y5                       // s4
+	VBROADCASTSD bmconst<>+0x060(SB), Y6    // L7
+	HORNER(0x050, Y5, Y6)                   // L7·s4 + L5
+	HORNER(0x040, Y5, Y6)                   // … + L3
+	HORNER(0x030, Y5, Y6)                   // … + L1
+	VMULPD Y6, Y4, Y4                       // t1 = s2·(…)
+	VBROADCASTSD bmconst<>+0x058(SB), Y6    // L6
+	HORNER(0x048, Y5, Y6)                   // L6·s4 + L4
+	HORNER(0x038, Y5, Y6)                   // … + L2
+	VMULPD Y6, Y5, Y5                       // t2 = s4·(…)
+	VADDPD Y5, Y4, Y4                       // R = t1 + t2
+	VBROADCASTSD bmconst<>+0x008(SB), Y2
+	VMULPD Y0, Y2, Y2
+	VMULPD Y0, Y2, Y2                       // hfsq = 0.5·f·f
+	VADDPD Y2, Y4, Y4                       // hfsq + R
+	VMULPD Y4, Y3, Y3                       // s·(hfsq + R)
+	VBROADCASTSD bmconst<>+0x068(SB), Y4
+	VMULPD Y1, Y4, Y4                       // k·Ln2Lo
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y2, Y2                       // hfsq − (s·(hfsq+R) + k·Ln2Lo)
+	VSUBPD Y0, Y2, Y2                       // … − f
+	VBROADCASTSD bmconst<>+0x070(SB), Y4
+	VMULPD Y4, Y1, Y1                       // k·Ln2Hi
+	VSUBPD Y2, Y1, Y1                       // log u1
+	VBROADCASTSD bmconst<>+0x078(SB), Y2
+	VMULPD Y2, Y1, Y1
+	VSQRTPD Y1, Y12                         // r = √(−2·log u1)
+
+	// ---- cos(2π·u2): octant j, z = x − j·π/4 in three parts.
+	VMOVUPD (DX)(AX*8), Y0
+	VBROADCASTSD bmconst<>+0x080(SB), Y1
+	VMULPD Y1, Y0, Y0                       // x = 2π·u2
+	VBROADCASTSD bmconst<>+0x088(SB), Y1
+	VMULPD Y1, Y0, Y1
+	VROUNDPD $3, Y1, Y1                     // j = trunc(x·4/π)
+	VBROADCASTSD bmconst<>+0x010(SB), Y2
+	VADDPD Y2, Y1, Y1                       // bits: 2^52 + j
+	VBROADCASTSD bmconst<>+0x090(SB), Y3
+	VANDPD Y3, Y1, Y3                       // j & 1
+	VPADDQ Y3, Y1, Y1                       // j even: 2^52 + j
+	VSUBPD Y2, Y1, Y2                       // y = j
+	VBROADCASTSD bmconst<>+0x098(SB), Y3
+	VMULPD Y2, Y3, Y3
+	VSUBPD Y3, Y0, Y0                       // x − y·PI4A
+	VBROADCASTSD bmconst<>+0x0a0(SB), Y3
+	VMULPD Y2, Y3, Y3
+	VSUBPD Y3, Y0, Y0                       // … − y·PI4B
+	VBROADCASTSD bmconst<>+0x0a8(SB), Y3
+	VMULPD Y2, Y3, Y3
+	VSUBPD Y3, Y0, Y0                       // z = … − y·PI4C
+	VMULPD Y0, Y0, Y2                       // zz
+	VBROADCASTSD bmconst<>+0x0b0(SB), Y3    // _sin[0]
+	HORNER(0x0b8, Y2, Y3)
+	HORNER(0x0c0, Y2, Y3)
+	HORNER(0x0c8, Y2, Y3)
+	HORNER(0x0d0, Y2, Y3)
+	HORNER(0x0d8, Y2, Y3)
+	VMULPD Y2, Y0, Y4                       // z·zz
+	VMULPD Y3, Y4, Y4                       // z·zz·(…)
+	VADDPD Y4, Y0, Y3                       // sine polynomial
+	VBROADCASTSD bmconst<>+0x0e0(SB), Y4    // _cos[0]
+	HORNER(0x0e8, Y2, Y4)
+	HORNER(0x0f0, Y2, Y4)
+	HORNER(0x0f8, Y2, Y4)
+	HORNER(0x100, Y2, Y4)
+	HORNER(0x108, Y2, Y4)
+	VMULPD Y2, Y2, Y5                       // zz·zz
+	VMULPD Y4, Y5, Y5                       // zz·zz·(…)
+	VBROADCASTSD bmconst<>+0x008(SB), Y4
+	VMULPD Y2, Y4, Y4                       // 0.5·zz
+	VSUBPD Y4, Y13, Y4                      // 1 − 0.5·zz
+	VADDPD Y5, Y4, Y4                       // cosine polynomial
+	VPSLLQ $62, Y1, Y5                      // bit 1 of j → sign position
+	VBLENDVPD Y5, Y3, Y4, Y4                // bit 1 set: sine polynomial
+	VPSLLQ $61, Y1, Y6                      // bit 2 of j → sign position
+	VXORPD Y6, Y5, Y5
+	VBROADCASTSD bmconst<>+0x110(SB), Y6
+	VANDPD Y6, Y5, Y5                       // sign = bit 1 ⊕ bit 2
+	VXORPD Y5, Y4, Y4                       // cos x
+
+	// ---- mu + sigma·(r·cos x)
+	VMULPD Y4, Y12, Y4
+	VMULPD Y15, Y4, Y4
+	VADDPD Y14, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  bm_loop
+bm_done:
+	VZEROUPPER
+	RET

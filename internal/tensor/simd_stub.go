@@ -22,6 +22,9 @@ func fmaTile4x8(dst *float64, ldd int, a *float64, rsa, csa int, b *float64, ldb
 func fmaDotTile2x3(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, k, blocks int, acc bool) {
 	panic("tensor: no SIMD")
 }
+func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64) {
+	panic("tensor: no SIMD")
+}
 func fmaMul(dst, a, b Vector)                      { panic("tensor: no SIMD") }
 func fmaRelu(y, mask, x Vector)                    { panic("tensor: no SIMD") }
 func fmaSGDMom(w, g, v Vector, lr, mu, wd float64) { panic("tensor: no SIMD") }

@@ -9,7 +9,7 @@ import (
 )
 
 // saveTestCheckpoint produces a real checkpoint from a tiny completed run.
-func saveTestCheckpoint(t *testing.T) *Checkpoint {
+func saveTestCheckpoint(t testing.TB) *Checkpoint {
 	t.Helper()
 	cfg := smallConfig(77)
 	cfg.MaxSteps, cfg.EvalEvery = 10, 5

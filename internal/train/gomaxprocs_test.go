@@ -26,13 +26,15 @@ func wideMLP(classes int) nn.Factory {
 	}
 	return nn.Factory{Spec: spec, Build: func(rng *tensor.RNG) *nn.FeedForwardNet {
 		const width = 768
-		return nn.NewFeedForwardNet(nn.NewSequential(
-			nn.NewDense("fc1", nn.ImgFeatures, width, rng),
+		net := nn.NewFeedForwardNet(nn.NewSequential(
+			nn.NewDense("fc1", nn.ImgFeatures, width),
 			nn.NewReLU(),
-			nn.NewDense("fc2", width, width, rng),
+			nn.NewDense("fc2", width, width),
 			nn.NewReLU(),
-			nn.NewDense("head", width, classes, rng),
+			nn.NewDense("head", width, classes),
 		), spec)
+		nn.Init(rng, net.Seq)
+		return net
 	}}
 }
 
