@@ -22,6 +22,46 @@ func BenchmarkNormVector(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKSelectAdd is one top-k:0.01 select at the end-to-end
+// benchmark's c100 dimension. uplink is the error-feedback round a worker
+// runs — fold four seeded gradients round-robin into a residual, select,
+// zero what was sent — and downlink a select without a fold, on a seeded
+// vector.
+func BenchmarkTopKSelectAdd(b *testing.B) {
+	const n, k = 213_060, 2_131
+	rng := NewRNG(4)
+	grads := make([]Vector, 4)
+	for i := range grads {
+		grads[i] = NewVector(n)
+		rng.NormVector(grads[i], 0, 1e-2)
+	}
+	b.Run("uplink", func(b *testing.B) {
+		resid, idx := NewVector(n), make([]uint32, 0, n)
+		round := func(i int) {
+			idx = TopKSelectAdd(resid, grads[i%len(grads)], k, idx[:0])
+			for _, p := range idx {
+				resid[p] = 0
+			}
+		}
+		for i := range 16 { // a residual in its steady state
+			round(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round(i)
+		}
+	})
+	b.Run("downlink", func(b *testing.B) {
+		idx := make([]uint32, 0, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx = TopKSelectAdd(grads[0], nil, k, idx[:0])
+		}
+	})
+}
+
 func BenchmarkMatMul64(b *testing.B) {
 	x, y, z := benchMatrices(64)
 	b.ReportAllocs()

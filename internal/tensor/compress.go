@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	mathbits "math/bits"
+)
 
 // Compression kernels for the wire codecs: deterministic top-k magnitude
 // selection and linear fixed-point quantization. These are the
@@ -18,7 +21,7 @@ import "math"
 // on finite values and ±Inf is the order of |x|. It also defines the cases
 // |x| leaves open: −0 ties with +0, every NaN ranks above +Inf, and NaNs
 // order among themselves by payload. scratch is unused — the working set
-// is a fixed-size histogram — and returned as passed.
+// lives on the stack — and returned as passed.
 func TopKSelect(v Vector, k int, idx []uint32, scratch []float64) ([]uint32, []float64) {
 	return TopKSelectAdd(v, nil, k, idx), scratch
 }
@@ -27,21 +30,38 @@ func TopKSelect(v Vector, k int, idx []uint32, scratch []float64) ([]uint32, []f
 // first: bits 62–48 (the exponent and four mantissa bits), 47–33, 32–18,
 // 17–3 and 2–0. Fifteen bits a digit makes the histogram 128 KiB, the most
 // the compiler keeps on the stack, so the select carries no scratch state.
+//
+// Above topKSampleMin elements the candidates' floor comes from a sample of
+// topKSampleRuns runs of eight consecutive elements (a cache line each) at a
+// fixed stride: at most an eighth of v. The candidate pass hands v to the
+// mask kernel topKBlock elements at a time.
 const (
-	topKDigitBits = 15
-	topKTopShift  = 63 - topKDigitBits
+	topKDigitBits  = 15
+	topKTopShift   = 63 - topKDigitBits
+	topKSampleRuns = 256
+	topKSampleMin  = 64 * topKSampleRuns
+	topKBlock      = 4096
 )
 
 // magBits is the IEEE-754 representation of x with the sign cleared.
 func magBits(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
 
 // TopKSelectAdd is TopKSelect fused with an error-feedback fold: it first
-// adds add to v in place (add nil: v as it is), then selects from the sum.
-// Two passes over v, whatever its values: the first folds and histograms
-// the leading digit of every magnitude, which names the bucket holding the
-// k-th largest; the second collects the positions at or above that bucket.
-// Only those candidates are then refined, one digit a level, until the
-// threshold bucket is taken whole or holds a single bit pattern.
+// adds add to v in place (element i becomes add[i] + v[i]; add nil: v as it
+// is), then selects from the sum. It reads v once, whatever its values:
+//
+//   - A fixed sample of the sum (not stored) sets a floor: the r-th largest
+//     of s sampled magnitudes, r = ⌈2k·s/n⌉ + 8, so about 2k elements
+//     reach it. A short v, or an r past the sample, has floor 0.
+//   - One pass folds, collects every position at or above the floor and
+//     histograms the candidates' leading digit. With AVX2 a kernel folds
+//     and compares a block at a time and leaves one bit per element.
+//   - Fewer than k candidates (large values the sample missed) repeat the
+//     pass on the folded v with floor 0.
+//
+// The histogram names the bucket holding the k-th largest. Only the
+// candidates are then refined, one digit a level, until the threshold
+// bucket is taken whole or holds a single bit pattern.
 func TopKSelectAdd(v, add Vector, k int, idx []uint32) []uint32 {
 	n := len(v)
 	if k <= 0 || k >= n {
@@ -53,30 +73,21 @@ func TopKSelectAdd(v, add Vector, k int, idx []uint32) []uint32 {
 		}
 		return idx
 	}
-	var hist [1 << topKDigitBits]uint32
 	if add != nil {
-		for i, a := range add[:n] {
-			x := a + v[i]
-			v[i] = x
-			hist[magBits(x)>>topKTopShift]++
-		}
-	} else {
-		for _, x := range v {
-			hist[magBits(x)>>topKTopShift]++
-		}
+		add = add[:n]
+	}
+	var hist [1 << topKDigitBits]uint32
+	base := len(idx)
+	idx, top := topKCollect(v, add, topKFloor(v, add, k), idx, &hist)
+	if len(idx)-base < k {
+		hist = [1 << topKDigitBits]uint32{}
+		idx, top = topKCollect(v, nil, 0, idx[:base], &hist)
 	}
 	// The threshold so far: its digits down to bit shift are prefix. Every
 	// magnitude above prefix is selected; of the members magnitudes that
 	// share it, need are.
 	shift := uint(topKTopShift)
-	prefix, need, members := kthBucket(&hist, k)
-	base := len(idx)
-	floor := prefix << shift
-	for i, x := range v {
-		if magBits(x) >= floor {
-			idx = append(idx, uint32(i))
-		}
-	}
+	prefix, need, members := kthBucket(&hist, top, k)
 	cand := idx[base:]
 	for shift > 0 && need < members {
 		width := min(shift, topKDigitBits)
@@ -96,7 +107,7 @@ func TopKSelectAdd(v, add Vector, k int, idx []uint32) []uint32 {
 			break
 		}
 		var digit uint64
-		digit, need, members = kthBucket(&hist, need)
+		digit, need, members = kthBucket(&hist, 1<<width-1, need)
 		prefix = prefix<<width | digit
 		shift -= width
 	}
@@ -118,14 +129,136 @@ func TopKSelectAdd(v, add Vector, k int, idx []uint32) []uint32 {
 	return idx
 }
 
-// kthBucket walks a digit histogram from the top to the bucket holding the
-// k-th largest element, and returns it, how many of its members rank at or
-// above the k-th, and how many members it has.
-func kthBucket(hist *[1 << topKDigitBits]uint32, k int) (bucket uint64, need, members int) {
-	for b := len(hist) - 1; ; b-- {
+// topKFloor is the candidates' floor for the k largest magnitudes of
+// add + v (add nil: v): the r-th largest of a fixed sample, or 0.
+func topKFloor(v, add Vector, k int) uint64 {
+	n := len(v)
+	if n < topKSampleMin {
+		return 0
+	}
+	var sample [8 * topKSampleRuns]uint64
+	s := len(sample)
+	r := int((2*uint64(k)*uint64(s)+uint64(n)-1)/uint64(n)) + 8
+	if r > s {
+		return 0
+	}
+	stride := n / 8 / topKSampleRuns * 8
+	for j := 0; j < topKSampleRuns; j++ {
+		run, out := v[j*stride:][:8], sample[8*j:][:8]
+		if add != nil {
+			a := add[j*stride:][:8]
+			for e, x := range run {
+				out[e] = magBits(a[e] + x)
+			}
+		} else {
+			for e, x := range run {
+				out[e] = magBits(x)
+			}
+		}
+	}
+	return kthLargest(sample[:], r)
+}
+
+// kthLargest returns the r-th largest (1-based) element of s, reordering s:
+// Hoare's FIND. Its partition splits runs of repeats evenly, so an all-zero
+// or constant sample costs no more than a varied one.
+func kthLargest(s []uint64, r int) uint64 {
+	r--
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		x := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] > x {
+				i++
+			}
+			for x > s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		if j < r {
+			lo = i
+		}
+		if r < i {
+			hi = j
+		}
+	}
+	return s[r]
+}
+
+// topKCollect folds add into v (add nil: no fold) and appends to idx, in
+// ascending order, every position whose magnitude is at least floor,
+// counting the candidates' leading digits in hist. It returns idx and the
+// highest digit counted. With AVX2, topKMask folds and compares whole
+// 64-element words of a block and Go walks the set bits; the rest, and
+// every element on other hosts, takes the loop below.
+func topKCollect(v, add Vector, floor uint64, idx []uint32, hist *[1 << topKDigitBits]uint32) ([]uint32, uint64) {
+	var top uint64
+	done := 0
+	if haveFMA {
+		var masks [topKBlock / 64]uint64
+		var a *float64
+		for end := len(v) &^ 63; done < end; {
+			m := min(topKBlock, end-done)
+			if add != nil {
+				a = &add[done]
+			}
+			topKMask(&v[done], a, m, floor, &masks[0])
+			for w, bits := range masks[:m/64] {
+				for ; bits != 0; bits &= bits - 1 {
+					i := done + 64*w + mathbits.TrailingZeros64(bits)
+					d := magBits(v[i]) >> topKTopShift
+					hist[d]++
+					top = max(top, d)
+					idx = append(idx, uint32(i))
+				}
+			}
+			done += m
+		}
+	}
+	// The fold keeps a loop of its own, in this form: Go may commute a
+	// float add, which decides the payload NaN + NaN keeps, and this form
+	// compiles with add as ADDSD's destination — topKMask's operand order
+	// (TestTopKSelectAddNaNFold fails on a merged loop).
+	if add != nil {
+		for i, a := range add[done:] {
+			i += done
+			x := a + v[i]
+			v[i] = x
+			if m := magBits(x); m >= floor {
+				d := m >> topKTopShift
+				hist[d]++
+				top = max(top, d)
+				idx = append(idx, uint32(i))
+			}
+		}
+		return idx, top
+	}
+	for i, x := range v[done:] {
+		if m := magBits(x); m >= floor {
+			d := m >> topKTopShift
+			hist[d]++
+			top = max(top, d)
+			idx = append(idx, uint32(done+i))
+		}
+	}
+	return idx, top
+}
+
+// kthBucket walks a digit histogram down from bucket top (none above it
+// counts anything) to the bucket holding the k-th largest element, and
+// returns it, how many of its members rank at or above the k-th, and how
+// many members it has.
+func kthBucket(hist *[1 << topKDigitBits]uint32, top uint64, k int) (bucket uint64, need, members int) {
+	for b := top; ; b-- {
 		c := int(hist[b])
 		if c >= k {
-			return uint64(b), k, c
+			return b, k, c
 		}
 		k -= c
 	}

@@ -260,6 +260,204 @@ func FuzzTopKSelect(f *testing.F) {
 	})
 }
 
+// checkTopKSelectAdd holds TopKSelectAdd(v, add, k) to its definition on
+// the current kernel path and, on an AVX2 host, on the portable one: v
+// becomes add[i] + v[i] — the bits of the Go loop, NaN payloads included —
+// and the selection is topKReference of that sum. Both operands run flush
+// against a guard page, so a read past either end faults. v and add are
+// left as passed.
+func checkTopKSelectAdd(t *testing.T, v, add Vector, k int) {
+	t.Helper()
+	sum := v.Clone()
+	for i, a := range add {
+		sum[i] = a + sum[i]
+	}
+	want := topKReference(sum, k)
+	flush := func(x Vector) Vector {
+		slab := guardedArena(t, len(x))
+		slab = slab[len(slab)-len(x):]
+		copy(slab, x)
+		return slab
+	}
+	if add != nil {
+		add = flush(add)
+	}
+	check := func() {
+		t.Helper()
+		got := flush(v)
+		idx := TopKSelectAdd(got, add, k, nil)
+		for i := range sum {
+			if g, w := math.Float64bits(got[i]), math.Float64bits(sum[i]); g != w {
+				t.Fatalf("n=%d k=%d fma=%v: v[%d] = %#x after the fold, want %#x", len(v), k, haveFMA, i, g, w)
+			}
+		}
+		if len(idx) != len(want) {
+			t.Fatalf("n=%d k=%d fma=%v: selected %d positions, want %d", len(v), k, haveFMA, len(idx), len(want))
+		}
+		for i := range want {
+			if idx[i] != want[i] {
+				t.Fatalf("n=%d k=%d fma=%v: position %d of the selection is %d, want %d", len(v), k, haveFMA, i, idx[i], want[i])
+			}
+		}
+	}
+	check()
+	if restore := ForcePortable(); restore != nil {
+		defer restore()
+		check()
+	}
+}
+
+// onSampleGrid reports whether topKFloor samples position i of an n-long v.
+func onSampleGrid(n, i int) bool {
+	stride := n / 8 / topKSampleRuns * 8
+	return n >= topKSampleMin && i < topKSampleRuns*stride && i%stride < 8
+}
+
+// TestTopKSelectAddRetry puts every large magnitude off the sample grid: the
+// sampled floor then admits fewer than k candidates, and the select must
+// repeat its pass at floor 0 on the folded v.
+func TestTopKSelectAddRetry(t *testing.T) {
+	const n = 213_060
+	rng := rand.New(rand.NewSource(3))
+	v, add := make(Vector, n), make(Vector, n)
+	large := 0
+	for i := range v {
+		switch {
+		case onSampleGrid(n, i):
+			v[i] = 1
+		case rng.Intn(2000) == 0:
+			v[i] = 1e3 * rng.NormFloat64()
+			large++
+		default:
+			v[i] = 1e-3 * rng.NormFloat64()
+		}
+		add[i] = 1e-6 * rng.NormFloat64()
+	}
+	for _, k := range []int{n / 50, n / 20} {
+		floor := topKFloor(v, nil, k)
+		if above := 8*topKSampleRuns + large; floor != magBits(1) || above >= k {
+			t.Fatalf("k=%d: floor %#x admits %d, want magBits(1) admitting fewer than k", k, floor, above)
+		}
+		checkTopKSelectAdd(t, v, nil, k)
+		checkTopKSelectAdd(t, v, add, k)
+	}
+}
+
+// Lengths off the kernel's 64-element words and 4096-element blocks, below
+// and above the sampled size.
+func TestTopKSelectAddRaggedLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 63, 65, 127, 4096 + 1, 5*4096 + 3*64 + 17, topKSampleMin - 1, topKSampleMin + 63, 213_060} {
+		v, add := make(Vector, n), make(Vector, n)
+		for i := range v {
+			v[i], add[i] = rng.NormFloat64(), rng.NormFloat64()
+			if rng.Intn(7) == 0 {
+				v[i] = math.Copysign(1, v[i]) // magnitude ties across the blocks
+			}
+		}
+		for _, k := range []int{1, n / 100, n / 2, n - 1} {
+			checkTopKSelectAdd(t, v, nil, k)
+			checkTopKSelectAdd(t, v, add, k)
+		}
+	}
+}
+
+// All-zero and constant messages: every sample is the floor, every element
+// a candidate, and the threshold one bit pattern. Signed zeros fold to +0
+// or −0 as the Go loop's adds do.
+func TestTopKSelectAddDegenerate(t *testing.T) {
+	const n = 213_060
+	zeros, negZeros, constant := make(Vector, n), make(Vector, n), make(Vector, n)
+	constant.Fill(-0.75)
+	for i := range negZeros {
+		if i%3 == 0 {
+			negZeros[i] = math.Copysign(0, -1)
+		}
+	}
+	for _, k := range []int{1, n / 100, n / 2} {
+		checkTopKSelectAdd(t, zeros, nil, k)
+		checkTopKSelectAdd(t, zeros, zeros, k)
+		checkTopKSelectAdd(t, negZeros, negZeros, k)
+		checkTopKSelectAdd(t, constant, nil, k)
+		checkTopKSelectAdd(t, constant, zeros, k)
+		checkTopKSelectAdd(t, zeros, constant, k)
+	}
+}
+
+// NaN + NaN keeps one operand's payload — on x86 the first source's, add's
+// in the Go loop — so the kernel's fold must add in the loop's order. Every
+// lane here is two NaNs with different payloads and signs, beside NaN +
+// finite and ±Inf lanes.
+func TestTopKSelectAddNaNFold(t *testing.T) {
+	const n = 32_768 + 3*64 + 5
+	rng := rand.New(rand.NewSource(13))
+	nan := func() float64 {
+		return math.Float64frombits(0x7ff0000000000000 | rng.Uint64()&(1<<52-1) | 1 | uint64(rng.Intn(2))<<63)
+	}
+	v, add := make(Vector, n), make(Vector, n)
+	for i := range v {
+		v[i], add[i] = nan(), nan()
+		switch i % 97 {
+		case 0:
+			v[i] = rng.NormFloat64()
+		case 1:
+			add[i] = math.Inf(1 - 2*rng.Intn(2))
+		}
+	}
+	for _, k := range []int{1, n / 100, n / 2} {
+		checkTopKSelectAdd(t, v, add, k)
+	}
+}
+
+// FuzzTopKSelectAdd holds fold + select to fold-then-topKReference on
+// fuzzer bit patterns for both operands: every eight bytes of vData (addData)
+// are one float64 of v (add), tiled out to n elements, which reach past
+// topKSampleMin so both the sampled floor and the floor-0 retry run. Short
+// addData means no fold. Both kernel paths.
+func FuzzTopKSelectAdd(f *testing.F) {
+	bits := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(bits(0.1, -5, 3, -3, 0.2), bits(1, 2), uint16(1000), uint16(7))
+	f.Add(bits(1, -1, 1, -1, 1), []byte(nil), uint16(20_000), uint16(300))
+	f.Add(bits(math.NaN(), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324), bits(-math.NaN(), math.Inf(1)), uint16(17_000), uint16(170))
+	// A 128-float period against n = 32 768 (sample stride 128): the grid
+	// sees only the eight 1s, so the floor admits 256·9 < k elements.
+	period := make([]float64, 128)
+	for i := range period {
+		period[i] = 1e-3 * float64(i)
+	}
+	for i := range 8 {
+		period[i] = 1
+	}
+	period[77] = 1e3
+	f.Add(bits(period...), bits(1e-9), uint16(32_768), uint16(4000))
+	f.Fuzz(func(t *testing.T, vData, addData []byte, size, kk uint16) {
+		tile := func(data []byte, n int) Vector {
+			if len(data) < 8 {
+				return nil
+			}
+			x := make(Vector, n)
+			for i := range x {
+				off := 8 * (i % (len(data) / 8))
+				x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+			}
+			return x
+		}
+		n := int(size) % (3 * topKSampleMin)
+		v, add := tile(vData, n), tile(addData, n)
+		if v == nil {
+			v = make(Vector, n)
+		}
+		k := int(kk) % (n + 2)
+		checkTopKSelectAdd(t, v, add, k)
+	})
+}
+
 func TestQuantizeRoundTripBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, bits := range []int{8, 16} {

@@ -121,6 +121,14 @@ func fmaAdam(w, g, m, v Vector, lr, b1, ob1, b2, ob2, c1, c2, eps float64)
 //go:noescape
 func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64)
 
+// topKMask is TopKSelectAdd's candidate pass over n elements, a positive
+// multiple of 64: with add non-nil it first folds v[i] = add[i] + v[i] in
+// place (the Go loop's operand order), then sets bit i%64 of masks[i/64]
+// iff magBits(v[i]) >= floor. It writes n/64 words.
+//
+//go:noescape
+func topKMask(v, add *float64, n int, floor uint64, masks *uint64)
+
 // fmaRelu writes y = max(x, 0) and mask = 1 where x > 0 (else 0).
 //
 //go:noescape

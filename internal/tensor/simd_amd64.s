@@ -915,3 +915,87 @@ bm_loop:
 bm_done:
 	VZEROUPPER
 	RET
+
+// func topKMask(v, add *float64, n int, floor uint64, masks *uint64)
+//
+// The top-k candidate pass over n elements (a positive multiple of 64):
+// with add non-nil it first folds v[i] = add[i] + v[i] in place, VADDPD with
+// add as the first source — the operand ADDSD's destination holds in the Go
+// loop, whose NaN payload an x86 add keeps when both operands are NaN. Then
+// bit i%64 of masks[i/64] is set iff the magnitude bits of v[i] (sign
+// cleared, so a non-negative int64) are at least floor: greater than
+// floor−1, which is −1 for floor 0. Eight elements a step, eight steps a
+// word.
+TEXT ·topKMask(SB), NOSPLIT, $0-40
+	MOVQ v+0(FP), DI
+	MOVQ add+8(FP), SI
+	MOVQ n+16(FP), R10
+	MOVQ floor+24(FP), AX
+	MOVQ masks+32(FP), R8
+	DECQ AX
+	MOVQ AX, X15
+	VPBROADCASTQ X15, Y15        // floor − 1
+	MOVQ $0x7fffffffffffffff, AX
+	MOVQ AX, X14
+	VPBROADCASTQ X14, Y14        // sign-clearing mask
+	XORQ AX, AX                  // element index
+	TESTQ SI, SI
+	JZ   topk_word
+
+topk_fold_word:
+	XORQ R9, R9                  // the word's mask
+	XORQ CX, CX                  // its next bit
+topk_fold_step:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VADDPD (DI)(AX*8), Y0, Y0    // add + v
+	VADDPD 32(DI)(AX*8), Y1, Y1
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VPAND Y14, Y0, Y0
+	VPAND Y14, Y1, Y1
+	VPCMPGTQ Y15, Y0, Y0         // magnitude > floor − 1
+	VPCMPGTQ Y15, Y1, Y1
+	VMOVMSKPD Y0, DX
+	VMOVMSKPD Y1, BX
+	SHLQ $4, BX
+	ORQ  BX, DX
+	SHLQ CL, DX
+	ORQ  DX, R9
+	ADDQ $8, AX
+	ADDQ $8, CX
+	CMPQ CX, $64
+	JLT  topk_fold_step
+	MOVQ R9, (R8)
+	ADDQ $8, R8
+	CMPQ AX, R10
+	JLT  topk_fold_word
+	VZEROUPPER
+	RET
+
+topk_word:
+	XORQ R9, R9
+	XORQ CX, CX
+topk_step:
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VPAND Y14, Y0, Y0
+	VPAND Y14, Y1, Y1
+	VPCMPGTQ Y15, Y0, Y0
+	VPCMPGTQ Y15, Y1, Y1
+	VMOVMSKPD Y0, DX
+	VMOVMSKPD Y1, BX
+	SHLQ $4, BX
+	ORQ  BX, DX
+	SHLQ CL, DX
+	ORQ  DX, R9
+	ADDQ $8, AX
+	ADDQ $8, CX
+	CMPQ CX, $64
+	JLT  topk_step
+	MOVQ R9, (R8)
+	ADDQ $8, R8
+	CMPQ AX, R10
+	JLT  topk_word
+	VZEROUPPER
+	RET
