@@ -110,3 +110,49 @@ func FuzzDecodeCodecPayload(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseCodec: a codec spec comes from a flag or a serve request. Any
+// string parses or errors, never panics, and an accepted spec's canonical
+// form (Codec.String, what the ranks fingerprint) parses back to the same
+// Codec.
+func FuzzParseCodec(f *testing.F) {
+	for _, s := range []string{"", "none", " q8 ", "q16", "q", "topk:0.01", "topk:1", "topk:NaN", "topk:0x1p-4",
+		"partial:0.25", "partial:0.5,0.125", "partial:1,", "partial:0.5,0.5", "partial:1e-300", "x:y", "topk:0.1:0.2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseCodec(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseCodec(c.String())
+		if err != nil {
+			t.Fatalf("ParseCodec(%q) = %+v, whose String %q does not parse: %v", s, c, c.String(), err)
+		}
+		if again != c {
+			t.Fatalf("ParseCodec(%q) = %+v, but its String %q parses to %+v", s, c, c.String(), again)
+		}
+	})
+}
+
+// FuzzParseFaultPlan: a fault plan comes from a flag. Any string parses or
+// errors, never panics, and an accepted plan's probabilities are
+// probabilities and its ranks ranks or the −1 wildcard.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, s := range []string{"", "seed=7; delay=100us..1ms; drop=0.01; dup=0.01; partition=200..400; crash=5000",
+		"link=0>1; delay=1ms", "link=*>2; drop=1; retrans=2ms; stall=5ms", "link=-1>0", "drop=2", "delay=5..1",
+		"partition=9..3", "seed=x", ";;", "=", "link=0>", "delay=1ms..", "crash=-1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParseFaultPlan(s)
+		if err != nil {
+			return
+		}
+		for _, lf := range plan.Links {
+			if !(lf.Drop >= 0 && lf.Drop <= 1) || !(lf.Dup >= 0 && lf.Dup <= 1) || lf.From < -1 || lf.To < -1 {
+				t.Fatalf("ParseFaultPlan(%q) accepted link %+v", s, lf)
+			}
+		}
+	})
+}

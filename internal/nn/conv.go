@@ -271,45 +271,26 @@ func (m *MaxPool2D) OutH() int { return m.H / 2 }
 // OutW returns the output width.
 func (m *MaxPool2D) OutW() int { return m.W / 2 }
 
-// Forward picks the max of each 2×2 window, remembering winners for the
+// Forward picks the max of each 2×2 window, seeded with the window's first
+// element (so a NaN or -Inf there comes out as itself, and ties keep the
+// earlier element). A training forward remembers the winners for the
 // backward routing.
 func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != m.C*m.H*m.W {
 		panic("nn: MaxPool2D input width mismatch")
 	}
-	oh, ow := m.OutH(), m.OutW()
 	m.inCols = x.Cols
-	m.y = tensor.EnsureMatrix(m.y, x.Rows, m.C*oh*ow)
-	y := m.y
-	if cap(m.argmax) < x.Rows*y.Cols {
-		m.argmax = make([]int, x.Rows*y.Cols)
-	}
-	m.argmax = m.argmax[:x.Rows*y.Cols]
-	for n := 0; n < x.Rows; n++ {
-		in := x.Row(n)
-		out := y.Row(n)
-		for ch := 0; ch < m.C; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					// The window's first element seeds the scan, so the
-					// winner is always an element of the window: a NaN or
-					// -Inf there comes out as itself instead of as a
-					// sentinel with no index to route the gradient to.
-					first := ch*m.H*m.W + 2*oy*m.W + 2*ox
-					best, bestIdx := in[first], first
-					for _, idx := range [3]int{first + 1, first + m.W, first + m.W + 1} {
-						if in[idx] > best {
-							best, bestIdx = in[idx], idx
-						}
-					}
-					oi := ch*oh*ow + oy*ow + ox
-					out[oi] = best
-					m.argmax[n*y.Cols+oi] = bestIdx
-				}
-			}
+	m.y = tensor.EnsureMatrix(m.y, x.Rows, m.C*m.OutH()*m.OutW())
+	var arg []int
+	if train {
+		if cap(m.argmax) < len(m.y.Data) {
+			m.argmax = make([]int, len(m.y.Data))
 		}
+		m.argmax = m.argmax[:len(m.y.Data)]
+		arg = m.argmax
 	}
-	return y
+	tensor.MaxPool2x2(m.y, arg, x, m.C, m.H, m.W)
+	return m.y
 }
 
 // Backward routes each output gradient to the winning input position.

@@ -175,8 +175,7 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		panic("nn: Residual inner layer must preserve shape")
 	}
 	r.y = tensor.EnsureMatrix(r.y, x.Rows, x.Cols)
-	r.y.Data.CopyFrom(y.Data)
-	r.y.Data.Add(x.Data)
+	tensor.Add(r.y.Data, y.Data, x.Data)
 	return r.y
 }
 
@@ -184,8 +183,7 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 func (r *Residual) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	dx := r.Inner.Backward(grad)
 	r.dx = tensor.EnsureMatrix(r.dx, grad.Rows, grad.Cols)
-	r.dx.Data.CopyFrom(dx.Data)
-	r.dx.Data.Add(grad.Data)
+	tensor.Add(r.dx.Data, dx.Data, grad.Data)
 	return r.dx
 }
 

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"selsync/internal/tensor"
-)
+import "selsync/internal/tensor"
 
 // LayerNorm normalizes each row to zero mean and unit variance, then applies
 // a learned per-feature gain and bias. The zoo uses LayerNorm where the
@@ -30,61 +26,31 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 // init sets the gain to 1; the bias stays 0. It draws nothing.
 func (l *LayerNorm) init(*tensor.RNG) { l.G.Data.Fill(1) }
 
-// Forward normalizes each row and applies gain/bias.
+// Forward normalizes each row and applies gain/bias. Only a training
+// forward keeps xhat and invStd, which nothing but Backward reads.
 func (l *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != l.Dim {
 		panic("nn: LayerNorm width mismatch")
 	}
 	l.y = tensor.EnsureMatrix(l.y, x.Rows, x.Cols)
-	y := l.y
+	if !train {
+		tensor.LayerNormRows(l.y, nil, nil, x, l.G.Data, l.B.Data, l.Eps)
+		return l.y
+	}
 	l.xhat = tensor.EnsureMatrix(l.xhat, x.Rows, x.Cols)
 	l.invStd = tensor.EnsureVector(l.invStd, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		mu := row.Mean()
-		inv := 1 / math.Sqrt(row.VarianceAbout(mu)+l.Eps)
-		l.invStd[i] = inv
-		xh := l.xhat.Row(i)
-		out := y.Row(i)
-		for j, v := range row {
-			h := (v - mu) * inv
-			xh[j] = h
-			out[j] = h*l.G.Data[j] + l.B.Data[j]
-		}
-	}
-	return y
+	tensor.LayerNormRows(l.y, l.xhat, l.invStd, x, l.G.Data, l.B.Data, l.Eps)
+	return l.y
 }
 
 // Backward implements the standard LayerNorm gradient:
 // dx = invStd/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat⊙xhat)) with
-// dxhat = dy⊙g. The gain/bias gradients are sums over rows, so their
-// windows are cleared first, while they are about to be hot anyway.
+// dxhat = dy⊙g. The gain/bias gradients are sums over rows, which the
+// kernel writes from +0.
 func (l *LayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	n := float64(l.Dim)
-	l.G.Grad.Zero()
-	l.B.Grad.Zero()
 	l.dx = tensor.EnsureMatrix(l.dx, grad.Rows, grad.Cols)
-	dx := l.dx
-	for i := 0; i < grad.Rows; i++ {
-		dy := grad.Row(i)
-		xh := l.xhat.Row(i)
-		inv := l.invStd[i]
-
-		var sumDxhat, sumDxhatXhat float64
-		for j, g := range dy {
-			dxh := g * l.G.Data[j]
-			sumDxhat += dxh
-			sumDxhatXhat += dxh * xh[j]
-			l.G.Grad[j] += g * xh[j]
-			l.B.Grad[j] += g
-		}
-		out := dx.Row(i)
-		for j, g := range dy {
-			dxh := g * l.G.Data[j]
-			out[j] = inv / n * (n*dxh - sumDxhat - xh[j]*sumDxhatXhat)
-		}
-	}
-	return dx
+	tensor.LayerNormRowsGrad(l.dx, l.G.Grad, l.B.Grad, grad, l.xhat, l.invStd, l.G.Data)
+	return l.dx
 }
 
 // Params returns the gain and bias parameters.

@@ -42,26 +42,42 @@ func Im2Col(cols *Matrix, src Vector, c, h, w, k, pad int) {
 	for ch := 0; ch < c; ch++ {
 		plane := src[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < k; ky++ {
+			// Valid output rows: 0 <= oy-pad+ky < h.
+			loY, hiY := clampRun(ky, pad, h, oh)
 			for kx := 0; kx < k; kx++ {
-				row := cols.Row((ch*k+ky)*k + kx)
 				// Valid output columns: 0 <= ox-pad+kx < w.
 				loX, hiX := clampRun(kx, pad, w, ow)
-				for oy := 0; oy < oh; oy++ {
-					out := row[oy*ow : (oy+1)*ow]
-					iy := oy - pad + ky
-					if iy < 0 || iy >= h || loX == hiX {
-						out.Zero()
-						continue
-					}
-					for i := 0; i < loX; i++ {
-						out[i] = 0
-					}
-					copy(out[loX:hiX], plane[iy*w+loX-pad+kx:])
-					for i := hiX; i < ow; i++ {
-						out[i] = 0
-					}
+				row := cols.Row((ch*k+ky)*k + kx)
+				if loX == hiX || loY == hiY {
+					row.Zero()
+					continue
 				}
+				row[:loY*ow].Zero()
+				row[hiY*ow:].Zero()
+				im2colRuns(row[loY*ow:hiY*ow], plane[(loY-pad+ky)*w+loX-pad+kx:], ow, w, loX, hiX)
 			}
+		}
+	}
+}
+
+// im2colRuns fills len(dst)/ow output rows of one tap: row r is zero
+// outside [loX, hiX) and holds src[r·w:][:hiX−loX] inside it. The runs are
+// a few elements long (ow − 1 or ow for a 3×3 kernel), so a loop beats
+// copy's call; a helper of its own keeps the loop's few values in
+// registers.
+func im2colRuns(dst, src Vector, ow, w, loX, hiX int) {
+	n := hiX - loX
+	for r := 0; r*ow < len(dst); r++ {
+		out := dst[r*ow : r*ow+ow]
+		for i := 0; i < loX; i++ {
+			out[i] = 0
+		}
+		run := out[loX:hiX]
+		for i, v := range src[r*w : r*w+n] {
+			run[i] = v
+		}
+		for i := hiX; i < ow; i++ {
+			out[i] = 0
 		}
 	}
 }

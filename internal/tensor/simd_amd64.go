@@ -8,7 +8,8 @@ package tensor
 // simd_test.go). FMA contracts the multiply-add rounding step, so the SIMD
 // and generic paths differ in the last ulps; every replica in a simulated
 // cluster runs the same path, so cross-replica determinism is unaffected.
-// The Box–Muller kernel uses no FMA and is bit-identical to its Go loop.
+// The Box–Muller, LayerNorm, max-pool and add kernels use no FMA and are
+// bit-identical to their Go loops.
 
 // haveFMA reports whether the CPU and OS support the AVX2+FMA kernels.
 var haveFMA = detectFMA()
@@ -133,3 +134,31 @@ func topKMask(v, add *float64, n int, floor uint64, masks *uint64)
 //
 //go:noescape
 func fmaRelu(y, mask, x Vector)
+
+// fmaAdd writes dst = a + b over len(dst) elements, a as each VADDPD's
+// first source (Add's Go loop).
+//
+//go:noescape
+func fmaAdd(dst, a, b Vector)
+
+// layerNorm4 is LayerNormRows over four consecutive n-wide rows: the rows'
+// sums run in the four lanes in column order, then each row's elementwise
+// pass runs along the row. xhat and invStd are both nil (evaluation) or
+// both set; n must be ≥ 1.
+//
+//go:noescape
+func layerNorm4(y, xhat, invStd, x, gain, bias *float64, n int, eps float64)
+
+// layerNormGrad4 is LayerNormRowsGrad over four consecutive n-wide rows:
+// their Σdxhat and Σdxhat·xhat run in the four lanes in column order, the
+// four rows are added into dg and db in row order, then each row's dx runs
+// along the row. n must be ≥ 1.
+//
+//go:noescape
+func layerNormGrad4(dx, dy, xhat, invStd, gain, dg, db *float64, n int)
+
+// maxPool4 is MaxPool2x2 over rows samples of c×h×w, four windows per
+// step; w/2 must be a positive multiple of 4. arg nil skips the indices.
+//
+//go:noescape
+func maxPool4(y *float64, arg *int, x *float64, rows, c, h, w int)

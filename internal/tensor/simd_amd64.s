@@ -999,3 +999,442 @@ topk_step:
 	JLT  topk_word
 	VZEROUPPER
 	RET
+
+// func fmaAdd(dst, a, b Vector)
+TEXT ·fmaAdd(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+add_loop8:
+	CMPQ AX, DX
+	JGE  add_tail
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VADDPD (R8)(AX*8), Y0, Y0    // a + b: a is the first source
+	VADDPD 32(R8)(AX*8), Y1, Y1
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  add_loop8
+add_tail:
+	CMPQ AX, CX
+	JGE  add_done
+	VMOVSD (SI)(AX*8), X0
+	VADDSD (R8)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  add_tail
+add_done:
+	VZEROUPPER
+	RET
+
+// LayerNorm kernels. Four consecutive rows sit in the four lanes of one
+// ymm for the per-row sums, so each lane adds its row's terms in column
+// order exactly like the Go loop; the elementwise passes then run along
+// each row with the row's statistics broadcast. Every operation rounds on
+// its own (no FMA), and each commutative one takes its operands in the
+// order the Go 1.24 build of the portable loop (layers.go) puts them in
+// the register, which decides which payload a NaN + NaN keeps.
+//
+// GATHER2 loads columns j = AX and j+1 of rows r0..r3 into lo and hi
+// (lane i = row i); GATHER1 loads column j alone. Both clobber Y1 and Y2.
+#define GATHER2(r0, r1, r2, r3, lo, hi) \
+	VMOVUPD (r0)(AX*8), X1 \
+	VINSERTF128 $1, (r2)(AX*8), Y1, Y1 \
+	VMOVUPD (r1)(AX*8), X2 \
+	VINSERTF128 $1, (r3)(AX*8), Y2, Y2 \
+	VUNPCKLPD Y2, Y1, lo \
+	VUNPCKHPD Y2, Y1, hi
+
+#define GATHER1(r0, r1, r2, r3, v) \
+	VMOVSD (r0)(AX*8), X1 \
+	VMOVHPD (r1)(AX*8), X1, X1 \
+	VMOVSD (r2)(AX*8), X2 \
+	VMOVHPD (r3)(AX*8), X2, X2 \
+	VINSERTF128 $1, X2, Y1, v
+
+// func layerNorm4(y, xhat, invStd, x, gain, bias *float64, n int, eps float64)
+TEXT ·layerNorm4(SB), NOSPLIT, $0-64
+	MOVQ x+24(FP), R10
+	MOVQ n+48(FP), CX
+	LEAQ (R10)(CX*8), R11
+	LEAQ (R11)(CX*8), R12
+	LEAQ (R12)(CX*8), R13
+	MOVQ CX, DX
+	ANDQ $-2, DX
+	VCVTSI2SDQ CX, X5, X5
+	VBROADCASTSD X5, Y5          // n
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+ln_sum2:                             // Σ x, column order
+	CMPQ AX, DX
+	JGE  ln_sum1
+	GATHER2(R10, R11, R12, R13, Y3, Y4)
+	VADDPD Y3, Y0, Y0
+	VADDPD Y4, Y0, Y0
+	ADDQ $2, AX
+	JMP  ln_sum2
+ln_sum1:
+	CMPQ AX, CX
+	JGE  ln_mean
+	GATHER1(R10, R11, R12, R13, Y3)
+	VADDPD Y3, Y0, Y0
+ln_mean:
+	VDIVPD Y5, Y0, Y6            // mu = Σ x / n
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+ln_var2:                             // Σ (x − mu)², column order
+	CMPQ AX, DX
+	JGE  ln_var1
+	GATHER2(R10, R11, R12, R13, Y3, Y4)
+	VSUBPD Y6, Y3, Y3
+	VMULPD Y3, Y3, Y3
+	VADDPD Y3, Y0, Y0
+	VSUBPD Y6, Y4, Y4
+	VMULPD Y4, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ $2, AX
+	JMP  ln_var2
+ln_var1:
+	CMPQ AX, CX
+	JGE  ln_inv
+	GATHER1(R10, R11, R12, R13, Y3)
+	VSUBPD Y6, Y3, Y3
+	VMULPD Y3, Y3, Y3
+	VADDPD Y3, Y0, Y0
+ln_inv:
+	VDIVPD Y5, Y0, Y0            // var = Σ / n
+	VBROADCASTSD eps+56(FP), Y1
+	VADDPD Y1, Y0, Y0            // var + eps
+	VSQRTPD Y0, Y0
+	MOVQ $0x3FF0000000000000, BX // 1.0
+	VMOVQ BX, X1
+	VBROADCASTSD X1, Y1
+	VDIVPD Y0, Y1, Y7            // inv = 1 / sqrt(var + eps)
+	MOVQ xhat+8(FP), R8
+	TESTQ R8, R8
+	JZ   ln_rows
+	MOVQ invStd+16(FP), R9
+	VMOVUPD Y7, (R9)
+ln_rows:
+	MOVQ y+0(FP), DI
+	MOVQ gain+32(FP), SI
+	MOVQ bias+40(FP), BX
+	MOVQ CX, R12
+	ANDQ $-8, R12
+	MOVQ $4, R9
+ln_row:                              // lane 0 of Y6/Y7 is this row's
+	VBROADCASTSD X6, Y8          // mu
+	VBROADCASTSD X7, Y9          // inv
+	XORQ AX, AX
+ln_e8:
+	CMPQ AX, R12
+	JGE  ln_e1
+	VMOVUPD (R10)(AX*8), Y1
+	VMOVUPD 32(R10)(AX*8), Y2
+	VSUBPD Y8, Y1, Y1            // x − mu
+	VSUBPD Y8, Y2, Y2
+	VMULPD Y9, Y1, Y1            // h = (x − mu)·inv
+	VMULPD Y9, Y2, Y2
+	TESTQ R8, R8
+	JZ   ln_e8y
+	VMOVUPD Y1, (R8)(AX*8)
+	VMOVUPD Y2, 32(R8)(AX*8)
+ln_e8y:
+	VMULPD (SI)(AX*8), Y1, Y1    // h·g
+	VMULPD 32(SI)(AX*8), Y2, Y2
+	VADDPD (BX)(AX*8), Y1, Y1    // h·g + b
+	VADDPD 32(BX)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  ln_e8
+ln_e1:
+	CMPQ AX, CX
+	JGE  ln_next
+	VMOVSD (R10)(AX*8), X1
+	VSUBSD X8, X1, X1
+	VMULSD X9, X1, X1
+	TESTQ R8, R8
+	JZ   ln_e1y
+	VMOVSD X1, (R8)(AX*8)
+ln_e1y:
+	VMULSD (SI)(AX*8), X1, X1
+	VADDSD (BX)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  ln_e1
+ln_next:
+	LEAQ (R10)(CX*8), R10
+	LEAQ (DI)(CX*8), DI
+	TESTQ R8, R8
+	JZ   ln_rot
+	LEAQ (R8)(CX*8), R8
+ln_rot:
+	VPERMPD $0x39, Y6, Y6        // next row's statistics into lane 0
+	VPERMPD $0x39, Y7, Y7
+	DECQ R9
+	JNZ  ln_row
+	VZEROUPPER
+	RET
+
+// func layerNormGrad4(dx, dy, xhat, invStd, gain, dg, db *float64, n int)
+TEXT ·layerNormGrad4(SB), NOSPLIT, $0-64
+	MOVQ dy+8(FP), R10
+	MOVQ xhat+16(FP), R8
+	MOVQ n+56(FP), CX
+	LEAQ (R10)(CX*8), R11
+	LEAQ (R11)(CX*8), R12
+	LEAQ (R12)(CX*8), R13
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), BX
+	LEAQ (BX)(CX*8), DX
+	// dg += dy·xhat and db += dy, four columns at a time, the four rows
+	// in row order (the Go loop's dg[j] = dy·xhat + dg[j], db[j] += dy).
+	MOVQ dg+40(FP), SI
+	MOVQ db+48(FP), DI
+	MOVQ CX, R14
+	ANDQ $-4, R14
+	XORQ AX, AX
+lng_col4:
+	CMPQ AX, R14
+	JGE  lng_col1
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VMOVUPD (R8)(AX*8), Y2
+	VMULPD (R10)(AX*8), Y2, Y2
+	VADDPD Y0, Y2, Y0
+	VADDPD (R10)(AX*8), Y1, Y1
+	VMOVUPD (R9)(AX*8), Y2
+	VMULPD (R11)(AX*8), Y2, Y2
+	VADDPD Y0, Y2, Y0
+	VADDPD (R11)(AX*8), Y1, Y1
+	VMOVUPD (BX)(AX*8), Y2
+	VMULPD (R12)(AX*8), Y2, Y2
+	VADDPD Y0, Y2, Y0
+	VADDPD (R12)(AX*8), Y1, Y1
+	VMOVUPD (DX)(AX*8), Y2
+	VMULPD (R13)(AX*8), Y2, Y2
+	VADDPD Y0, Y2, Y0
+	VADDPD (R13)(AX*8), Y1, Y1
+	VMOVUPD Y0, (SI)(AX*8)
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  lng_col4
+lng_col1:
+	CMPQ AX, CX
+	JGE  lng_sums
+	VMOVSD (SI)(AX*8), X0
+	VMOVSD (DI)(AX*8), X1
+	VMOVSD (R8)(AX*8), X2
+	VMULSD (R10)(AX*8), X2, X2
+	VADDSD X0, X2, X0
+	VADDSD (R10)(AX*8), X1, X1
+	VMOVSD (R9)(AX*8), X2
+	VMULSD (R11)(AX*8), X2, X2
+	VADDSD X0, X2, X0
+	VADDSD (R11)(AX*8), X1, X1
+	VMOVSD (BX)(AX*8), X2
+	VMULSD (R12)(AX*8), X2, X2
+	VADDSD X0, X2, X0
+	VADDSD (R12)(AX*8), X1, X1
+	VMOVSD (DX)(AX*8), X2
+	VMULSD (R13)(AX*8), X2, X2
+	VADDSD X0, X2, X0
+	VADDSD (R13)(AX*8), X1, X1
+	VMOVSD X0, (SI)(AX*8)
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  lng_col1
+lng_sums:
+	// Per row, in the lanes: s1 = Σ dxhat, s2 = Σ dxhat·xhat with
+	// dxhat = g[j]·dy (this loop's operand order).
+	MOVQ gain+32(FP), SI
+	MOVQ CX, R14
+	ANDQ $-2, R14
+	VXORPD Y0, Y0, Y0
+	VXORPD Y8, Y8, Y8
+	XORQ AX, AX
+lng_sum2:
+	CMPQ AX, R14
+	JGE  lng_sum1
+	GATHER2(R10, R11, R12, R13, Y3, Y4)
+	GATHER2(R8, R9, BX, DX, Y5, Y6)
+	VBROADCASTSD (SI)(AX*8), Y7
+	VMULPD Y3, Y7, Y3            // dxhat = g·dy
+	VADDPD Y3, Y0, Y0
+	VMULPD Y5, Y3, Y5            // dxhat·xhat
+	VADDPD Y5, Y8, Y8
+	VBROADCASTSD 8(SI)(AX*8), Y7
+	VMULPD Y4, Y7, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD Y6, Y4, Y6
+	VADDPD Y6, Y8, Y8
+	ADDQ $2, AX
+	JMP  lng_sum2
+lng_sum1:
+	CMPQ AX, CX
+	JGE  lng_rows
+	GATHER1(R10, R11, R12, R13, Y3)
+	GATHER1(R8, R9, BX, DX, Y5)
+	VBROADCASTSD (SI)(AX*8), Y7
+	VMULPD Y3, Y7, Y3
+	VADDPD Y3, Y0, Y0
+	VMULPD Y5, Y3, Y5
+	VADDPD Y5, Y8, Y8
+lng_rows:
+	// dx = (n·dxhat − s1 − xhat·s2)·(inv/n), dxhat = dy·g (this loop's
+	// operand order), one row at a time.
+	VCVTSI2SDQ CX, X5, X5
+	VBROADCASTSD X5, Y5          // n
+	MOVQ invStd+24(FP), R9
+	VMOVUPD (R9), Y9
+	VDIVPD Y5, Y9, Y9            // inv / n
+	MOVQ dx+0(FP), DI
+	MOVQ CX, R12
+	ANDQ $-4, R12
+	MOVQ $4, R9
+lng_row:
+	VBROADCASTSD X0, Y10         // s1
+	VBROADCASTSD X8, Y11         // s2
+	VBROADCASTSD X9, Y12         // inv / n
+	XORQ AX, AX
+lng_e4:
+	CMPQ AX, R12
+	JGE  lng_e1
+	VMOVUPD (R10)(AX*8), Y1
+	VMULPD (SI)(AX*8), Y1, Y1    // dxhat = dy·g
+	VMULPD Y5, Y1, Y1            // dxhat·n
+	VSUBPD Y10, Y1, Y1
+	VMOVUPD (R8)(AX*8), Y2
+	VMULPD Y11, Y2, Y2           // xhat·s2
+	VSUBPD Y2, Y1, Y1
+	VMULPD Y12, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  lng_e4
+lng_e1:
+	CMPQ AX, CX
+	JGE  lng_next
+	VMOVSD (R10)(AX*8), X1
+	VMULSD (SI)(AX*8), X1, X1
+	VMULSD X5, X1, X1
+	VSUBSD X10, X1, X1
+	VMOVSD (R8)(AX*8), X2
+	VMULSD X11, X2, X2
+	VSUBSD X2, X1, X1
+	VMULSD X12, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  lng_e1
+lng_next:
+	LEAQ (R10)(CX*8), R10
+	LEAQ (R8)(CX*8), R8
+	LEAQ (DI)(CX*8), DI
+	VPERMPD $0x39, Y0, Y0        // next row's sums into lane 0
+	VPERMPD $0x39, Y8, Y8
+	VPERMPD $0x39, Y9, Y9
+	DECQ R9
+	JNZ  lng_row
+	VZEROUPPER
+	RET
+
+// Window offsets of the four lanes' first elements: the unpacks below
+// leave the windows of a step in the order 0, 2, 1, 3.
+DATA poolidx<>+0x00(SB)/8, $0
+DATA poolidx<>+0x08(SB)/8, $4
+DATA poolidx<>+0x10(SB)/8, $2
+DATA poolidx<>+0x18(SB)/8, $6
+GLOBL poolidx<>(SB), RODATA|NOPTR, $32
+
+// func maxPool4(y *float64, arg *int, x *float64, rows, c, h, w int)
+//
+// Four 2×2 windows per step: two 8-element loads from each of the two
+// input rows, unpacked into the windows' four elements in scan order.
+// Each later element replaces the running best where it compares greater
+// (ordered, quiet: a NaN never wins and a NaN best is never replaced), so
+// ties, NaN and −Inf keep the Go loop's winner; the index follows the
+// same masks.
+TEXT ·maxPool4(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ arg+8(FP), R8
+	MOVQ x+16(FP), R10
+	MOVQ rows+24(FP), R9
+	MOVQ w+48(FP), CX
+	MOVQ CX, DX
+	SHLQ $3, DX                  // input row stride in bytes
+	VMOVDQU poolidx<>(SB), Y12
+	MOVQ $1, AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13        // +1: top right
+	VMOVQ CX, X14
+	VPBROADCASTQ X14, Y14        // +w: bottom left
+	VPADDQ Y13, Y14, Y15         // +w+1: bottom right
+	MOVQ $8, AX
+	VMOVQ AX, X11
+	VPBROADCASTQ X11, Y11        // next step's first elements
+mp_sample:
+	XORQ R13, R13                // first index of the channel's plane
+	MOVQ c+32(FP), R11
+mp_chan:
+	MOVQ R13, BX                 // first index of the window row
+	MOVQ h+40(FP), R12
+	SHRQ $1, R12
+mp_row:
+	LEAQ (R10)(BX*8), SI
+	VMOVQ BX, X8
+	VPBROADCASTQ X8, Y8
+	VPADDQ Y12, Y8, Y8
+	MOVQ CX, AX
+	SHRQ $3, AX                  // (w/2)/4 steps
+mp_step:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD (SI)(DX*1), Y2
+	VMOVUPD 32(SI)(DX*1), Y3
+	VUNPCKLPD Y1, Y0, Y4         // top left: the seed
+	VUNPCKHPD Y1, Y0, Y5         // top right
+	VUNPCKLPD Y3, Y2, Y6         // bottom left
+	VUNPCKHPD Y3, Y2, Y7         // bottom right
+	VCMPPD $0x1E, Y4, Y5, Y0     // top right > best
+	VBLENDVPD Y0, Y5, Y4, Y4
+	VCMPPD $0x1E, Y4, Y6, Y1
+	VBLENDVPD Y1, Y6, Y4, Y4
+	VCMPPD $0x1E, Y4, Y7, Y2
+	VBLENDVPD Y2, Y7, Y4, Y4
+	VPERMPD $0xD8, Y4, Y4        // windows back in order
+	VMOVUPD Y4, (DI)
+	ADDQ $32, DI
+	TESTQ R8, R8
+	JZ   mp_next
+	VPADDQ Y13, Y8, Y5
+	VBLENDVPD Y0, Y5, Y8, Y3
+	VPADDQ Y14, Y8, Y6
+	VBLENDVPD Y1, Y6, Y3, Y3
+	VPADDQ Y15, Y8, Y7
+	VBLENDVPD Y2, Y7, Y3, Y3
+	VPERMPD $0xD8, Y3, Y3
+	VMOVDQU Y3, (R8)
+	ADDQ $32, R8
+mp_next:
+	VPADDQ Y11, Y8, Y8
+	ADDQ $64, SI
+	DECQ AX
+	JNZ  mp_step
+	LEAQ (BX)(CX*2), BX          // two input rows down
+	DECQ R12
+	JNZ  mp_row
+	MOVQ h+40(FP), SI
+	IMULQ CX, SI
+	ADDQ SI, R13                 // next plane
+	DECQ R11
+	JNZ  mp_chan
+	LEAQ (R10)(R13*8), R10       // next sample
+	DECQ R9
+	JNZ  mp_sample
+	VZEROUPPER
+	RET

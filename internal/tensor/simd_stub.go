@@ -29,8 +29,16 @@ func topKMask(v, add *float64, n int, floor uint64, masks *uint64) {
 	panic("tensor: no SIMD")
 }
 func fmaMul(dst, a, b Vector)                      { panic("tensor: no SIMD") }
+func fmaAdd(dst, a, b Vector)                      { panic("tensor: no SIMD") }
 func fmaRelu(y, mask, x Vector)                    { panic("tensor: no SIMD") }
 func fmaSGDMom(w, g, v Vector, lr, mu, wd float64) { panic("tensor: no SIMD") }
 func fmaAdam(w, g, m, v Vector, lr, b1, ob1, b2, ob2, c1, c2, eps float64) {
 	panic("tensor: no SIMD")
 }
+func layerNorm4(y, xhat, invStd, x, gain, bias *float64, n int, eps float64) {
+	panic("tensor: no SIMD")
+}
+func layerNormGrad4(dx, dy, xhat, invStd, gain, dg, db *float64, n int) {
+	panic("tensor: no SIMD")
+}
+func maxPool4(y *float64, arg *int, x *float64, rows, c, h, w int) { panic("tensor: no SIMD") }
