@@ -45,36 +45,48 @@ func Im2Col(cols *Matrix, src Vector, c, h, w, k, pad int) {
 			// Valid output rows: 0 <= oy-pad+ky < h.
 			loY, hiY := clampRun(ky, pad, h, oh)
 			for kx := 0; kx < k; kx++ {
+				row := cols.Row((ch*k+ky)*k + kx)
 				// Valid output columns: 0 <= ox-pad+kx < w.
 				loX, hiX := clampRun(kx, pad, w, ow)
-				row := cols.Row((ch*k+ky)*k + kx)
-				if loX == hiX || loY == hiY {
-					row.Zero()
+				if ow == w && loX < hiX && loY < hiY {
+					im2colBlock(row, plane[(loY-pad+ky)*w+loX-pad+kx:], ow, loY, hiY, loX, hiX)
 					continue
 				}
-				row[:loY*ow].Zero()
-				row[hiY*ow:].Zero()
-				im2colRuns(row[loY*ow:hiY*ow], plane[(loY-pad+ky)*w+loX-pad+kx:], ow, w, loX, hiX)
+				for oy := 0; oy < oh; oy++ {
+					out := row[oy*ow : (oy+1)*ow]
+					iy := oy - pad + ky
+					if iy < 0 || iy >= h || loX == hiX {
+						out.Zero()
+						continue
+					}
+					for i := 0; i < loX; i++ {
+						out[i] = 0
+					}
+					copy(out[loX:hiX], plane[iy*w+loX-pad+kx:])
+					for i := hiX; i < ow; i++ {
+						out[i] = 0
+					}
+				}
 			}
 		}
 	}
 }
 
-// im2colRuns fills len(dst)/ow output rows of one tap: row r is zero
-// outside [loX, hiX) and holds src[r·w:][:hiX−loX] inside it. The runs are
-// a few elements long (ow − 1 or ow for a 3×3 kernel), so a loop beats
-// copy's call; a helper of its own keeps the loop's few values in
-// registers.
-func im2colRuns(dst, src Vector, ow, w, loX, hiX int) {
-	n := hiX - loX
-	for r := 0; r*ow < len(dst); r++ {
-		out := dst[r*ow : r*ow+ow]
+// im2colBlock fills one tap's row of cols when output and input rows are
+// equally wide ("same" padding, every zoo convolution): the tap's runs,
+// output rows [loY, hiY) × columns [loX, hiX), then sit at one fixed
+// offset from src, its first element, so one copy moves them all — a
+// stem tap's eight 7–8-element runs cost one call instead of eight —
+// and the columns outside [loX, hiX), which the copy filled from the
+// neighbouring input rows, are zeroed after it.
+func im2colBlock(row, src Vector, ow, loY, hiY, loX, hiX int) {
+	row[:loY*ow].Zero()
+	row[hiY*ow:].Zero()
+	copy(row[loY*ow+loX:(hiY-1)*ow+hiX], src)
+	for oy := loY; oy < hiY; oy++ {
+		out := row[oy*ow : oy*ow+ow]
 		for i := 0; i < loX; i++ {
 			out[i] = 0
-		}
-		run := out[loX:hiX]
-		for i, v := range src[r*w : r*w+n] {
-			run[i] = v
 		}
 		for i := hiX; i < ow; i++ {
 			out[i] = 0

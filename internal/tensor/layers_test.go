@@ -168,3 +168,37 @@ func TestAddKernelBits(t *testing.T) {
 		}
 	}
 }
+
+// TestIm2ColMatchesNaive holds Im2Col's block copies ("same" padding) and
+// its per-run loop to the definition, element by element, operands flush
+// against guard pages.
+func TestIm2ColMatchesNaive(t *testing.T) {
+	rng := NewRNG(53)
+	for _, s := range [][5]int{{3, 8, 8, 3, 1}, {8, 4, 4, 3, 1}, {3, 8, 8, 5, 2}, {2, 5, 7, 3, 1}, {1, 1, 8, 3, 1},
+		{2, 6, 6, 3, 0}, {1, 3, 3, 5, 1}, {2, 4, 9, 1, 0}, {1, 2, 2, 5, 2}} {
+		c, h, w, k, pad := s[0], s[1], s[2], s[3], s[4]
+		oh, ow := convOut(h, k, pad), convOut(w, k, pad)
+		src := flushEnd(t, c*h*w)
+		layerFill(rng, src, 0)
+		cols := &Matrix{Rows: c * k * k, Cols: oh * ow, Data: flushEnd(t, c*k*k*oh*ow)}
+		cols.Data.Fill(math.NaN())
+		Im2Col(cols, src, c, h, w, k, pad)
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					for oy := 0; oy < oh; oy++ {
+						for ox := 0; ox < ow; ox++ {
+							want := 0.0
+							if iy, ix := oy-pad+ky, ox-pad+kx; iy >= 0 && iy < h && ix >= 0 && ix < w {
+								want = src[(ch*h+iy)*w+ix]
+							}
+							if got := cols.Row((ch*k+ky)*k + kx)[oy*ow+ox]; math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%v: tap (%d,%d,%d) at (%d,%d) = %g, want %g", s, ch, ky, kx, oy, ox, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
