@@ -8,11 +8,12 @@ import (
 // Kernels for the training step's non-GEMM layers: LayerNorm's forward and
 // backward, the 2×2 max pool and the residual add. Each has an AVX2 body in
 // simd_amd64.s (selected by haveFMA) that reproduces its Go body here bit
-// for bit, NaN payloads included: every per-row sum is added in column
-// order (the kernels put four rows in the four lanes), every column sum in
-// row order starting from +0, and the elementwise passes round each
-// subtraction, multiplication and addition on its own (no FMA), with the
-// operands in the order the Go code gives them.
+// for bit: every per-row sum is added in column order (the kernels put four
+// rows in the four lanes), every column sum in row order starting from +0,
+// and the elementwise passes round each subtraction, multiplication and
+// addition on its own (no FMA). Which payload a NaN + NaN keeps follows the
+// operand order; the kernels take the order the go1.24 compiler gives the
+// Go loops in a plain build (race and fuzzing builds may commute them).
 
 // LayerNormRows normalizes each row of x to zero mean and unit variance and
 // applies the per-column gain g and bias b:
@@ -32,8 +33,7 @@ func LayerNormRows(y, xhat *Matrix, invStd Vector, x *Matrix, g, b Vector, eps f
 	}
 	i := 0
 	if haveFMA && x.Cols > 0 {
-		var xh *float64
-		var inv *float64
+		var xh, inv *float64
 		for ; i+4 <= x.Rows; i += 4 {
 			if xhat != nil {
 				xh, inv = &xhat.Data[i*x.Cols], &invStd[i]
@@ -132,7 +132,7 @@ func MaxPool2x2(y *Matrix, argmax []int, x *Matrix, c, h, w int) {
 	if oh < 1 || ow < 1 || x.Cols != c*h*w || y.Rows != x.Rows || y.Cols != c*oh*ow || argmax != nil && len(argmax) != len(y.Data) {
 		panic(fmt.Sprintf("tensor: MaxPool2x2 x %dx%d, y %dx%d, argmax %d for %d×%d×%d", x.Rows, x.Cols, y.Rows, y.Cols, len(argmax), c, h, w))
 	}
-	if haveFMA && ow%4 == 0 && x.Rows > 0 {
+	if haveFMA && ow%4 == 0 && len(y.Data) > 0 {
 		var arg *int
 		if argmax != nil {
 			arg = &argmax[0]

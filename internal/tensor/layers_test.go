@@ -66,8 +66,9 @@ func exactNaN() bool { return testing.CoverMode() == "" && !raceEnabled }
 func onBothPaths(f func() []Vector) (kernel, portable []Vector) {
 	if haveFMA {
 		kernel = f()
-		haveFMA = false
-		defer func() { haveFMA = true }()
+	}
+	if restore := ForcePortable(); restore != nil {
+		defer restore()
 	}
 	return kernel, f()
 }
