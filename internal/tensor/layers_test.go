@@ -78,7 +78,7 @@ func TestLayerNormRowsKernelBits(t *testing.T) {
 	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17, 64, 70} {
 		for _, cols := range []int{1, 2, 3, 5, 8, 9, 31, 32, 128, 129} {
 			for _, every := range []int{0, 500, 40, 3} {
-				x, g, b, dy := NewVector(rows*cols), NewVector(cols), NewVector(cols), NewVector(rows*cols)
+				x, g, b, dy := flushEnd(t, rows*cols), flushEnd(t, cols), flushEnd(t, cols), flushEnd(t, rows*cols)
 				for _, v := range []Vector{x, g, b, dy} {
 					layerFill(rng, v, every)
 				}
@@ -116,7 +116,7 @@ func TestMaxPool2x2KernelBits(t *testing.T) {
 			for _, hw := range [][2]int{{2, 8}, {3, 9}, {8, 8}, {9, 16}, {4, 17}, {5, 6}, {2, 3}, {8, 24}} {
 				h, w := hw[0], hw[1]
 				for _, every := range []int{0, 500, 40, 3} {
-					x := NewVector(rows * c * h * w)
+					x := flushEnd(t, rows*c*h*w)
 					layerFill(rng, x, every)
 					outCols := c * (h / 2) * (w / 2)
 					var args [2][]int
@@ -156,7 +156,7 @@ func TestMaxPool2x2KernelBits(t *testing.T) {
 func TestAddKernelBits(t *testing.T) {
 	rng := NewRNG(47)
 	for _, n := range []int{0, 1, 3, 7, 8, 9, 16, 100, 2049} {
-		a, b := NewVector(n), NewVector(n)
+		a, b := flushEnd(t, n), flushEnd(t, n)
 		layerFill(rng, a, 3)
 		layerFill(rng, b, 3)
 		kernel, portable := onBothPaths(func() []Vector {
