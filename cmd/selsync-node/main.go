@@ -84,7 +84,6 @@ func main() {
 	alpha := flag.Float64("alpha", 0, "data-injection α (0 = off)")
 	beta := flag.Float64("beta", 0, "data-injection β")
 	codec := flag.String("codec", "", "wire payload codec: none | topk:F | q8 | q16 | partial:U[,D] (default none)")
-	overlap := flag.Bool("overlap", false, "overlap gradient collectives with the backward pass (bucketed sync-as-computed)")
 	transport := flag.String("transport", "tcp", "communication backend: tcp | loopback")
 	rank := flag.Int("rank", -1, "this process's rank (tcp transport)")
 	peers := flag.String("peers", "", "comma-separated host:port per rank (tcp transport)")
@@ -140,7 +139,7 @@ func main() {
 		C: *c, E: *e, Staleness: *staleness,
 		LabelsPerWorker: *labelsPerWorker, Alpha: *alpha, Beta: *beta,
 		Membership: *membership, Quorum: *quorum,
-		Codec: *codec, Overlap: *overlap,
+		Codec: *codec,
 	}
 
 	if *launch > 0 {

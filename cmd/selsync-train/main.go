@@ -63,7 +63,6 @@ func main() {
 	alpha := flag.Float64("alpha", 0, "data-injection α (0 = off)")
 	beta := flag.Float64("beta", 0, "data-injection β")
 	codec := flag.String("codec", "", "wire payload codec: none | topk:F | q8 | q16 | partial:U[,D] (default none)")
-	overlap := flag.Bool("overlap", false, "overlap gradient collectives with the backward pass (bucketed sync-as-computed)")
 	transport := flag.String("transport", "loopback", "communication backend: loopback | tcp")
 	rank := flag.Int("rank", -1, "this process's rank (tcp transport only)")
 	peers := flag.String("peers", "", "comma-separated host:port per rank (tcp transport only)")
@@ -87,7 +86,7 @@ func main() {
 		Delta: *delta, GradAgg: *mode == "grad",
 		C: *c, E: *e, Staleness: *staleness,
 		LabelsPerWorker: *labelsPerWorker, Alpha: *alpha, Beta: *beta,
-		Codec: *codec, Overlap: *overlap,
+		Codec: *codec,
 	}
 
 	// First SIGINT cancels the run at the next step boundary (the partial

@@ -192,12 +192,6 @@ type ParameterServer struct {
 	stats  *comm.Stats
 }
 
-// PushCount returns how many worker→PS messages the run has performed.
-func (ps *ParameterServer) PushCount() int { return ps.stats.Pushes }
-
-// PullCount returns how many PS→worker messages the run has performed.
-func (ps *ParameterServer) PullCount() int { return ps.stats.Pulls }
-
 // BytesRecv returns the wire bytes pushed into the PS (codec-exact sizes).
 func (ps *ParameterServer) BytesRecv() int64 { return ps.stats.Bytes.Recv }
 
@@ -218,7 +212,6 @@ type Cluster struct {
 	ownFabric bool
 	firstID   int
 	dim       int
-	scratch   tensor.Vector
 	allIDs    []int
 	// refBuf holds the pre-round global state a lossy codec's parameter
 	// path encodes deltas against; nil under the identity codec, which
@@ -309,7 +302,6 @@ func New(cfg Config) *Cluster {
 	}
 	c.nbase = len(c.Workers)
 	c.dim = len(c.Workers[0].FlatParams())
-	c.scratch = tensor.NewVector(c.dim)
 	c.allIDs = make([]int, cfg.Workers)
 	for i := range c.allIDs {
 		c.allIDs[i] = i
@@ -656,20 +648,6 @@ func (c *Cluster) AggregateGrads(dst tensor.Vector) error {
 	return nil
 }
 
-// AggregateGradsOverlapped is AggregateGrads with the collective split
-// into buckets that launch as the backward pass releases them: buckets
-// must tile [0, Dim) and wait(b) blocks until every hosted worker's
-// gradient for bucket b is fully written. Buckets are processed in
-// descending index order — the order backward passes produce layer
-// gradients — train.Config.Overlap's entry point. Works under any codec;
-// refused once the fabric is elastic (wait cannot cover adopted replicas).
-func (c *Cluster) AggregateGradsOverlapped(dst tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
-	if err := c.fabric.ReduceMeanCodecBuckets(dst, nil, c.allIDs, c.gradView, buckets, wait); err != nil {
-		return fmt.Errorf("cluster: aggregate grads overlapped: %w", err)
-	}
-	return nil
-}
-
 // ReduceParamsSubset averages the parameters of the given workers into the
 // PS global state (FedAvg's partial participation: only ids push, and the
 // round delivers — and accounts — the new global to every worker; Broadcast
@@ -790,20 +768,4 @@ func (c *Cluster) ConsistentReplicas() bool {
 		}
 	}
 	return true
-}
-
-// MaxParamDivergence returns the largest L2 distance between any locally
-// hosted replica and the PS global state, the divergence quantity behind
-// Fig. 11.
-func (c *Cluster) MaxParamDivergence() float64 {
-	var worst float64
-	for _, w := range c.Workers {
-		flat := w.FlatParams()
-		c.scratch.CopyFrom(flat)
-		c.scratch.Sub(c.PS.Global)
-		if d := c.scratch.Norm(); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

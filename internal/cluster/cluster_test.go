@@ -67,9 +67,21 @@ func TestAggregateParamsRestoresConsistency(t *testing.T) {
 	if !c.ConsistentReplicas() {
 		t.Fatal("parameter aggregation must restore consistency")
 	}
-	if c.MaxParamDivergence() > 1e-12 {
-		t.Fatalf("replicas must match PS after PA: %v", c.MaxParamDivergence())
+	if d := maxParamDivergence(c); d > 1e-12 {
+		t.Fatalf("replicas must match PS after PA: %v", d)
 	}
+}
+
+// maxParamDivergence returns the largest L2 distance between any hosted
+// replica and the PS global state.
+func maxParamDivergence(c *Cluster) float64 {
+	var worst float64
+	for _, w := range c.Workers {
+		d := w.FlatParams().Clone()
+		d.Sub(c.PS.Global)
+		worst = math.Max(worst, d.Norm())
+	}
+	return worst
 }
 
 func TestAggregateGradsLeavesDivergence(t *testing.T) {
@@ -113,8 +125,8 @@ func TestAggregateGradsIsMean(t *testing.T) {
 			t.Fatalf("mean gradient wrong at %d: %v", i, avg[i])
 		}
 	}
-	if c.PS.PushCount() != 2 || c.PS.PullCount() != 2 {
-		t.Fatalf("traffic counts: push=%d pull=%d", c.PS.PushCount(), c.PS.PullCount())
+	if st := c.Fabric().Stats(); st.Pushes != 2 || st.Pulls != 2 {
+		t.Fatalf("traffic counts: push=%d pull=%d", st.Pushes, st.Pulls)
 	}
 	wantBytes := 2 * comm.TensorWireBytes(c.Dim())
 	if c.PS.BytesRecv() != wantBytes || c.PS.BytesSent() != wantBytes {
@@ -362,11 +374,12 @@ func TestMeshClusterMatchesLoopbackBitwise(t *testing.T) {
 					t.Fatalf("procs=%d rank %d: global[%d] diverged from loopback", procs, r, i)
 				}
 			}
-			if c.PS.PushCount() != lb.PS.PushCount() || c.PS.PullCount() != lb.PS.PullCount() ||
+			st, lst := c.Fabric().Stats(), lb.Fabric().Stats()
+			if st.Pushes != lst.Pushes || st.Pulls != lst.Pulls ||
 				c.PS.BytesRecv() != lb.PS.BytesRecv() || c.PS.BytesSent() != lb.PS.BytesSent() {
 				cleanup()
 				t.Fatalf("procs=%d rank %d: traffic ledger diverged: push=%d/%d pull=%d/%d",
-					procs, r, c.PS.PushCount(), lb.PS.PushCount(), c.PS.PullCount(), lb.PS.PullCount())
+					procs, r, st.Pushes, lst.Pushes, st.Pulls, lst.Pulls)
 			}
 		}
 		cleanup()

@@ -21,8 +21,8 @@ func workerVec(id, dim, round int) tensor.Vector {
 }
 
 // runCodecRounds drives `rounds` codec reductions (with or without a ref
-// vector and buckets) on a fabric and returns the concatenated dst of every
-// round.
+// vector, through the bucketed forward when buckets is non-nil) on a fabric
+// and returns the concatenated dst of every round.
 func runCodecRounds(t testing.TB, f comm.Fabric, codec comm.Codec, dim, rounds int, withRef bool, buckets [][2]int) []float64 {
 	if err := f.SetCodec(codec); err != nil {
 		t.Fatalf("SetCodec: %v", err)
@@ -46,10 +46,10 @@ func runCodecRounds(t testing.TB, f comm.Fabric, codec comm.Codec, dim, rounds i
 			vecs[id] = workerVec(id, dim, r)
 		}
 		view := func(id int) tensor.Vector { return vecs[id] }
-		var err error
 		if withRef {
 			ref.CopyFrom(dst)
 		}
+		var err error
 		if buckets != nil {
 			err = f.ReduceMeanCodecBuckets(dst, ref, ids, view, buckets, nil)
 		} else {
@@ -66,7 +66,9 @@ func runCodecRounds(t testing.TB, f comm.Fabric, codec comm.Codec, dim, rounds i
 // Every backend — the Loopback fabric, a mesh over in-process channels,
 // and a mesh over real TCP — must produce bit-identical reduction results
 // and identical logical ledgers for every codec, on both the gradient
-// (ref=nil) and parameter (delta-vs-ref) paths, bucketed and not.
+// (ref=nil) and parameter (delta-vs-ref) paths. The bucketed arm drives the
+// meshes through the ReduceMeanCodecBuckets forward and still compares them
+// with the Loopback fabric's plain rounds: the buckets do not cut a round.
 func TestCodecReduceBackendEquivalence(t *testing.T) {
 	const procs, workers, dim, rounds = 4, 8, 3000, 3
 	buckets := [][2]int{{0, 700}, {700, 1900}, {1900, dim}}
@@ -84,9 +86,9 @@ func TestCodecReduceBackendEquivalence(t *testing.T) {
 					if bucketed {
 						bk = buckets
 					}
-					// Reference: the single-process Loopback fabric.
+					// Reference: the single-process Loopback fabric's plain rounds.
 					lb := comm.NewLoopback(workers)
-					want := runCodecRounds(t, lb, codec, dim, rounds, withRef, bk)
+					want := runCodecRounds(t, lb, codec, dim, rounds, withRef, nil)
 					wantStats := *lb.Stats()
 
 					for _, loopbackEP := range []bool{true, false} {
@@ -234,20 +236,19 @@ func runCodecRoundsFrom(t testing.TB, f comm.Fabric, dim, from, to int) []float6
 }
 
 // exchangeRound is one round of an exchange plan: the contributing ids, in
-// fold order, whether the round runs on the parameter path (deltas against
-// the previous global state) and the buckets it is cut into (nil: one).
+// fold order, and whether the round runs on the parameter path (deltas
+// against the previous global state).
 type exchangeRound struct {
 	ids     []int
 	withRef bool
-	buckets [][2]int
 }
 
 // exchangePlan lists the rounds TestCodecExchangeMatchesOneRank drives on a
 // mesh of procs ranks hosting perRank workers each. For every id order —
 // every id, the reverse, a seeded FedAvg-style shuffle of a subset with one
 // id twice, and the last worker alone — it runs the gradient and the
-// parameter path, unbucketed and in three buckets, rounds consecutive
-// rounds each. allOnly keeps the first order.
+// parameter path, rounds consecutive rounds each. allOnly keeps the first
+// order.
 func exchangePlan(procs, perRank, dim, rounds int, allOnly bool) []exchangeRound {
 	workers := procs * perRank
 	all, rev := make([]int, workers), make([]int, workers)
@@ -260,14 +261,11 @@ func exchangePlan(procs, perRank, dim, rounds int, allOnly bool) []exchangeRound
 	if allOnly {
 		orders = orders[:1]
 	}
-	three := [][2]int{{0, dim / 4}, {dim / 4, dim * 3 / 5}, {dim * 3 / 5, dim}}
 	var plan []exchangeRound
 	for _, ids := range orders {
 		for _, withRef := range []bool{false, true} {
-			for _, buckets := range [][][2]int{nil, three} {
-				for r := 0; r < rounds; r++ {
-					plan = append(plan, exchangeRound{ids, withRef, buckets})
-				}
+			for r := 0; r < rounds; r++ {
+				plan = append(plan, exchangeRound{ids, withRef})
 			}
 		}
 	}
@@ -305,7 +303,7 @@ func runExchangePlan(f comm.Fabric, codec comm.Codec, plan []exchangeRound, dim 
 			ref.CopyFrom(dst)
 			rf = ref
 		}
-		if err := f.ReduceMeanCodecBuckets(dst, rf, round.ids, view, round.buckets, nil); err != nil {
+		if err := f.ReduceMeanCodec(dst, rf, round.ids, view); err != nil {
 			panic(fmt.Sprintf("round %d: %v", r, err))
 		}
 		snap := f.CodecSnapshot()
@@ -351,8 +349,8 @@ func TestCodecExchangeMatchesOneRank(t *testing.T) {
 					for rank, states := range got {
 						for r, st := range states {
 							w := want[r]
-							where := fmt.Sprintf("%s rank %d, round %d (ids %v, ref %v, buckets %v)",
-								transport, rank, r, plan[r].ids, plan[r].withRef, plan[r].buckets)
+							where := fmt.Sprintf("%s rank %d, round %d (ids %v, ref %v)",
+								transport, rank, r, plan[r].ids, plan[r].withRef)
 							if i := firstBitDiff(st.dst, w.dst); i >= 0 {
 								t.Fatalf("%s: element %d = %v, one rank %v", where, i, st.dst[i], w.dst[i])
 							}

@@ -110,7 +110,7 @@ func (cs *codecState) downResid(dim int) tensor.Vector {
 	return cs.residDown
 }
 
-// sparseSum returns the top-k fold's accumulator for windows of up to dim
+// sparseSum returns the top-k fold's accumulator for rounds of up to dim
 // elements, all +0.
 func (cs *codecState) sparseSum(dim int) tensor.Vector {
 	if len(cs.sum) < dim {

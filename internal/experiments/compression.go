@@ -17,8 +17,8 @@ import (
 // codec framing, not dense payloads), the reduction factor vs the
 // uncompressed baseline, and the accuracy drift error feedback keeps
 // bounded. The "none" row is additionally required to be bit-identical to
-// the dense fast path: the last column checks its digest (and the
-// overlapped run's) against the plain BSP run.
+// the dense fast path: the last column checks its digest against the plain
+// BSP run.
 //
 // The packed(MB) column reports the bytes the lossy codecs' frames actually
 // occupy on the wire (Mesh.CodecPackedWire, complete on the one-rank
@@ -32,15 +32,10 @@ func Compression(scale Scale, w io.Writer) *Table {
 		Title:   "Wire efficiency: payload codecs on BSP gradient sync",
 		Columns: []string{"codec", "wire(MB)", "reduction", "packed(MB)", "extra", "best acc", "drift(pp)", "digest==dense"},
 	}
-	type variant struct {
-		label   string
-		codec   string
-		overlap bool
-	}
+	type variant struct{ label, codec string }
 	variants := []variant{
 		{label: "dense", codec: ""},
 		{label: "none", codec: "none"},
-		{label: "none+overlap", codec: "none", overlap: true},
 		{label: "topk:0.1", codec: "topk:0.1"},
 		{label: "topk:0.01", codec: "topk:0.01"},
 		{label: "q16", codec: "q16"},
@@ -58,7 +53,6 @@ func Compression(scale Scale, w io.Writer) *Table {
 		lb := comm.NewLoopback(p.Workers)
 		cfg.Fabric = lb
 		cfg.Codec = variants[j].codec
-		cfg.Overlap = variants[j].overlap
 		results[j] = runPolicy(ctx, cfg, train.BSPPolicy{})
 		st := lb.Stats()
 		bytesMoved[j] = st.Bytes.Recv + st.Bytes.Sent

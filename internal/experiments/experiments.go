@@ -46,7 +46,7 @@ func Registry() map[string]Runner {
 		// enables (BSP warmup → SelSync steady-state vs the pure policies).
 		"switch": wrapFT(SwitchCompare),
 		// Wire efficiency: payload codecs (top-k, quantization, partial
-		// sharing) and the comm/compute-overlapped collective vs dense BSP.
+		// sharing) vs dense BSP.
 		"compression": wrapT(Compression),
 		// Multi-tenant serving: the serve daemon under a seeded job flood
 		// (fair-share, preemption and zero-loss acceptance assertions).

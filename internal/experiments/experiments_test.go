@@ -358,7 +358,7 @@ func TestCompressionShape(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tab := Compression(Tiny, &buf)
-	if len(tab.Rows) != 8 {
+	if len(tab.Rows) != 7 {
 		t.Fatalf("rows: %d", len(tab.Rows))
 	}
 	reductions := make(map[string]float64)
@@ -376,7 +376,7 @@ func TestCompressionShape(t *testing.T) {
 			if packedMB != "-" || extra != "-" {
 				t.Fatalf("dense row must have no packed cells, got %q/%q", packedMB, extra)
 			}
-		case "none", "none+overlap":
+		case "none":
 		default:
 			d, err := strconv.ParseFloat(drift, 64)
 			if err != nil || d > 6 {
@@ -384,7 +384,7 @@ func TestCompressionShape(t *testing.T) {
 			}
 		}
 		switch label {
-		case "dense", "none", "none+overlap":
+		case "dense", "none":
 			if match != "yes" {
 				t.Fatalf("%s must be bit-identical to dense, got %q", label, match)
 			}

@@ -50,9 +50,6 @@ type RunSpec struct {
 	// "topk:F", "q8", "q16", "partial:U[,D]"); "" = none. Valid on both
 	// transports — loopback runs exercise the full encode/decode path.
 	Codec string
-	// Overlap launches each gradient bucket's collective as the backward
-	// pass finishes producing it (DDP sync-as-computed).
-	Overlap bool
 
 	// Fabric is the communication backend; nil = in-process loopback.
 	Fabric comm.Fabric
@@ -231,7 +228,6 @@ func JobFor(spec RunSpec, opts ...train.Option) (*train.Job, Workload, error) {
 	cfg.Membership = spec.Membership
 	cfg.Quorum = spec.Quorum
 	cfg.Codec = spec.Codec
-	cfg.Overlap = spec.Overlap
 	if err := cfg.Validate(); err != nil {
 		return nil, Workload{}, err
 	}

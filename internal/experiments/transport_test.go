@@ -74,15 +74,15 @@ func TestParseTransportOptsTCPValidation(t *testing.T) {
 }
 
 // Codecs are transport-independent: the loopback run executes the full
-// encode/decode path in shared memory, so a RunSpec carrying a codec (and
-// overlap) must be ACCEPTED on the default nil-fabric loopback — unlike
+// encode/decode path in shared memory, so a RunSpec carrying a codec must be
+// ACCEPTED on the default nil-fabric loopback — unlike
 // the TCP-only transport flags above — while malformed codec specs fail
 // at config validation with the offending token named.
 func TestRunSpecCodecOnLoopback(t *testing.T) {
 	spec := RunSpec{
 		Model: "resnet", Method: "bsp", Workers: 4,
 		TrainN: 512, TestN: 256, MaxSteps: 8, Seed: 3,
-		Codec: "topk:0.1", Overlap: true,
+		Codec: "topk:0.1",
 	}
 	job, _, err := JobFor(spec)
 	if err != nil {

@@ -65,17 +65,14 @@ type Network interface {
 // backward step with the lowest arena offset whose gradient is final —
 // once the hook reports low, every gradient in [low, Dim) is written and
 // no later layer touches it, so it may be read (and the parameters over it
-// updated) while the backward pass goes on. LayerSpans returns each layer's
-// starting arena offset in ascending order (first element 0).
+// updated) while the backward pass goes on.
 //
-// The training runner's per-block work is the main consumer: on a step
-// whose policy lets it, each worker takes a block's Δ(g_i) norm and applies
-// its own optimizer update to the block as soon as the hook releases it,
-// while the block is still in cache. The comm/compute overlap path reads the
-// same progress to launch gradient buckets early, cut at LayerSpans.
+// The training runner's per-block work is the consumer: on a step whose
+// policy lets it, each worker takes a block's Δ(g_i) norm and applies its
+// own optimizer update to the block as soon as the hook releases it, while
+// the block is still in cache.
 type GradScheduler interface {
 	SetGradHook(func(low int))
-	LayerSpans() []int
 }
 
 // FeedForwardNet is the concrete Network used by every zoo model: a
@@ -213,9 +210,6 @@ func (f *FeedForwardNet) SetLayerRNG(states []uint64) error {
 // SetGradHook implements GradScheduler. A nil hook restores the plain
 // backward path. The hook runs on the goroutine calling ComputeGradients.
 func (f *FeedForwardNet) SetGradHook(h func(low int)) { f.gradHook = h }
-
-// LayerSpans implements GradScheduler.
-func (f *FeedForwardNet) LayerSpans() []int { return f.layerOffs }
 
 // Params returns the cached parameter list.
 func (f *FeedForwardNet) Params() []*Param { return f.params }

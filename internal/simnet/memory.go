@@ -29,15 +29,3 @@ func CheckFits(spec nn.ModelSpec, batch int, d *Device) error {
 	}
 	return nil
 }
-
-// MaxBatch returns the largest batch size that fits on the device, probing
-// powers of two up to limit (the paper's Fig. 2 sweeps 32…1024).
-func MaxBatch(spec nn.ModelSpec, d *Device, limit int) int {
-	best := 0
-	for b := 1; b <= limit; b *= 2 {
-		if CheckFits(spec, b, d) == nil {
-			best = b
-		}
-	}
-	return best
-}

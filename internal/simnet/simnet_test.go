@@ -161,9 +161,6 @@ func TestMemoryModelTransformerOOMAtPaperPoint(t *testing.T) {
 	if err := CheckFits(spec, 64, k80); err == nil {
 		t.Fatal("b=64 must OOM on the K80")
 	}
-	if got := MaxBatch(spec, k80, 1024); got != 32 {
-		t.Fatalf("MaxBatch: got %d want 32", got)
-	}
 }
 
 func TestMemoryModelAllZooModelsFitAtTrainingBatch(t *testing.T) {

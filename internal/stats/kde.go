@@ -22,19 +22,6 @@ func NewKDE(samples []float64) *KDE {
 	return &KDE{samples: c, bandwidth: silverman(c)}
 }
 
-// NewKDEWithBandwidth builds an estimator with an explicit bandwidth
-// (useful in tests); non-positive bandwidths fall back to Silverman.
-func NewKDEWithBandwidth(samples []float64, h float64) *KDE {
-	k := NewKDE(samples)
-	if h > 0 {
-		k.bandwidth = h
-	}
-	return k
-}
-
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
 // Density returns the estimated density at x.
 func (k *KDE) Density(x float64) float64 {
 	n := len(k.samples)
@@ -183,18 +170,4 @@ func (h *Histogram) Observe(x float64) {
 	}
 	h.Counts[idx]++
 	h.Total++
-}
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }

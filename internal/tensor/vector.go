@@ -224,17 +224,6 @@ func (v Vector) ArgMax() int {
 	return arg
 }
 
-// Clip bounds every element of v into [lo, hi].
-func (v Vector) Clip(lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
-}
-
 // CopyFrom copies u into v. It panics if the lengths differ.
 func (v Vector) CopyFrom(u Vector) {
 	assertSameLen(len(v), len(u), "CopyFrom")

@@ -91,14 +91,6 @@ func TestVectorArgMaxTieBreak(t *testing.T) {
 	}
 }
 
-func TestVectorClip(t *testing.T) {
-	v := Vector{-2, 0.5, 3}
-	v.Clip(-1, 1)
-	if v[0] != -1 || v[1] != 0.5 || v[2] != 1 {
-		t.Fatalf("Clip: got %v", v)
-	}
-}
-
 func TestVectorLerp(t *testing.T) {
 	v := Vector{0, 0}
 	v.Lerp(0.25, Vector{4, 8})

@@ -3,7 +3,6 @@ package train
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"selsync/internal/cluster"
 	"selsync/internal/nn"
@@ -33,9 +32,9 @@ type blockWork struct{ observe, apply bool }
 type workerBlocks struct {
 	// final is the lowest arena offset whose gradient the step's backward
 	// pass has reported final: Dim until the first report, 0 once a network
-	// with the hook has finished. Atomic because the overlap path's
-	// collective polls it from another goroutine.
-	final atomic.Int64
+	// with the hook has finished. Written only on the goroutine that runs the
+	// worker's backward pass; read after that dispatch has returned.
+	final int
 	// norm2[i] is parameter i's squared gradient norm, filled as its block
 	// is observed.
 	norm2 []float64
@@ -63,8 +62,8 @@ func (r *runner) installBlocks(w *cluster.Worker) {
 	b := &r.blocks[w.ID]
 	if gs, ok := w.Model.(nn.GradScheduler); ok {
 		gs.SetGradHook(func(low int) {
-			r.block(w, low, int(b.final.Load()))
-			b.final.Store(int64(low))
+			r.block(w, low, b.final)
+			b.final = low
 		})
 	}
 }

@@ -15,14 +15,13 @@ import (
 )
 
 // codecCfg is smallConfig shortened for codec runs, with the payload codec
-// and overlap knobs applied.
-func codecCfg(seed uint64, codec string, overlap bool) func() Config {
+// applied.
+func codecCfg(seed uint64, codec string) func() Config {
 	return func() Config {
 		cfg := smallConfig(seed)
 		cfg.MaxSteps = 24
 		cfg.EvalEvery = 8
 		cfg.Codec = codec
-		cfg.Overlap = overlap
 		return cfg
 	}
 }
@@ -31,12 +30,11 @@ func codecCfg(seed uint64, codec string, overlap bool) func() Config {
 // runTCPRanks and their policy tables.
 func runBSP(cfg Config) *Result { return mustRun(cfg, BSPPolicy{}) }
 
-// TestCodecNoneBitIdenticalToDense: "-codec none" and "-overlap" alone must
-// never change a run, on the gradient path and on the parameter path. There
-// is one reduce pipeline: under the identity codec it averages the values
-// themselves — whole, or bucket by bucket, which is the same spans in the
-// same order — whether or not the ranks negotiated a codec first, so the
-// Result digests match bit for bit for every policy.
+// TestCodecNoneBitIdenticalToDense: "-codec none" must never change a run,
+// on the gradient path and on the parameter path. There is one reduce
+// pipeline: under the identity codec it averages the values themselves
+// whether or not the ranks negotiated a codec first, so the Result digests
+// match bit for bit for every policy.
 func TestCodecNoneBitIdenticalToDense(t *testing.T) {
 	for _, pol := range []struct {
 		name string
@@ -53,29 +51,19 @@ func TestCodecNoneBitIdenticalToDense(t *testing.T) {
 			return mustRun(cfg, &FedAvgPolicy{C: 0.5, E: 0.25})
 		}},
 	} {
-		dense := pol.run(codecCfg(31, "", false)())
+		dense := pol.run(codecCfg(31, "")())
 		if dense.SyncSteps == 0 {
 			t.Fatalf("%s: the dense run never synchronized — nothing to compare", pol.name)
 		}
-		for _, tc := range []struct {
-			name    string
-			codec   string
-			overlap bool
-		}{
-			{"explicit-none", "none", false},
-			{"overlap", "", true},
-			{"none-overlap", "none", true},
-		} {
-			t.Run(pol.name+"/"+tc.name, func(t *testing.T) {
-				got := pol.run(codecCfg(31, tc.codec, tc.overlap)())
-				if !reflect.DeepEqual(got, dense) {
-					t.Fatalf("Result diverged from dense run:\n got: %+v\nwant: %+v", got, dense)
-				}
-				if got.Digest() != dense.Digest() {
-					t.Fatal("digests disagree despite DeepEqual — digest bug")
-				}
-			})
-		}
+		t.Run(pol.name+"/explicit-none", func(t *testing.T) {
+			got := pol.run(codecCfg(31, "none")())
+			if !reflect.DeepEqual(got, dense) {
+				t.Fatalf("Result diverged from dense run:\n got: %+v\nwant: %+v", got, dense)
+			}
+			if got.Digest() != dense.Digest() {
+				t.Fatal("digests disagree despite DeepEqual — digest bug")
+			}
+		})
 	}
 }
 
@@ -87,7 +75,7 @@ func TestCodecNoneBitIdenticalToDense(t *testing.T) {
 func TestLossyCodecDeterministicAcrossBackends(t *testing.T) {
 	for _, codec := range []string{"topk:0.02", "q8", "q16", "partial:0.5"} {
 		t.Run(codec, func(t *testing.T) {
-			mkCfg := codecCfg(32, codec, false)
+			mkCfg := codecCfg(32, codec)
 			want := mustRun(mkCfg(), BSPPolicy{})
 			if again := mustRun(mkCfg(), BSPPolicy{}); again.Digest() != want.Digest() {
 				t.Fatalf("repeated loopback run diverged: %s vs %s", again.Digest(), want.Digest())
@@ -99,21 +87,6 @@ func TestLossyCodecDeterministicAcrossBackends(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestOverlapLossyCodecTCPMatchesLoopback combines the tentpole's two
-// halves: a compressed collective launched bucket-by-bucket as the
-// backward pass produces gradients, across a real TCP mesh, must still
-// reproduce the single-process loopback digest.
-func TestOverlapLossyCodecTCPMatchesLoopback(t *testing.T) {
-	mkCfg := codecCfg(33, "topk:0.05", true)
-	want := mustRun(mkCfg(), BSPPolicy{})
-	results, _ := runTCPRanks(t, 2, 4, mkCfg, runBSP)
-	for r, got := range results {
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rank %d Result diverged from loopback:\n tcp: %+v\n  lb: %+v", r, got, want)
-		}
 	}
 }
 
@@ -129,7 +102,7 @@ func TestLossyCodecBoundedDrift(t *testing.T) {
 	// Longer than the identity tests: partial sharing needs enough rounds
 	// for its coordinate rotation to cover the model a few times over.
 	mkCfg := func(codec string) Config {
-		cfg := codecCfg(34, codec, false)()
+		cfg := codecCfg(34, codec)()
 		cfg.MaxSteps = 48
 		cfg.EvalEvery = 12
 		return cfg
@@ -179,20 +152,15 @@ func TestLossyCodecBoundedDrift(t *testing.T) {
 // are training state; a compressed run interrupted at a step boundary and
 // resumed from its checkpoint must reproduce the uninterrupted digest.
 func TestCodecCheckpointResumeBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		codec   string
-		overlap bool
-	}{
-		{"topk", "topk:0.02", false},
-		{"q8", "q8", false},
-		{"topk-overlap", "topk:0.02", true},
+	for _, tc := range []struct{ name, codec string }{
+		{"topk", "topk:0.02"},
+		{"q8", "q8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// interruptAt must sit on the eval cadence: the short run's
 			// end-of-run evaluation otherwise adds a History point the
 			// uninterrupted run never sees.
-			resumeCase(t, codecCfg(35, tc.codec, tc.overlap), func() SyncPolicy { return BSPPolicy{} }, 16)
+			resumeCase(t, codecCfg(35, tc.codec), func() SyncPolicy { return BSPPolicy{} }, 16)
 		})
 	}
 }
@@ -201,7 +169,7 @@ func TestCodecCheckpointResumeBitIdentical(t *testing.T) {
 // must refuse a checkpoint captured without one — silently starting the
 // residuals from zero would break bit-identical resume.
 func TestCodecResumeRejectsMissingState(t *testing.T) {
-	plain := NewJob(codecCfg(36, "", false)(), BSPPolicy{})
+	plain := NewJob(codecCfg(36, "")(), BSPPolicy{})
 	if _, err := plain.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +177,7 @@ func TestCodecResumeRejectsMissingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := codecCfg(36, "q8", false)()
+	cfg := codecCfg(36, "q8")()
 	cfg.MaxSteps = 32
 	if _, err := NewJob(cfg, BSPPolicy{}, WithResume(ck)).Run(context.Background()); err == nil {
 		t.Fatal("resume with missing codec state must fail")
@@ -233,7 +201,7 @@ func TestCodecConfigValidation(t *testing.T) {
 		{"partial:0", []string{"partial"}},
 		{"gzip:0.5", []string{"gzip"}},
 	} {
-		cfg := codecCfg(37, tc.codec, false)()
+		cfg := codecCfg(37, tc.codec)()
 		err := cfg.Validate()
 		if err == nil {
 			t.Fatalf("Validate accepted malformed codec %q", tc.codec)
@@ -245,55 +213,40 @@ func TestCodecConfigValidation(t *testing.T) {
 		}
 	}
 
-	memb := codecCfg(38, "q8", false)()
+	memb := codecCfg(38, "q8")()
 	memb.Membership = "leave=1@8;join=1@16"
 	if err := memb.Validate(); err == nil {
 		t.Fatal("Validate accepted codec + elastic membership")
-	}
-	overlapMemb := codecCfg(38, "", true)()
-	overlapMemb.Membership = "leave=1@8;join=1@16"
-	if err := overlapMemb.Validate(); err == nil {
-		t.Fatal("Validate accepted overlap + elastic membership")
 	}
 }
 
 // TestQuorumElasticRejectsCodecAndOverlap: Config.Quorum makes a multi-rank
 // run elastic without a membership plan, after the codec was negotiated.
-// Every rank must refuse at construction — also for a policy that never
-// reaches a bucketed round — instead of training into an adoption the
-// overlap watermarks and error-feedback residuals cannot follow.
+// Every rank must refuse at construction instead of training into an
+// adoption the error-feedback residuals cannot follow. (Its overlap rows
+// went with comm/compute overlap; the name keeps the test's id.)
 func TestQuorumElasticRejectsCodecAndOverlap(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		codec   string
-		overlap bool
-		policy  SyncPolicy
-	}{
-		{"overlap-bsp", "", true, BSPPolicy{}},
-		{"overlap-selsync", "", true, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg}},
-		{"codec", "q8", false, BSPPolicy{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			errs, _ := commtest.RunRanksOpts(t, 2, 4, commtest.Options{Loopback: true},
-				func(rank int, fabric comm.Fabric) error {
-					cfg := codecCfg(41, tc.codec, tc.overlap)()
-					cfg.Quorum = 2
-					cfg.Fabric = fabric
-					_, err := NewJob(cfg, tc.policy).Run(context.Background())
-					return err
-				})
-			for r, err := range errs {
-				if err == nil || !strings.Contains(err.Error(), "static membership") {
-					t.Fatalf("rank %d: error = %v, want the static-membership refusal", r, err)
-				}
+	t.Run("codec", func(t *testing.T) {
+		errs, _ := commtest.RunRanksOpts(t, 2, 4, commtest.Options{Loopback: true},
+			func(rank int, fabric comm.Fabric) error {
+				cfg := codecCfg(41, "q8")()
+				cfg.Quorum = 2
+				cfg.Fabric = fabric
+				_, err := NewJob(cfg, BSPPolicy{}).Run(context.Background())
+				return err
+			})
+		for r, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "static membership") {
+				t.Fatalf("rank %d: error = %v, want the static-membership refusal", r, err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSSPRejectsCodecAndOverlap covers every refusal of an event-loop policy
-// — the codec and overlap paths it was named for, and the four job features
-// that live at the step loop's boundaries. SSP replaces that loop, so each
+// — the codec path (the overlap row went with comm/compute overlap; the name
+// keeps the test's id), and the four job features that live at the step
+// loop's boundaries. SSP replaces that loop, so each
 // must fail loudly before any training instead of being silently ignored
 // (no auto-checkpoint ever taken, a late join training from undrawn
 // weights), with an error that names the policy.
@@ -308,13 +261,12 @@ func TestSSPRejectsCodecAndOverlap(t *testing.T) {
 		{"resume", nil, []Option{WithResume(&Checkpoint{})}, "resume"},
 		{"membership", func(c *Config) { c.Membership = churnPlan }, nil, "elastic membership"},
 		{"codec", func(c *Config) { c.Codec = "q8" }, nil, "codec"},
-		{"overlap", func(c *Config) { c.Overlap = true }, nil, "overlap"},
 		{"auto-checkpoint", nil, []Option{WithAutoCheckpoint(5, sink)}, "auto-checkpoint"},
 		{"rejoin", nil, []Option{WithRejoin()}, "rejoin"},
 		{"late-join", nil, []Option{WithLateJoin()}, "rejoin"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := codecCfg(39, "", false)()
+			cfg := codecCfg(39, "")()
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
@@ -335,7 +287,7 @@ func TestSSPRejectsCodecAndOverlap(t *testing.T) {
 // BSP — a SelSync run (mixed param-aggregation sync and local phases)
 // under q8 is deterministic across repeats and both backends.
 func TestSelSyncWithCodec(t *testing.T) {
-	mkCfg := codecCfg(40, "q8", false)
+	mkCfg := codecCfg(40, "q8")
 	run := func(cfg Config) *Result {
 		return mustRun(cfg, SelSyncPolicy{Delta: 0.01, Mode: cluster.ParamAgg})
 	}
@@ -361,7 +313,7 @@ func TestSelSyncWithCodec(t *testing.T) {
 // error feedback survives outside the checkpoints — reproduces the
 // uninterrupted loopback Result on every rank.
 func TestCodecCheckpointResumeTCP(t *testing.T) {
-	mkCfg := codecCfg(35, "topk:0.02", false)
+	mkCfg := codecCfg(35, "topk:0.02")
 	want := mustRun(mkCfg(), BSPPolicy{})
 	cks, _ := commtest.RunRanks(t, 2, 4, func(rank int, fabric comm.Fabric) *Checkpoint {
 		cfg := mkCfg()
@@ -410,7 +362,7 @@ func TestCodecCheckpointResumeTCP(t *testing.T) {
 // the codec. Resuming from a zeroed residual would silently diverge from
 // the ranks that kept theirs.
 func TestCodecResumeRefusesMissingDownlink(t *testing.T) {
-	mkCfg := codecCfg(36, "topk:0.02", false)
+	mkCfg := codecCfg(36, "topk:0.02")
 	short := mkCfg()
 	short.MaxSteps = 8
 	job := NewJob(short, BSPPolicy{})

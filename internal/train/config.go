@@ -73,15 +73,6 @@ type Config struct {
 	// elastic membership (Membership, or Quorum on a multi-rank fabric):
 	// error-feedback residuals cannot survive adoption handoffs.
 	Codec string
-	// Overlap buckets the flat gradient into layer-aligned chunks and
-	// launches each bucket's collective as the backward pass finishes
-	// producing it (comm/compute overlap). Takes effect on steps whose
-	// policy pre-commits to gradient aggregation (Preschedulable — BSP);
-	// other steps fall back to the sequential path. Arithmetic is
-	// bit-identical to the unoverlapped run. Mutually exclusive with
-	// elastic membership, like Codec: the per-worker watermarks are laid
-	// out once, over the replicas hosted at the start.
-	Overlap bool
 
 	// Membership scripts planned elastic-membership transitions (the
 	// ParseMembershipPlan grammar: "leave=R@S;join=R@S2[;quorum=K][;procs=P]").
@@ -162,8 +153,8 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	if d.Membership != "" && (!codec.Nop() || d.Overlap) {
-		return fmt.Errorf("train: payload codecs and overlap require static membership (Config.Membership must be empty)")
+	if d.Membership != "" && !codec.Nop() {
+		return fmt.Errorf("train: payload codecs require static membership (Config.Membership must be empty)")
 	}
 	if d.Fabric != nil && d.Fabric.Workers() != d.Workers {
 		return fmt.Errorf("train: Config.Workers=%d but the fabric carries %d workers",

@@ -104,8 +104,7 @@ func TestOneDispatchMatchesThreePhase(t *testing.T) {
 }
 
 // TestCompositesPlanForTheDecidingPolicy: a composite answers PlanStep with
-// the order hints of the inner policy that will decide the step, never with
-// its commitment (the composite's own Decide has to run every step), declines
+// the order hints of the inner policy that will decide the step, declines
 // while an unfired When predicate leaves the decider open, and does not move
 // its own cursor by answering.
 func TestCompositesPlanForTheDecidingPolicy(t *testing.T) {
@@ -209,12 +208,12 @@ func TestBlockApplyMatchesWholeStep(t *testing.T) {
 						}
 						// The last step's blocks: all reported by the hook, or
 						// none — the run is not comparing a path with itself.
-						want := int64(0)
+						want := 0
 						if hide {
-							want = int64(r.cl.Dim())
+							want = r.cl.Dim()
 						}
 						for _, w := range r.cl.Workers {
-							if got := r.blocks[w.ID].final.Load(); got != want {
+							if got := r.blocks[w.ID].final; got != want {
 								t.Fatalf("hide=%v: worker %d's backward pass reported offset %d final, want %d", hide, w.ID, got, want)
 							}
 						}

@@ -110,7 +110,7 @@ func TestDegradedModeDigestEqualityLocalSGD(t *testing.T) {
 			if se, ok := e.(StepEvent); ok && se.Step == probeStep {
 				r := (*job).r
 				for _, w := range r.cl.Workers {
-					if r.blocks[w.ID].final.Load() == 0 {
+					if r.blocks[w.ID].final == 0 {
 						*out = append(*out, w.ID)
 					}
 				}

@@ -27,13 +27,6 @@ type engine struct {
 	// presched is the policy's view of a step before its gradients exist
 	// (nil: it declares nothing).
 	presched Preschedulable
-
-	// Comm/compute overlap state (overlap.go); all zero without
-	// Config.Overlap. buckets is the layer-aligned tiling of the flat
-	// gradient, waitFn the bucket gate (nil on a single process, where
-	// compute runs first).
-	buckets [][2]int
-	waitFn  func(bucket int)
 }
 
 // newEngine wires the loop state and runs the policy's Init hook.
@@ -57,9 +50,6 @@ func newEngine(r *runner, policy SyncPolicy) *engine {
 		w.SyncSteps++
 	}
 	e.presched, _ = policy.(Preschedulable)
-	if r.cfg.Overlap {
-		e.initOverlap()
-	}
 	if init, ok := policy.(PolicyInit); ok {
 		init.Init(&e.sig)
 	}
@@ -126,22 +116,11 @@ func (e *engine) step(step int) (stop bool, err error) {
 		r.plan = e.presched.PlanStep(step)
 	}
 	r.work = blockWork{observe: r.plan.Observe, apply: r.plan.LocalFirst}
-	var act Action
-	// Overlap runs only on steps the policy commits to gradient aggregation
-	// before gradients exist: the bucketed collective then runs alongside
-	// the backward pass and execute is handed the finished mean. Everything
-	// else (SelSync votes, local phases) computes first and decides after.
-	overlapped := r.cfg.Overlap && r.plan.Committed && r.plan.Action.Kind == ActSyncGrads
-	if overlapped {
-		act = r.plan.Action
-		err = e.aggregateOverlapped()
-	} else {
-		r.computeGrads()
-		act = e.policy.Decide(step, &e.sig)
-		err = e.sig.err
-	}
+	r.computeGrads()
+	act := e.policy.Decide(step, &e.sig)
+	err = e.sig.err
 	if err == nil {
-		err = e.execute(act, injCost, overlapped)
+		err = e.execute(act, injCost)
 	}
 	if err != nil {
 		return false, r.fail(step, err)
@@ -166,12 +145,11 @@ func (e *engine) step(step int) (stop bool, err error) {
 
 // execute carries out one synchronization action through the cluster's
 // fabric, advancing step counters and virtual clocks exactly as the
-// hand-rolled per-method loops did. aggregated means e.avg already holds
-// the step's mean gradient (the overlapped round produced it). On a
-// LocalFirst step the workers' own updates are already applied; the step
-// counters and clock adds are a few scalar operations per worker and run
-// right here rather than through a pool dispatch of their own.
-func (e *engine) execute(act Action, injCost float64, aggregated bool) error {
+// hand-rolled per-method loops did. On a LocalFirst step the workers' own
+// updates are already applied; the step counters and clock adds are a few
+// scalar operations per worker and run right here rather than through a
+// pool dispatch of their own.
+func (e *engine) execute(act Action, injCost float64) error {
 	r := e.r
 	if act.Kind != ActSyncGrads && !r.plan.LocalFirst {
 		r.applyLocal()
@@ -186,10 +164,8 @@ func (e *engine) execute(act Action, injCost float64, aggregated bool) error {
 		// Push gradients, pull the mean, every worker applies the same
 		// averaged update. Replicas that diverged during earlier local
 		// phases stay diverged — the inconsistency §III-C warns about.
-		if !aggregated {
-			if err := r.cl.AggregateGrads(e.avg); err != nil {
-				return err
-			}
+		if err := r.cl.AggregateGrads(e.avg); err != nil {
+			return err
 		}
 		if act.TrackMeanGradDelta && r.cfg.TrackDeltas {
 			r.trackDelta(e.avg.Norm())

@@ -268,16 +268,13 @@ func ParseSchedule(spec string, mk func(name string) (SyncPolicy, error)) (SyncP
 	return &SchedulePolicy{Phases: phases}, nil
 }
 
-// innerPlan is what a composite passes on of an inner policy's plan: where
-// the step's work may run, never Committed — a composite's own Decide does
-// the phase bookkeeping and must be called every step.
+// innerPlan is an inner policy's plan, or the zero plan when it declares
+// nothing.
 func innerPlan(p SyncPolicy, step int) StepPlan {
-	ps, ok := p.(Preschedulable)
-	if !ok {
-		return StepPlan{}
+	if ps, ok := p.(Preschedulable); ok {
+		return ps.PlanStep(step)
 	}
-	plan := ps.PlanStep(step)
-	return StepPlan{Observe: plan.Observe, LocalFirst: plan.LocalFirst}
+	return StepPlan{}
 }
 
 func rejectEventLoop(p SyncPolicy) {

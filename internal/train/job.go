@@ -319,7 +319,7 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 // refuseEventLoop reports the first job option or Config feature an
 // event-loop policy cannot honour. Such a policy replaces the step loop, and
 // with it everything that loop's boundaries service — checkpoints in either
-// direction, membership transitions — and the codec and overlap paths of its
+// direction, membership transitions — and the codec path of its
 // synchronization round. The job's own fields decide every case, so the
 // refusal comes before the cluster is built.
 func (j *Job) refuseEventLoop() error {
@@ -337,8 +337,6 @@ func (j *Job) refuseEventLoop() error {
 		what = "run under elastic membership"
 	case !codec.Nop():
 		what = "send through a payload codec"
-	case j.cfg.Overlap:
-		what = "overlap communication with compute"
 	default:
 		return nil
 	}

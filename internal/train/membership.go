@@ -225,10 +225,10 @@ func newMembState(cfg Config, cl *cluster.Cluster) *membState {
 		m.alive[i] = true
 	}
 	if mesh != nil {
-		// Validate refuses a plan next to a codec or overlap; Config.Quorum
-		// or an already-elastic fabric makes a run elastic without one.
-		if cfg.Overlap || !cl.Codec().Nop() {
-			panic("train: payload codecs and overlap require static membership (the run is elastic: Config.Quorum or an elastic fabric)")
+		// Validate refuses a plan next to a codec; Config.Quorum or an
+		// already-elastic fabric makes a run elastic without one.
+		if !cl.Codec().Nop() {
+			panic("train: payload codecs require static membership (the run is elastic: Config.Quorum or an elastic fabric)")
 		}
 		mesh.EnableElastic(quorum)
 		m.quorum = mesh.Quorum()

@@ -22,15 +22,15 @@ import (
 // What each built-in policy's steps end in, and what it therefore tells the
 // engine before a step's gradients exist (Preschedulable / StepPlan) — the
 // trackers may be fed and the workers' own updates applied block by block
-// inside the backward pass itself, or the collective started under it:
+// inside the backward pass itself:
 //
-//	policy        a step is                  observe  local-first  committed
-//	BSP           sync-grads                 -        -            yes
-//	LocalSGD      local                      -        yes          -
-//	SelSync (PA)  local | sync-params        yes      yes          -
-//	SelSync (GA)  local | sync-grads         yes      -            -
-//	FedAvg        local | round-average      -        yes          -
-//	Switch,       the deciding inner         its      its          never
+//	policy        a step is                  observe  local-first
+//	BSP           sync-grads                 -        -
+//	LocalSGD      local                      -        yes
+//	SelSync (PA)  local | sync-params        yes      yes
+//	SelSync (GA)  local | sync-grads         yes      -
+//	FedAvg        local | round-average      -        yes
+//	Switch,       the deciding inner         its      its
 //	Schedule      policy's (none while a When predicate is pending)
 //
 // A policy that declares nothing gets the order SyncPolicy.Decide documents.
@@ -119,12 +119,6 @@ type PolicyInit interface {
 // exist. The zero value declares nothing, and the engine then runs the step
 // in Decide's documented order: compute, decide, apply.
 type StepPlan struct {
-	// Committed says the step's action is Action whatever the gradients
-	// turn out to be. Under Config.Overlap a committed ActSyncGrads step
-	// launches its bucketed collective while the backward pass is still
-	// producing gradients, and Decide is not called for it.
-	Committed bool
-	Action    Action
 	// Observe says Decide will call Signals.UpdateTrackers. Each worker then
 	// takes its gradient's norm block by block inside its backward pass, each
 	// block as soon as the layer that writes it is done and while it is
@@ -271,13 +265,6 @@ func (BSPPolicy) Decide(step int, sig *Signals) Action {
 	return Action{Kind: ActSyncGrads, TrackMeanGradDelta: true}
 }
 
-// PlanStep implements Preschedulable: BSP's decision never depends on the
-// step's gradients, so every step can overlap its collective with the
-// backward pass.
-func (BSPPolicy) PlanStep(step int) StepPlan {
-	return StepPlan{Committed: true, Action: Action{Kind: ActSyncGrads, TrackMeanGradDelta: true}}
-}
-
 // LocalSGDPolicy never synchronizes after the initial broadcast — the δ ≥ M
 // degeneration of SelSync (paper Fig. 6). The reported metric still
 // evaluates the across-replica mean.
@@ -391,8 +378,7 @@ func (p *FedAvgPolicy) Decide(step int, sig *Signals) Action {
 }
 
 // PlanStep implements Preschedulable: a local step and a round boundary both
-// begin with the workers' own updates. The boundary's participants are drawn
-// in Decide, so the step is not committed.
+// begin with the workers' own updates.
 func (p *FedAvgPolicy) PlanStep(step int) StepPlan { return StepPlan{LocalFirst: true} }
 
 // CheckpointState implements CheckpointablePolicy: the participant picker

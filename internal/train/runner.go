@@ -214,11 +214,11 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		x, labels := r.cfg.Train.BatchInto(r.batchX[w.ID], r.batchLabels[w.ID], r.batches[w.ID])
 		r.batchX[w.ID], r.batchLabels[w.ID] = x, labels
 		b := &r.blocks[w.ID]
-		b.final.Store(int64(r.cl.Dim()))
+		b.final = r.cl.Dim()
 		loss, _ := w.Model.ComputeGradients(x, labels)
 		r.losses[w.ID] = loss
 		w.Clock += w.Device.ComputeTime(simnet.StepFlops(r.spec.FlopsPerSample, len(r.batches[w.ID])))
-		r.finishBlocks(w, int(b.final.Load()))
+		r.finishBlocks(w, b.final)
 	}
 	r.initBlocks()
 
