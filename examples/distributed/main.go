@@ -89,8 +89,12 @@ func main() {
 	for _, res := range results[1:] {
 		agree = agree && reflect.DeepEqual(res, results[0])
 	}
+	same := reflect.DeepEqual(results[0], loopback)
 	fmt.Printf("all TCP ranks bit-identical:      %v\n", agree)
-	fmt.Printf("TCP bit-identical to loopback:    %v\n", reflect.DeepEqual(results[0], loopback))
+	fmt.Printf("TCP bit-identical to loopback:    %v\n", same)
 	fmt.Printf("comm reduction vs BSP:            %.1fx (LSSR %.3f)\n",
 		results[0].CommReduction(), results[0].LSSR)
+	if !agree || !same {
+		log.Fatal("the TCP run is not bit-identical to loopback (this is a bug)")
+	}
 }

@@ -95,5 +95,6 @@ func main() {
 		fmt.Println("\ninterrupt → checkpoint → resume reproduced the uninterrupted run bit for bit ✓")
 	} else {
 		fmt.Println("\nDIGEST MISMATCH — resume is not bit-identical (this is a bug)")
+		os.Exit(1)
 	}
 }

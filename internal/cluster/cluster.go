@@ -63,7 +63,9 @@ func (m AggMode) String() string {
 }
 
 // OptBuilder constructs a fresh optimizer over a replica's parameters.
-// Each worker owns private optimizer state, as on the real testbed.
+// Each worker owns private optimizer state, as on the real testbed. New
+// builds its replicas concurrently, so an OptBuilder may be called from
+// several goroutines at once, each with its own replica's parameters.
 type OptBuilder func(ps []*nn.Param) opt.Optimizer
 
 // Topology selects how synchronization rounds are priced on the simulated
@@ -102,7 +104,8 @@ type Config struct {
 	Opt     OptBuilder
 	Network *simnet.Network
 	// Device builds the accelerator for worker id; nil means identical
-	// V100s (seeded per worker).
+	// V100s (seeded per worker). Like Opt it may be called concurrently,
+	// once per hosted id.
 	Device func(id int) *simnet.Device
 	// Seed drives model initialization and all stochastic machinery.
 	Seed uint64
@@ -287,19 +290,25 @@ func New(cfg Config) *Cluster {
 		deviceFor: deviceFor,
 	}
 	seedRNG := tensor.NewRNG(cfg.Seed)
+	var ids []int
+	var rngs []*tensor.RNG
 	for id := 0; id < cfg.Workers; id++ {
 		rng := seedRNG.Split() // advance the stream for every global id
-		if !fabric.Hosts(id) {
-			continue
+		if fabric.Hosts(id) {
+			ids, rngs = append(ids, id), append(rngs, rng)
 		}
-		var model *nn.FeedForwardNet
-		if len(c.Workers) == 0 && !cfg.Restore {
-			model = cfg.Model.New(cfg.Seed) // the one draw; the rest copy it below
-		} else {
-			model = cfg.Model.Build(nil)
-		}
-		c.Workers = append(c.Workers, c.newWorker(id, model, rng))
 	}
+	// The replicas share nothing until copyInitialState, so they are built
+	// concurrently: the first one's initial-state draw runs beside the
+	// others' allocations.
+	c.Workers = make([]*Worker, len(ids))
+	parallel(len(ids), func(i int) {
+		var draw *tensor.RNG
+		if i == 0 && !cfg.Restore {
+			draw = tensor.NewRNG(cfg.Seed) // the one draw; the rest copy it below
+		}
+		c.Workers[i] = c.newWorker(ids[i], cfg.Model.Build(draw), rngs[i])
+	})
 	c.nbase = len(c.Workers)
 	c.dim = len(c.Workers[0].FlatParams())
 	c.allIDs = make([]int, cfg.Workers)
@@ -324,6 +333,34 @@ func New(cfg Config) *Cluster {
 	}
 	c.startPool()
 	return c
+}
+
+// parallel runs fn(0), …, fn(n−1) on n goroutines, fn(0) on the caller's,
+// and returns once every call has. A panic in a call is re-raised on the
+// caller after all have returned (the lowest index's, when several panic).
+func parallel(n int, fn func(i int)) {
+	panics := make([]any, n)
+	call := func(i int) {
+		defer func() { panics[i] = recover() }()
+		fn(i)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			call(i)
+		}(i)
+	}
+	if n > 0 {
+		call(0)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // newWorker wraps a built replica for global worker id with the per-worker

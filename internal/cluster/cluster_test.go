@@ -3,8 +3,10 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"selsync/internal/comm"
 	"selsync/internal/nn"
@@ -488,4 +490,68 @@ func TestAdoptedReplicaCarriesReferenceLayerStreams(t *testing.T) {
 			t.Fatalf("adopted worker %d steps %d, want %d", id, w.Steps, ref.Steps)
 		}
 	}
+}
+
+// startKernelHelpers makes tensor start its process-lifetime fan-out helper
+// goroutines now, so that a goroutine count taken afterwards includes them.
+func startKernelHelpers() {
+	tensor.NewRNG(1).NormVector(tensor.NewVector(1<<20), 0, 1)
+}
+
+// waitGoroutines fails the test unless the process gets back down to base
+// goroutines within a few seconds.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines left, %d before\n%s", what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestConcurrentBuildLeavesNoGoroutineBehind: New builds its replicas on
+// goroutines of their own; once it has returned and the cluster is closed,
+// none is left, and the replicas hold the one drawn initial state.
+func TestConcurrentBuildLeavesNoGoroutineBehind(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	startKernelHelpers()
+	base := runtime.NumGoroutine()
+	cfg := testConfig(6)
+	c := New(cfg)
+	want := cfg.Model.New(cfg.Seed).Arena().Data
+	for _, w := range c.Workers {
+		if !reflect.DeepEqual(w.FlatParams(), want) {
+			t.Fatalf("worker %d does not hold the model drawn from the seed", w.ID)
+		}
+	}
+	c.Close()
+	waitGoroutines(t, base, "after New and Close")
+}
+
+// TestConcurrentBuildPanicReachesCaller: a replica build that panics on a
+// helper goroutine panics New on the caller's, with the build's value.
+func TestConcurrentBuildPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	startKernelHelpers()
+	base := runtime.NumGoroutine()
+	cfg := testConfig(4)
+	build := cfg.Model.Build
+	cfg.Model.Build = func(rng *tensor.RNG) *nn.FeedForwardNet {
+		if rng == nil {
+			panic("undrawn replica refused")
+		}
+		return build(rng)
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != "undrawn replica refused" {
+				t.Fatalf("New panicked with %v, want the build's panic", p)
+			}
+		}()
+		New(cfg)
+	}()
+	waitGoroutines(t, base, "after a panicking build")
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
+
+	"selsync/internal/tensor"
 )
 
 // datasetDigest is the sha256 of d's feature bits (row-major, little
@@ -56,5 +59,18 @@ func TestImageGenGolden(t *testing.T) {
 		if got := datasetDigest(d); got != want[name] {
 			t.Errorf("%s: digest %s, golden %s", name, got, want[name])
 		}
+	}
+}
+
+// TestDatasetDrawLeavesNoGoroutineBehind: a dataset draw fans out on the
+// tensor package's process-lifetime helpers and starts nothing else, so
+// once they exist the goroutine count is the same before and after.
+func TestDatasetDrawLeavesNoGoroutineBehind(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tensor.NewRNG(1).NormVector(tensor.NewVector(1<<20), 0, 1) // starts the helpers
+	base := runtime.NumGoroutine()
+	NewImageGen(10, 1, 2, 3e3, 1).Dataset("train", 4096)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after the draw, %d before", n, base)
 	}
 }

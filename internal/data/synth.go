@@ -30,15 +30,18 @@ func NewImageGen(classes int, sep, noise float64, bytesPerExample float64, seed 
 		Classes: classes, Sep: sep, Noise: noise,
 		rng: tensor.NewRNG(seed), bytes: bytesPerExample,
 	}
+	means := tensor.NewMatrix(classes, nn.ImgFeatures)
+	g.rng.NormRows(means, nil, nil, 0, sep)
 	g.means = make([]tensor.Vector, classes)
 	for c := range g.means {
-		g.means[c] = tensor.NewVector(nn.ImgFeatures)
-		g.rng.NormVector(g.means[c], 0, sep)
+		g.means[c] = means.Row(c)
 	}
 	return g
 }
 
-// Dataset draws n examples, balanced across classes and shuffled.
+// Dataset draws n examples, balanced across classes and shuffled: the i-th
+// example drawn has class i % Classes and lands in row order[i] of a random
+// permutation order.
 func (g *ImageGen) Dataset(name string, n int) *Dataset {
 	d := &Dataset{
 		Name:    name,
@@ -47,13 +50,14 @@ func (g *ImageGen) Dataset(name string, n int) *Dataset {
 		Classes: g.Classes, BytesPerExample: g.bytes,
 	}
 	order := g.rng.Perm(n)
-	for i := 0; i < n; i++ {
-		c := i % g.Classes // balanced before shuffling
-		row := d.X.Row(order[i])
-		g.rng.NormVector(row, 0, g.Noise)
-		row.Add(g.means[c])
-		d.Y[order[i]] = []int{c}
+	labels := make([]int, n)
+	for i, row := range order {
+		labels[row] = i % g.Classes
 	}
+	for i := range d.Y {
+		d.Y[i] = labels[i : i+1 : i+1]
+	}
+	g.rng.NormRows(d.X, order, g.means, 0, g.Noise)
 	return d
 }
 

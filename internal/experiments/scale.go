@@ -72,7 +72,7 @@ func ParamsFor(s Scale) Params {
 // Workload bundles everything needed to train one of the paper's four
 // model/dataset pairs at a given scale: the factory, the paper-inspired
 // optimizer and learning-rate schedule, the per-worker batch size, the
-// synthetic dataset pair, the calibrated SelSync δ thresholds and the
+// synthetic dataset pair, the hand-set SelSync δ thresholds and the
 // update rule SSP's parameter server applies.
 type Workload struct {
 	Name     string
@@ -82,13 +82,14 @@ type Workload struct {
 	Batch    int
 	Data     data.Workload
 
-	// DeltaLow/Mid/High are the model's calibrated SelSync thresholds,
-	// playing the roles of the paper's δ = 0.3 / 0.25 / 0.5. The paper's
-	// absolute δ values are tied to its models' gradient-norm dynamics;
-	// these were calibrated against each zoo model's measured Δ(g_i)
-	// distribution under the pinned tracker smoothing (alpha = 0.16, the
-	// paper's 16-worker setting) so the low setting lands in the paper's
-	// LSSR ≈ 0.7–0.95 band — see EXPERIMENTS.md.
+	// DeltaLow/Mid/High are the model's SelSync thresholds, playing the
+	// roles of the paper's δ = 0.3 / 0.25 / 0.5. The paper's absolute δ
+	// values are tied to its models' gradient-norm dynamics, so these are
+	// set by hand per model, under the pinned tracker smoothing (alpha =
+	// 0.16, the paper's 16-worker setting), aiming the low setting at the
+	// paper's LSSR ≈ 0.7–0.95 band. No recorded procedure backs them;
+	// ROADMAP item 2 replaces them with one calibration rule computed from
+	// the measured Δ(g_i) distribution.
 	DeltaLow, DeltaMid, DeltaHigh float64
 
 	// SSPOpt is the PS-side update rule for SSP runs (nil = plain SGD).
@@ -98,7 +99,8 @@ type Workload struct {
 }
 
 // trackerAlpha pins the Δ(g_i) EWMA smoothing factor to the paper's
-// 16-worker value so the δ calibration holds across experiment scales.
+// 16-worker value so the hand-set δ thresholds mean the same at every
+// experiment scale.
 const trackerAlpha = 0.16
 
 // SetupWorkload builds the named workload ("resnet", "vgg", "alexnet" or

@@ -293,15 +293,20 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return m.y
 }
 
-// Backward routes each output gradient to the winning input position.
+// Backward routes each output gradient to the winning input position. The
+// windows do not overlap, so a sample's input gradient is its row cleared
+// while the row is in cache, then +0 + g stored (not added) at each
+// winner: the bits of a scatter-add into a cleared buffer, a −0 gradient
+// landing as +0, without reading the destination back.
 func (m *MaxPool2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	m.dx = tensor.EnsureMatrix(m.dx, grad.Rows, m.inCols)
-	m.dx.Zero()
 	for n := 0; n < grad.Rows; n++ {
 		dout := grad.Row(n)
+		arg := m.argmax[n*grad.Cols : (n+1)*grad.Cols]
 		din := m.dx.Row(n)
+		clear(din)
 		for oi, g := range dout {
-			din[m.argmax[n*grad.Cols+oi]] += g
+			din[arg[oi]] = 0 + g
 		}
 	}
 	return m.dx

@@ -123,8 +123,17 @@ func FuzzMaxPool2D(f *testing.F) {
 		rows, c, h, w := 1+int(rowsB)%70, 1+int(chB)%8, 2+int(hB)%9, 2+int(wB)%23
 		x := tensor.NewMatrix(rows, c*h*w)
 		fuzzFill(x.Data, data)
+		// A step on the negated input first leaves other winners' gradients
+		// in the layer's buffer, which the measured Backward must overwrite.
+		neg := x.Clone()
+		for i, v := range neg.Data {
+			neg.Data[i] = -v
+		}
 		run := func() []tensor.Vector {
 			m := NewMaxPool2D(c, h, w)
+			ones := tensor.NewMatrix(rows, m.Forward(neg, true).Cols)
+			ones.Data.Fill(1)
+			m.Backward(ones)
 			yEval := m.Forward(x, false).Clone()
 			y := m.Forward(x, true)
 			dy := tensor.NewMatrix(rows, y.Cols)
@@ -134,14 +143,30 @@ func FuzzMaxPool2D(f *testing.F) {
 				arg[i] = float64(a)
 			}
 			dx := m.Backward(dy)
-			return []tensor.Vector{y.Data, yEval.Data, arg, dx.Data}
+			return []tensor.Vector{y.Data, yEval.Data, arg, dx.Data, maxPoolBackwardRef(m, dy).Data}
 		}
 		kernel, portable := onBothKernelPaths(run)
 		for _, out := range [][]tensor.Vector{kernel, portable} {
 			requireSameBits(t, "evaluation y vs training y", out[1], out[0], false)
+			requireSameBits(t, "dx vs the scatter-add reference", out[3], out[4], false)
 		}
 		for i, name := range []string{"y", "evaluation y", "argmax", "dx"} {
 			requireSameBits(t, name, kernel[i], portable[i], name == "dx")
 		}
 	})
+}
+
+// maxPoolBackwardRef is MaxPool2D.Backward's former body, the reference its
+// clear-and-store pass must equal bit for bit: clear the whole input
+// gradient, then add each output gradient at its window's winner.
+func maxPoolBackwardRef(m *MaxPool2D, grad *tensor.Matrix) *tensor.Matrix {
+	dx := tensor.NewMatrix(grad.Rows, m.inCols)
+	for n := 0; n < grad.Rows; n++ {
+		dout := grad.Row(n)
+		din := dx.Row(n)
+		for oi, g := range dout {
+			din[m.argmax[n*grad.Cols+oi]] += g
+		}
+	}
+	return dx
 }

@@ -278,9 +278,10 @@ func abtRows(dst, a, b *Matrix, lo, hi, j0 int, acc bool) {
 }
 
 // Fan-out. Every parallel kernel in this package partitions its
-// destination (matrix rows, or blocks of a flat vector) and runs the serial
-// range kernel on each part, so the partition cannot change a single bit of
-// the result. That leaves the fan-out free to be opportunistic: the caller
+// destination (matrix rows, blocks of a flat vector, or runs of a Gaussian
+// fill's stream, each drawn from its jumped-to generator state) and runs the
+// serial range kernel on each part, so the partition cannot change a single
+// bit of the result. That leaves the fan-out free to be opportunistic: the caller
 // publishes the call as a fanTask, offers it to helper goroutines that are
 // parked idle right now, and claims chunks itself alongside them until none
 // are left. When no helper is idle, or the cores are busy with other callers
@@ -299,6 +300,7 @@ const (
 	kernMatMulABT
 	kernCombine
 	kernCopyAll
+	kernNorm
 )
 
 // fanTask is one fanned-out kernel call: the operands, and the chunk
@@ -311,10 +313,14 @@ type fanTask struct {
 	vs        []Vector
 	w         []float64
 	scale     float64
+	norm      normFill // kernNorm
 
 	procs, n, grain int
 	next            atomic.Int64   // start of the next unclaimed chunk of [0, n)
 	helpers         sync.WaitGroup // helpers that accepted the task and have not left it
+	// stop is, for kernNorm, the lowest element at which a chunk met a
+	// redraw (n when none did).
+	stop atomic.Int64
 }
 
 var (
@@ -385,6 +391,12 @@ func (t *fanTask) blockGrain(n int) int {
 // calling goroutine and on whichever helpers are idle, returns when every
 // chunk is done and recycles the task.
 func (t *fanTask) fan(n, grain int) {
+	t.run(n, grain)
+	t.release()
+}
+
+// run is fan without the recycling: the caller may still read the task.
+func (t *fanTask) run(n, grain int) {
 	t.n, t.grain = n, grain
 	t.next.Store(0)
 	chunks := (n + grain - 1) / grain
@@ -400,7 +412,11 @@ offer:
 	}
 	t.drain()
 	t.helpers.Wait()
-	t.dst, t.a, t.b, t.vec, t.vs, t.w = nil, nil, nil, nil, nil, nil
+}
+
+// release recycles a task whose run has returned.
+func (t *fanTask) release() {
+	t.dst, t.a, t.b, t.vec, t.vs, t.w, t.norm = nil, nil, nil, nil, nil, nil, normFill{}
 	fanMu.Lock()
 	fanFree = append(fanFree, t)
 	fanMu.Unlock()
@@ -433,6 +449,8 @@ func (t *fanTask) drain() {
 			combineRange(t.vec, t.vs, t.w, t.scale, lo, hi)
 		case kernCopyAll:
 			copyAllRange(t.vs, t.vec, lo, hi)
+		case kernNorm:
+			t.norm.chunk(lo, hi, &t.stop)
 		}
 	}
 }

@@ -779,26 +779,237 @@ GLOBL bmconst<>(SB), RODATA|NOPTR, $0x120
 	VBROADCASTSD bmconst<>+c(SB), Y11 \
 	VADDPD Y11, Y, Y
 
+// HORNER2 is HORNER on two independent accumulators (ya·sa + c, yb·sb + c).
+#define HORNER2(c, sa, ya, sb, yb) \
+	VMULPD sa, ya, ya \
+	VMULPD sb, yb, yb \
+	VBROADCASTSD bmconst<>+c(SB), Y11 \
+	VADDPD Y11, ya, ya \
+	VADDPD Y11, yb, yb
+
 // func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64)
 //
 // dst[i] = mu + sigma·(√(−2·log u1[i]) · cos(2π·u2[i])) for i < n, n a
-// multiple of 4, four lanes per iteration. Every operation is the scalar
-// one of math.Log (archLog) and math.Cos, in the same order: mul, add, sub,
-// div and sqrt only, nothing contracted into an FMA, so each lane is
-// bit-identical to RNG.Norm. The caller guarantees 0 < u1 < 1 and
-// 0 ≤ u2 < 1, which rules out log's and cos's special cases and cos's
-// large-argument reduction. cos's octant branches become selects: after
-// the odd-octant fix-up j is even, bit 1 of j picks the sine polynomial and
-// bit 1 ⊕ bit 2 is the sign.
+// multiple of 4. Every operation is the scalar one of math.Log (archLog)
+// and math.Cos, in the same order: mul, add, sub, div and sqrt only,
+// nothing contracted into an FMA, so each lane is bit-identical to
+// RNG.Norm. The caller guarantees 0 < u1 < 1 and 0 ≤ u2 < 1, which rules
+// out log's and cos's special cases and cos's large-argument reduction.
+// cos's octant branches become selects: after the odd-octant fix-up j is
+// even, bit 1 of j picks the sine polynomial and bit 1 ⊕ bit 2 is the sign.
+//
+// The chains are long (a division, a square root and ten dependent
+// polynomial steps), so bm_loop2 runs two independent groups of four lanes
+// side by side, A in Y0–Y6 and B in Y7–Y10, Y12, Y14, Y15, every B
+// instruction the A one on renamed registers, and parks the two square
+// roots in dst while the cosines need the registers; bm_loop takes the last
+// four lanes when n is not a multiple of 8. dst must not overlap u1 or u2.
 TEXT ·boxMuller4(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ u1+8(FP), SI
 	MOVQ u2+16(FP), DX
 	MOVQ n+24(FP), CX
-	VBROADCASTSD mu+32(FP), Y14
-	VBROADCASTSD sigma+40(FP), Y15
 	VBROADCASTSD bmconst<>+0x118(SB), Y13 // 1.0
 	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX // the lanes bm_loop2 takes
+bm_loop2:
+	CMPQ AX, BX
+	JGE  bm_tail
+
+	// ---- log(u1), both groups.
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y7
+	VPSRLQ $52, Y0, Y1
+	VPSRLQ $52, Y7, Y8
+	VBROADCASTSD bmconst<>+0x010(SB), Y11
+	VPOR Y11, Y1, Y1
+	VPOR Y11, Y8, Y8
+	VBROADCASTSD bmconst<>+0x018(SB), Y11
+	VSUBPD Y11, Y1, Y1
+	VSUBPD Y11, Y8, Y8                      // k
+	VBROADCASTSD bmconst<>+0x000(SB), Y11
+	VANDPD Y11, Y0, Y0
+	VANDPD Y11, Y7, Y7
+	VBROADCASTSD bmconst<>+0x008(SB), Y11
+	VORPD Y11, Y0, Y0
+	VORPD Y11, Y7, Y7                       // f1
+	VBROADCASTSD bmconst<>+0x020(SB), Y11
+	VCMPPD $0x01, Y11, Y0, Y2
+	VCMPPD $0x01, Y11, Y7, Y9               // f1 < √2/2
+	VANDPD Y13, Y2, Y2
+	VANDPD Y13, Y9, Y9
+	VSUBPD Y2, Y1, Y1
+	VSUBPD Y9, Y8, Y8
+	VADDPD Y13, Y2, Y2
+	VADDPD Y13, Y9, Y9
+	VMULPD Y2, Y0, Y0
+	VMULPD Y9, Y7, Y7
+	VSUBPD Y13, Y0, Y0
+	VSUBPD Y13, Y7, Y7                      // f
+	VBROADCASTSD bmconst<>+0x028(SB), Y2
+	VBROADCASTSD bmconst<>+0x028(SB), Y9
+	VADDPD Y0, Y2, Y2
+	VADDPD Y7, Y9, Y9
+	VDIVPD Y2, Y0, Y3
+	VDIVPD Y9, Y7, Y10                      // s
+	VMULPD Y3, Y3, Y4
+	VMULPD Y10, Y10, Y12                    // s2
+	VMULPD Y4, Y4, Y5
+	VMULPD Y12, Y12, Y14                    // s4
+	VBROADCASTSD bmconst<>+0x060(SB), Y6
+	VBROADCASTSD bmconst<>+0x060(SB), Y15
+	HORNER2(0x050, Y5, Y6, Y14, Y15)
+	HORNER2(0x040, Y5, Y6, Y14, Y15)
+	HORNER2(0x030, Y5, Y6, Y14, Y15)
+	VMULPD Y6, Y4, Y4
+	VMULPD Y15, Y12, Y12                    // t1
+	VBROADCASTSD bmconst<>+0x058(SB), Y6
+	VBROADCASTSD bmconst<>+0x058(SB), Y15
+	HORNER2(0x048, Y5, Y6, Y14, Y15)
+	HORNER2(0x038, Y5, Y6, Y14, Y15)
+	VMULPD Y6, Y5, Y5
+	VMULPD Y15, Y14, Y14                    // t2
+	VADDPD Y5, Y4, Y4
+	VADDPD Y14, Y12, Y12                    // R
+	VBROADCASTSD bmconst<>+0x008(SB), Y2
+	VBROADCASTSD bmconst<>+0x008(SB), Y9
+	VMULPD Y0, Y2, Y2
+	VMULPD Y7, Y9, Y9
+	VMULPD Y0, Y2, Y2
+	VMULPD Y7, Y9, Y9                       // hfsq
+	VADDPD Y2, Y4, Y4
+	VADDPD Y9, Y12, Y12
+	VMULPD Y4, Y3, Y3
+	VMULPD Y12, Y10, Y10
+	VBROADCASTSD bmconst<>+0x068(SB), Y4
+	VBROADCASTSD bmconst<>+0x068(SB), Y12
+	VMULPD Y1, Y4, Y4
+	VMULPD Y8, Y12, Y12
+	VADDPD Y4, Y3, Y3
+	VADDPD Y12, Y10, Y10
+	VSUBPD Y3, Y2, Y2
+	VSUBPD Y10, Y9, Y9
+	VSUBPD Y0, Y2, Y2
+	VSUBPD Y7, Y9, Y9
+	VBROADCASTSD bmconst<>+0x070(SB), Y4
+	VBROADCASTSD bmconst<>+0x070(SB), Y12
+	VMULPD Y4, Y1, Y1
+	VMULPD Y12, Y8, Y8
+	VSUBPD Y2, Y1, Y1
+	VSUBPD Y9, Y8, Y8                       // log u1
+	VBROADCASTSD bmconst<>+0x078(SB), Y11
+	VMULPD Y11, Y1, Y1
+	VMULPD Y11, Y8, Y8
+	VSQRTPD Y1, Y1
+	VSQRTPD Y8, Y8                          // r
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y8, 32(DI)(AX*8)
+
+	// ---- cos(2π·u2), both groups.
+	VMOVUPD (DX)(AX*8), Y0
+	VMOVUPD 32(DX)(AX*8), Y7
+	VBROADCASTSD bmconst<>+0x080(SB), Y11
+	VMULPD Y11, Y0, Y0
+	VMULPD Y11, Y7, Y7                      // x
+	VBROADCASTSD bmconst<>+0x088(SB), Y11
+	VMULPD Y11, Y0, Y1
+	VMULPD Y11, Y7, Y8
+	VROUNDPD $3, Y1, Y1
+	VROUNDPD $3, Y8, Y8
+	VBROADCASTSD bmconst<>+0x010(SB), Y2
+	VBROADCASTSD bmconst<>+0x010(SB), Y9
+	VADDPD Y2, Y1, Y1
+	VADDPD Y9, Y8, Y8
+	VBROADCASTSD bmconst<>+0x090(SB), Y11
+	VANDPD Y11, Y1, Y3
+	VANDPD Y11, Y8, Y10
+	VPADDQ Y3, Y1, Y1
+	VPADDQ Y10, Y8, Y8                      // j even
+	VSUBPD Y2, Y1, Y2
+	VSUBPD Y9, Y8, Y9                       // y = j
+	VBROADCASTSD bmconst<>+0x098(SB), Y11
+	VMULPD Y2, Y11, Y3
+	VMULPD Y9, Y11, Y10
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y10, Y7, Y7
+	VBROADCASTSD bmconst<>+0x0a0(SB), Y11
+	VMULPD Y2, Y11, Y3
+	VMULPD Y9, Y11, Y10
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y10, Y7, Y7
+	VBROADCASTSD bmconst<>+0x0a8(SB), Y11
+	VMULPD Y2, Y11, Y3
+	VMULPD Y9, Y11, Y10
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y10, Y7, Y7                      // z
+	VMULPD Y0, Y0, Y2
+	VMULPD Y7, Y7, Y9                       // zz
+	VBROADCASTSD bmconst<>+0x0b0(SB), Y3
+	VBROADCASTSD bmconst<>+0x0b0(SB), Y10
+	HORNER2(0x0b8, Y2, Y3, Y9, Y10)
+	HORNER2(0x0c0, Y2, Y3, Y9, Y10)
+	HORNER2(0x0c8, Y2, Y3, Y9, Y10)
+	HORNER2(0x0d0, Y2, Y3, Y9, Y10)
+	HORNER2(0x0d8, Y2, Y3, Y9, Y10)
+	VMULPD Y2, Y0, Y4
+	VMULPD Y9, Y7, Y12
+	VMULPD Y3, Y4, Y4
+	VMULPD Y10, Y12, Y12
+	VADDPD Y4, Y0, Y3
+	VADDPD Y12, Y7, Y10                     // sine polynomial
+	VBROADCASTSD bmconst<>+0x0e0(SB), Y4
+	VBROADCASTSD bmconst<>+0x0e0(SB), Y12
+	HORNER2(0x0e8, Y2, Y4, Y9, Y12)
+	HORNER2(0x0f0, Y2, Y4, Y9, Y12)
+	HORNER2(0x0f8, Y2, Y4, Y9, Y12)
+	HORNER2(0x100, Y2, Y4, Y9, Y12)
+	HORNER2(0x108, Y2, Y4, Y9, Y12)
+	VMULPD Y2, Y2, Y5
+	VMULPD Y9, Y9, Y14
+	VMULPD Y4, Y5, Y5
+	VMULPD Y12, Y14, Y14
+	VBROADCASTSD bmconst<>+0x008(SB), Y4
+	VBROADCASTSD bmconst<>+0x008(SB), Y12
+	VMULPD Y2, Y4, Y4
+	VMULPD Y9, Y12, Y12
+	VSUBPD Y4, Y13, Y4
+	VSUBPD Y12, Y13, Y12
+	VADDPD Y5, Y4, Y4
+	VADDPD Y14, Y12, Y12                    // cosine polynomial
+	VPSLLQ $62, Y1, Y5
+	VPSLLQ $62, Y8, Y14
+	VBLENDVPD Y5, Y3, Y4, Y4
+	VBLENDVPD Y14, Y10, Y12, Y12
+	VPSLLQ $61, Y1, Y6
+	VPSLLQ $61, Y8, Y15
+	VXORPD Y6, Y5, Y5
+	VXORPD Y15, Y14, Y14
+	VBROADCASTSD bmconst<>+0x110(SB), Y11
+	VANDPD Y11, Y5, Y5
+	VANDPD Y11, Y14, Y14
+	VXORPD Y5, Y4, Y4
+	VXORPD Y14, Y12, Y12                    // cos x
+
+	// ---- mu + sigma·(r·cos x)
+	VMOVUPD (DI)(AX*8), Y5
+	VMOVUPD 32(DI)(AX*8), Y14               // r
+	VMULPD Y4, Y5, Y4
+	VMULPD Y12, Y14, Y12
+	VBROADCASTSD sigma+40(FP), Y11
+	VMULPD Y11, Y4, Y4
+	VMULPD Y11, Y12, Y12
+	VBROADCASTSD mu+32(FP), Y11
+	VADDPD Y11, Y4, Y4
+	VADDPD Y11, Y12, Y12
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y12, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  bm_loop2
+
+bm_tail:
+	VBROADCASTSD mu+32(FP), Y14
+	VBROADCASTSD sigma+40(FP), Y15
 bm_loop:
 	CMPQ AX, CX
 	JGE  bm_done

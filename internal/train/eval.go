@@ -227,18 +227,46 @@ func EvaluateDataset(net nn.Network, d *data.Dataset, chunk int) (loss, metric f
 	return e.fold()
 }
 
-// initEval builds the run's evaluator and its first replica — never drawn:
-// its parameters are overwritten before every read, and evaluation-mode
-// forwards touch no layer stream. On a static multi-rank mesh the blocks are
-// sharded over the worker ids; an elastic mesh keeps every block on every
-// rank, since its hosted sets move while a view change is in flight.
-func (r *runner) initEval() {
+// initEval builds the run's evaluator on net, its first replica — never
+// drawn: its parameters are overwritten before every read, and
+// evaluation-mode forwards touch no layer stream. On a static multi-rank
+// mesh the blocks are sharded over the worker ids; an elastic mesh keeps
+// every block on every rank, since its hosted sets move while a view change
+// is in flight.
+func (r *runner) initEval(net *nn.FeedForwardNet) {
 	r.eval = newEvaluator(r.cfg.Test, r.cfg.EvalChunk, r.spec)
-	r.addEvalReplica()
+	r.eval.addReplica(net, net.Arena().Data)
 	if r.cl.Procs() > 1 && r.memb == nil {
 		r.eval.shardOver(r.cl.Fabric().LocalWorkers(), r.cl.N())
 	}
 	r.evalFn = func(*cluster.Worker) { r.eval.join() }
+}
+
+// buildAside starts building an undrawn replica of f on a goroutine of its
+// own, beside whatever the caller builds meanwhile; the returned function
+// waits for it and re-raises a panic of the build. A caller that never
+// waits leaves nothing behind: the goroutine ends with its build.
+func buildAside(f nn.Factory) func() *nn.FeedForwardNet {
+	type built struct {
+		net *nn.FeedForwardNet
+		err any
+	}
+	ch := make(chan built, 1)
+	go func() {
+		var b built
+		defer func() {
+			b.err = recover()
+			ch <- b
+		}()
+		b.net = f.Build(nil)
+	}()
+	return func() *nn.FeedForwardNet {
+		b := <-ch
+		if b.err != nil {
+			panic(b.err)
+		}
+		return b.net
+	}
 }
 
 func (r *runner) addEvalReplica() {

@@ -301,3 +301,28 @@ func TestEvalLeavesNoGoroutineBehind(t *testing.T) {
 	}
 	waitGoroutines(t, base, "after a cancelled run")
 }
+
+// TestEvalReplicaBuildPanicIsAnError: the evaluation replica is built on a
+// goroutine of its own beside the cluster. A panic in that build, or in the
+// cluster's, comes back from Run as an error, and no goroutine is left.
+func TestEvalReplicaBuildPanicIsAnError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	startKernelHelpers()
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} { // 1: only the evaluation replica is undrawn
+		cfg := smallConfig(43)
+		cfg.Workers = workers
+		build := cfg.Model.Build
+		cfg.Model.Build = func(rng *tensor.RNG) *nn.FeedForwardNet {
+			if rng == nil {
+				panic("undrawn replica refused")
+			}
+			return build(rng)
+		}
+		_, err := NewJob(cfg, BSPPolicy{}).Run(context.Background())
+		if err == nil || err.Error() != "undrawn replica refused" {
+			t.Fatalf("%d workers: Run returned %v, want the build's panic as an error", workers, err)
+		}
+		waitGoroutines(t, base, "after a refused build")
+	}
+}

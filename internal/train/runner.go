@@ -131,6 +131,7 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 	if err != nil {
 		panic(err)
 	}
+	evalNet := buildAside(cfg.Model)
 	cl := cluster.New(cluster.Config{
 		Workers:       cfg.Workers,
 		Model:         cfg.Model,
@@ -193,7 +194,7 @@ func newRunner(cfg Config, method string, restore bool) *runner {
 		r.samplers = append(r.samplers, data.NewSampler(r.parts[w], r.perBatch))
 	}
 	r.memb = newMembState(cfg, cl)
-	r.initEval()
+	r.initEval(evalNet())
 
 	r.batches = make([][]int, cfg.Workers)
 	r.batchIdx = make([][]int, cfg.Workers)
