@@ -41,16 +41,21 @@ func (r *RNG) Advance(n uint64) { r.state += n * gamma }
 // Uint64 returns the next raw 64-bit value (SplitMix64).
 func (r *RNG) Uint64() uint64 {
 	r.state += gamma
-	z := r.state
+	return mix(r.state)
+}
+
+// mix is SplitMix64's output function: the value drawn at state word z.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps a raw draw to Float64's uniform value.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -108,8 +113,8 @@ func (r *RNG) NormVector(dst Vector, mu, sigma float64) {
 //	}
 //
 // without the per-row calls, and shared with idle helper goroutines like
-// NormVector. It panics if order is not a permutation's length or an add
-// vector's length is not m.Cols.
+// NormVector. It panics if order's length is not m.Rows or an add vector's
+// length is not m.Cols.
 func (r *RNG) NormRows(m *Matrix, order []int, add []Vector, mu, sigma float64) {
 	if order != nil && len(order) != m.Rows {
 		panic(fmt.Sprintf("tensor: NormRows order has %d entries for %d rows", len(order), m.Rows))
@@ -165,7 +170,8 @@ func (r *RNG) fill(f normFill) {
 // chunk draws elements [lo, hi) from their jumped-to state. At a redraw it
 // stops and lowers stop to the element's index.
 func (f *normFill) chunk(lo, hi int, stop *atomic.Int64) {
-	g := RNG{state: f.start + 2*uint64(lo)*gamma}
+	g := RNG{state: f.start}
+	g.Advance(2 * uint64(lo))
 	k := f.draw(&g, lo, hi, false)
 	if k == hi {
 		return
@@ -178,7 +184,8 @@ func (f *normFill) chunk(lo, hi int, stop *atomic.Int64) {
 // correctly (k = len(dst) when no chunk met a redraw): it redraws the rest
 // serially from element k's state and leaves r at the fill's end.
 func (f *normFill) finish(r *RNG, k int) {
-	r.state = f.start + 2*uint64(k)*gamma
+	r.state = f.start
+	r.Advance(2 * uint64(k))
 	f.draw(r, k, len(f.dst), true)
 }
 
@@ -188,22 +195,25 @@ func (f *normFill) finish(r *RNG, k int) {
 // and returns its index.
 func (f *normFill) draw(g *RNG, lo, hi int, redraw bool) int {
 	var u1, u2, z [normChunk]float64
-	s := *g                                     // a local copy keeps the state word in a register
+	s := g.state                                // a local word stays in a register
 	direct := f.order == nil && len(f.add) == 0 // element k is dst[k]
 	for k := lo; k < hi; {
 		m, stop := min(normChunk, hi-k), false
 		for i := range m {
-			u := s.Float64() // Norm's draws, in Norm's order
+			s += gamma // Norm's draws, in Norm's order
+			u := unit(mix(s))
 			if u == 0 {
 				if !redraw {
 					m, stop = i, true
 					break
 				}
 				for u == 0 {
-					u = s.Float64()
+					s += gamma
+					u = unit(mix(s))
 				}
 			}
-			u1[i], u2[i] = u, s.Float64()
+			s += gamma
+			u1[i], u2[i] = u, unit(mix(s))
 		}
 		out := z[:m]
 		if direct {
@@ -222,11 +232,11 @@ func (f *normFill) draw(g *RNG, lo, hi int, redraw bool) int {
 		}
 		k += m
 		if stop {
-			*g = s
+			g.state = s
 			return k
 		}
 	}
-	*g = s
+	g.state = s
 	return hi
 }
 
