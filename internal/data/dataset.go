@@ -73,12 +73,11 @@ func (d *Dataset) Label(idx int) int { return d.Y[idx][0] }
 
 // Subset returns a view-free copy containing only the given examples.
 func (d *Dataset) Subset(name string, indices []int) *Dataset {
-	x, _ := d.Batch(indices)
+	x, labels := d.Batch(indices) // every example's labels, in order
 	y := make([][]int, len(indices))
 	for i, idx := range indices {
-		labels := make([]int, len(d.Y[idx]))
-		copy(labels, d.Y[idx])
-		y[i] = labels
+		n := len(d.Y[idx])
+		y[i], labels = labels[:n:n], labels[n:]
 	}
 	return &Dataset{
 		Name: name, X: x, Y: y,
