@@ -198,8 +198,12 @@ func (f *normFill) draw(g *RNG, lo, hi int, redraw bool) int {
 	s := g.state                                // a local word stays in a register
 	direct := f.order == nil && len(f.add) == 0 // element k is dst[k]
 	for k := lo; k < hi; {
-		m, stop := min(normChunk, hi-k), false
-		for i := range m {
+		m, stop, i := min(normChunk, hi-k), false, 0
+		if haveFMA {
+			i = uniformPairs4(&u1[0], &u2[0], m&^3, s) // up to the first u1 of 0
+			s += 2 * uint64(i) * gamma
+		}
+		for ; i < m; i++ {
 			s += gamma // Norm's draws, in Norm's order
 			u := unit(mix(s))
 			if u == 0 {

@@ -85,6 +85,40 @@ func FuzzNormVector(f *testing.F) {
 	})
 }
 
+// TestUniformPairs4 holds the AVX2 SplitMix64 kernel to Norm's two Go
+// draws per sample, and to the first zero u1 it must stop at: planted at
+// every lane of a group, in the first and a later group, and nowhere.
+func TestUniformPairs4(t *testing.T) {
+	if !haveFMA {
+		t.Skip("no AVX2 on this machine: the draws run in Go only")
+	}
+	const n = 64
+	seeds := []uint64{0, 1, 42, 1 << 63, ^uint64(0)}
+	for e := range 12 {
+		seeds = append(seeds, plantedSeed(uint64(2*e+1)), plantedSeed(uint64(2*e+2)))
+	}
+	seeds = append(seeds, plantedSeed(2*41+1))
+	for _, seed := range seeds {
+		var u1, u2 [n]float64
+		got := uniformPairs4(&u1[0], &u2[0], n, seed)
+		r := NewRNG(seed)
+		want := n
+		for i := range n {
+			a, b := r.Float64(), r.Float64()
+			if a == 0 {
+				want = i
+				break
+			}
+			if u1[i] != a || u2[i] != b {
+				t.Fatalf("seed %#x pair %d: kernel (%v, %v), Go (%v, %v)", seed, i, u1[i], u2[i], a, b)
+			}
+		}
+		if got != want {
+			t.Fatalf("seed %#x: kernel stopped at %d, first zero u1 at %d", seed, got, want)
+		}
+	}
+}
+
 // TestAdvance: Advance(n) leaves the generator where n draws do.
 func TestAdvance(t *testing.T) {
 	for _, n := range []uint64{0, 1, 2, 3, 255, 256, 1000} {

@@ -122,6 +122,15 @@ func fmaAdam(w, g, m, v Vector, lr, b1, ob1, b2, ob2, c1, c2, eps float64)
 //go:noescape
 func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64)
 
+// uniformPairs4 draws sample i's two uniforms for i < n, a multiple of 4:
+// u1[i] = unit(mix(s + (2i+1)·gamma)) and u2[i] = unit(mix(s + (2i+2)·gamma)),
+// bit for bit the Go draws, four SplitMix64 lanes at a time. It returns the
+// lowest i whose u1 is 0, where Norm redraws and the pairs stop being those
+// positions' (the caller draws them again from there), or n.
+//
+//go:noescape
+func uniformPairs4(u1, u2 *float64, n int, s uint64) int
+
 // topKMask is TopKSelectAdd's candidate pass over n elements, a positive
 // multiple of 64: with add non-nil it first folds v[i] = add[i] + v[i] in
 // place (the Go loop's operand order), then sets bit i%64 of masks[i/64]

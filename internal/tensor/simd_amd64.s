@@ -1649,3 +1649,115 @@ mp_next:
 	JNZ  mp_sample
 	VZEROUPPER
 	RET
+
+// Constants of uniformPairs4: the lanes' offsets from the state word (odd
+// and even multiples of SplitMix64's increment γ), the step 8γ, the two
+// mix multipliers split into 32-bit halves, and the conversion constants.
+DATA upconst<>+0x00(SB)/8, $0x9e3779b97f4a7c15 // 1γ
+DATA upconst<>+0x08(SB)/8, $0xdaa66d2c7ddf743f // 3γ
+DATA upconst<>+0x10(SB)/8, $0x1715609f7c746c69 // 5γ
+DATA upconst<>+0x18(SB)/8, $0x538454127b096493 // 7γ
+DATA upconst<>+0x20(SB)/8, $0x3c6ef372fe94f82a // 2γ
+DATA upconst<>+0x28(SB)/8, $0x78dde6e5fd29f054 // 4γ
+DATA upconst<>+0x30(SB)/8, $0xb54cda58fbbee87e // 6γ
+DATA upconst<>+0x38(SB)/8, $0xf1bbcdcbfa53e0a8 // 8γ
+DATA upconst<>+0x40(SB)/8, $0xf1bbcdcbfa53e0a8 // step: 8γ
+DATA upconst<>+0x48(SB)/8, $0x000000001ce4e5b9 // low half of 0xbf58476d1ce4e5b9
+DATA upconst<>+0x50(SB)/8, $0x00000000bf58476d // its high half
+DATA upconst<>+0x58(SB)/8, $0x00000000133111eb // low half of 0x94d049bb133111eb
+DATA upconst<>+0x60(SB)/8, $0x0000000094d049bb // its high half
+DATA upconst<>+0x68(SB)/8, $0x00000000ffffffff // low 32 bits
+DATA upconst<>+0x70(SB)/8, $0x4330000000000000 // 2^52: small integer ↔ low mantissa bits
+DATA upconst<>+0x78(SB)/8, $0x41f0000000000000 // 2^32
+DATA upconst<>+0x80(SB)/8, $0x3ca0000000000000 // 2^-53
+GLOBL upconst<>(SB), RODATA|NOPTR, $0x88
+
+// MUL64(c, y) is y *= c on four uint64 lanes: AVX2 multiplies 32-bit
+// halves only, so y·c mod 2^64 = yl·cl + ((yh·cl + yl·ch) << 32), with cl
+// and ch in the low halves of Y13 and Y12 (c = 1) or Y11 and Y10 (c = 2).
+#define MUL64(cl, ch, y) \
+	VPMULUDQ cl, y, Y4 \
+	VPSRLQ $32, y, Y3 \
+	VPMULUDQ cl, Y3, Y3 \
+	VPMULUDQ ch, y, Y5 \
+	VPADDQ Y3, Y5, Y5 \
+	VPSLLQ $32, Y5, Y5 \
+	VPADDQ Y5, Y4, y
+
+// UNIFORM(s, y) is y = unit(mix(s)) on four lanes, SplitMix64's output
+// function and Float64's mapping: x = mix(s) >> 11 < 2^53 is split into
+// its high 21 and low 32 bits, each converted exactly through the 2^52
+// trick, and (hi·2^32 + lo)·2^-53 is exact at every step — Go's
+// float64(x) / (1 << 53). Leaves x in Y5 for the caller's zero test.
+#define UNIFORM(s, y) \
+	VPSRLQ $30, s, Y3 \
+	VPXOR s, Y3, y \
+	MUL64(Y13, Y12, y) \
+	VPSRLQ $27, y, Y3 \
+	VPXOR y, Y3, y \
+	MUL64(Y11, Y10, y) \
+	VPSRLQ $31, y, Y3 \
+	VPXOR y, Y3, y \
+	VPSRLQ $11, y, y \
+	VMOVDQU y, Y5 \
+	VPSRLQ $32, y, Y3 \
+	VPAND Y9, y, y \
+	VPOR Y8, Y3, Y3 \
+	VPOR Y8, y, y \
+	VSUBPD Y8, Y3, Y3 \
+	VSUBPD Y8, y, y \
+	VMULPD Y7, Y3, Y3 \
+	VADDPD y, Y3, y \
+	VMULPD Y15, y, y
+
+// func uniformPairs4(u1, u2 *float64, n int, s uint64) int
+//
+// For i < n, a multiple of 4, u1[i] = unit(mix(s + (2i+1)γ)) and
+// u2[i] = unit(mix(s + (2i+2)γ)): sample i's two draws of Norm from state
+// s when no earlier u1 was 0. It returns the lowest i whose u1 is 0, or n;
+// the pairs from a returned i on are not Norm's, and the caller draws them
+// again.
+TEXT ·uniformPairs4(SB), NOSPLIT, $0-40
+	MOVQ u1+0(FP), DI
+	MOVQ u2+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ s+24(FP), AX
+	MOVQ AX, X0
+	VPBROADCASTQ X0, Y0
+	VMOVDQU upconst<>+0x20(SB), Y1
+	VPADDQ Y0, Y1, Y1                // even-draw states
+	VMOVDQU upconst<>+0x00(SB), Y2
+	VPADDQ Y2, Y0, Y0                // odd-draw states
+	VPBROADCASTQ upconst<>+0x40(SB), Y14
+	VPBROADCASTQ upconst<>+0x48(SB), Y13
+	VPBROADCASTQ upconst<>+0x50(SB), Y12
+	VPBROADCASTQ upconst<>+0x58(SB), Y11
+	VPBROADCASTQ upconst<>+0x60(SB), Y10
+	VPBROADCASTQ upconst<>+0x68(SB), Y9
+	VPBROADCASTQ upconst<>+0x70(SB), Y8
+	VPBROADCASTQ upconst<>+0x78(SB), Y7
+	VPBROADCASTQ upconst<>+0x80(SB), Y15
+	VPXOR Y6, Y6, Y6
+	XORQ BX, BX
+up_loop:
+	CMPQ BX, CX
+	JGE  up_done
+	UNIFORM(Y0, Y2)
+	VMOVUPD Y2, (DI)(BX*8)
+	VPCMPEQQ Y6, Y5, Y5
+	VMOVMSKPD Y5, DX                 // lanes whose u1 is 0
+	UNIFORM(Y1, Y2)
+	VMOVUPD Y2, (SI)(BX*8)
+	TESTQ DX, DX
+	JNZ  up_zero
+	VPADDQ Y14, Y0, Y0
+	VPADDQ Y14, Y1, Y1
+	ADDQ $4, BX
+	JMP  up_loop
+up_zero:
+	BSFQ DX, DX
+	ADDQ DX, BX
+up_done:
+	MOVQ BX, ret+32(FP)
+	VZEROUPPER
+	RET

@@ -25,6 +25,7 @@ func fmaDotTile2x3(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, 
 func boxMuller4(dst, u1, u2 *float64, n int, mu, sigma float64) {
 	panic("tensor: no SIMD")
 }
+func uniformPairs4(u1, u2 *float64, n int, s uint64) int { panic("tensor: no SIMD") }
 func topKMask(v, add *float64, n int, floor uint64, masks *uint64) {
 	panic("tensor: no SIMD")
 }
