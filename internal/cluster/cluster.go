@@ -27,6 +27,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"selsync/internal/comm"
 	"selsync/internal/gradstat"
@@ -335,27 +336,37 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// parallel runs fn(0), …, fn(n−1) on n goroutines, fn(0) on the caller's,
-// and returns once every call has. A panic in a call is re-raised on the
-// caller after all have returned (the lowest index's, when several panic).
+// parallel runs fn(0), …, fn(n−1) and returns once every call has. The
+// caller runs fn(0), then claims the calls no helper goroutine has taken
+// yet, so it never waits on a helper that has not got a core: on a busy
+// process the calls simply run one after another on the caller, and a
+// helper that starts late finds nothing left and exits. A panic in a call
+// is re-raised on the caller after all calls have returned (the lowest
+// index's, when several panic).
 func parallel(n int, fn func(i int)) {
 	panics := make([]any, n)
+	var next atomic.Int64 // the next unclaimed call; 0 is the caller's
+	next.Store(1)
+	var done sync.WaitGroup
+	done.Add(n)
 	call := func(i int) {
+		defer done.Done()
 		defer func() { panics[i] = recover() }()
 		fn(i)
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	claim := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			call(i)
-		}(i)
+		}
+	}
+	for range n - 1 {
+		go claim()
 	}
 	if n > 0 {
 		call(0)
 	}
-	wg.Wait()
+	claim()
+	done.Wait()
 	for _, p := range panics {
 		if p != nil {
 			panic(p)

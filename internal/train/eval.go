@@ -242,30 +242,37 @@ func (r *runner) initEval(net *nn.FeedForwardNet) {
 	r.evalFn = func(*cluster.Worker) { r.eval.join() }
 }
 
-// buildAside starts building an undrawn replica of f on a goroutine of its
-// own, beside whatever the caller builds meanwhile; the returned function
-// waits for it and re-raises a panic of the build. A caller that never
-// waits leaves nothing behind: the goroutine ends with its build.
+// buildAside offers the build of an undrawn replica of f to a goroutine of
+// its own, beside whatever the caller builds meanwhile. The returned
+// function yields the replica: it builds it on the caller when the
+// goroutine has not started on it yet (so it never waits on a goroutine
+// that has not got a core), else waits for it, and re-raises a panic of
+// the build. A goroutine that starts too late finds the build taken and
+// exits; one whose result is never asked for ends with its build.
 func buildAside(f nn.Factory) func() *nn.FeedForwardNet {
-	type built struct {
-		net *nn.FeedForwardNet
-		err any
+	var taken atomic.Bool
+	var net *nn.FeedForwardNet
+	var perr any
+	done := make(chan struct{})
+	build := func() {
+		defer close(done)
+		defer func() { perr = recover() }()
+		net = f.Build(nil)
 	}
-	ch := make(chan built, 1)
 	go func() {
-		var b built
-		defer func() {
-			b.err = recover()
-			ch <- b
-		}()
-		b.net = f.Build(nil)
+		if taken.CompareAndSwap(false, true) {
+			build()
+		}
 	}()
 	return func() *nn.FeedForwardNet {
-		b := <-ch
-		if b.err != nil {
-			panic(b.err)
+		if taken.CompareAndSwap(false, true) {
+			build()
 		}
-		return b.net
+		<-done
+		if perr != nil {
+			panic(perr)
+		}
+		return net
 	}
 }
 
