@@ -281,12 +281,12 @@ func abtRows(dst, a, b *Matrix, lo, hi, j0 int, acc bool) {
 // destination (matrix rows, blocks of a flat vector, or runs of a Gaussian
 // fill's stream, each drawn from its jumped-to generator state) and runs the
 // serial range kernel on each part, so the partition cannot change a single
-// bit of the result. That leaves the fan-out free to be opportunistic: the caller
-// publishes the call as a fanTask, offers it to helper goroutines that are
-// parked idle right now, and claims chunks itself alongside them until none
-// are left. When no helper is idle, or the cores are busy with other callers
-// (cluster.Each's replicas) so that a woken helper never gets to run, the
-// caller simply ends up computing every chunk inline.
+// bit of the result. That leaves the fan-out free to be opportunistic: the
+// caller publishes the call as a fanTask, offers it to helper goroutines
+// that are parked idle right now, and claims chunks itself alongside them
+// until none are left. When no helper is idle, or the cores are busy with
+// other callers (cluster.Each's replicas) so that a woken helper never gets
+// to run, the caller simply ends up computing every chunk inline.
 
 // rangeKernel selects the serial range kernel a fanTask runs. A selector
 // plus plain operand fields, not a closure: a closure would be a heap

@@ -86,9 +86,9 @@ const normChunk = 256
 
 // normCost is the work estimate of one Gaussian sample in
 // parallelThreshold's units: two SplitMix64 draws and boxMuller4's log,
-// cosine, division and square root take about 10 ns on the 2-core reference
-// VM, 200 tiled multiply-adds. A fill fans out from about 21 000 samples; a
-// 128×128 weight matrix is drawn inline.
+// cosine, division and square root take 8–10 ns on the 2-core reference
+// VM, about 200 tiled multiply-adds. A fill fans out from about 21 000
+// samples; a 128×128 weight matrix is drawn inline.
 const normCost = 200
 
 // NormVector fills dst with independent N(mu, sigma²) samples: element i
