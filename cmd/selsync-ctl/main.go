@@ -7,7 +7,8 @@
 //	selsync-ctl -addr 127.0.0.1:7600 cancel -job j-000001
 //	selsync-ctl -addr 127.0.0.1:7600 drain
 //
-// submit prints the assigned job id; with -wait it additionally streams
+// submit takes selsync-node's training flags (those a serve job carries)
+// and prints the assigned job id; with -wait it additionally streams
 // the job's events as JSONL until the final one and exits 0 only if the
 // job completed (printing "result digest: <hex>", the bit-exact Result
 // fingerprint — a preempted-then-resumed job prints the same digest as
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	"selsync/internal/experiments"
 	"selsync/internal/serve"
 )
 
@@ -66,35 +68,16 @@ func submit(cl *serve.Client, args []string) {
 	name := fs.String("name", "", "human label for the job")
 	tenant := fs.String("tenant", "default", "fair-share tenant")
 	priority := fs.Int("priority", 0, "scheduling priority (higher runs first and preempts)")
-	model := fs.String("model", "resnet", "workload: resnet | vgg | alexnet | transformer")
-	method := fs.String("method", "selsync", "policy: bsp | selsync | fedavg | ssp | local, or a schedule like bsp:200,selsync")
-	scheme := fs.String("scheme", "seldp", "IID partitioning: seldp | defdp")
-	workers := fs.Int("workers", 8, "number of workers")
-	steps := fs.Int("steps", 300, "training steps per worker")
-	trainN := fs.Int("train", 6144, "training-set size")
-	testN := fs.Int("test", 1024, "test-set size")
-	seed := fs.Uint64("seed", 1, "run seed")
-	delta := fs.Float64("delta", 0, "SelSync δ (0 = the workload's calibrated low threshold)")
-	mode := fs.String("agg", "param", "SelSync aggregation: param | grad")
-	c := fs.Float64("c", 1, "FedAvg participation fraction C")
-	e := fs.Float64("e", 0.25, "FedAvg sync factor E")
-	staleness := fs.Int("staleness", 100, "SSP staleness bound")
-	codec := fs.String("codec", "", "wire payload codec: none | topk:F | q8 | q16 | partial:U[,D]")
+	var run experiments.RunSpec
+	experiments.BindRunFlags(fs, &run)
 	wait := fs.Bool("wait", false, "stream the job's events until it finishes; exit 0 only on completion")
 	fs.Parse(args)
-	if *mode != "param" && *mode != "grad" {
-		fail("unknown -agg %q (want param or grad)", *mode)
-	}
 
-	spec := serve.JobSpec{
-		Name: *name, Tenant: *tenant, Priority: *priority,
-		Model: *model, Method: *method, Scheme: *scheme,
-		Workers: *workers, TrainN: *trainN, TestN: *testN,
-		MaxSteps: *steps, Seed: *seed,
-		Delta: *delta, GradAgg: *mode == "grad",
-		C: *c, E: *e, Staleness: *staleness,
-		Codec: *codec,
+	spec, err := experiments.JobSpecFor(run)
+	if err != nil {
+		fail("%v", err)
 	}
+	spec.Name, spec.Tenant, spec.Priority = *name, *tenant, *priority
 	id, err := cl.Submit(spec)
 	if err != nil {
 		fail("%v", err)

@@ -1,20 +1,36 @@
-// Command selsync-node runs one rank of a multi-process training job over
-// the TCP transport, or launches a whole localhost job (-launch).
+// Command selsync-node runs one training configuration and prints the
+// metric history and summary: in this process, as one rank of a
+// multi-process TCP job, or as a whole localhost job it launches. The
+// transport follows from the flags: -peers makes this process a TCP rank,
+// -launch N spawns N ranks, and neither runs every worker here over the
+// in-process loopback.
+//
+//	selsync-node -model resnet -method selsync -delta 0.18 -workers 8 -steps 400
+//	selsync-node -model vgg -method fedavg -c 0.5 -e 0.125
+//	selsync-node -model resnet -method bsp:200,selsync   # BSP warmup, then SelSync
 //
 // Every rank runs the same loop over its block of workers (SPMD) and ends
 // with the same Result. Rank 0 plays the parameter server for every
 // collective and prints the run report; the other ranks meet it at every
-// synchronization.
-//
-// One rank per terminal:
+// synchronization. One rank per terminal:
 //
 //	selsync-node -rank 0 -peers 127.0.0.1:7701,127.0.0.1:7702,127.0.0.1:7703,127.0.0.1:7704 \
 //	    -model resnet -method selsync -workers 4 -steps 100
 //	selsync-node -rank 1 -peers ... (and 2, 3)
 //
-// Or let rank -launch spawn the whole job as real OS processes:
+// Or let -launch spawn the whole job as real OS processes:
 //
 //	selsync-node -launch 4 -model resnet -method selsync -workers 4 -steps 100
+//
+// The run is a cancellable Job: -progress streams live evaluations to
+// stderr, -events writes the typed event stream as JSONL, and SIGINT
+// (Ctrl-C) stops at the next step boundary, printing the partial result.
+// With -checkpoint the final state, interrupted or not, is saved, and
+// -resume continues a saved run bit-identically (with the same flags). On
+// a mesh every rank reads and writes its own <path>.rank<r>, for
+// -checkpoint, -resume and -events alike. -digest prints a SHA-256 digest
+// over every Result field (exact float bits): a resumed run, a TCP gang
+// and the loopback run of the same flags all print the same one.
 //
 // Fault tolerance: with -supervise (plus -checkpoint and -ckpt-every) the
 // launcher babysits the gang — a rank that dies from a fabric fault or an
@@ -67,30 +83,15 @@ const (
 )
 
 func main() {
-	model := flag.String("model", "resnet", "workload: resnet | vgg | alexnet | transformer")
-	method := flag.String("method", "selsync", "policy: bsp | selsync | fedavg | ssp | local, or a schedule like bsp:200,selsync")
-	workers := flag.Int("workers", 4, "global number of workers (divisible by the rank count)")
-	steps := flag.Int("steps", 100, "training steps per worker")
-	trainN := flag.Int("train", 2048, "training-set size")
-	testN := flag.Int("test", 512, "test-set size")
-	seed := flag.Uint64("seed", 1, "run seed")
-	scheme := flag.String("scheme", "seldp", "IID partitioning: seldp | defdp")
-	delta := flag.Float64("delta", 0, "SelSync δ (0 = the workload's calibrated low threshold)")
-	mode := flag.String("agg", "param", "SelSync aggregation: param | grad")
-	c := flag.Float64("c", 1, "FedAvg participation fraction C")
-	e := flag.Float64("e", 0.25, "FedAvg sync factor E")
-	staleness := flag.Int("staleness", 100, "SSP staleness bound")
-	labelsPerWorker := flag.Int("noniid", 0, "labels per worker (0 = IID)")
-	alpha := flag.Float64("alpha", 0, "data-injection α (0 = off)")
-	beta := flag.Float64("beta", 0, "data-injection β")
-	codec := flag.String("codec", "", "wire payload codec: none | topk:F | q8 | q16 | partial:U[,D] (default none)")
-	transport := flag.String("transport", "tcp", "communication backend: tcp | loopback")
-	rank := flag.Int("rank", -1, "this process's rank (tcp transport)")
-	peers := flag.String("peers", "", "comma-separated host:port per rank (tcp transport)")
+	var spec experiments.RunSpec
+	experiments.BindRunFlags(flag.CommandLine, &spec)
+	rank := flag.Int("rank", -1, "this process's rank in the -peers mesh")
+	peers := flag.String("peers", "", "comma-separated host:port per rank; given, this process is one TCP rank")
 	launch := flag.Int("launch", 0, "spawn this many ranks as OS processes on localhost and wait")
-	progress := flag.Bool("progress", false, "stream live evaluation progress to stderr (rank 0)")
+	progress := flag.Bool("progress", false, "stream live evaluation progress to stderr (report rank)")
+	eventsPath := flag.String("events", "", "write the typed event stream as JSONL to this file; on a mesh every rank writes <path>.rank<r>")
 	ckptPath := flag.String("checkpoint", "", "save the run's final (or interrupted) state; on a mesh every rank writes <path>.rank<r>")
-	resumePath := flag.String("resume", "", "resume from a checkpoint; on a mesh every rank reads <path>.rank<r>")
+	resumePath := flag.String("resume", "", "resume from a checkpoint (same flags as the producing run); on a mesh every rank reads <path>.rank<r>")
 	ckptEvery := flag.Int("ckpt-every", 0, "also auto-save a checkpoint every N steps to <checkpoint>.rank<r>.s<step> (requires -checkpoint)")
 	supervise := flag.Bool("supervise", false, "with -launch: gang-restart the job from its auto-checkpoints when a rank dies (requires -checkpoint and -ckpt-every)")
 	maxRestarts := flag.Int("max-restarts", 2, "with -supervise: gang restarts before giving up")
@@ -98,19 +99,12 @@ func main() {
 	opTimeout := flag.Duration("op-timeout", 0, "bound every collective receive (0 = unbounded); a rank blocked on a dead peer fails instead of hanging")
 	crashAtStep := flag.Int("crash-at-step", 0, "fault injection: exit(7) when -crash-rank completes this 0-based step")
 	crashRank := flag.Int("crash-rank", 0, "the rank -crash-at-step kills")
-	digest := flag.Bool("digest", false, "print the run's result digest (rank 0) for bit-identity checks")
-	membership := flag.String("membership", "", "elastic-membership plan, e.g. \"leave=2@40;join=2@80\" (see train.ParseMembershipPlan)")
-	quorum := flag.Int("quorum", 0, "live-rank continuation threshold (0 = plan or default ⌈N/2⌉+1)")
+	digest := flag.Bool("digest", false, "print the Result's SHA-256 digest (report rank) for bit-identity checks")
 	join := flag.Bool("join", false, "rejoin a running mesh as -rank: dial back in, receive rank 0's state transfer, re-enter at the plan's join boundary")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness beacon interval; silence past 4 intervals marks a peer suspect (0 = off)")
 	netStats := flag.Bool("net-stats", false, "print per-rank transport counters (frames/bytes, redials, timeouts per peer) at end of run")
 	flag.Parse()
 
-	switch *mode {
-	case "param", "grad":
-	default:
-		fail("unknown -agg %q (want param or grad)", *mode)
-	}
 	if *ckptEvery > 0 && *ckptPath == "" {
 		fail("-ckpt-every requires -checkpoint")
 	}
@@ -123,7 +117,7 @@ func main() {
 		}
 	}
 	if *join {
-		if *membership == "" {
+		if spec.Membership == "" {
 			fail("-join requires -membership (the plan names the join boundary to re-enter at)")
 		}
 		if *launch > 0 {
@@ -131,26 +125,12 @@ func main() {
 		}
 	}
 
-	spec := experiments.RunSpec{
-		Model: *model, Method: *method, Scheme: *scheme,
-		Workers: *workers, TrainN: *trainN, TestN: *testN,
-		MaxSteps: *steps, Seed: *seed,
-		Delta: *delta, GradAgg: *mode == "grad",
-		C: *c, E: *e, Staleness: *staleness,
-		LabelsPerWorker: *labelsPerWorker, Alpha: *alpha, Beta: *beta,
-		Membership: *membership, Quorum: *quorum,
-		Codec: *codec,
-	}
-
 	if *launch > 0 {
 		if *rank != -1 || *peers != "" {
 			fail("-launch spawns all ranks itself; -rank/-peers cannot be combined with it")
 		}
-		if *transport != "tcp" {
-			fail("-launch requires -transport tcp (loopback is single-process)")
-		}
-		if *workers%*launch != 0 {
-			fail("-workers (%d) must be divisible by -launch (%d)", *workers, *launch)
+		if spec.Workers%*launch != 0 {
+			fail("-workers (%d) must be divisible by -launch (%d)", spec.Workers, *launch)
 		}
 		if *supervise {
 			os.Exit(superviseJob(*launch, flag.CommandLine, *ckptPath, *maxRestarts))
@@ -158,7 +138,23 @@ func main() {
 		os.Exit(launchJob(*launch, flag.CommandLine))
 	}
 
-	fabric, report, err := experiments.ParseTransportOpts(*transport, *rank, *peers, *workers,
+	// First SIGINT cancels the run at the next step boundary (the partial
+	// result is printed and, with -checkpoint, saved); a second SIGINT
+	// kills the process the usual way. Installed before workload setup so
+	// an early Ctrl-C is graceful too. Caution on a mesh: every rank must
+	// receive the signal (the -launch process group does) or the
+	// surviving ranks block at their next collective.
+	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stopSig()
+	go func() {
+		// Once cancellation is in flight, restore default SIGINT handling
+		// so a second Ctrl-C force-kills (e.g. a mesh rank stuck in a
+		// collective that never reaches a step boundary).
+		<-ctx.Done()
+		stopSig()
+	}()
+
+	fabric, report, err := experiments.ParseTransportOpts(*rank, *peers, spec.Workers,
 		experiments.TransportOptions{
 			Chaos:     *chaos,
 			OpTimeout: *opTimeout,
@@ -179,8 +175,9 @@ func main() {
 		spec.Fabric = fabric
 	}
 
-	// Checkpoints are rank-local: on a mesh each rank owns its hosted
-	// workers' state, so every rank reads/writes its own file.
+	// Checkpoints and event streams are rank-local: on a mesh each rank
+	// owns its hosted workers' state, so every rank reads/writes its own
+	// file.
 	rankPath := func(path string) string {
 		if path == "" || fabric == nil {
 			return path
@@ -198,6 +195,20 @@ func main() {
 	if *progress && report {
 		prog = train.NewProgressObserver(os.Stderr)
 		opts = append(opts, train.WithObserver(prog))
+	}
+	if *eventsPath != "" {
+		f, err := os.Create(rankPath(*eventsPath))
+		if err != nil {
+			fail("creating -events file: %v", err)
+		}
+		defer f.Close()
+		sink := train.NewJSONLObserver(f)
+		defer func() {
+			if sink.Err() != nil {
+				fmt.Fprintf(os.Stderr, "event stream truncated: %v\n", sink.Err())
+			}
+		}()
+		opts = append(opts, train.WithObserver(sink))
 	}
 	if *resumePath != "" {
 		ck, err := train.LoadCheckpoint(rankPath(*resumePath))
@@ -232,19 +243,6 @@ func main() {
 	if prog != nil {
 		prog.SetPerplexity(wl.Factory.Spec.Perplexity)
 	}
-
-	// SIGINT cancels at the next step boundary. Caution on a mesh: every
-	// rank must receive the signal (the -launch process group does) or
-	// the surviving ranks block at their next collective.
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stopSig()
-	go func() {
-		// Once cancellation is in flight, restore default SIGINT handling
-		// so a second Ctrl-C force-kills (e.g. a mesh rank stuck in a
-		// collective that never reaches a step boundary).
-		<-ctx.Done()
-		stopSig()
-	}()
 
 	res, err := job.Run(ctx)
 	if errors.Is(err, train.ErrRankLeft) {
@@ -288,7 +286,7 @@ func main() {
 		fail("%v", err)
 	}
 	if interrupted {
-		fmt.Fprintf(os.Stderr, "rank %d interrupted at step %d\n", *rank, res.Steps)
+		fmt.Fprintf(os.Stderr, "\ninterrupted at step %d; result below is the partial run\n", res.Steps)
 	}
 	if *ckptPath != "" {
 		ck, err := job.Checkpoint(context.Background())
@@ -301,15 +299,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkpoint saved to %s\n", rankPath(*ckptPath))
 	}
 	printNetStats(fabric, *rank, *netStats)
-	if report {
-		fmt.Println(res)
-		fmt.Printf("sync steps: %d, local steps: %d, comm reduction vs BSP: %.1fx\n",
-			res.SyncSteps, res.LocalSteps, res.CommReduction())
-		if *digest {
-			fmt.Printf("digest: %s\n", res.Digest())
-		}
-	} else {
-		fmt.Printf("rank %d done\n", *rank)
+	if !report {
+		fmt.Printf("rank %d done (rank 0 holds the report)\n", *rank)
+		return
+	}
+
+	unit := "acc%"
+	if res.Perplexity {
+		unit = "ppl"
+	}
+	fmt.Printf("step      epoch    simtime(s)  loss      %s\n", unit)
+	for _, pt := range res.History {
+		fmt.Printf("%-9d %-8.2f %-11.1f %-9.4f %.2f\n", pt.Step, pt.Epoch, pt.SimTime, pt.Loss, pt.Metric)
+	}
+	fmt.Println()
+	fmt.Println(res)
+	fmt.Printf("sync steps: %d, local steps: %d, comm reduction vs BSP: %.1fx\n",
+		res.SyncSteps, res.LocalSteps, res.CommReduction())
+	if *digest {
+		fmt.Printf("result digest: %s\n", res.Digest())
 	}
 }
 

@@ -1,18 +1,16 @@
 // Command selsync-sweep sweeps the SelSync significance threshold δ for one
-// workload and reports how LSSR, the final metric and the simulated
-// training time move — the paper's Fig. 6 intuition ("slide δ between 0 and
-// M to adjust the degree of training between synchronous and local
-// updates") as a table.
-//
-// Usage:
+// run and reports how LSSR, the final metric and the simulated training
+// time move — the paper's Fig. 6 intuition ("slide δ between 0 and M to
+// adjust the degree of training between synchronous and local updates") as
+// a table. It takes selsync-node's training flags, with -deltas in place
+// of -delta:
 //
 //	selsync-sweep -model resnet -deltas 0,0.05,0.1,0.2,0.4 -steps 300
 //
-// With -warmup N every run becomes the Sync-Switch-style hybrid — N steps
-// of BSP warmup, then SelSync(δ) — so the sweep shows how the threshold
-// behaves downstream of a synchronous warmup phase:
+// Every selsync phase of -method runs at the row's δ, so a schedule shows
+// how the threshold behaves downstream of a synchronous BSP warmup:
 //
-//	selsync-sweep -model resnet -deltas 0.05,0.1,0.2 -warmup 100 -steps 300
+//	selsync-sweep -model resnet -deltas 0.05,0.1,0.2 -method bsp:100,selsync -steps 300
 package main
 
 import (
@@ -25,54 +23,29 @@ import (
 	"strconv"
 	"strings"
 
-	"selsync"
 	"selsync/internal/experiments"
 )
 
 func main() {
-	model := flag.String("model", "resnet", "workload: resnet | vgg | alexnet | transformer")
-	deltasArg := flag.String("deltas", "0,0.02,0.05,0.1,0.2,1000", "comma-separated δ values (1000 ≈ pure local SGD)")
-	workers := flag.Int("workers", 8, "number of simulated workers")
-	steps := flag.Int("steps", 240, "training steps per worker")
-	trainN := flag.Int("train", 6144, "training-set size")
-	testN := flag.Int("test", 1024, "test-set size")
-	seed := flag.Uint64("seed", 1, "run seed")
-	agg := flag.String("agg", "param", "aggregation during sync: param | grad")
-	warmup := flag.Int("warmup", 0, "BSP warmup steps before SelSync takes over (0 = pure SelSync)")
+	var spec experiments.RunSpec
+	experiments.BindRunFlags(flag.CommandLine, &spec)
+	deltasArg := flag.String("deltas", "0,0.02,0.05,0.1,0.2,1000", "comma-separated δ values (0 ≈ BSP, 1000 ≈ pure local SGD)")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "delta" {
+			fail("-delta is what the sweep varies: list the values in -deltas")
+		}
+	})
 
 	var deltas []float64
 	for _, part := range strings.Split(*deltasArg, ",") {
 		d, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad delta %q: %v\n", part, err)
-			os.Exit(2)
+		if err != nil || d < 0 {
+			fail("bad delta %q: want a number ≥ 0", part)
 		}
 		deltas = append(deltas, d)
 	}
-	mode := selsync.ParamAgg
-	if *agg == "grad" {
-		mode = selsync.GradAgg
-	}
 
-	p := experiments.Params{
-		Workers: *workers, TrainN: *trainN, TestN: *testN,
-		MaxSteps: *steps, EvalEvery: max(1, *steps/10),
-	}
-	wl := experiments.SetupWorkload(*model, p, *seed)
-	cfg := experiments.BaseConfig(wl, p, *seed)
-
-	unit := "acc%"
-	if wl.Factory.Spec.Perplexity {
-		unit = "ppl"
-	}
-	hybrid := ""
-	if *warmup > 0 {
-		hybrid = fmt.Sprintf(", BSP warmup %d steps", *warmup)
-	}
-	fmt.Printf("δ sweep: %s, %d workers, %d steps, %s aggregation%s\n",
-		wl.Factory.Spec.Name, *workers, *steps, mode, hybrid)
-	fmt.Printf("%-10s %-8s %-10s %-10s %-12s %s\n", "delta", "LSSR", "sync", "local", "simtime(s)", unit)
 	// Each δ runs as a cancellable Job: Ctrl-C finishes none of the
 	// remaining rows but reports the sweep gathered so far.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -84,17 +57,29 @@ func main() {
 		stop()
 	}()
 	baseline := -1.0
-	for _, d := range deltas {
-		// A fresh policy per run: policies carry per-run state.
-		var policy selsync.SyncPolicy = selsync.SelSyncPolicy{Delta: d, Mode: mode}
-		if *warmup > 0 {
-			policy = &selsync.SwitchPolicy{
-				From:   selsync.BSPPolicy{},
-				To:     selsync.SelSyncPolicy{Delta: d, Mode: mode},
-				AtStep: *warmup,
-			}
+	for i, d := range deltas {
+		row := spec
+		row.Delta = d
+		if d == 0 {
+			// RunSpec reads δ 0 as "the workload's calibrated δ"; the sweep's
+			// 0 is the threshold itself. SelSync votes to synchronize every
+			// step at any δ ≤ 0, so a negative δ runs exactly δ = 0.
+			row.Delta = -1
 		}
-		res, err := selsync.NewJob(cfg, policy).Run(ctx)
+		job, wl, err := experiments.JobFor(row)
+		if err != nil {
+			fail("%v", err)
+		}
+		if i == 0 {
+			unit := "acc%"
+			if wl.Factory.Spec.Perplexity {
+				unit = "ppl"
+			}
+			fmt.Printf("δ sweep: %s, -method %s, %d workers, %d steps, %s aggregation\n",
+				wl.Factory.Spec.Name, spec.Method, spec.Workers, spec.MaxSteps, flag.Lookup("agg").Value)
+			fmt.Printf("%-10s %-8s %-10s %-10s %-12s %s\n", "delta", "LSSR", "sync", "local", "simtime(s)", unit)
+		}
+		res, err := job.Run(ctx)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Println("sweep interrupted; rows above are complete runs")
 			return
@@ -110,4 +95,9 @@ func main() {
 			d, res.LSSR, res.SyncSteps, res.LocalSteps, res.SimTime,
 			res.BestMetric, baseline/res.SimTime, deltas[0])
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

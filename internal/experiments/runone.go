@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"strings"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"selsync/internal/train"
 )
 
-// RunSpec describes one CLI-driven training run — the shared surface of
-// cmd/selsync-train and cmd/selsync-node, including multi-process runs
-// over a comm fabric.
+// RunSpec describes one CLI-driven training run — the surface
+// BindRunFlags binds for cmd/selsync-node, cmd/selsync-sweep and
+// selsync-ctl submit, including multi-process runs over a comm fabric.
 type RunSpec struct {
 	Model string // resnet | vgg | alexnet | transformer
 	// Method is a synchronization policy: one of the five method names
@@ -55,26 +56,60 @@ type RunSpec struct {
 	Fabric comm.Fabric
 }
 
-// ParseTransport validates a CLI's -transport/-rank/-peers/-workers flag
-// combination and builds the communication fabric: (nil, true, nil) for
-// the loopback transport, a dialed TCP mesh for "tcp". report says
-// whether this process should print the run report (every rank of a mesh
-// holds the same one; rank 0 prints it). The caller owns Close on a non-nil fabric.
-func ParseTransport(transport string, rank int, peers string, workers int) (fabric comm.Fabric, report bool, err error) {
-	return ParseTransportOpts(transport, rank, peers, workers, TransportOptions{})
+// BindRunFlags declares every training knob of one run on fs, bound into
+// spec, with the one set of defaults selsync-node, selsync-sweep and
+// selsync-ctl submit share (serve.JobSpec fills a zero C, E and staleness
+// with the same values). -agg is checked as it is set: anything but param
+// or grad is a flag error.
+func BindRunFlags(fs *flag.FlagSet, spec *RunSpec) {
+	fs.StringVar(&spec.Model, "model", "resnet", "workload: resnet | vgg | alexnet | transformer")
+	fs.StringVar(&spec.Method, "method", "selsync", "policy: bsp | selsync | fedavg | ssp | local, or a schedule like bsp:200,selsync")
+	fs.StringVar(&spec.Scheme, "scheme", "seldp", "IID partitioning: seldp | defdp")
+	fs.IntVar(&spec.Workers, "workers", 8, "global number of workers (divisible by the rank count)")
+	fs.IntVar(&spec.TrainN, "train", 6144, "training-set size")
+	fs.IntVar(&spec.TestN, "test", 1024, "test-set size")
+	fs.IntVar(&spec.MaxSteps, "steps", 300, "training steps per worker")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "run seed")
+	fs.Float64Var(&spec.Delta, "delta", 0, "SelSync δ (0 = the workload's calibrated low threshold)")
+	fs.Var((*aggFlag)(&spec.GradAgg), "agg", "SelSync aggregation: param | grad")
+	fs.Float64Var(&spec.C, "c", 1, "FedAvg participation fraction C")
+	fs.Float64Var(&spec.E, "e", 0.25, "FedAvg sync factor E")
+	fs.IntVar(&spec.Staleness, "staleness", 100, "SSP staleness bound")
+	fs.IntVar(&spec.LabelsPerWorker, "noniid", 0, "labels per worker (0 = IID)")
+	fs.Float64Var(&spec.Alpha, "alpha", 0, "data-injection α (0 = off)")
+	fs.Float64Var(&spec.Beta, "beta", 0, "data-injection β")
+	fs.StringVar(&spec.Membership, "membership", "", "elastic-membership plan, e.g. \"leave=2@40;join=2@80\" (see train.ParseMembershipPlan)")
+	fs.IntVar(&spec.Quorum, "quorum", 0, "live-rank continuation threshold (0 = plan or default ⌈N/2⌉+1)")
+	fs.StringVar(&spec.Codec, "codec", "", "wire payload codec: none | topk:F | q8 | q16 | partial:U[,D] (default none)")
 }
 
-// TransportOptions extends ParseTransport with the fault-tolerance CLI
-// surface: deterministic chaos injection in front of the endpoint,
-// transport tuning, and a bound on collective receives. The zero value is
-// ParseTransport exactly.
+// aggFlag is RunSpec.GradAgg as the -agg flag's param | grad.
+type aggFlag bool
+
+func (a *aggFlag) String() string {
+	if a != nil && bool(*a) {
+		return "grad"
+	}
+	return "param"
+}
+
+func (a *aggFlag) Set(s string) error {
+	switch s {
+	case "param", "grad":
+		*a = s == "grad"
+		return nil
+	}
+	return fmt.Errorf("want param or grad")
+}
+
+// TransportOptions is the fault-tolerance CLI surface of a TCP rank:
+// deterministic chaos injection in front of the endpoint, a bound on
+// collective receives, liveness beacons and a rejoin. The zero value asks
+// for none of them.
 type TransportOptions struct {
 	// Chaos is a fault-plan script (see comm.ParseFaultPlan) wrapped around
-	// the TCP endpoint; "" injects nothing. Only meaningful on the tcp
-	// transport — the loopback run has no fabric to fault.
+	// the TCP endpoint; "" injects nothing.
 	Chaos string
-	// TCP overrides the transport tuning (nil = comm.DefaultTCPOptions).
-	TCP *comm.TCPOptions
 	// OpTimeout bounds every collective receive on the mesh, so a rank
 	// blocked on a dead peer fails with comm.ErrTimeout (0 = unbounded).
 	OpTimeout time.Duration
@@ -91,86 +126,72 @@ type TransportOptions struct {
 	Rejoin bool
 }
 
-// ParseTransportOpts is ParseTransport with options.
-func ParseTransportOpts(transport string, rank int, peers string, workers int, o TransportOptions) (fabric comm.Fabric, report bool, err error) {
-	switch transport {
-	case "loopback":
-		// -rank/-peers only mean something on the TCP transport; reject
-		// them instead of silently ignoring a half-configured mesh.
-		if rank != -1 {
-			return nil, false, fmt.Errorf("-rank is only valid with -transport tcp")
-		}
-		if peers != "" {
-			return nil, false, fmt.Errorf("-peers is only valid with -transport tcp")
-		}
-		if o.Chaos != "" {
-			return nil, false, fmt.Errorf("-chaos requires -transport tcp (the loopback run has no fabric to fault)")
-		}
-		// The remaining options tune the TCP endpoint or bound mesh
-		// receives; accepting them here would silently do nothing.
-		if o.TCP != nil {
-			return nil, false, fmt.Errorf("TCP transport tuning is only valid with -transport tcp")
-		}
-		if o.OpTimeout > 0 {
-			return nil, false, fmt.Errorf("-op-timeout requires -transport tcp (the loopback run has no collective receives to bound)")
-		}
-		if o.Heartbeat > 0 {
-			return nil, false, fmt.Errorf("-heartbeat requires -transport tcp (the loopback run has no peers to monitor)")
-		}
-		if o.Rejoin {
-			return nil, false, fmt.Errorf("-join requires -transport tcp (there is no running mesh to rejoin)")
+// ParseTransportOpts validates a CLI's -rank/-peers/-workers flag
+// combination and builds the communication fabric. The transport follows
+// from the flags: no peers is the in-process loopback, (nil, true, nil);
+// a peer list dials this rank into a TCP mesh. report says whether this
+// process should print the run report (every rank of a mesh holds the
+// same one; rank 0 prints it). The caller owns Close on a non-nil fabric.
+func ParseTransportOpts(rank int, peers string, workers int, o TransportOptions) (fabric comm.Fabric, report bool, err error) {
+	list := splitPeers(peers)
+	if len(list) == 0 && peers != "" {
+		return nil, false, fmt.Errorf("-peers %q names no host:port", peers)
+	}
+	if len(list) == 0 {
+		// The TCP-only options would silently do nothing on loopback;
+		// refuse them instead of running a half-configured mesh.
+		switch {
+		case rank != -1:
+			return nil, false, fmt.Errorf("-rank requires -peers (without them the run is one loopback process)")
+		case o.Chaos != "":
+			return nil, false, fmt.Errorf("-chaos requires -peers (the loopback run has no fabric to fault)")
+		case o.OpTimeout > 0:
+			return nil, false, fmt.Errorf("-op-timeout requires -peers (the loopback run has no collective receives to bound)")
+		case o.Heartbeat > 0:
+			return nil, false, fmt.Errorf("-heartbeat requires -peers (the loopback run has no peers to monitor)")
+		case o.Rejoin:
+			return nil, false, fmt.Errorf("-join requires -peers (there is no running mesh to rejoin)")
 		}
 		return nil, true, nil
-	case "tcp":
-		list := splitPeers(peers)
-		if len(list) == 0 {
-			return nil, false, fmt.Errorf("-transport tcp requires -peers host:port[,host:port...]")
-		}
-		if rank < 0 || rank >= len(list) {
-			return nil, false, fmt.Errorf("-rank must be in [0,%d) for %d peers, got %d", len(list), len(list), rank)
-		}
-		if workers%len(list) != 0 {
-			return nil, false, fmt.Errorf("-workers (%d) must be divisible by the number of peers (%d)", workers, len(list))
-		}
-		var plan comm.FaultPlan
-		if o.Chaos != "" {
-			if plan, err = comm.ParseFaultPlan(o.Chaos); err != nil {
-				return nil, false, fmt.Errorf("-chaos: %w", err)
-			}
-			plan.OnCrash = o.OnCrash
-		}
-		tcpOpts := comm.DefaultTCPOptions()
-		if o.TCP != nil {
-			tcpOpts = *o.TCP
-		}
-		var ep *comm.TCPEndpoint
-		if o.Rejoin {
-			ep, err = comm.RejoinTCP(rank, list, tcpOpts)
-		} else {
-			ep, err = comm.DialTCPOpts(rank, list, tcpOpts)
-		}
-		if err != nil {
-			return nil, false, fmt.Errorf("tcp transport: %w", err)
-		}
-		var endpoint comm.Endpoint = ep
-		if o.Chaos != "" {
-			endpoint = comm.WithFaults(endpoint, plan)
-		}
-		mesh, err := comm.NewMesh(endpoint, workers)
-		if err != nil {
-			endpoint.Close()
-			return nil, false, fmt.Errorf("tcp transport: %w", err)
-		}
-		if o.OpTimeout > 0 {
-			mesh.SetOpTimeout(o.OpTimeout)
-		}
-		if o.Heartbeat > 0 {
-			mesh.StartHeartbeats(o.Heartbeat, 4*o.Heartbeat)
-		}
-		return mesh, rank == 0, nil
-	default:
-		return nil, false, fmt.Errorf("unknown -transport %q (want loopback or tcp)", transport)
 	}
+	if rank < 0 || rank >= len(list) {
+		return nil, false, fmt.Errorf("-rank must be in [0,%d) for %d peers, got %d", len(list), len(list), rank)
+	}
+	if workers%len(list) != 0 {
+		return nil, false, fmt.Errorf("-workers (%d) must be divisible by the number of peers (%d)", workers, len(list))
+	}
+	var plan comm.FaultPlan
+	if o.Chaos != "" {
+		if plan, err = comm.ParseFaultPlan(o.Chaos); err != nil {
+			return nil, false, fmt.Errorf("-chaos: %w", err)
+		}
+		plan.OnCrash = o.OnCrash
+	}
+	var ep *comm.TCPEndpoint
+	if o.Rejoin {
+		ep, err = comm.RejoinTCP(rank, list, comm.DefaultTCPOptions())
+	} else {
+		ep, err = comm.DialTCPOpts(rank, list, comm.DefaultTCPOptions())
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("tcp transport: %w", err)
+	}
+	var endpoint comm.Endpoint = ep
+	if o.Chaos != "" {
+		endpoint = comm.WithFaults(endpoint, plan)
+	}
+	mesh, err := comm.NewMesh(endpoint, workers)
+	if err != nil {
+		endpoint.Close()
+		return nil, false, fmt.Errorf("tcp transport: %w", err)
+	}
+	if o.OpTimeout > 0 {
+		mesh.SetOpTimeout(o.OpTimeout)
+	}
+	if o.Heartbeat > 0 {
+		mesh.StartHeartbeats(o.Heartbeat, 4*o.Heartbeat)
+	}
+	return mesh, rank == 0, nil
 }
 
 // splitPeers splits a comma-separated peer list, dropping empty entries.
@@ -186,7 +207,7 @@ func splitPeers(s string) []string {
 
 // JobFor builds the training Job a RunSpec describes, forwarding extra
 // Job options (observers, resume checkpoints) — the shared backend of
-// cmd/selsync-train and cmd/selsync-node. The returned Workload exposes
+// cmd/selsync-node, cmd/selsync-sweep and the serve daemon. The returned Workload exposes
 // the workload's metadata (metric direction, calibrated thresholds) for
 // report rendering. Run the job once with job.Run(ctx); on a multi-process
 // fabric every rank must do so SPMD with an identical spec.

@@ -14,8 +14,8 @@ import (
 // ServeBuilder adapts the workload factory into the serve daemon's job
 // builder: each segment gets a fresh in-process loopback fabric (so the
 // daemon can accumulate a cumulative traffic ledger segment by segment)
-// and a Job built exactly as cmd/selsync-train would build it, with the
-// scheduler's resume checkpoint and observer passed through.
+// and a Job built exactly as cmd/selsync-node would build it from the same
+// flags, with the scheduler's resume checkpoint and observer passed through.
 func ServeBuilder() serve.Builder {
 	return func(spec serve.JobSpec, opts ...train.Option) (serve.BuiltJob, error) {
 		lb := comm.NewLoopback(spec.Workers)
@@ -37,6 +37,26 @@ func ServeBuilder() serve.Builder {
 			Close: func() { lb.Close() },
 		}, nil
 	}
+}
+
+// JobSpecFor is ServeBuilder's mapping read backwards: the serve.JobSpec
+// that submits spec's run to the daemon (selsync-ctl submit). A run the
+// JobSpec cannot carry — non-IID placement, a membership plan, a fabric —
+// is refused rather than trimmed; the service-level fields are left for
+// the caller.
+func JobSpecFor(spec RunSpec) (serve.JobSpec, error) {
+	if spec.LabelsPerWorker != 0 || spec.Alpha != 0 || spec.Beta != 0 ||
+		spec.Membership != "" || spec.Quorum != 0 || spec.Fabric != nil {
+		return serve.JobSpec{}, fmt.Errorf("a serve job runs IID on the daemon's loopback: -noniid, -alpha, -beta, -membership and -quorum are not job fields")
+	}
+	return serve.JobSpec{
+		Model: spec.Model, Method: spec.Method, Scheme: spec.Scheme,
+		Workers: spec.Workers, TrainN: spec.TrainN, TestN: spec.TestN,
+		MaxSteps: spec.MaxSteps, Seed: spec.Seed,
+		Delta: spec.Delta, GradAgg: spec.GradAgg,
+		C: spec.C, E: spec.E, Staleness: spec.Staleness,
+		Codec: spec.Codec,
+	}, nil
 }
 
 // ServeLoad floods a serve daemon with a seeded stream of mixed-policy,

@@ -5,13 +5,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"selsync/internal/comm"
 )
 
-// The loopback transport must reject every TCP-only option instead of
-// silently ignoring it — a run that *looks* chaos-injected, deadline-bound
-// or heartbeat-monitored but isn't is worse than a refused flag.
+// Without -peers the run is the loopback, which must reject every TCP-only
+// option instead of silently ignoring it — a run that *looks*
+// chaos-injected, deadline-bound or heartbeat-monitored but isn't is worse
+// than a refused flag.
 func TestParseTransportOptsLoopbackStrict(t *testing.T) {
 	cases := []struct {
 		name string
@@ -21,25 +20,24 @@ func TestParseTransportOptsLoopbackStrict(t *testing.T) {
 		want string // error fragment naming the offending flag
 	}{
 		{"rank", 0, "", TransportOptions{}, "-rank"},
-		{"peers", -1, "a:1", TransportOptions{}, "-peers"},
+		{"peers", -1, " , ", TransportOptions{}, "host:port"}, // a mesh was meant, but none is named
 		{"chaos", -1, "", TransportOptions{Chaos: "drop=0.1"}, "-chaos"},
-		{"tcp-tuning", -1, "", TransportOptions{TCP: &comm.TCPOptions{}}, "tuning"},
 		{"op-timeout", -1, "", TransportOptions{OpTimeout: time.Second}, "-op-timeout"},
 		{"heartbeat", -1, "", TransportOptions{Heartbeat: time.Second}, "-heartbeat"},
 		{"join", -1, "", TransportOptions{Rejoin: true}, "-join"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, err := ParseTransportOpts("loopback", c.rank, c.peer, 4, c.o)
+			_, _, err := ParseTransportOpts(c.rank, c.peer, 4, c.o)
 			if err == nil {
 				t.Fatalf("loopback must reject %s", c.name)
 			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error should name %q: %v", c.want, err)
+			if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "-peers") {
+				t.Fatalf("error should name %q and -peers: %v", c.want, err)
 			}
 		})
 	}
-	fabric, report, err := ParseTransportOpts("loopback", -1, "", 4, TransportOptions{})
+	fabric, report, err := ParseTransportOpts(-1, "", 4, TransportOptions{})
 	if err != nil || fabric != nil || !report {
 		t.Fatalf("clean loopback parse: fabric=%v report=%v err=%v", fabric, report, err)
 	}
@@ -52,17 +50,17 @@ func TestParseTransportOptsTCPValidation(t *testing.T) {
 		workers int
 		want    string
 	}{
-		"no-peers":     {0, "", 4, "-peers"},
-		"rank-range":   {2, "a:1,b:2", 4, "-rank"},
-		"indivisible":  {0, "a:1,b:2", 5, "divisible"},
-		"unknown-kind": {0, "a:1", 4, "transport"},
+		"rank-unset":  {-1, "a:1,b:2", 4, "-rank"},
+		"rank-range":  {2, "a:1,b:2", 4, "-rank"},
+		"indivisible": {0, "a:1,b:2", 5, "divisible"},
+		"bad-chaos":   {0, "a:1", 4, "-chaos"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			kind := "tcp"
-			if name == "unknown-kind" {
-				kind = "quic"
+			var o TransportOptions
+			if name == "bad-chaos" {
+				o.Chaos = "bogus=1"
 			}
-			_, _, err := ParseTransportOpts(kind, c.rank, c.peers, c.workers, TransportOptions{})
+			_, _, err := ParseTransportOpts(c.rank, c.peers, c.workers, o)
 			if err == nil {
 				t.Fatal("must be rejected")
 			}

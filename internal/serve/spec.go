@@ -8,10 +8,10 @@ import (
 	"selsync/internal/train"
 )
 
-// JobSpec describes one submitted training job: the run parameters
-// (mirroring the selsync-train CLI surface) plus the service-level
-// fields — tenant identity, priority, and a human label. It travels as
-// JSON inside a submit Request.
+// JobSpec describes one submitted training job: the run parameters (the
+// subset of the CLIs' flag table a daemon job carries) plus the
+// service-level fields — tenant identity, priority, and a human label. It
+// travels as JSON inside a submit Request.
 type JobSpec struct {
 	// Name is a human label for logs and status output; "" is fine.
 	Name string `json:"name,omitempty"`
@@ -61,7 +61,7 @@ func (s *JobSpec) Validate() error {
 }
 
 // withDefaults fills the policy knobs a submitter left zero with the
-// selsync-train CLI defaults, so a minimal spec runs as the CLI would.
+// defaults of the CLIs' flag table, so a minimal spec runs as the CLI would.
 func (s JobSpec) withDefaults() JobSpec {
 	if s.C == 0 {
 		s.C = 1

@@ -14,7 +14,7 @@ import (
 // bit-identical. The golden-equivalence tests pin each method's digest
 // against the pre-refactor training loops, and the checkpoint/resume CI
 // smoke compares an interrupted-and-resumed run against an uninterrupted
-// one through the same digest (cmd/selsync-train -digest).
+// one through the same digest (cmd/selsync-node -digest).
 func (r *Result) Digest() string {
 	h := sha256.New()
 	hs := func(s string) { h.Write([]byte(s)); h.Write([]byte{0}) }

@@ -37,7 +37,7 @@
 //	}
 //
 // or, declaratively from a schedule string ("bsp:500,selsync" — the same
-// grammar cmd/selsync-train's -method flag accepts):
+// grammar cmd/selsync-node's -method flag accepts):
 //
 //	policy, err := selsync.ParseSchedule("bsp:500,selsync", mkPolicy)
 //
@@ -304,7 +304,7 @@ var (
 	// NewServeServer builds a scheduling daemon over a job builder.
 	NewServeServer = serve.NewServer
 	// NewStandardJobBuilder is the builder the daemon normally runs with:
-	// specs build exactly as cmd/selsync-train would build them, each on
+	// specs build exactly as cmd/selsync-node would build them, each on
 	// a fresh in-process loopback fabric.
 	NewStandardJobBuilder = experiments.ServeBuilder
 	// DialServe connects a client to a daemon's TCP address.
